@@ -297,6 +297,59 @@ def softmax_rows(x) -> Node:
     return _rec(p, (x,), (vjp,))
 
 
+def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
+                   collect: list | None = None) -> Node:
+    """softmax(q k^T / sqrt(d_k) [+ mask]) v within each stacked sequence.
+
+    q holds B sequences of n_q rows, k and v the same B sequences of n_k
+    rows.  Scores are formed per sequence with batched matmul over
+    (B, n, d) views, so the score work is B n_q n_k, not (B n_q)(B n_k).
+    mask is an additive (n_q, n_k) array shared by all sequences.  One
+    node; its VJPs share the score adjoint, computed once per backward.
+    When `collect` is given, the (B, n_q, n_k) probabilities are appended.
+    """
+    q, k, v = wrap(q), wrap(k), wrap(v)
+    d_k = q.shape[1]
+    if n_q < 1 or n_k < 1 or q.shape[0] % n_q:
+        raise DimensionMismatch(f"attention_rows: {q.shape[0]} rows not in blocks of {n_q}")
+    b = q.shape[0] // n_q
+    if k.shape != (b * n_k, d_k) or v.shape[0] != b * n_k:
+        raise DimensionMismatch(
+            f"attention_rows: q {q.shape} ({b} x {n_q}) vs k {k.shape}, v {v.shape}")
+    if mask is not None and np.shape(mask) != (n_q, n_k):
+        raise DimensionMismatch(f"attention_rows: mask {np.shape(mask)} vs ({n_q}, {n_k})")
+    c = 1.0 / np.sqrt(d_k)
+    qb = q.value.reshape(b, n_q, d_k)
+    kb = k.value.reshape(b, n_k, d_k)
+    vb = v.value.reshape(b, n_k, -1)
+    scores = (qb @ kb.transpose(0, 2, 1)) * c
+    if mask is not None:
+        scores = scores + mask
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    p = e / e.sum(axis=2, keepdims=True)
+    if collect is not None:
+        collect.append(p)
+    memo: dict = {}
+
+    def adjoints(g):
+        if memo.get("g") is not g:
+            gb = g.reshape(b, n_q, -1)
+            dp = gb @ vb.transpose(0, 2, 1)
+            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
+            memo.update(g=g, gb=gb, ds=ds)
+        return memo["gb"], memo["ds"]
+
+    return _rec(
+        (p @ vb).reshape(b * n_q, -1),
+        (q, k, v),
+        (
+            lambda g: (adjoints(g)[1] @ kb).reshape(b * n_q, d_k),
+            lambda g: (adjoints(g)[1].transpose(0, 2, 1) @ qb).reshape(b * n_k, d_k),
+            lambda g: (p.transpose(0, 2, 1) @ adjoints(g)[0]).reshape(b * n_k, -1),
+        ),
+    )
+
+
 def normalize_rows(x) -> Node:
     """Scale each row to unit Euclidean norm; zero rows are an error."""
     from .errors import ZeroAfterGrading

@@ -293,33 +293,46 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
     return w_model, w_heads
 
 
+def _holds_ids(inputs) -> bool:
+    """Integer token ids; a ragged batch counts, so check_tokens reports it."""
+    if isinstance(inputs, ad.Node):
+        return False
+    try:
+        return np.asarray(inputs).dtype.kind in "iu"
+    except ValueError:
+        return True
+
+
 def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
                   lam: float | None = None, grade_nodes: dict | None = None,
                   collect: list | None = None) -> tuple[ad.Node, ad.Node]:
     """Graded forward pass on the active tape.
 
-    inputs: token id sequence (vocab models) or an n x d array/Node.
-    Returns (encoder representations, output logits).
+    inputs: token ids, (n,) or a batch (B, n), for vocab models; an (n, d)
+    or (B, n, d) array, or an (n, d) Node, otherwise.  The B sequences run
+    as one (B n)-row block; attention stays within each sequence.
+    Returns (encoder representations, output logits), each B n rows.
     """
     cfg = gcfg.model
     w_model, w_heads = weight_nodes(gcfg, lam, grade_nodes)
 
-    token_path = cfg.vocab_size > 0 and not isinstance(inputs, ad.Node) \
-        and np.asarray(inputs).dtype.kind in "iu"
+    token_path = cfg.vocab_size > 0 and _holds_ids(inputs)
     if token_path:
         ids = tf.check_tokens(inputs, cfg)
-        x = ad.embedding_rows(p["embed"], ids - 1)
-        n = ids.size
+        n = ids.shape[-1]
+        x = ad.embedding_rows(p["embed"], ids.reshape(-1) - 1)
     else:
-        x = ad.wrap(inputs)
-        n = x.shape[0]
+        batch = not isinstance(inputs, ad.Node) and np.ndim(inputs) == 3
+        x = ad.wrap(np.reshape(inputs, (-1, np.shape(inputs)[-1])) if batch else inputs)
+        n = np.shape(inputs)[1] if batch else x.shape[0]
 
     if gcfg.grade_inputs:
         x = ad.scale_cols(x, w_model)
         if gcfg.normalize_inputs:
             x = ad.normalize_rows(x)
     if token_path or gcfg.add_positional:
-        x = ad.add(x, graded_positional_matrix(n, gcfg, lam))
+        positions = graded_positional_matrix(n, gcfg, lam)
+        x = ad.add(x, np.tile(positions, (x.shape[0] // n, 1)))
 
     grading = None
     if gcfg.attention_variant != "none" or gcfg.grade_ffn:
@@ -329,7 +342,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
             ffn_weights=w_model if gcfg.grade_ffn else None,
             normalize_ffn=gcfg.normalize_ffn,
         )
-    z = tf.encoder(p, x, cfg, grading, collect)
+    z = tf.encoder(p, x, cfg, grading, collect, n)
 
     h = ad.scale_cols(z, w_model) if gcfg.grade_output else z
     if cfg.vocab_size:

@@ -98,28 +98,26 @@ def build_train_config(cfg: ExperimentConfig) -> training.TrainConfig:
 
 
 def _final_eval(params, gcfg, ds, n_eval: int, lam: float | None):
-    """Per-dimension error and final-layer attention mass by key position."""
-    errs = np.zeros(ds.y.shape[-1])
-    n = ds.x.shape[1]
-    mass = np.zeros(n)
-    count = 0
-    for i in range(min(n_eval, ds.size)):
-        collect = [[] for _ in range(gcfg.model.n_layers)]
-        tape = ad.Tape()
-        with ad.recording(tape):
-            p = tf.as_nodes(params, tape, trainable=False)
-            _, logits = graded.forward_nodes(p, gcfg, ds.x[i], lam=lam, collect=collect)
-        pred = logits.value
-        if gcfg.model.vocab_size:
-            pred = tensor.softmax_rows(pred)
-        errs += tasks.per_dim_error(pred, ds.y[i])
-        if gcfg.model.n_layers:
-            for head_attn in collect[-1]:
-                mass += head_attn.mean(axis=0)
-                count += 1
-    errs /= min(n_eval, ds.size)
-    if count:
-        mass /= count
+    """Per-dimension error and final-layer attention mass by key position.
+
+    The first n_eval sequences run as one stacked forward; the error and
+    the mass are means over sequences (and, for the mass, query rows and
+    heads).
+    """
+    m = min(n_eval, ds.size)
+    x, y = ds.x[:m], ds.y[:m]
+    collect = [[] for _ in range(gcfg.model.n_layers)]
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = tf.as_nodes(params, tape, trainable=False)
+        _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, collect=collect)
+    pred = logits.value
+    if gcfg.model.vocab_size:
+        pred = tensor.softmax_rows(pred)
+    errs = tasks.per_dim_error(pred.reshape(y.shape), y)
+    mass = np.zeros(x.shape[1])
+    if gcfg.model.n_layers:
+        mass = np.mean([head_attn.mean(axis=(0, 1)) for head_attn in collect[-1]], axis=0)
     return errs, mass
 
 

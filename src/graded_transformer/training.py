@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import graded
 from . import transformer as tf
-from .errors import DivergenceDetected, InvalidLambda, StepOutOfRange
+from .errors import DimensionMismatch, DivergenceDetected, InvalidLambda, StepOutOfRange
 from .graded_space import EXPONENTIAL, LINEAR
 from .tensor import Rng
 
@@ -219,11 +219,36 @@ def write_metrics_csv(path, metrics: list[dict]) -> None:
             writer.writerow({k: row[k] for k in METRIC_FIELDS})
 
 
-def _grade_leaves(tape: ad.Tape, gcfg: graded.GradedModelConfig) -> dict[str, ad.Node]:
-    nodes = {"q": tape.param("q", gcfg.grades.reshape(1, -1))}
-    for i, qh in enumerate(gcfg.head_grades):
-        nodes[f"q_head_{i}"] = tape.param(f"q_head_{i}", qh.reshape(1, -1))
-    return nodes
+def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarray],
+                gcfg: graded.GradedModelConfig, x: np.ndarray, y: np.ndarray,
+                lam: float, cfg: TrainConfig):
+    """Record one step's loss on a fresh tape; returns (tape, total, main, reg).
+
+    x: (B, n, d) float sequences or (B, n) token ids; y: (B, n, out_dim).
+    The B sequences run as one stacked forward, and the main loss is the
+    per-sequence mean.  lam is the annealed base (exponential mode only).
+    """
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = tf.as_nodes(params, tape, trainable=True)
+        if cfg.learn_grades:
+            grade_nodes = {k: tape.param(k, v) for k, v in grade_arrays.items()}
+        else:
+            grade_nodes = {k: tape.constant(v) for k, v in grade_arrays.items()}
+        if gcfg.mode == LINEAR:
+            loss_w = gcfg.weight_map.node(grade_nodes["q"])
+        else:
+            loss_w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(lam))))
+        _, logits = graded.forward_nodes(
+            p, gcfg, x, lam=lam if gcfg.mode == EXPONENTIAL else None,
+            grade_nodes=grade_nodes,
+        )
+        y_rows = np.reshape(y, (-1, np.shape(y)[-1]))
+        main = ad.scale(sequence_loss_node(logits, y_rows, loss_w, cfg.base_loss),
+                        1.0 / len(x))
+        reg = regularizer_node(grade_nodes, cfg, gcfg.model.n_heads)
+        total = ad.add(main, reg)
+    return tape, total, main, reg
 
 
 def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
@@ -252,6 +277,8 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     grade_state = AdamState(grade_arrays) if cfg.learn_grades else None
 
     num = data_x.shape[0]
+    if data_y.shape[0] != num:
+        raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
     metrics: list[dict] = []
     last_good = {k: v.copy() for k, v in params.items()}
     diverged = False
@@ -261,28 +288,8 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         lam_t = anneal_lambda(t, cfg.steps, cfg.lambda_max) if exponential else 1.0
         batch_ids = rng.generator.integers(0, num, size=min(cfg.batch_size, num))
 
-        tape = ad.Tape()
-        with ad.recording(tape):
-            p = tf.as_nodes(params, tape, trainable=True)
-            if cfg.learn_grades:
-                grade_nodes = {k: tape.param(k, v) for k, v in grade_arrays.items()}
-            else:
-                grade_nodes = {k: tape.constant(v) for k, v in grade_arrays.items()}
-            if gcfg.mode == LINEAR:
-                loss_w = gcfg.weight_map.node(grade_nodes["q"])
-            else:
-                loss_w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(lam_t))))
-            main = None
-            for b in batch_ids:
-                _, logits = graded.forward_nodes(
-                    p, gcfg, data_x[b], lam=lam_t if exponential else None,
-                    grade_nodes=grade_nodes,
-                )
-                term = sequence_loss_node(logits, data_y[b], loss_w, cfg.base_loss)
-                main = term if main is None else ad.add(main, term)
-            main = ad.scale(main, 1.0 / len(batch_ids))
-            reg = regularizer_node(grade_nodes, cfg, gcfg.model.n_heads)
-            total = ad.add(main, reg)
+        tape, total, main, reg = record_step(
+            params, grade_arrays, gcfg, data_x[batch_ids], data_y[batch_ids], lam_t, cfg)
         loss_val = float(total.value[0, 0])
 
         if not np.isfinite(loss_val):

@@ -151,12 +151,21 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def check_tokens(tokens, cfg: ModelConfig, limit: int | None = None) -> np.ndarray:
-    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    """Validated ids: one sequence (n,) or a batch (B, n) of equal-length
+    sequences.  The length cap applies to each sequence."""
+    cap = cfg.n_max if limit is None else limit
+    try:
+        ids = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
+    except ValueError as exc:  # ragged batch
+        if any(len(row) > cap for row in tokens):
+            raise SequenceTooLong(f"a sequence of the batch exceeds {cap}") from exc
+        raise DimensionMismatch("batched sequences must share one length") from exc
+    if ids.ndim > 2:
+        raise DimensionMismatch(f"token ids must be (n,) or (B, n), got {ids.ndim}-D")
     if np.any(ids < 1) or np.any(ids > cfg.vocab_size):
         raise TokenOutOfRange(f"token ids must lie in [1, {cfg.vocab_size}]")
-    cap = cfg.n_max if limit is None else limit
-    if ids.size > cap:
-        raise SequenceTooLong(f"sequence of length {ids.size} exceeds {cap}")
+    if ids.shape[-1] > cap:
+        raise SequenceTooLong(f"sequence of length {ids.shape[-1]} exceeds {cap}")
     return ids
 
 
@@ -172,25 +181,32 @@ def embed_tokens(p: dict[str, ad.Node], cfg: ModelConfig, tokens) -> ad.Node:
 
 
 def attention_head(q, k, v, d_k: int, mask: np.ndarray | None = None,
-                   collect: list | None = None) -> ad.Node:
-    """softmax(q k^T / sqrt(d_k) [+ mask]) v."""
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    if mask is not None:
-        scores = ad.add(scores, ad.wrap(mask))
-    attn = ad.softmax_rows(scores)
-    if collect is not None:
-        collect.append(attn.value.copy())
-    return ad.matmul(attn, v)
+                   collect: list | None = None, seq_len: int | None = None) -> ad.Node:
+    """softmax(q k^T / sqrt(d_k) [+ mask]) v within each sequence.
+
+    q stacks sequences of seq_len rows (default: one sequence); k and v
+    stack the same number of sequences.  `collect` receives the
+    (B, n_q, n_k) attention probabilities.
+    """
+    q, k, v = ad.wrap(q), ad.wrap(k), ad.wrap(v)
+    if q.shape[1] != d_k:
+        raise DimensionMismatch(f"attention_head: q width {q.shape[1]} != d_k {d_k}")
+    n_q = q.shape[0] if seq_len is None else seq_len
+    sequences = q.shape[0] // n_q if n_q > 0 else 0
+    n_k = k.shape[0] // sequences if sequences else 0
+    return ad.attention_rows(q, k, v, n_q, n_k, mask, collect)
 
 
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
                mask: np.ndarray | None = None, grading=None,
-               collect: list | None = None, kv=None, cross: bool = False) -> ad.Node:
+               collect: list | None = None, kv=None, cross: bool = False,
+               seq_len: int | None = None) -> ad.Node:
     """Concat(head_1..head_h) W_O; optional graded scaling hooks.
 
     `grading` is None or an object with per-head weight rows and a variant
     tag (see graded.AttentionGrading).  `kv` supplies separate key/value
-    source for cross-attention.
+    source for cross-attention.  x may stack sequences of seq_len rows;
+    attention stays within each sequence.
     """
     tag = "c" if cross else "w"
     kv = x if kv is None else kv
@@ -201,7 +217,7 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
         v = ad.matmul(kv, p[f"{prefix}.{tag}v{i}"])
         if grading is not None:
             q, k, v = grading.apply(i, q, k, v)
-        heads.append(attention_head(q, k, v, cfg.d_k, mask, collect))
+        heads.append(attention_head(q, k, v, cfg.d_k, mask, collect, seq_len))
     concat = heads[0] if len(heads) == 1 else ad.hstack(heads)
     return ad.matmul(concat, p[f"{prefix}.{tag}o" if cross else f"{prefix}.wo"])
 
@@ -216,9 +232,9 @@ def layer_norm(p: dict[str, ad.Node], site: str, x, eps: float) -> ad.Node:
 
 
 def encoder_layer(p, l: int, x, cfg: ModelConfig, grading=None,
-                  collect: list | None = None) -> ad.Node:
+                  collect: list | None = None, seq_len: int | None = None) -> ad.Node:
     pre = f"enc{l}"
-    attn = multi_head(p, pre, x, cfg, grading=grading, collect=collect)
+    attn = multi_head(p, pre, x, cfg, grading=grading, collect=collect, seq_len=seq_len)
     x1 = layer_norm(p, f"{pre}.ln1", ad.add(x, attn), cfg.eps)
     ff = feed_forward(p, pre, x1)
     if grading is not None:
@@ -226,11 +242,15 @@ def encoder_layer(p, l: int, x, cfg: ModelConfig, grading=None,
     return layer_norm(p, f"{pre}.ln2", ad.add(x1, ff), cfg.eps)
 
 
-def encoder(p, x, cfg: ModelConfig, grading=None, collect=None) -> ad.Node:
-    """Stack of n_layers encoder layers (identity when n_layers = 0)."""
+def encoder(p, x, cfg: ModelConfig, grading=None, collect=None,
+            seq_len: int | None = None) -> ad.Node:
+    """Stack of n_layers encoder layers (identity when n_layers = 0).
+
+    x may stack sequences of seq_len rows (default: x is one sequence).
+    """
     for l in range(cfg.n_layers):
         x = encoder_layer(p, l, x, cfg, grading,
-                          collect[l] if collect is not None else None)
+                          collect[l] if collect is not None else None, seq_len)
     return x
 
 

@@ -4,7 +4,8 @@ Criterion 10's inequality sigma_max(QMK^T) <= m_max sigma_max(QK^T) admits
 counterexamples (e.g. Q=[[1,1]], K=[[-1,1]], weights (1,3): left side 2, right
 side 0), so test_c10_rank_scaling_as_stated asserts it in the forms that are
 theorems: verbatim for orthonormal Q and for K = Q, and with the factor
-min(kappa(Q), kappa(K)) on every draw.  The product-norm bound is covered by
+min(kappa(Q), kappa(K)) on every draw.  The product-norm bound
+sigma_max(QMK^T) <= m_max sigma_max(Q) sigma_max(K) is asserted by
 test_c10_provable_bound.
 """
 
@@ -233,20 +234,25 @@ def test_c10_rank_scaling_as_stated():
 
 
 def test_c10_provable_bound():
+    # The product bound sigma_max(Q M K^T) <= m_max sigma_max(Q) sigma_max(K)
+    # holds for every Q and K.  The K = Q case of the stated form is asserted
+    # in test_c10_rank_scaling_as_stated on the same draws.
+    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=1, n_layers=1, d_ff=4)
+    weight_configs = (
+        graded.GradedModelConfig(model=cfg, weight_map=gs.WeightMap("plus_one")),
+        graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=2.0),
+    )
     g = Rng(10).generator
-    ok = True
+    worst = 0.0
     for trial in range(200):
         q = g.normal(size=(6, 4))
         k = g.normal(size=(6, 4))
-        grades = g.uniform(0.0, 2.0, 4)
-        w = gs.WeightMap("plus_one").values(grades) if trial % 2 == 0 \
-            else np.exp(grades * np.log(2.0))
+        w = weight_configs[trial % 2].weights(g.uniform(0.0, 2.0, 4))
         left = float(np.linalg.norm((q * w) @ k.T, 2))
-        ok &= left <= w.max() * np.linalg.norm(q, 2) * np.linalg.norm(k, 2) * (1 + 1e-9)
-        sym = float(np.linalg.norm((q * w) @ q.T, 2))
-        ok &= sym <= w.max() * np.linalg.norm(q @ q.T, 2) * (1 + 1e-9)
-    assert verdict(10, ok, "provable variant: product bound and symmetric case hold "
-                           "on 200 draws (supplement to the defective stated form)")
+        bound = float(w.max() * np.linalg.norm(q, 2) * np.linalg.norm(k, 2))
+        worst = max(worst, left / bound)
+    assert verdict(10, worst <= 1 + 1e-9,
+                   f"product bound on 200 draws: worst lhs/bound {worst:.4f} (tol 1+1e-9)")
 
 
 def _full_model_gradcheck(mode: str, seed: int) -> float:

@@ -3,7 +3,8 @@ import pytest
 
 from graded_transformer import autodiff as ad
 from graded_transformer import tensor
-from graded_transformer.errors import NonFinite, NotScalarRoot
+from graded_transformer import transformer as tf
+from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoot
 
 from conftest import assert_close
 
@@ -173,3 +174,71 @@ class TestPrimitiveGradients:
                 (np.diag(p[i]) - np.outer(p[i], p[i])) @ up[i] for i in range(3)
             ])
             assert_close(got, want, tol=1e-8)
+
+
+class TestAttentionRows:
+    @staticmethod
+    def per_sequence(q, k, v, b, mask=None):
+        """Reference: one 2-D softmax(q k^T / sqrt(d_k) [+ mask]) v per sequence."""
+        outs = []
+        for qs, ks, vs in zip(np.split(q, b), np.split(k, b), np.split(v, b)):
+            scores = qs @ ks.T / np.sqrt(q.shape[1])
+            outs.append(tensor.softmax_rows(scores if mask is None else scores + mask) @ vs)
+        return np.vstack(outs)
+
+    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False)])
+    def test_grad_check(self, n_q, n_k, causal):
+        # B = 3 self-attention under a causal mask, and cross-attention n_q != n_k
+        g = np.random.default_rng(7 + n_k)
+        b, d_k, d_v = 3, 3, 2
+        mask = tf.causal_mask(n_q) if causal else None
+        worst = 0.0
+        for _ in range(5):
+            point = {"q": g.normal(0.0, 1.0, (b * n_q, d_k)),
+                     "k": g.normal(0.0, 1.0, (b * n_k, d_k)),
+                     "v": g.normal(0.0, 1.0, (b * n_k, d_v))}
+            up = g.uniform(0.5, 1.5, (b * n_q, d_v))
+            fn = lambda p: ad.sum_all(ad.mul(
+                ad.attention_rows(p["q"], p["k"], p["v"], n_q, n_k, mask), up))
+            worst = max(worst, ad.grad_check(fn, point, h=1e-5))
+        assert worst <= 1e-4, f"{worst:.3e}"
+
+    def test_matches_per_sequence_attention(self):
+        g = np.random.default_rng(3)
+        b, n, d_k = 4, 5, 3
+        q, k, v = (g.normal(0.0, 1.0, (b * n, d_k)) for _ in range(3))
+        mask = tf.causal_mask(n)
+        tape = ad.Tape()
+        with ad.recording(tape):
+            collect = []
+            out = ad.attention_rows(q, k, v, n, n, mask, collect)
+        assert_close(out.value, self.per_sequence(q, k, v, b, mask), tol=1e-12)
+        assert collect[0].shape == (b, n, n)
+        assert_close(collect[0].sum(axis=2), np.ones((b, n)), tol=1e-12)
+
+    def test_sequences_do_not_mix(self):
+        g = np.random.default_rng(4)
+        b, n, d_k = 3, 4, 2
+        q, k, v = (g.normal(0.0, 1.0, (b * n, d_k)) for _ in range(3))
+        k2, v2 = k.copy(), v.copy()
+        k2[n:2 * n] += 1.0  # perturb sequence 1 only
+        v2[n:2 * n] -= 1.0
+        tape = ad.Tape()
+        with ad.recording(tape):
+            base = ad.attention_rows(q, k, v, n, n).value
+            pert = ad.attention_rows(q, k2, v2, n, n).value
+        keep = np.r_[0:n, 2 * n:3 * n]
+        assert np.array_equal(base[keep], pert[keep])
+        assert np.abs(base[n:2 * n] - pert[n:2 * n]).max() > 1e-3
+
+    @pytest.mark.parametrize("q_rows,k_rows,n_q,n_k,mask_shape", [
+        (6, 6, 4, 4, None),    # q rows not a multiple of n_q
+        (6, 8, 3, 3, None),    # k rows do not match B * n_k
+        (6, 6, 3, 3, (3, 2)),  # mask shape differs from (n_q, n_k)
+    ])
+    def test_shape_errors(self, q_rows, k_rows, n_q, n_k, mask_shape):
+        tape = ad.Tape()
+        mask = None if mask_shape is None else np.zeros(mask_shape)
+        with ad.recording(tape), pytest.raises(DimensionMismatch):
+            ad.attention_rows(np.ones((q_rows, 2)), np.ones((k_rows, 2)),
+                              np.ones((k_rows, 2)), n_q, n_k, mask)

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from graded_transformer import autodiff as ad
 from graded_transformer import graded
 from graded_transformer import graded_space as gs
 from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import (
+    DimensionMismatch,
     InvalidSpec,
     NotRowStochastic,
     PositionOutOfRange,
+    SequenceTooLong,
     ZeroAfterGrading,
 )
 from graded_transformer.tensor import Rng
@@ -252,6 +255,48 @@ class TestForward:
             toks = list(Rng(seed).generator.integers(3, cfg.vocab_size + 1, size=4))
             assert graded.graded_generate(params, ucfg, toks) == \
                 tf.generate(params, cfg, toks)
+
+
+class TestBatchedForward:
+    @staticmethod
+    def logits(params, gcfg, inputs, lam=None):
+        tape = ad.Tape()
+        with ad.recording(tape):
+            p = tf.as_nodes(params, tape, trainable=False)
+            _, out = graded.forward_nodes(p, gcfg, inputs, lam=lam)
+        return out.value
+
+    def test_token_batch_matches_per_sequence(self):
+        # 16 x 8 ids at n_max 16: the cap holds per sequence, not for all 128 ids
+        cfg = tf.ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                             n_max=16)
+        params = tf.init_params(cfg, Rng(2), decoder=False)
+        gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=1.8,
+                                        grades=Rng(3).generator.uniform(0, 1, 8),
+                                        attention_variant="queries_keys",
+                                        positional="exp_decay", alpha=0.25,
+                                        grade_inputs=False)
+        batch = Rng(4).generator.integers(1, 13, size=(16, 8))
+        got = self.logits(params, gcfg, batch, lam=1.6)
+        want = np.vstack([self.logits(params, gcfg, row, lam=1.6) for row in batch])
+        assert_close(got, want, tol=1e-12)
+
+    def test_ragged_token_batch_is_a_typed_error(self, token_model):
+        cfg, params = token_model
+        gcfg = graded.unit_config(cfg)
+        with pytest.raises(SequenceTooLong):
+            self.logits(params, gcfg, [[3] * 4, [3] * (cfg.n_max + 1)])
+        with pytest.raises(DimensionMismatch):
+            self.logits(params, gcfg, [[3] * 4, [3] * 5])
+
+    def test_matrix_batch_matches_per_sequence(self, toy_model):
+        cfg, params = toy_model
+        gcfg = make_gcfg(toy_model, attention_variant="scores", add_positional=True,
+                         positional="linear_decay", alpha=0.02)
+        x = Rng(6).generator.normal(size=(5, 6, 4))
+        got = self.logits(params, gcfg, x)
+        want = np.vstack([self.logits(params, gcfg, seq) for seq in x])
+        assert_close(got, want, tol=1e-12)
 
 
 class TestConstructAttentionTarget:

@@ -3,12 +3,17 @@ import json
 import numpy as np
 import pytest
 
+from graded_transformer import autodiff as ad
 from graded_transformer import cli
 from graded_transformer import container
+from graded_transformer import graded
+from graded_transformer import harness
 from graded_transformer import props
 from graded_transformer import tasks
 from graded_transformer import tensor
+from graded_transformer import transformer as tf
 from graded_transformer.harness import ExperimentConfig, evaluate_checkpoint, run_experiment
+from graded_transformer.tensor import Rng
 
 EXPECTED_PROPS = {
     "tensor.matmul_associative",
@@ -204,6 +209,43 @@ class TestExperiment:
         summary = run_experiment(cfg)
         mass = summary["runs"]["graded"]["attention_mass_by_position"]
         assert mass[0] > 1.0 / len(mass)
+
+
+def per_sequence_eval(params, gcfg, ds, n_eval, lam):
+    """Reference: one tape per sequence, per-head row means summed over sequences."""
+    m = min(n_eval, ds.size)
+    errs, mass, count = np.zeros(ds.y.shape[-1]), np.zeros(ds.x.shape[1]), 0
+    for i in range(m):
+        collect = [[] for _ in range(gcfg.model.n_layers)]
+        tape = ad.Tape()
+        with ad.recording(tape):
+            p = tf.as_nodes(params, tape, trainable=False)
+            _, logits = graded.forward_nodes(p, gcfg, ds.x[i], lam=lam, collect=collect)
+        pred = logits.value
+        if gcfg.model.vocab_size:
+            pred = tensor.softmax_rows(pred)
+        errs += tasks.per_dim_error(pred, ds.y[i])
+        for head_attn in collect[-1]:
+            mass += head_attn[0].mean(axis=0)
+            count += 1
+    return errs / m, mass / count
+
+
+class TestFinalEval:
+    @pytest.mark.parametrize("task,n_eval", [("poly_degree", 64), ("poly_degree", 7),
+                                             ("hier_copy", 64)])
+    def test_stacked_matches_per_sequence(self, task, n_eval):
+        model = harness.default_model_config(task, {})
+        ds = tasks.generate(task, 24, 6, seed=3)
+        grades = ds.grades[:model.d_model] if task == "poly_degree" else np.zeros(16)
+        cfg = ExperimentConfig(task=task, mode="exponential")
+        gcfg = harness.build_graded_config(cfg, model, grades)
+        params = tf.init_params(model, Rng(1), decoder=False)
+        errs, mass = harness._final_eval(params, gcfg, ds, n_eval, 1.7)
+        want_errs, want_mass = per_sequence_eval(params, gcfg, ds, n_eval, 1.7)
+        assert np.abs(errs - want_errs).max() <= 1e-12 * np.abs(want_errs).max()
+        assert np.abs(mass - want_mass).max() <= 1e-12
+        assert abs(mass.sum() - 1.0) <= 1e-12
 
 
 class TestCli:

@@ -7,7 +7,12 @@ from graded_transformer import graded_space as gs
 from graded_transformer import tasks
 from graded_transformer import training
 from graded_transformer import transformer as tf
-from graded_transformer.errors import DivergenceDetected, InvalidLambda, StepOutOfRange
+from graded_transformer.errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidLambda,
+    StepOutOfRange,
+)
 from graded_transformer.tensor import Rng
 
 from conftest import assert_close
@@ -231,3 +236,95 @@ class TestTrainLoop:
         lines = path.read_text().strip().splitlines()
         assert lines[0].split(",") == training.METRIC_FIELDS
         assert len(lines) == 6
+
+    def test_mismatched_batch_sizes(self):
+        cfg, params, gcfg, ds = tiny_setup()
+        tc = training.TrainConfig(steps=2, seed=1, batch_size=2)
+        with pytest.raises(DimensionMismatch):
+            training.train_lgt(params, gcfg, ds.x, ds.y[:-1], tc)
+
+
+def smoke_setup(mode):
+    """The c15 smoke config: d=4, 2 heads, 2 layers, d_ff 32, poly_degree n=8."""
+    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=2, d_ff=32,
+                         n_max=16, out_dim=4)
+    ds = tasks.gen_poly_degree(256, 8, 42)
+    gcfg = graded.GradedModelConfig(model=cfg, mode=mode, grades=ds.grades,
+                                    attention_variant="scores")
+    return tf.init_params(cfg, Rng(0)), gcfg, ds, training.TrainConfig(batch_size=16)
+
+
+def hier_copy_setup():
+    """Token path: embeddings, exp_decay positions, sigmoid_ce, graded heads."""
+    cfg = tf.ModelConfig(vocab_size=16, d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                         n_max=16, m_max=16)
+    ds = tasks.gen_hier_copy(64, 8, 3)
+    gcfg = graded.GradedModelConfig(
+        model=cfg, mode=gs.EXPONENTIAL, grades=Rng(8).generator.uniform(0.0, 1.0, 16),
+        attention_variant="queries_keys", positional="exp_decay", alpha=0.25,
+        grade_inputs=False)
+    tc = training.TrainConfig(base_loss="sigmoid_ce", batch_size=16)
+    return tf.init_params(cfg, Rng(0), decoder=False), gcfg, ds, tc
+
+
+def grade_arrays_of(gcfg):
+    arrays = {"q": gcfg.grades.reshape(1, -1)}
+    for i, qh in enumerate(gcfg.head_grades):
+        arrays[f"q_head_{i}"] = qh.reshape(1, -1)
+    return arrays
+
+
+def per_sample_step(params, grade_arrays, gcfg, x, y, lam, cfg):
+    """Reference: one forward and one loss term per sequence, summed, / B."""
+    exponential = gcfg.mode == gs.EXPONENTIAL
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = tf.as_nodes(params, tape, trainable=True)
+        grade_nodes = {k: tape.param(k, v) for k, v in grade_arrays.items()}
+        if exponential:
+            loss_w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(lam))))
+        else:
+            loss_w = gcfg.weight_map.node(grade_nodes["q"])
+        main = None
+        for xb, yb in zip(x, y):
+            _, logits = graded.forward_nodes(p, gcfg, xb, lam=lam if exponential else None,
+                                             grade_nodes=grade_nodes)
+            term = training.sequence_loss_node(logits, yb, loss_w, cfg.base_loss)
+            main = term if main is None else ad.add(main, term)
+        main = ad.scale(main, 1.0 / len(x))
+        total = ad.add(main, training.regularizer_node(grade_nodes, cfg, gcfg.model.n_heads))
+    return total.value[0, 0], tape.backward(total)
+
+
+class TestStackedStep:
+    @pytest.mark.parametrize("case", ["poly_linear", "poly_exponential", "hier_copy"])
+    def test_matches_per_sample_loop(self, case):
+        if case == "hier_copy":
+            params, gcfg, ds, tc = hier_copy_setup()
+        else:
+            params, gcfg, ds, tc = smoke_setup(
+                gs.LINEAR if case == "poly_linear" else gs.EXPONENTIAL)
+        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+        grade_arrays = grade_arrays_of(gcfg)
+        ids = Rng(5).generator.integers(0, ds.size, size=tc.batch_size)  # repeats allowed
+        tape, total, _, _ = training.record_step(params, grade_arrays, gcfg, ds.x[ids],
+                                                 ds.y[ids], lam, tc)
+        grads = tape.backward(total)
+        want_loss, want_grads = per_sample_step(params, grade_arrays, gcfg, ds.x[ids],
+                                                ds.y[ids], lam, tc)
+        assert abs(total.value[0, 0] - want_loss) <= 1e-12 * abs(want_loss)
+        assert set(grads) == set(want_grads)
+        for name, want in want_grads.items():
+            scale = np.abs(want).max()
+            dev = np.abs(grads[name] - want).max()
+            assert dev <= 1e-12 * scale, f"{name}: {dev:.3e} vs scale {scale:.3e}"
+
+    def test_node_count_independent_of_batch_size(self):
+        # A per-sample loop in the step would grow the tape with the batch.
+        params, gcfg, ds, tc = smoke_setup(gs.LINEAR)
+        counts = []
+        for b in (1, 16):
+            tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
+                                            ds.x[:b], ds.y[:b], 1.0, tc)
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1]

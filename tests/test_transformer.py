@@ -82,6 +82,36 @@ class TestEmbedding:
             run_nodes(params, lambda p, t: tf.embed_tokens(p, cfg, [cfg.vocab_size + 1]))
 
 
+class TestCheckTokens:
+    @pytest.fixture
+    def cfg(self):
+        return tf.ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=1, d_ff=16,
+                              n_max=16)
+
+    def test_cap_applies_per_sequence(self, cfg):
+        batch = Rng(1).generator.integers(1, 13, size=(16, 8))  # 128 ids, 8 per row
+        assert tf.check_tokens(batch, cfg).shape == (16, 8)
+        with pytest.raises(SequenceTooLong):
+            tf.check_tokens(np.ones((2, 17), dtype=np.int64), cfg)
+
+    def test_ragged_batch(self, cfg):
+        with pytest.raises(SequenceTooLong):
+            tf.check_tokens([[3] * 8, [3] * 17], cfg)  # one over-length row
+        with pytest.raises(DimensionMismatch):
+            tf.check_tokens([[3] * 8, [3] * 7], cfg)
+
+    def test_ids_out_of_range_in_batch(self, cfg):
+        for bad in (0, cfg.vocab_size + 1):
+            batch = np.full((3, 4), 5)
+            batch[2, 1] = bad
+            with pytest.raises(TokenOutOfRange):
+                tf.check_tokens(batch, cfg)
+
+    def test_rejects_three_axes(self, cfg):
+        with pytest.raises(DimensionMismatch):
+            tf.check_tokens(np.ones((2, 2, 2), dtype=np.int64), cfg)
+
+
 class TestAttention:
     def test_single_row_returns_value(self):
         q = np.array([[1.0, 2.0]])
