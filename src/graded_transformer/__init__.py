@@ -4,10 +4,10 @@ scaling, trained by grade-aware optimization."""
 
 from . import autodiff, gnn, graded, graded_space, tasks, tensor, training
 from . import transformer
-from .graded import GradedModelConfig, egt_forward, lgt_forward
+from .graded import GradedModelConfig, forward
 from .graded_space import EXPONENTIAL, LINEAR, GradingSpec, WeightMap
 from .tensor import Matrix, Rng
-from .training import TrainConfig, train_egt, train_lgt
+from .training import TrainConfig, train
 from .transformer import ModelConfig
 
 __version__ = "0.1.0"
@@ -18,5 +18,5 @@ __all__ = [
     "GradedModelConfig", "GradingSpec", "WeightMap", "ModelConfig",
     "TrainConfig", "Matrix", "Rng",
     "LINEAR", "EXPONENTIAL",
-    "lgt_forward", "egt_forward", "train_lgt", "train_egt",
+    "forward", "train",
 ]

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tensor
 from .errors import DimensionMismatch, NonFinite, NotScalarRoot
 
 
@@ -284,11 +285,9 @@ def sum_all(a) -> Node:
 
 
 def softmax_rows(x) -> Node:
-    """Row softmax with per-row max subtraction (matches tensor.softmax_rows)."""
+    """Row softmax; the value is tensor.softmax_rows."""
     x = wrap(x)
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = tensor.softmax_rows(x.value)
 
     def vjp(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -325,8 +324,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     scores = (qb @ kb.transpose(0, 2, 1)) * c
     if mask is not None:
         scores = scores + mask
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    p = e / e.sum(axis=2, keepdims=True)
+    p = tensor.softmax_rows(scores)
     if collect is not None:
         collect.append(p)
     memo: dict = {}

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, DivergenceDetected
+from .errors import ConfigError, DivergenceDetected, InvalidSpec
 
 
 def main(argv=None) -> int:
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
             if args.out:
                 cfg.out_dir = args.out
             summary = run_experiment(cfg)
-        except ConfigError as exc:
+        except (ConfigError, InvalidSpec) as exc:  # InvalidSpec: bad grading settings
             sys.stderr.write(f"config error: {exc}\n")
             return 2
         except DivergenceDetected as exc:

@@ -9,6 +9,7 @@ produce identical bytes, which npz archives do not guarantee.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -42,20 +43,48 @@ def save_arrays(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_arrays(path) -> tuple[dict[str, np.ndarray], dict]:
+    """Arrays and meta of a container; ValueError naming the file if it is
+    not a well-formed container."""
     raw = Path(path).read_bytes()
-    if raw[:8] != MAGIC:
+    if raw[:8] != MAGIC or len(raw) < 16:
         raise ValueError(f"{path}: not a container file")
     hlen = int.from_bytes(raw[8:16], "little")
-    header = json.loads(raw[16 : 16 + hlen].decode())
-    if header["version"] != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported container version {header['version']}")
+    if 16 + hlen > len(raw):
+        raise ValueError(f"{path}: header length {hlen} runs past the end of the file")
+    try:
+        header = json.loads(raw[16 : 16 + hlen].decode())
+        version, meta, entries = header["version"], header["meta"], header["arrays"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed container header") from exc
+    if version != FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported container version {version}")
+    if not isinstance(meta, dict) or not isinstance(entries, list):
+        raise ValueError(f"{path}: malformed container header")
     arrays = {}
     offset = 16 + hlen
-    for entry in header["arrays"]:
-        dt = _DTYPES[entry["dtype"]]
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dt.itemsize
-        buf = raw[offset : offset + nbytes]
-        arrays[entry["name"]] = np.frombuffer(buf, dtype=dt).reshape(entry["shape"]).copy()
-        offset += nbytes
-    return arrays, header["meta"]
+    for entry in entries:
+        name, dt, shape = _entry(path, entry)
+        count = math.prod(shape)
+        end = offset + count * dt.itemsize
+        if end > len(raw):
+            raise ValueError(f"{path}: payload of {name!r} truncated")
+        arrays[name] = np.frombuffer(raw, dt, count, offset).reshape(shape).copy()
+        offset = end
+    if offset != len(raw):
+        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes after the payload")
+    return arrays, meta
+
+
+def _entry(path, entry) -> tuple[str, np.dtype, list[int]]:
+    """(name, dtype, shape) of one header entry, validated."""
+    try:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed array entry {entry!r}") from exc
+    if not isinstance(dtype, str) or dtype not in _DTYPES:
+        raise ValueError(f"{path}: unknown dtype {dtype!r} for array {name!r}")
+    if not isinstance(name, str) or not isinstance(shape, list) or not all(
+        type(n) is int and n >= 0 for n in shape
+    ):
+        raise ValueError(f"{path}: malformed shape {shape!r} for array {name!r}")
+    return name, _DTYPES[dtype], shape

@@ -25,7 +25,6 @@ from .errors import (
     InvalidSpec,
     NotRowStochastic,
     PositionOutOfRange,
-    ZeroAfterGrading,
 )
 from .graded_space import (
     EXPONENTIAL,
@@ -57,7 +56,6 @@ class GradedModelConfig:
     normalize_ffn: bool = True
     grade_output: bool = False
     add_positional: bool = False  # matrix-input models only
-    position_grades: np.ndarray | None = None  # optional per-position tuples (n, d)
 
     def __post_init__(self):
         d = self.model.d_model
@@ -83,21 +81,14 @@ class GradedModelConfig:
             raise InvalidSpec(f"unknown positional mode {self.positional!r}")
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
-        if self.position_grades is not None:
-            self.position_grades = np.asarray(self.position_grades, dtype=np.float64)
 
-    def spec(self) -> GradingSpec:
-        return GradingSpec(self.mode, self.weight_map, self.base)
+    def spec(self, lam: float | None = None) -> GradingSpec:
+        """The grading spec; lam overrides the exponential base (annealing)."""
+        return GradingSpec(self.mode, self.weight_map, self.base if lam is None else lam)
 
     def weights(self, grades=None, lam: float | None = None) -> np.ndarray:
         """Diagonal scale factors for a grade tuple under this config."""
-        q = self.grades if grades is None else as_grades(grades)
-        if self.mode == LINEAR:
-            return self.weight_map.values(q)
-        b = self.base if lam is None else lam
-        if not b > 1.0:
-            raise InvalidSpec("exponential weights need base > 1")
-        return np.exp(q * np.log(b))
+        return self.spec(lam).weights(self.grades if grades is None else grades)
 
     def max_weight(self, lam: float | None = None) -> float:
         """Largest diagonal factor over the model and all head tuples."""
@@ -126,30 +117,49 @@ def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# plain (numpy) operation surface
+# model stages on the active tape
 
 
-def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
-    """Scale features by the grading weights; optionally normalize each
-    vector (row) to unit norm afterwards."""
-    x = np.asarray(x, dtype=np.float64)
-    w = gcfg.weights(lam=lam)
-    vec = x.ndim == 1
-    rows = x.reshape(1, -1) if vec else x
-    if rows.shape[1] != w.size:
-        raise DimensionMismatch(f"graded_input: {rows.shape[1]} vs {w.size}")
-    if gcfg.position_grades is not None and gcfg.mode == EXPONENTIAL:
-        b = gcfg.base if lam is None else lam
-        pw = np.exp(gcfg.position_grades[: rows.shape[0]] * np.log(b))
-        out = rows * pw
-    else:
-        out = rows * w
-    if gcfg.normalize_inputs:
-        norms = np.linalg.norm(out, axis=1, keepdims=True)
-        if np.any(norms == 0):
-            raise ZeroAfterGrading("cannot normalize a zero row after grading")
-        out = out / norms
-    return out[0] if vec else out
+def _row(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).reshape(1, -1)
+
+
+def weight_node(gcfg: GradedModelConfig, q, lam: float | None = None) -> ad.Node:
+    """Tape form of GradedModelConfig.weights for a (1, d) grade row q
+    (a node, learnable or not, or an array)."""
+    if gcfg.mode == LINEAR:
+        return gcfg.weight_map.node(ad.wrap(q))
+    b = gcfg.base if lam is None else lam
+    if not b > 1.0:
+        raise InvalidSpec("exponential weights need base > 1")
+    return ad.pow_base(b, q)
+
+
+def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
+                 grade_nodes: dict | None):
+    """Weight rows for the model tuple and each head tuple.
+
+    grade_nodes may carry learnable leaves under keys "q" and "q_head_{i}";
+    anything missing falls back to the config's fixed tuples (wrapped as
+    constants on the active tape).
+    """
+    grade_nodes = grade_nodes or {}
+
+    def weights_for(q_value, key):
+        q = grade_nodes.get(key)
+        return weight_node(gcfg, _row(q_value) if q is None else q, lam)
+
+    w_model = weights_for(gcfg.grades, "q")
+    w_heads = [weights_for(gcfg.head_grades[i], f"q_head_{i}")
+               for i in range(gcfg.model.n_heads)]
+    return w_model, w_heads
+
+
+def grade_rows(x, w, normalize: bool) -> ad.Node:
+    """The input stage: scale the columns of x by w, then optionally scale
+    each row to unit norm."""
+    x = ad.scale_cols(x, w)
+    return ad.normalize_rows(x) if normalize else x
 
 
 def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) -> float:
@@ -164,71 +174,10 @@ def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) 
     return float(b ** (-gcfg.alpha * t))
 
 
-def graded_positional(t: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
-    return positional_scale(t, gcfg, lam) * tf.positional_encoding(
-        t, gcfg.model.d_model, gcfg.model.n_max
-    )
-
-
 def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
-    return np.stack([graded_positional(t, gcfg, lam) for t in range(1, n + 1)])
-
-
-def graded_attention(q, k, v, head_weights, variant: str,
-                     mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One attention head with grading weights placed per the variant.
-
-    Returns (output, attention matrix).  Weights are the diagonal factors
-    (already mapped from grades), length d_k.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    k = np.asarray(k, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(head_weights, dtype=np.float64).reshape(-1)
-    if q.shape[1] != w.size or k.shape[1] != w.size:
-        raise DimensionMismatch("graded_attention: weight length must equal d_k")
-    dk = q.shape[1]
-    if variant in ("none", "values"):
-        scores = q @ k.T
-    elif variant == "scores":
-        scores = (q * w) @ k.T
-    elif variant in ("queries_keys", "multi_head"):
-        scores = (q * w) @ (k * w).T
-    else:
-        raise InvalidSpec(f"unknown attention variant {variant!r}")
-    scores = scores / np.sqrt(dk)
-    if mask is not None:
-        scores = scores + mask
-    attn = tensor.softmax_rows(scores)
-    out = attn @ (v * w if variant == "values" else v)
-    return out, attn
-
-
-def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
-                      lam: float | None = None) -> np.ndarray:
-    """M * Fnn(x) for one row vector, optionally normalized."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    hidden = np.maximum(x @ w1 + np.asarray(b1).reshape(-1), 0.0)
-    out = hidden @ w2 + np.asarray(b2).reshape(-1)
-    out = out * gcfg.weights(lam=lam)
-    if gcfg.normalize_ffn:
-        n = np.linalg.norm(out)
-        if n == 0:
-            raise ZeroAfterGrading("cannot normalize a zero feed-forward output")
-        out = out / n
-    return out
-
-
-def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
-                         lam: float | None = None) -> np.ndarray:
-    """Logits z = W_out (M h) + b_out followed by softmax."""
-    h = np.asarray(h, dtype=np.float64).reshape(-1)
-    z = (h * gcfg.weights(lam=lam)) @ w_out + np.asarray(b_out).reshape(-1)
-    return tensor.softmax_rows(z.reshape(1, -1))[0]
-
-
-# ---------------------------------------------------------------------------
-# attention-grading hook for the shared encoder
+    """Decayed encodings of positions 1..n: row t is scale(t) * PE(t)."""
+    scales = np.array([positional_scale(t, gcfg, lam) for t in range(1, n + 1)])
+    return scales[:, None] * tf.positional_matrix(n, gcfg.model.d_model, gcfg.model.n_max)
 
 
 class AttentionGrading:
@@ -260,37 +209,6 @@ class AttentionGrading:
         if self.normalize_ffn:
             out = ad.normalize_rows(out)
         return out
-
-
-def _row(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).reshape(1, -1)
-
-
-def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
-                 grade_nodes: dict | None):
-    """Weight rows for the model tuple and each head tuple.
-
-    grade_nodes may carry learnable leaves under keys "q" and "q_head_{i}";
-    anything missing falls back to the config's fixed tuples (wrapped as
-    constants on the active tape).
-    """
-    grade_nodes = grade_nodes or {}
-
-    def weights_for(q_value, key):
-        q = grade_nodes.get(key)
-        if q is None:
-            q = ad.wrap(_row(q_value))
-        if gcfg.mode == LINEAR:
-            return gcfg.weight_map.node(q)
-        b = gcfg.base if lam is None else lam
-        if not b > 1.0:
-            raise InvalidSpec("exponential weights need base > 1")
-        return ad.exp(ad.scale(q, float(np.log(b))))
-
-    w_model = weights_for(gcfg.grades, "q")
-    w_heads = [weights_for(gcfg.head_grades[i], f"q_head_{i}")
-               for i in range(gcfg.model.n_heads)]
-    return w_model, w_heads
 
 
 def _holds_ids(inputs) -> bool:
@@ -327,9 +245,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
         n = np.shape(inputs)[1] if batch else x.shape[0]
 
     if gcfg.grade_inputs:
-        x = ad.scale_cols(x, w_model)
-        if gcfg.normalize_inputs:
-            x = ad.normalize_rows(x)
+        x = grade_rows(x, w_model, gcfg.normalize_inputs)
     if token_path or gcfg.add_positional:
         positions = graded_positional_matrix(n, gcfg, lam)
         x = ad.add(x, np.tile(positions, (x.shape[0] // n, 1)))
@@ -352,62 +268,78 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     return z, logits
 
 
-def _run(params, gcfg, inputs, lam, collect_attention):
+# ---------------------------------------------------------------------------
+# plain (numpy) surface: the stages above on a throwaway tape
+
+
+def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
+            collect_attention: bool = False):
+    """Forward pass in either mode; lam overrides the exponential base.
+
+    Returns (representations, logits), plus the per-layer attention lists
+    when collect_attention is set.
+    """
     collect = [[] for _ in range(gcfg.model.n_layers)] if collect_attention else None
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=False)
         z, logits = forward_nodes(p, gcfg, inputs, lam=lam, collect=collect)
-    return z.value, logits.value, collect
-
-
-def lgt_forward(params, gcfg: GradedModelConfig, inputs,
-                collect_attention: bool = False):
-    """Linear-mode forward; returns (representations, logits[, attention])."""
-    if gcfg.mode != LINEAR:
-        raise InvalidSpec("lgt_forward requires linear mode")
-    z, logits, collect = _run(params, gcfg, inputs, None, collect_attention)
-    return (z, logits, collect) if collect_attention else (z, logits)
-
-
-def egt_forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
-                collect_attention: bool = False):
-    """Exponential-mode forward; lam overrides the config base (annealing)."""
-    if gcfg.mode != EXPONENTIAL:
-        raise InvalidSpec("egt_forward requires exponential mode")
-    b = gcfg.base if lam is None else lam
-    if not b > 1.0:
-        raise InvalidSpec("egt_forward requires base > 1")
-    z, logits, collect = _run(params, gcfg, inputs, lam, collect_attention)
-    return (z, logits, collect) if collect_attention else (z, logits)
+    return (z.value, logits.value, collect) if collect_attention else (z.value, logits.value)
 
 
 def graded_generate(params, gcfg: GradedModelConfig, tokens,
                     m_max: int | None = None, lam: float | None = None) -> list[int]:
     """Greedy generation with the graded encoder and the standard decoder."""
-    cfg = gcfg.model
-    cap = cfg.m_max if m_max is None else m_max
-    tape = ad.Tape()
-    with ad.recording(tape):
-        p = tf.as_nodes(params, tape, trainable=False)
-        z, _ = forward_nodes(p, gcfg, np.asarray(tokens, dtype=np.int64), lam=lam)
-        z = tape.constant(z.value)
-        out: list[int] = []
-        generated = [tf.START_TOKEN]
-        while len(out) < cap:
-            ids = tf.check_tokens(generated, cfg, limit=cfg.m_max + 1)
-            emb = ad.add(
-                ad.embedding_rows(p["embed"], ids - 1),
-                tf.positional_matrix(ids.size, cfg.d_model, cfg.m_max + 1),
-            )
-            dec = tf.decoder(p, emb, z, cfg)
-            logits = dec.value[-1] @ params["embed"].T
-            token = int(np.argmax(logits)) + 1
-            out.append(token)
-            generated.append(token)
-            if token == tf.EOS_TOKEN:
-                break
-    return out
+    z, _ = forward(params, gcfg, np.asarray(tokens, dtype=np.int64), lam)
+    cap = gcfg.model.m_max if m_max is None else m_max
+    return tf.greedy_decode(params, z, gcfg.model, cap, tf.EOS_TOKEN)
+
+
+def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
+    """Scale features by the grading weights; optionally normalize each
+    vector (row) to unit norm afterwards."""
+    x = np.asarray(x, dtype=np.float64)
+    with ad.recording(ad.Tape()):
+        w = weight_node(gcfg, _row(gcfg.grades), lam)
+        out = grade_rows(_row(x) if x.ndim == 1 else x, w, gcfg.normalize_inputs).value
+    return out[0] if x.ndim == 1 else out
+
+
+def graded_attention(q, k, v, head_weights, variant: str,
+                     mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One attention head with grading weights placed per the variant.
+
+    Returns (output, attention matrix).  Weights are the diagonal factors
+    (already mapped from grades), length d_k.
+    """
+    w = _row(head_weights)
+    if np.shape(q)[1] != w.size or np.shape(k)[1] != w.size:
+        raise DimensionMismatch("graded_attention: weight length must equal d_k")
+    collect: list = []
+    with ad.recording(ad.Tape()):
+        q, k, v = AttentionGrading(variant, [w]).apply(0, ad.wrap(q), ad.wrap(k), ad.wrap(v))
+        out = tf.attention_head(q, k, v, w.size, mask, collect).value
+    return out, collect[0][0]
+
+
+def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
+                      lam: float | None = None) -> np.ndarray:
+    """M * Fnn(x) for one row vector, optionally normalized."""
+    with ad.recording(ad.Tape()):
+        p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
+        ff = tf.feed_forward(p, "ffn", _row(x))
+        grading = AttentionGrading("none", [], weight_node(gcfg, _row(gcfg.grades), lam),
+                                   gcfg.normalize_ffn)
+        return grading.graded_ffn(ff).value[0]
+
+
+def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
+                         lam: float | None = None) -> np.ndarray:
+    """Logits z = W_out (M h) + b_out followed by softmax."""
+    with ad.recording(ad.Tape()):
+        w = weight_node(gcfg, _row(gcfg.grades), lam)
+        z = ad.add_rowvec(ad.matmul(ad.scale_cols(_row(h), w), w_out), _row(b_out))
+        return ad.softmax_rows(z).value[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Experiment runner: trains a graded model (optionally next to an
 ungraded twin on identical data and seed) and writes step metrics (CSV),
-a summary (JSON), and a final checkpoint."""
+a summary (JSON) and a final checkpoint per run into the output directory;
+step checkpoints go to a subdirectory named after the run."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import graded
 from . import tasks
 from . import tensor
@@ -106,12 +106,7 @@ def _final_eval(params, gcfg, ds, n_eval: int, lam: float | None):
     """
     m = min(n_eval, ds.size)
     x, y = ds.x[:m], ds.y[:m]
-    collect = [[] for _ in range(gcfg.model.n_layers)]
-    tape = ad.Tape()
-    with ad.recording(tape):
-        p = tf.as_nodes(params, tape, trainable=False)
-        _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, collect=collect)
-    pred = logits.value
+    _, pred, collect = graded.forward(params, gcfg, x, lam=lam, collect_attention=True)
     if gcfg.model.vocab_size:
         pred = tensor.softmax_rows(pred)
     errs = tasks.per_dim_error(pred.reshape(y.shape), y)
@@ -144,8 +139,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for name, rcfg in runs.items():
         params = tf.init_params(model, Rng(cfg.init_seed), decoder=False)
         start = time.perf_counter()
-        fn = training.train_egt if rcfg.mode == EXPONENTIAL else training.train_lgt
-        result = fn(params, rcfg, ds.x, ds.y, tcfg, checkpoint_dir=str(out))
+        result = training.train(params, rcfg, ds.x, ds.y, tcfg, checkpoint_dir=str(out / name))
         wall = time.perf_counter() - start
         lam = result.metrics[-1]["lambda"] if rcfg.mode == EXPONENTIAL else None
         final_cfg = graded.GradedModelConfig(

@@ -300,13 +300,11 @@ def _loss_zero(seed):
     y = np.array([0.0, 1.0, 0.0])
     z = np.zeros(3)
     for _ in range(3000):
-        p = np.exp(z - z.max())
-        p /= p.sum()
+        p = tensor.softmax_rows(z)
         grad_p = -q * y / np.clip(p, 1e-12, 1.0)
         jac = np.diag(p) - np.outer(p, p)
         z -= 0.5 * jac @ grad_p
-    p = np.exp(z - z.max())
-    p /= p.sum()
+    p = tensor.softmax_rows(z)
     dev = float(np.abs(p - y).max())
     ok &= dev < 1e-3
     return ok, f"simplex argmin dev {dev:.2e}", "losses >= 0, zero iff equal"
@@ -366,7 +364,7 @@ def _row_stochastic(seed):
         if trial % 2 == 0:
             w = gs.WeightMap("plus_one").values(grades)
         else:
-            w = np.exp(grades * np.log(4.0))
+            w = gs.GradingSpec(gs.EXPONENTIAL, base=4.0).weights(grades)
         _, attn = graded.graded_attention(q, k, v, w, variant)
         worst = max(worst, float(np.abs(attn.sum(axis=1) - 1.0).max()))
         if np.any(attn < 0):
@@ -536,7 +534,7 @@ def _score_lip(seed):
     for _ in range(200):
         dk = 5
         grades = g.uniform(0.0, 2.0, dk)
-        w = np.exp(grades * np.log(2.0))
+        w = gs.GradingSpec(gs.EXPONENTIAL, base=2.0).weights(grades)
         c = 3.0
         q1, k1 = g.uniform(-1, 1, dk) * c / np.sqrt(dk), g.uniform(-1, 1, dk) * c / np.sqrt(dk)
         q2, k2 = g.uniform(-1, 1, dk) * c / np.sqrt(dk), g.uniform(-1, 1, dk) * c / np.sqrt(dk)
@@ -610,7 +608,7 @@ def _egt_conc(seed):
         m = int(np.argmax(grades))
         shares = []
         for lam in (2.0, 4.0, 8.0, 16.0):
-            w = np.exp(grades * np.log(lam))
+            w = gs.GradingSpec(gs.EXPONENTIAL, base=lam).weights(grades)
             contrib = np.abs(q[:, None, :] * k[None, :, :] * w)
             shares.append(float((contrib[:, :, m] / contrib.sum(axis=2)).mean()))
         ok &= all(shares[i] < shares[i + 1] for i in range(3))
@@ -652,7 +650,7 @@ def _reg_shrinks(seed):
                                         attention_variant="scores")
         tc = training.TrainConfig(steps=150, lr=1e-3, lr_grades=2e-3, gamma=gamma,
                                   gamma_coord=0.0, seed=7, batch_size=8)
-        res = training.train_lgt(params, gcfg, x, y, tc)
+        res = training.train(params, gcfg, x, y, tc)
         norms[gamma] = float(np.linalg.norm(res.grades))
     ok = norms[0.05] < norms[0.0] and norms[0.0] > 0
     return ok, f"|q| gamma=0: {norms[0.0]:.4f}, gamma=0.05: {norms[0.05]:.4f}", "strictly smaller"
@@ -681,7 +679,7 @@ def _lr_bounded(seed):
     gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL,
                                     grades=ds.grades, attention_variant="scores")
     tc = training.TrainConfig(steps=100, lr_grades=10.0, seed=3, batch_size=8)
-    res = training.train_egt(params, gcfg, ds.x, ds.y, tc)
+    res = training.train(params, gcfg, ds.x, ds.y, tc)
     ok = all(row["eta_q"] <= row["eta_q_bound"] for row in res.metrics)
     margin = min(row["eta_q_bound"] - row["eta_q"] for row in res.metrics)
     return ok, f"min bound margin {margin:.3e}", ">= 0"
@@ -706,8 +704,7 @@ def training_smoke_run(mode: str, steps: int = 2000, seed: int = 42):
     gcfg = graded.GradedModelConfig(model=cfg, mode=mode, grades=ds.grades,
                                     attention_variant="scores")
     tc = training.TrainConfig(steps=steps, seed=seed, batch_size=16)
-    fn = training.train_lgt if mode == gs.LINEAR else training.train_egt
-    res = fn(params, gcfg, ds.x, ds.y, tc)
+    res = training.train(params, gcfg, ds.x, ds.y, tc)
     _SMOKE_CACHE[key] = (res, gcfg, ds)
     return _SMOKE_CACHE[key]
 

@@ -45,12 +45,15 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return a @ b
 
 
-def softmax_rows(m: Matrix) -> Matrix:
-    """Row-wise softmax, stabilized by per-row max subtraction."""
-    m = as_matrix(m)
-    shifted = m - m.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def softmax_rows(m) -> np.ndarray:
+    """Softmax over the last axis, stabilized by max subtraction.
+
+    The one softmax of the package: the tape's softmax and attention
+    nodes call it too.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def spectral_norm(m: Matrix, iters: int = 200, seed: int = 0) -> float:

@@ -1,8 +1,8 @@
 """Optimization machinery: composite graded losses with regularizers,
 global-norm gradient clipping, base annealing, grade learning-rate bounds,
-Adam, and the linear/exponential training loops.
+Adam, and one training loop for both grading modes.
 
-The exponential loop re-anneals the base every step, recomputes the
+In exponential mode the loop re-anneals the base every step, recomputes the
 maximum grade over the model and head tuples, and caps the grade learning
 rate at 0.9x the stability bound before updating.  Learned grades are
 projected back to >= 0 after each step.
@@ -235,14 +235,9 @@ def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarra
             grade_nodes = {k: tape.param(k, v) for k, v in grade_arrays.items()}
         else:
             grade_nodes = {k: tape.constant(v) for k, v in grade_arrays.items()}
-        if gcfg.mode == LINEAR:
-            loss_w = gcfg.weight_map.node(grade_nodes["q"])
-        else:
-            loss_w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(lam))))
-        _, logits = graded.forward_nodes(
-            p, gcfg, x, lam=lam if gcfg.mode == EXPONENTIAL else None,
-            grade_nodes=grade_nodes,
-        )
+        lam = lam if gcfg.mode == EXPONENTIAL else None
+        loss_w = graded.weight_node(gcfg, grade_nodes["q"], lam)
+        _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, grade_nodes=grade_nodes)
         y_rows = np.reshape(y, (-1, np.shape(y)[-1]))
         main = ad.scale(sequence_loss_node(logits, y_rows, loss_w, cfg.base_loss),
                         1.0 / len(x))
@@ -345,6 +340,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         })
 
         if checkpoint_dir and cfg.checkpoint_every and t % cfg.checkpoint_every == 0:
+            Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             tf.save_checkpoint(
                 Path(checkpoint_dir) / f"step{t:06d}.gtc", params, gcfg.model,
                 extra={"step": t, "lambda": lam_t},
@@ -364,15 +360,3 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         exc.result = result
         raise exc
     return result
-
-
-def train_lgt(params, gcfg, data_x, data_y, cfg, checkpoint_dir=None) -> TrainResult:
-    if gcfg.mode != LINEAR:
-        raise ValueError("train_lgt requires a linear-mode config")
-    return train(params, gcfg, data_x, data_y, cfg, checkpoint_dir)
-
-
-def train_egt(params, gcfg, data_x, data_y, cfg, checkpoint_dir=None) -> TrainResult:
-    if gcfg.mode != EXPONENTIAL:
-        raise ValueError("train_egt requires an exponential-mode config")
-    return train(params, gcfg, data_x, data_y, cfg, checkpoint_dir)

@@ -131,18 +131,26 @@ def as_nodes(params: dict[str, np.ndarray], tape: ad.Tape, trainable: bool) -> d
 # fixed encodings and masks
 
 
+def _sinusoids(positions: np.ndarray, d: int) -> np.ndarray:
+    """One sinusoidal encoding row per 1-based position, in dimension d."""
+    k = np.arange(d, dtype=np.float64)
+    expo = np.where(k % 2 == 0, k, k - 1) / d
+    angle = positions[:, None] / np.power(10000.0, expo)
+    return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
+
+
 def positional_encoding(i: int, d: int, n_max: int | None = None) -> np.ndarray:
     """Sinusoidal encoding of 1-based position i in dimension d."""
     if i < 1 or (n_max is not None and i > n_max):
         raise PositionOutOfRange(f"position {i} outside [1, {n_max}]")
-    k = np.arange(d, dtype=np.float64)
-    expo = np.where(k % 2 == 0, k, k - 1) / d
-    angle = i / np.power(10000.0, expo)
-    return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
+    return _sinusoids(np.array([float(i)]), d)[0]
 
 
 def positional_matrix(n: int, d: int, n_max: int | None = None) -> np.ndarray:
-    return np.stack([positional_encoding(i, d, n_max) for i in range(1, n + 1)])
+    """Encodings of positions 1..n, one row each."""
+    if n_max is not None and n > n_max:
+        raise PositionOutOfRange(f"position {n} outside [1, {n_max}]")
+    return _sinusoids(np.arange(1, n + 1, dtype=np.float64), d)
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -282,26 +290,27 @@ def encode(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray) -> np
     return out.value
 
 
-def encode_tokens(params, cfg: ModelConfig, tokens) -> np.ndarray:
-    tape = ad.Tape()
-    with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False)
-        out = encoder(p, embed_tokens(p, cfg, tokens), cfg)
-    return out.value
-
-
 def generate(params: dict[str, np.ndarray], cfg: ModelConfig, tokens,
              m_max: int | None = None, eos: int = EOS_TOKEN) -> list[int]:
-    """Greedy decoding: argmax over softmax(W_e z_t); ties break to the
-    lowest token id; stops at EOS or after m_max tokens."""
-    cap = cfg.m_max if m_max is None else m_max
+    """Encoder on the embedded tokens, then greedy_decode."""
     tape = ad.Tape()
     with ad.recording(tape):
         p = as_nodes(params, tape, trainable=False)
         z = encoder(p, embed_tokens(p, cfg, tokens), cfg)
+    return greedy_decode(params, z.value, cfg, cfg.m_max if m_max is None else m_max, eos)
+
+
+def greedy_decode(params: dict[str, np.ndarray], z: np.ndarray, cfg: ModelConfig,
+                  m_max: int, eos: int = EOS_TOKEN) -> list[int]:
+    """Greedy decoding against encoder output z: argmax over softmax(W_e z_t);
+    ties break to the lowest token id; stops at EOS or after m_max tokens."""
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = as_nodes(params, tape, trainable=False)
+        z = tape.constant(z)
         out: list[int] = []
         generated = [START_TOKEN]
-        while len(out) < cap:
+        while len(out) < m_max:
             ids = check_tokens(generated, cfg, limit=cfg.m_max + 1)
             emb = ad.add(
                 ad.embedding_rows(p["embed"], ids - 1),
@@ -333,5 +342,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
     arrays, meta = container.load_arrays(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a checkpoint container")
-    cfg = ModelConfig(**meta["config"])
+    try:
+        cfg = ModelConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: missing or invalid model config: {exc!r}") from exc
     return arrays, cfg, meta.get("extra", {})

@@ -41,3 +41,9 @@ def assert_close(a, b, tol=1e-12, msg=""):
     b = np.asarray(b, dtype=np.float64)
     dev = float(np.abs(a - b).max()) if a.size else 0.0
     assert dev <= tol, f"{msg} max dev {dev:.3e} > {tol:.1e}"
+
+
+def unnormalized_softmax(m):
+    """Injected fault: tensor.softmax_rows without the normalization."""
+    m = np.asarray(m, dtype=np.float64)
+    return np.exp(m - m.max(axis=-1, keepdims=True))

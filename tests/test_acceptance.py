@@ -276,10 +276,7 @@ def _full_model_gradcheck(mode: str, seed: int) -> float:
     def f(nodes):
         theta = {k: v for k, v in nodes.items() if not k.startswith("q")}
         grade_nodes = {k: v for k, v in nodes.items() if k.startswith("q")}
-        if mode == gs.LINEAR:
-            w = gcfg.weight_map.node(grade_nodes["q"])
-        else:
-            w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(lam))))
+        w = graded.weight_node(gcfg, grade_nodes["q"], lam)
         _, logits = graded.forward_nodes(theta, gcfg, x, lam=lam,
                                          grade_nodes=grade_nodes)
         loss = training.sequence_loss_node(logits, y, w, "squared")
@@ -322,7 +319,7 @@ def test_c12_annealing_bounds_clipping():
                                     attention_variant="scores")
     tc = training.TrainConfig(steps=120, clip_threshold=1.0, lr_grades=5.0, seed=12,
                               batch_size=8)
-    res = training.train_egt(params, gcfg, ds.x, ds.y, tc)
+    res = training.train(params, gcfg, ds.x, ds.y, tc)
     schedule_ok = all(r["lambda"] == training.anneal_lambda(r["step"], 120, tc.lambda_max)
                       for r in res.metrics)
     bound_ok = all(r["eta_q"] <= r["eta_q_bound"] for r in res.metrics)
@@ -369,8 +366,8 @@ def test_c14_reduction_to_baseline_bitwise():
     for i in range(10):
         x = Rng(140 + i).generator.normal(size=(5, 4))
         want = tf.encode(params, cfg, x)
-        z_l, _ = graded.lgt_forward(params, ucfg, x)
-        z_e, _ = graded.egt_forward(params, ecfg, x)
+        z_l, _ = graded.forward(params, ucfg, x)
+        z_e, _ = graded.forward(params, ecfg, x)
         mismatches += int(not np.array_equal(z_l, want))
         mismatches += int(not np.array_equal(z_e, want))
     for i in range(10):
@@ -395,14 +392,8 @@ def test_c15_end_to_end_smoke():
         lam = res.metrics[-1]["lambda"] if mode == gs.EXPONENTIAL else None
         eval_cfg = graded.GradedModelConfig(
             **{**gcfg.__dict__, "grades": res.grades, "head_grades": res.head_grades})
-        errs = np.zeros(4)
-        for i in range(64):
-            tape = ad.Tape()
-            with ad.recording(tape):
-                p = tf.as_nodes(res.params, tape, trainable=False)
-                _, logits = graded.forward_nodes(p, eval_cfg, ds.x[i], lam=lam)
-            errs += tasks.per_dim_error(logits.value, ds.y[i])
-        errs /= 64
+        _, logits = graded.forward(res.params, eval_cfg, ds.x[:64], lam=lam)
+        errs = tasks.per_dim_error(logits.reshape(ds.y[:64].shape), ds.y[:64])
         hi = float(errs[list(tasks.POLY_SIGNAL_DIMS)].mean())
         lo = float(errs[list(tasks.POLY_NOISE_DIMS)].mean())
         mode_ok = np.isfinite(last) and ratio <= 0.10 and hi < lo and not res.diverged

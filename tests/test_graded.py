@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from graded_transformer import autodiff as ad
 from graded_transformer import graded
 from graded_transformer import graded_space as gs
+from graded_transformer import props
 from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import (
@@ -16,7 +16,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close
+from conftest import assert_close, unnormalized_softmax
 
 
 def make_gcfg(toy_model, **kw):
@@ -78,16 +78,6 @@ class TestGradedInput:
         with pytest.raises(ZeroAfterGrading):
             graded.graded_input(np.zeros(4), gcfg)
 
-    def test_per_position_grading(self, toy_model):
-        # optional per-token tuples: row i scaled by base**q_row_i
-        pos_q = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 2.0]])
-        gcfg = make_gcfg(toy_model, mode=gs.EXPONENTIAL, base=2.0,
-                         grades=np.zeros(4), normalize_inputs=False,
-                         position_grades=pos_q)
-        x = np.ones((2, 4))
-        out = graded.graded_input(x, gcfg)
-        assert_close(out, [[1, 1, 1, 1], [2, 2, 1, 4]], tol=1e-12)
-
 
 class TestGradedPositional:
     def test_linear_decay_factor(self, toy_model):
@@ -101,8 +91,18 @@ class TestGradedPositional:
 
     def test_off_is_standard(self, toy_model):
         gcfg = make_gcfg(toy_model)
-        pe = graded.graded_positional(3, gcfg)
+        pe = graded.graded_positional_matrix(3, gcfg)[2]
         assert np.array_equal(pe, tf.positional_encoding(3, 4, 16))
+
+    def test_matrix_rows_are_scaled_encodings(self, toy_model):
+        for kw in ({"positional": "linear_decay", "alpha": 0.05},
+                   {"positional": "exp_decay", "alpha": 0.3, "mode": gs.EXPONENTIAL}):
+            gcfg = make_gcfg(toy_model, **kw)
+            want = np.stack([graded.positional_scale(t, gcfg, 1.7)
+                             * tf.positional_encoding(t, 4, 16) for t in range(1, 17)])
+            assert np.array_equal(graded.graded_positional_matrix(16, gcfg, 1.7), want)
+        with pytest.raises(PositionOutOfRange):
+            graded.graded_positional_matrix(17, gcfg)
 
     def test_position_range(self, toy_model):
         gcfg = make_gcfg(toy_model)
@@ -135,6 +135,12 @@ class TestGradedAttention:
                 scores[i, j] = sum(w[m] * q[i, m] * k[j, m] for m in range(dk))
         want = tensor.softmax_rows(scores / np.sqrt(dk))
         assert_close(attn, want, tol=1e-12)
+
+    def test_weight_length_checked_for_every_variant(self, rng):
+        q = tensor.randn_matrix(rng, 4, 3)
+        for variant in graded.VARIANTS:
+            with pytest.raises(DimensionMismatch):
+                graded.graded_attention(q, q, q, np.ones(2), variant)
 
     def test_values_variant_scales_values(self, rng):
         n, dk = 4, 2
@@ -209,7 +215,7 @@ class TestForward:
         ucfg = graded.unit_config(cfg)
         for i in range(5):
             x = Rng(50 + i).generator.normal(size=(6, 4))
-            z, _ = graded.lgt_forward(params, ucfg, x)
+            z, _ = graded.forward(params, ucfg, x)
             assert np.array_equal(z, tf.encode(params, cfg, x))
 
     def test_egt_zero_grades_reduce(self, toy_model):
@@ -217,15 +223,15 @@ class TestForward:
         ecfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=2.0,
                                         grades=np.zeros(4), normalize_inputs=False)
         x = Rng(60).generator.normal(size=(6, 4))
-        z, _ = graded.egt_forward(params, ecfg, x)
+        z, _ = graded.forward(params, ecfg, x)
         assert np.array_equal(z, tf.encode(params, cfg, x))
 
     def test_forward_deterministic(self, toy_model):
         gcfg = make_gcfg(toy_model, attention_variant="scores")
         cfg, params = toy_model
         x = Rng(70).generator.normal(size=(5, 4))
-        z1, l1 = graded.lgt_forward(params, gcfg, x)
-        z2, l2 = graded.lgt_forward(params, gcfg, x)
+        z1, l1 = graded.forward(params, gcfg, x)
+        z2, l2 = graded.forward(params, gcfg, x)
         assert np.array_equal(z1, z2) and np.array_equal(l1, l2)
 
     def test_egt_input_row_scaling(self, toy_model):
@@ -256,15 +262,30 @@ class TestForward:
             assert graded.graded_generate(params, ucfg, toks) == \
                 tf.generate(params, cfg, toks)
 
+    def test_exponential_base_must_exceed_one(self, toy_model):
+        cfg, params = toy_model
+        ecfg = make_gcfg(toy_model, mode=gs.EXPONENTIAL)
+        with pytest.raises(InvalidSpec):
+            graded.forward(params, ecfg, np.ones((3, 4)), lam=1.0)
+
+    def test_model_softmax_is_tensor_softmax(self, toy_model, monkeypatch):
+        # an injected softmax fault must reach the model's forward pass, so
+        # that properties checked through tensor.softmax_rows cover the model
+        cfg, params = toy_model
+        gcfg = make_gcfg(toy_model, attention_variant="scores")
+        x = Rng(71).generator.normal(size=(5, 4))
+        _, clean = graded.forward(params, gcfg, x)
+        monkeypatch.setattr(tensor, "softmax_rows", unnormalized_softmax)
+        _, faulty = graded.forward(params, gcfg, x)
+        assert np.abs(faulty - clean).max() > 1e-3
+        results, _ = props.run_props("transformer.row_stochastic", seed=0)
+        assert not results[0].passed
+
 
 class TestBatchedForward:
     @staticmethod
     def logits(params, gcfg, inputs, lam=None):
-        tape = ad.Tape()
-        with ad.recording(tape):
-            p = tf.as_nodes(params, tape, trainable=False)
-            _, out = graded.forward_nodes(p, gcfg, inputs, lam=lam)
-        return out.value
+        return graded.forward(params, gcfg, inputs, lam=lam)[1]
 
     def test_token_batch_matches_per_sequence(self):
         # 16 x 8 ids at n_max 16: the cap holds per sequence, not for all 128 ids

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graded_transformer import autodiff as ad
 from graded_transformer import cli
@@ -14,6 +18,8 @@ from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.harness import ExperimentConfig, evaluate_checkpoint, run_experiment
 from graded_transformer.tensor import Rng
+
+from conftest import unnormalized_softmax
 
 EXPECTED_PROPS = {
     "tensor.matmul_associative",
@@ -48,12 +54,6 @@ EXPECTED_PROPS = {
     "training.smoke_convergence",
     "training.grade_lr_bounded",
 }
-
-
-def _unnormalized_softmax(m):
-    """Injected fault: softmax_rows without the row normalization."""
-    m = np.asarray(m, dtype=np.float64)
-    return np.exp(m - m.max(axis=1, keepdims=True))
 
 
 class TestDatasets:
@@ -118,6 +118,89 @@ class TestContainer:
             container.load_arrays(p)
 
 
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """A checkpoint's bytes, a dataset to evaluate it on, a path for bad copies."""
+    root = tmp_path_factory.mktemp("container")
+    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=1, d_ff=8,
+                         n_max=8, out_dim=4)
+    ckpt = root / "model.gtc"
+    tf.save_checkpoint(ckpt, tf.init_params(cfg, Rng(0), decoder=False), cfg,
+                       extra={"grades": [0.0, 0.5, 1.0, 2.0]})
+    data = root / "data.gtc"
+    tasks.save_dataset(data, tasks.gen_poly_degree(4, 4, 1))
+    return ckpt.read_bytes(), data, root / "bad.gtc"
+
+
+def _rewrite_header(raw: bytes, edit) -> bytes:
+    hlen = int.from_bytes(raw[8:16], "little")
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    new = json.dumps(header).encode()
+    return raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + hlen:]
+
+
+def _assert_rejected(path, data):
+    """A ValueError naming the file; `eval` exits 2 and prints no traceback."""
+    with pytest.raises(ValueError, match=path.name):
+        container.load_arrays(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["eval", "--checkpoint", str(path), "--data", str(data)])
+    assert code == 2
+    assert path.name in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+class TestCorruptContainer:
+    def test_intact_copy_evaluates(self, stored):
+        raw, data, path = stored
+        path.write_bytes(raw)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eval", "--checkpoint", str(path), "--data", str(data)]) == 0
+
+    @given(st.data())
+    def test_truncated_at_any_offset(self, stored, draw):
+        raw, data, path = stored
+        path.write_bytes(raw[:draw.draw(st.integers(0, len(raw) - 1))])
+        _assert_rejected(path, data)
+
+    @given(st.binary(min_size=1, max_size=64))
+    def test_trailing_bytes(self, stored, extra):
+        raw, data, path = stored
+        path.write_bytes(raw + extra)
+        _assert_rejected(path, data)
+
+    @given(st.one_of(st.text(max_size=5), st.sampled_from(["<f4", ">f8", "<i4", "|u1"]),
+                     st.integers(), st.none(), st.lists(st.just("<f8")))
+           .filter(lambda d: d not in ("<f8", "<i8")))
+    def test_corrupted_dtype(self, stored, dtype):
+        raw, data, path = stored
+        path.write_bytes(_rewrite_header(raw, lambda h: h["arrays"][-1].update(dtype=dtype)))
+        _assert_rejected(path, data)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["arrays"][0].update(shape=[-1, 4]),
+        lambda h: h["arrays"][0].update(shape=[2.0, 4]),
+        lambda h: h["arrays"][0].update(shape="4"),
+        lambda h: h["arrays"][0].pop("name"),
+        lambda h: h.pop("arrays"),
+        lambda h: h.update(meta=[]),
+        lambda h: h.update(version=2),
+    ])
+    def test_malformed_header_or_shape(self, stored, edit):
+        raw, data, path = stored
+        path.write_bytes(_rewrite_header(raw, edit))
+        _assert_rejected(path, data)
+
+    def test_header_not_json_or_too_long(self, stored):
+        raw, data, path = stored
+        hlen = int.from_bytes(raw[8:16], "little")
+        path.write_bytes(raw[:16] + b"\xff" * hlen + raw[16 + hlen:])
+        _assert_rejected(path, data)
+        path.write_bytes(raw[:8] + (len(raw)).to_bytes(8, "little") + raw[16:])
+        _assert_rejected(path, data)
+
+
 class TestPropsRegistry:
     def test_registry_complete_and_unique(self):
         names = [name for name, _, _ in props.REGISTRY]
@@ -142,7 +225,7 @@ class TestPropsRegistry:
         assert r1 == r2
 
     def test_injected_softmax_bug_is_caught(self, monkeypatch):
-        monkeypatch.setattr(tensor, "softmax_rows", _unnormalized_softmax)
+        monkeypatch.setattr(tensor, "softmax_rows", unnormalized_softmax)
         results, _ = props.run_props("transformer.row_stochastic", seed=0)
         assert not results[0].passed
 
@@ -194,6 +277,21 @@ class TestExperiment:
         report = evaluate_checkpoint(out / "graded_final.gtc", data)
         assert len(report["per_dim_error"]) == 4
         assert np.isfinite(report["mean_error"])
+
+    def test_step_checkpoints_per_run(self, tmp_path):
+        cfg = ExperimentConfig(task="poly_degree", dataset_size=16, seq_len=4,
+                               run_baseline=True, out_dir=str(tmp_path),
+                               model={"n_layers": 1},
+                               train={"steps": 4, "batch_size": 4, "seed": 1,
+                                      "checkpoint_every": 2})
+        run_experiment(cfg)
+        assert not list(tmp_path.glob("step*.gtc"))
+        for step in ("step000002.gtc", "step000004.gtc"):
+            graded_params, _, _ = tf.load_checkpoint(tmp_path / "graded" / step)
+            base_params, _, _ = tf.load_checkpoint(tmp_path / "baseline" / step)
+            assert set(graded_params) == set(base_params)
+            assert any(not np.array_equal(graded_params[k], base_params[k])
+                       for k in graded_params)
 
     def test_hier_copy_positional_probe(self, tmp_path):
         cfg = ExperimentConfig(
@@ -259,7 +357,7 @@ class TestCli:
         assert "PASS" in capsys.readouterr().out
 
     def test_props_reports_failure_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(tensor, "softmax_rows", _unnormalized_softmax)
+        monkeypatch.setattr(tensor, "softmax_rows", unnormalized_softmax)
         assert cli.main(["props", "--filter", "transformer.row_stochastic", "--seed", "0"]) == 1
 
     def test_gen_and_eval_round_trip(self, tmp_path, capsys):
@@ -285,6 +383,17 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"task": "poly_degree"}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 3
+
+    @pytest.mark.parametrize("grading", [{"weight_map": "identity"},
+                                         {"attention_variant": "bogus"}])
+    def test_invalid_grading_exit_two(self, tmp_path, capsys, grading):
+        # the identity map gives grade 0 the weight 0, which linear grading forbids
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
+                                        "seq_len": 4, "out_dir": str(tmp_path / "run"),
+                                        "train": {"steps": 2}, "grading": grading}))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_two(self, tmp_path):
         bad = tmp_path / "bad2.json"

@@ -171,26 +171,26 @@ class TestTrainLoop:
     def test_lambda_schedule_replay(self):
         cfg, params, gcfg, ds = tiny_setup(mode=gs.EXPONENTIAL)
         tc = training.TrainConfig(steps=40, seed=5, batch_size=4)
-        res = training.train_egt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         for row in res.metrics:
             assert row["lambda"] == training.anneal_lambda(row["step"], 40, tc.lambda_max)
 
     def test_linear_mode_keeps_lambda_one(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=10, seed=5, batch_size=4)
-        res = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         assert all(row["lambda"] == 1.0 for row in res.metrics)
 
     def test_eta_q_respects_bound(self):
         cfg, params, gcfg, ds = tiny_setup(mode=gs.EXPONENTIAL)
         tc = training.TrainConfig(steps=30, lr_grades=100.0, seed=2, batch_size=4)
-        res = training.train_egt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         assert all(row["eta_q"] <= row["eta_q_bound"] for row in res.metrics)
 
     def test_clip_fires_and_bounds_norm(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=30, clip_threshold=0.5, seed=2, batch_size=4)
-        res = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         fired = [r for r in res.metrics if r["clipped"]]
         assert fired, "expected clipping at this threshold"
         assert all(r["grad_norm_post"] <= 0.5 * (1 + 1e-9) for r in fired)
@@ -198,14 +198,14 @@ class TestTrainLoop:
     def test_grades_stay_nonnegative(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=60, lr_grades=0.05, seed=3, batch_size=4)
-        res = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         assert np.all(res.grades >= 0)
         assert all(np.all(h >= 0) for h in res.head_grades)
 
     def test_fixed_grades_unchanged(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=10, learn_grades=False, seed=4, batch_size=4)
-        res = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         assert_close(res.grades, gcfg.grades)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -215,14 +215,14 @@ class TestTrainLoop:
         bad["w_out"] = bad["w_out"] * np.inf
         tc = training.TrainConfig(steps=5, seed=1, batch_size=2)
         with pytest.raises(DivergenceDetected) as exc_info:
-            training.train_lgt(bad, gcfg, ds.x, ds.y, tc)
+            training.train(bad, gcfg, ds.x, ds.y, tc)
         assert exc_info.value.result.diverged
 
     def test_determinism(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=15, seed=9, batch_size=4)
-        r1 = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
-        r2 = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
+        r1 = training.train(params, gcfg, ds.x, ds.y, tc)
+        r2 = training.train(params, gcfg, ds.x, ds.y, tc)
         assert r1.metric_column("loss") == r2.metric_column("loss")
         for k in r1.params:
             assert np.array_equal(r1.params[k], r2.params[k])
@@ -230,7 +230,7 @@ class TestTrainLoop:
     def test_metrics_csv_round_trip(self, tmp_path):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=5, seed=1, batch_size=2)
-        res = training.train_lgt(params, gcfg, ds.x, ds.y, tc)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
         path = tmp_path / "metrics.csv"
         training.write_metrics_csv(path, res.metrics)
         lines = path.read_text().strip().splitlines()
@@ -241,7 +241,7 @@ class TestTrainLoop:
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=2, seed=1, batch_size=2)
         with pytest.raises(DimensionMismatch):
-            training.train_lgt(params, gcfg, ds.x, ds.y[:-1], tc)
+            training.train(params, gcfg, ds.x, ds.y[:-1], tc)
 
 
 def smoke_setup(mode):

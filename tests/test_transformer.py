@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from graded_transformer import autodiff as ad
+from graded_transformer import container
 from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import (
@@ -52,6 +53,20 @@ class TestPositionalEncoding:
             tf.positional_encoding(0, 4)
         with pytest.raises(PositionOutOfRange):
             tf.positional_encoding(9, 4, n_max=8)
+        with pytest.raises(PositionOutOfRange):
+            tf.positional_matrix(9, 4, n_max=8)
+
+    def test_matrix_equals_per_position_stack(self):
+        def one_position(i, d):
+            k = np.arange(d, dtype=np.float64)
+            angle = i / np.power(10000.0, np.where(k % 2 == 0, k, k - 1) / d)
+            return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
+
+        for d in (4, 8, 16, 32, 64):
+            for n in range(1, 65):
+                want = np.stack([one_position(i, d) for i in range(1, n + 1)])
+                assert np.array_equal(tf.positional_matrix(n, d), want), (n, d)
+            assert np.array_equal(tf.positional_encoding(64, d), want[-1])
 
 
 class TestEmbedding:
@@ -264,6 +279,13 @@ class TestEncoderDecoderGenerate:
         params["embed"][tf.EOS_TOKEN - 1] = 50.0
         assert tf.generate(params, cfg, [3]) == [tf.EOS_TOKEN]
 
+    def test_generate_is_encoder_then_greedy_decode(self, token_model):
+        cfg, params = token_model
+        toks = [3, 7, 9]
+        z = run_nodes(params, lambda p, t: tf.encoder(p, tf.embed_tokens(p, cfg, toks), cfg))
+        assert tf.generate(params, cfg, toks, m_max=4) == \
+            tf.greedy_decode(params, z, cfg, 4)
+
     def test_generate_deterministic(self, token_model):
         cfg, params = token_model
         toks = [3, 7, 9]
@@ -297,3 +319,16 @@ class TestCheckpoint:
         assert set(loaded) == set(params)
         for k in params:
             assert np.array_equal(loaded[k], params[k])
+
+    @pytest.mark.parametrize("config", [None, {"d_model": 8}, {"bogus": 1}, [1, 2],
+                                        {"vocab_size": 4, "d_model": 6, "n_heads": 4,
+                                         "n_layers": 1, "d_ff": 8}])
+    def test_missing_or_invalid_config(self, tmp_path, token_model, config):
+        _, params = token_model
+        path = tmp_path / "model.gtc"
+        meta = {"kind": tf.CHECKPOINT_KIND}
+        if config is not None:
+            meta["config"] = config
+        container.save_arrays(path, params, meta)
+        with pytest.raises(ValueError, match="model.gtc"):
+            tf.load_checkpoint(path)
