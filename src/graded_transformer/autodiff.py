@@ -96,7 +96,10 @@ class Tape:
             for parent, vjp in zip(node.parents, node.vjps):
                 contrib = vjp(g)
                 if parent.grad is None:
-                    parent.grad = contrib.copy()
+                    # g or a view of it may also reach other parents, and a
+                    # later contribution is added in place: copy it then.
+                    shared = contrib is g or np.may_share_memory(contrib, g)
+                    parent.grad = contrib.copy() if shared else contrib
                 else:
                     parent.grad += contrib
         out = {}
@@ -297,53 +300,64 @@ def softmax_rows(x) -> Node:
 
 
 def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
-                   collect: list | None = None) -> Node:
-    """softmax(q k^T / sqrt(d_k) [+ mask]) v within each stacked sequence.
+                   collect: list | None = None, heads: int = 1) -> Node:
+    """softmax(q k^T / sqrt(d_k) [+ mask]) v per head, within each stacked sequence.
 
     q holds B sequences of n_q rows, k and v the same B sequences of n_k
-    rows.  Scores are formed per sequence with batched matmul over
-    (B, n, d) views, so the score work is B n_q n_k, not (B n_q)(B n_k).
-    mask is an additive (n_q, n_k) array shared by all sequences.  One
-    node; its VJPs share the score adjoint, computed once per backward.
-    When `collect` is given, the (B, n_q, n_k) probabilities are appended.
+    rows; head i owns the i-th of `heads` equal column blocks of q, k and
+    v, and its output fills the i-th column block of the result.  Scores
+    are formed per sequence and head with batched matmul over
+    (B, heads, n, d_k) views, so the score work is B heads n_q n_k, not
+    (B n_q)(B n_k).  mask is an additive (n_q, n_k) array shared by all
+    sequences and heads.  One node; its VJPs share the score adjoint,
+    computed once per backward.  When `collect` is given, one (B, n_q, n_k)
+    array of probabilities per head is appended.
     """
     q, k, v = wrap(q), wrap(k), wrap(v)
-    d_k = q.shape[1]
+    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+        raise DimensionMismatch(
+            f"attention_rows: widths {q.shape[1]}, {v.shape[1]} not in {heads} heads")
+    d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
     if n_q < 1 or n_k < 1 or q.shape[0] % n_q:
         raise DimensionMismatch(f"attention_rows: {q.shape[0]} rows not in blocks of {n_q}")
     b = q.shape[0] // n_q
-    if k.shape != (b * n_k, d_k) or v.shape[0] != b * n_k:
+    if k.shape != (b * n_k, q.shape[1]) or v.shape[0] != b * n_k:
         raise DimensionMismatch(
             f"attention_rows: q {q.shape} ({b} x {n_q}) vs k {k.shape}, v {v.shape}")
     if mask is not None and np.shape(mask) != (n_q, n_k):
         raise DimensionMismatch(f"attention_rows: mask {np.shape(mask)} vs ({n_q}, {n_k})")
+
+    def split(x, n, w):  # (B n, heads w) rows -> (B, heads, n, w) view
+        return x.reshape(b, n, heads, w).transpose(0, 2, 1, 3)
+
+    def merge(x, n):  # (B, heads, n, w) -> (B n, heads w) rows
+        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
+
     c = 1.0 / np.sqrt(d_k)
-    qb = q.value.reshape(b, n_q, d_k)
-    kb = k.value.reshape(b, n_k, d_k)
-    vb = v.value.reshape(b, n_k, -1)
-    scores = (qb @ kb.transpose(0, 2, 1)) * c
+    qb, kb, vb = split(q.value, n_q, d_k), split(k.value, n_k, d_k), split(v.value, n_k, d_v)
+    scores = (qb @ kb.transpose(0, 1, 3, 2)) * c
     if mask is not None:
         scores = scores + mask
     p = tensor.softmax_rows(scores)
     if collect is not None:
-        collect.append(p)
+        collect.extend(p[:, i] for i in range(heads))
     memo: dict = {}
 
     def adjoints(g):
         if memo.get("g") is not g:
-            gb = g.reshape(b, n_q, -1)
-            dp = gb @ vb.transpose(0, 2, 1)
-            ds = p * (dp - (dp * p).sum(axis=2, keepdims=True)) * c
+            gb = split(g, n_q, d_v)
+            dp = gb @ vb.transpose(0, 1, 3, 2)
+            ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
             memo.update(g=g, gb=gb, ds=ds)
         return memo["gb"], memo["ds"]
 
     return _rec(
-        (p @ vb).reshape(b * n_q, -1),
+        merge(p @ vb, n_q),
         (q, k, v),
         (
-            lambda g: (adjoints(g)[1] @ kb).reshape(b * n_q, d_k),
-            lambda g: (adjoints(g)[1].transpose(0, 2, 1) @ qb).reshape(b * n_k, d_k),
-            lambda g: (p.transpose(0, 2, 1) @ adjoints(g)[0]).reshape(b * n_k, -1),
+            lambda g: merge(adjoints(g)[1] @ kb, n_q),
+            lambda g: merge(adjoints(g)[1].transpose(0, 1, 3, 2) @ qb, n_k),
+            lambda g: merge(p.transpose(0, 1, 3, 2) @ adjoints(g)[0], n_k),
         ),
     )
 
@@ -416,6 +430,16 @@ def hstack(parts: Sequence[Node]) -> Node:
         for i in range(len(parts))
     ]
     return _rec(np.hstack([p.value for p in parts]), tuple(parts), tuple(vjps))
+
+
+def vstack(parts: Sequence[Node]) -> Node:
+    parts = [wrap(p) for p in parts]
+    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+    vjps = [
+        (lambda a, b: (lambda g: g[a:b]))(offsets[i], offsets[i + 1])
+        for i in range(len(parts))
+    ]
+    return _rec(np.vstack([p.value for p in parts]), tuple(parts), tuple(vjps))
 
 
 def graded_relu_op(x, grades, sign_preserving: bool = False) -> Node:

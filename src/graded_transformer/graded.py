@@ -137,22 +137,27 @@ def weight_node(gcfg: GradedModelConfig, q, lam: float | None = None) -> ad.Node
 
 def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
                  grade_nodes: dict | None):
-    """Weight rows for the model tuple and each head tuple.
+    """Weight rows for the model tuple and for all head tuples (None when
+    attention is ungraded).
 
+    The head tuples are stacked into one (1, h d_k) grade row before the
+    weight map, so head i's weights fill columns i d_k .. (i + 1) d_k.
     grade_nodes may carry learnable leaves under keys "q" and "q_head_{i}";
     anything missing falls back to the config's fixed tuples (wrapped as
     constants on the active tape).
     """
     grade_nodes = grade_nodes or {}
 
-    def weights_for(q_value, key):
+    def grades_for(q_value, key):
         q = grade_nodes.get(key)
-        return weight_node(gcfg, _row(q_value) if q is None else q, lam)
+        return _row(q_value) if q is None else q
 
-    w_model = weights_for(gcfg.grades, "q")
-    w_heads = [weights_for(gcfg.head_grades[i], f"q_head_{i}")
+    w_model = weight_node(gcfg, grades_for(gcfg.grades, "q"), lam)
+    if gcfg.attention_variant == "none":
+        return w_model, None
+    q_heads = [grades_for(gcfg.head_grades[i], f"q_head_{i}")
                for i in range(gcfg.model.n_heads)]
-    return w_model, w_heads
+    return w_model, weight_node(gcfg, ad.hstack(q_heads), lam)
 
 
 def grade_rows(x, w, normalize: bool) -> ad.Node:
@@ -181,19 +186,21 @@ def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None 
 
 
 class AttentionGrading:
-    """Carries per-head weight rows (nodes or arrays) into the encoder."""
+    """Carries the stacked head weight row (a node or an array) into the
+    encoder; head i's weights are columns i d_k .. (i + 1) d_k."""
 
-    def __init__(self, variant: str, head_weights: list, ffn_weights=None,
+    def __init__(self, variant: str, head_weights, ffn_weights=None,
                  normalize_ffn: bool = True):
         self.variant = variant
         self.head_weights = head_weights
         self.ffn_weights = ffn_weights
         self.normalize_ffn = normalize_ffn
 
-    def apply(self, i: int, q, k, v):
+    def apply(self, q, k, v):
+        """Scale the folded (rows, h d_k) q, k and v of all heads per the variant."""
         if self.variant == "none":
             return q, k, v
-        w = self.head_weights[i]
+        w = self.head_weights
         if self.variant == "scores":
             return ad.scale_cols(q, w), k, v
         if self.variant in ("queries_keys", "multi_head"):
@@ -317,7 +324,7 @@ def graded_attention(q, k, v, head_weights, variant: str,
         raise DimensionMismatch("graded_attention: weight length must equal d_k")
     collect: list = []
     with ad.recording(ad.Tape()):
-        q, k, v = AttentionGrading(variant, [w]).apply(0, ad.wrap(q), ad.wrap(k), ad.wrap(v))
+        q, k, v = AttentionGrading(variant, w).apply(ad.wrap(q), ad.wrap(k), ad.wrap(v))
         out = tf.attention_head(q, k, v, w.size, mask, collect).value
     return out, collect[0][0]
 
@@ -328,7 +335,7 @@ def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
     with ad.recording(ad.Tape()):
         p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
         ff = tf.feed_forward(p, "ffn", _row(x))
-        grading = AttentionGrading("none", [], weight_node(gcfg, _row(gcfg.grades), lam),
+        grading = AttentionGrading("none", None, weight_node(gcfg, _row(gcfg.grades), lam),
                                    gcfg.normalize_ffn)
         return grading.graded_ffn(ff).value[0]
 

@@ -60,7 +60,7 @@ def default_model_config(task: str, overrides: dict) -> tf.ModelConfig:
     base.update(overrides)
     try:
         return tf.ModelConfig(**base)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError: DimensionMismatch
         raise ConfigError(str(exc)) from exc
 
 
@@ -93,7 +93,7 @@ def build_train_config(cfg: ExperimentConfig) -> training.TrainConfig:
     base.update(cfg.train)
     try:
         return training.TrainConfig(**base)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValueError: StepOutOfRange, InvalidLambda
         raise ConfigError(str(exc)) from exc
 
 

@@ -569,16 +569,16 @@ def _runtime(seed):
         w = gs.WeightMap("plus_one").values(g.uniform(0.0, 2.0, dk))
 
         def run(variant):
-            best = np.inf
-            for _ in range(7):
-                t0 = time.perf_counter()
-                for _ in range(10):
-                    graded.graded_attention(q, k, v, w, variant)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            t0 = time.perf_counter()
+            for _ in range(10):
+                graded.graded_attention(q, k, v, w, variant)
+            return time.perf_counter() - t0
 
-        base = run("none")
-        scored = run("scores")
+        # min of 7 repeats each, interleaved so a burst of load hits both alike
+        base = scored = np.inf
+        for _ in range(7):
+            base = min(base, run("none"))
+            scored = min(scored, run("scores"))
         ratios.append(scored / base)
     worst = max(ratios)
     # keep the report byte-reproducible: timings only appear on failure

@@ -11,6 +11,7 @@ start token and id 2 is EOS.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +89,13 @@ def init_params(cfg: ModelConfig, rng: Rng, decoder: bool = True) -> dict[str, n
         p["b_out"] = np.zeros((1, cfg.output_dim))
 
     def block(prefix: str, cross: bool):
-        for i in range(h):
-            p[f"{prefix}.wq{i}"] = g.normal(0.0, std, (d, dk))
-            p[f"{prefix}.wk{i}"] = g.normal(0.0, std, (d, dk))
-            p[f"{prefix}.wv{i}"] = g.normal(0.0, std, (d, dk))
-        p[f"{prefix}.wo"] = g.normal(0.0, std, (h * dk, d))
-        if cross:
-            for i in range(h):
-                p[f"{prefix}.cq{i}"] = g.normal(0.0, std, (d, dk))
-                p[f"{prefix}.ck{i}"] = g.normal(0.0, std, (d, dk))
-                p[f"{prefix}.cv{i}"] = g.normal(0.0, std, (d, dk))
-            p[f"{prefix}.co"] = g.normal(0.0, std, (h * dk, d))
+        # Drawn head by head, as when each head had its own (d, d_k) matrices,
+        # then stacked: head i owns columns i d_k .. (i + 1) d_k of wq, wk, wv.
+        for tag in ("w", "c") if cross else ("w",):
+            heads = [[g.normal(0.0, std, (d, dk)) for _ in "qkv"] for _ in range(h)]
+            for m, mats in zip("qkv", zip(*heads)):
+                p[f"{prefix}.{tag}{m}"] = np.hstack(mats)
+            p[f"{prefix}.{tag}o"] = g.normal(0.0, std, (h * dk, d))
 
     for l in range(cfg.n_layers):
         block(f"enc{l}", cross=False)
@@ -190,44 +187,57 @@ def embed_tokens(p: dict[str, ad.Node], cfg: ModelConfig, tokens) -> ad.Node:
 
 def attention_head(q, k, v, d_k: int, mask: np.ndarray | None = None,
                    collect: list | None = None, seq_len: int | None = None) -> ad.Node:
-    """softmax(q k^T / sqrt(d_k) [+ mask]) v within each sequence.
+    """softmax(q k^T / sqrt(d_k) [+ mask]) v within each sequence, for every
+    head at once: head i owns columns i d_k .. (i + 1) d_k of q, k and v.
 
     q stacks sequences of seq_len rows (default: one sequence); k and v
-    stack the same number of sequences.  `collect` receives the
-    (B, n_q, n_k) attention probabilities.
+    stack the same number of sequences.  `collect` receives one
+    (B, n_q, n_k) array of attention probabilities per head.
     """
     q, k, v = ad.wrap(q), ad.wrap(k), ad.wrap(v)
-    if q.shape[1] != d_k:
-        raise DimensionMismatch(f"attention_head: q width {q.shape[1]} != d_k {d_k}")
+    if q.shape[1] % d_k:
+        raise DimensionMismatch(f"attention_head: q width {q.shape[1]} not heads x d_k {d_k}")
     n_q = q.shape[0] if seq_len is None else seq_len
     sequences = q.shape[0] // n_q if n_q > 0 else 0
     n_k = k.shape[0] // sequences if sequences else 0
-    return ad.attention_rows(q, k, v, n_q, n_k, mask, collect)
+    return ad.attention_rows(q, k, v, n_q, n_k, mask, collect, q.shape[1] // d_k)
 
 
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
                mask: np.ndarray | None = None, grading=None,
                collect: list | None = None, kv=None, cross: bool = False,
-               seq_len: int | None = None) -> ad.Node:
-    """Concat(head_1..head_h) W_O; optional graded scaling hooks.
+               seq_len: int | None = None, cache: dict | None = None) -> ad.Node:
+    """Concat(head_1..head_h) W_O, with the heads' projections folded into
+    one (d, h d_k) matrix each for Q, K and V; optional graded scaling.
 
-    `grading` is None or an object with per-head weight rows and a variant
-    tag (see graded.AttentionGrading).  `kv` supplies separate key/value
+    `grading` is None or an object whose `apply` scales the folded q, k, v
+    (see graded.AttentionGrading).  `kv` supplies separate key/value
     source for cross-attention.  x may stack sequences of seq_len rows;
     attention stays within each sequence.
+
+    `cache` (incremental decoding of one sequence) is a dict kept across
+    the calls of one request.  Cross-attention projects K/V from kv on the
+    first call and reuses them afterwards; self-attention appends this
+    call's K/V rows to those of the earlier calls, so x holds only the new
+    rows and attends to every earlier one.
     """
-    tag = "c" if cross else "w"
+    name = f"{prefix}.{'c' if cross else 'w'}"
     kv = x if kv is None else kv
-    heads = []
-    for i in range(cfg.n_heads):
-        q = ad.matmul(x, p[f"{prefix}.{tag}q{i}"])
-        k = ad.matmul(kv, p[f"{prefix}.{tag}k{i}"])
-        v = ad.matmul(kv, p[f"{prefix}.{tag}v{i}"])
-        if grading is not None:
-            q, k, v = grading.apply(i, q, k, v)
-        heads.append(attention_head(q, k, v, cfg.d_k, mask, collect, seq_len))
-    concat = heads[0] if len(heads) == 1 else ad.hstack(heads)
-    return ad.matmul(concat, p[f"{prefix}.{tag}o" if cross else f"{prefix}.wo"])
+    q = ad.matmul(x, p[f"{name}q"])
+    if cross and cache is not None and name in cache:
+        k, v = cache[name]
+    else:
+        k = ad.matmul(kv, p[f"{name}k"])
+        v = ad.matmul(kv, p[f"{name}v"])
+        if cache is not None:
+            if name in cache:
+                k = ad.vstack([cache[name][0], k])
+                v = ad.vstack([cache[name][1], v])
+            cache[name] = (k, v)
+    if grading is not None:
+        q, k, v = grading.apply(q, k, v)
+    heads = attention_head(q, k, v, cfg.d_k, mask, collect, seq_len)
+    return ad.matmul(heads, p[f"{name}o"])
 
 
 def feed_forward(p: dict[str, ad.Node], prefix: str, x) -> ad.Node:
@@ -262,18 +272,28 @@ def encoder(p, x, cfg: ModelConfig, grading=None, collect=None,
     return x
 
 
-def decoder_layer(p, l: int, y, z, cfg: ModelConfig) -> ad.Node:
+def decoder_layer(p, l: int, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:
     pre = f"dec{l}"
-    mask = causal_mask(y.shape[0])
-    y1 = layer_norm(p, f"{pre}.ln1", ad.add(y, multi_head(p, pre, y, cfg, mask=mask)), cfg.eps)
-    ca = multi_head(p, pre, y1, cfg, kv=z, cross=True)
+    mask = causal_mask(y.shape[0]) if cache is None else None
+    sa = multi_head(p, pre, y, cfg, mask=mask, cache=cache)
+    y1 = layer_norm(p, f"{pre}.ln1", ad.add(y, sa), cfg.eps)
+    ca = multi_head(p, pre, y1, cfg, kv=z, cross=True, cache=cache)
     y2 = layer_norm(p, f"{pre}.ln2", ad.add(y1, ca), cfg.eps)
     return layer_norm(p, f"{pre}.ln3", ad.add(y2, feed_forward(p, pre, y2)), cfg.eps)
 
 
-def decoder(p, y, z, cfg: ModelConfig) -> ad.Node:
+def decoder(p, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:
+    """Decoder stack on the rows y under a causal mask, attending to z.
+
+    With a cache (see multi_head), y is the one row after the rows of the
+    earlier calls, and no mask applies: the new row sees every earlier row.
+    Row t of this post-norm stack depends only on rows <= t, so decoding
+    row by row gives the rows of one masked pass over the whole prefix.
+    """
+    if cache is not None and y.shape[0] != 1:
+        raise DimensionMismatch(f"cached decoding takes one row, got {y.shape[0]}")
     for l in range(cfg.n_layers):
-        y = decoder_layer(p, l, y, z, cfg)
+        y = decoder_layer(p, l, y, z, cfg, cache)
     return y
 
 
@@ -303,20 +323,24 @@ def generate(params: dict[str, np.ndarray], cfg: ModelConfig, tokens,
 def greedy_decode(params: dict[str, np.ndarray], z: np.ndarray, cfg: ModelConfig,
                   m_max: int, eos: int = EOS_TOKEN) -> list[int]:
     """Greedy decoding against encoder output z: argmax over softmax(W_e z_t);
-    ties break to the lowest token id; stops at EOS or after m_max tokens."""
+    ties break to the lowest token id; stops at EOS or after m_max tokens.
+
+    Each token runs the decoder on its one new row, with the cross-attention
+    K/V of z and the earlier rows' self-attention K/V held in a cache.
+    """
     tape = ad.Tape()
     with ad.recording(tape):
         p = as_nodes(params, tape, trainable=False)
         z = tape.constant(z)
+        positions = positional_matrix(min(m_max, cfg.m_max + 1), cfg.d_model, cfg.m_max + 1)
+        cache: dict = {}
         out: list[int] = []
         generated = [START_TOKEN]
         while len(out) < m_max:
             ids = check_tokens(generated, cfg, limit=cfg.m_max + 1)
-            emb = ad.add(
-                ad.embedding_rows(p["embed"], ids - 1),
-                positional_matrix(ids.size, cfg.d_model, cfg.m_max + 1),
-            )
-            dec = decoder(p, emb, z, cfg)
+            t = ids.size
+            row = ad.add(ad.embedding_rows(p["embed"], ids[-1:] - 1), positions[t - 1:t])
+            dec = decoder(p, row, z, cfg, cache)
             logits = dec.value[-1] @ params["embed"].T
             token = int(np.argmax(logits)) + 1  # argmax returns the first max
             out.append(token)
@@ -338,7 +362,26 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig,
     container.save_arrays(path, params, meta)
 
 
+def _fold_heads(path, arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
+    """Fold the old layout's per-head `{prefix}.wq0` .. `wq{h-1}` (d, d_k)
+    arrays into one `{prefix}.wq`, in place; likewise wk, wv, cq, ck, cv."""
+    for first in [k for k in arrays if re.fullmatch(r".+\.[wc][qkv]0", k)]:
+        name = first[:-1]
+        parts = [f"{name}{i}" for i in range(cfg.n_heads)]
+        for part in parts:
+            if np.shape(arrays.get(part)) != (cfg.d_model, cfg.d_k):
+                raise ValueError(f"{path}: old-layout array {part!r} missing or not "
+                                 f"({cfg.d_model}, {cfg.d_k})")
+        arrays[name] = np.hstack([arrays.pop(part) for part in parts])
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
+    """Parameters, config and extra metadata of a checkpoint.
+
+    The arrays must follow init_params' layout for the config: every
+    encoder array with its name and shape, and the decoder arrays all
+    present or all absent.  Old-layout per-head projections are folded.
+    """
     arrays, meta = container.load_arrays(path)
     if meta.get("kind") != CHECKPOINT_KIND:
         raise ValueError(f"{path}: not a checkpoint container")
@@ -346,4 +389,15 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
         cfg = ModelConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: missing or invalid model config: {exc!r}") from exc
+    _fold_heads(path, arrays, cfg)
+    # shapes from a throwaway init, so the check cannot drift from the layout
+    layout = {k: v.shape for k, v in init_params(cfg, Rng(0)).items()}
+    if not any(k in arrays for k in layout if k.startswith("dec")):
+        layout = {k: shape for k, shape in layout.items() if not k.startswith("dec")}
+    for name, shape in layout.items():
+        if name not in arrays:
+            raise ValueError(f"{path}: missing array {name!r}")
+        if arrays[name].shape != shape:
+            raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
+                             f"expected {shape}")
     return arrays, cfg, meta.get("extra", {})

@@ -6,7 +6,7 @@ from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoot
 
-from conftest import assert_close
+from conftest import assert_close, copying_backward
 
 
 def scalar(fn, point):
@@ -59,6 +59,52 @@ class TestBackward:
         assert_close(grads["unused"], np.zeros((2, 2)))
 
 
+class TestGradientAliasing:
+    """A VJP that returns g or a view of it shares memory with its node's
+    other parents; each such first contribution must be copied before a
+    later contribution is added to it in place."""
+
+    @pytest.mark.parametrize("case", ["x_plus_x", "add", "hstack", "transpose"])
+    def test_correct_and_unaliased(self, case):
+        g = np.random.default_rng(11)
+        a, b, c = (g.normal(size=(3, 2)) for _ in range(3))
+        up, up2 = g.normal(size=(3, 4)), g.normal(size=(3, 2))
+        point = {"a": a, "b": b, "c": c}
+
+        def fn(p):
+            # a feeds a node recorded before the aliasing one, so its later
+            # += lands after the aliasing contribution
+            side = ad.sum_all(ad.mul(p["a"], up2))
+            if case == "x_plus_x":
+                out = ad.hstack([ad.add(p["a"], p["a"]), p["b"]])
+            elif case == "add":
+                out = ad.hstack([ad.add(p["a"], p["c"]), p["b"]])
+            elif case == "hstack":
+                out = ad.add(ad.hstack([p["a"], p["b"]]), ad.hstack([p["c"], p["b"]]))
+            else:
+                out = ad.hstack([ad.add(ad.transpose(ad.transpose(p["a"])), p["c"]), p["b"]])
+            return ad.add(ad.sum_all(ad.mul(out, up)), side)
+
+        tape, root = scalar(fn, point)
+        grads = tape.backward(root)
+        left, right = up[:, :2], up[:, 2:]
+        want = {
+            "x_plus_x": {"a": 2 * left + up2, "b": right, "c": 0 * c},
+            "add": {"a": left + up2, "b": right, "c": left},
+            "hstack": {"a": left + up2, "b": 2 * right, "c": left},
+            "transpose": {"a": left + up2, "b": right, "c": left},
+        }[case]
+        for name in point:
+            assert_close(grads[name], want[name], tol=1e-14, msg=name)
+        for x in grads:
+            for y in grads:
+                assert x == y or not np.shares_memory(grads[x], grads[y])
+        tape2, root2 = scalar(fn, point)
+        ref = copying_backward(tape2, root2)
+        for name in point:
+            assert np.array_equal(grads[name], ref[name]), name
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         err = ad.grad_check(
@@ -98,7 +144,7 @@ class TestPrimitiveGradients:
     @pytest.mark.parametrize("case", [
         "matmul", "softmax", "layer_norm", "graded_relu", "exp_activation",
         "scale_cols", "normalize_rows", "add_rowvec", "hstack", "embedding",
-        "sigmoid", "transpose",
+        "sigmoid", "transpose", "vstack",
     ])
     def test_primitive(self, case):
         g = np.random.default_rng(hash(case) % 2**32)
@@ -143,6 +189,11 @@ class TestPrimitiveGradients:
                 y0 = g.normal(0.0, 1.0, (3, 2))
                 up6 = g.uniform(0.5, 1.5, (3, 6))
                 fn = lambda p: ad.sum_all(ad.mul(ad.hstack([p["x"], p["y"]]), up6))
+                point = {"x": x0, "y": y0}
+            elif case == "vstack":
+                y0 = g.normal(0.0, 1.0, (2, 4))
+                up5 = g.uniform(0.5, 1.5, (5, 4))
+                fn = lambda p: ad.sum_all(ad.mul(ad.vstack([p["x"], p["y"]]), up5))
                 point = {"x": x0, "y": y0}
             elif case == "embedding":
                 table = g.normal(0.0, 1.0, (5, 4))
@@ -230,6 +281,71 @@ class TestAttentionRows:
         keep = np.r_[0:n, 2 * n:3 * n]
         assert np.array_equal(base[keep], pert[keep])
         assert np.abs(base[n:2 * n] - pert[n:2 * n]).max() > 1e-3
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False)])
+    def test_heads_grad_check(self, heads, n_q, n_k, causal):
+        g = np.random.default_rng(heads + 10 * n_k)
+        b, d_k, d_v = 3, 2, 2
+        mask = tf.causal_mask(n_q) if causal else None
+        worst = 0.0
+        for _ in range(2):
+            point = {"q": g.normal(0.0, 1.0, (b * n_q, heads * d_k)),
+                     "k": g.normal(0.0, 1.0, (b * n_k, heads * d_k)),
+                     "v": g.normal(0.0, 1.0, (b * n_k, heads * d_v))}
+            up = g.uniform(0.5, 1.5, (b * n_q, heads * d_v))
+            fn = lambda p: ad.sum_all(ad.mul(
+                ad.attention_rows(p["q"], p["k"], p["v"], n_q, n_k, mask, heads=heads), up))
+            worst = max(worst, ad.grad_check(fn, point, h=1e-5))
+        assert worst <= 1e-4, f"{worst:.3e}"
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False)])
+    def test_heads_match_per_head_attention(self, heads, n_q, n_k, causal):
+        g = np.random.default_rng(5 + heads)
+        b, d_k, d_v = 3, 3, 2
+        mask = tf.causal_mask(n_q) if causal else None
+        point = {"q": g.normal(0.0, 1.0, (b * n_q, heads * d_k)),
+                 "k": g.normal(0.0, 1.0, (b * n_k, heads * d_k)),
+                 "v": g.normal(0.0, 1.0, (b * n_k, heads * d_v))}
+        up = g.normal(0.0, 1.0, (b * n_q, heads * d_v))
+
+        def folded(p, collect):
+            return ad.attention_rows(p["q"], p["k"], p["v"], n_q, n_k, mask, collect, heads)
+
+        def per_head(p, collect):
+            # head i's columns, picked by an exact 0/1 selection matmul
+            pick = lambda x, w, i: ad.matmul(x, np.eye(heads * w)[:, i * w:(i + 1) * w])
+            return ad.hstack([
+                ad.attention_rows(pick(p["q"], d_k, i), pick(p["k"], d_k, i),
+                                  pick(p["v"], d_v, i), n_q, n_k, mask, collect)
+                for i in range(heads)])
+
+        def run(build):
+            collect, outs = [], []
+
+            def fn(p):
+                outs.append(build(p, collect))
+                return ad.sum_all(ad.mul(outs[0], up))
+
+            tape, root = scalar(fn, point)
+            return outs[0].value, collect, tape.backward(root)
+
+        out, collect, grads = run(folded)
+        want_out, want_collect, want_grads = run(per_head)
+        assert_close(out, want_out, tol=1e-12)
+        assert len(collect) == heads
+        for got, want in zip(collect, want_collect):
+            assert got.shape == (b, n_q, n_k)
+            assert_close(got, want, tol=1e-12)
+        for name in point:
+            assert_close(grads[name], want_grads[name], tol=1e-12, msg=name)
+
+    def test_heads_must_divide_widths(self):
+        tape = ad.Tape()
+        with ad.recording(tape), pytest.raises(DimensionMismatch):
+            ad.attention_rows(np.ones((4, 6)), np.ones((4, 6)), np.ones((4, 6)), 4, 4,
+                              heads=4)
 
     @pytest.mark.parametrize("q_rows,k_rows,n_q,n_k,mask_shape", [
         (6, 6, 4, 4, None),    # q rows not a multiple of n_q

@@ -19,7 +19,7 @@ from graded_transformer import transformer as tf
 from graded_transformer.harness import ExperimentConfig, evaluate_checkpoint, run_experiment
 from graded_transformer.tensor import Rng
 
-from conftest import unnormalized_softmax
+from conftest import per_head_init_params, unnormalized_softmax
 
 EXPECTED_PROPS = {
     "tensor.matmul_associative",
@@ -149,6 +149,35 @@ def _assert_rejected(path, data):
         code = cli.main(["eval", "--checkpoint", str(path), "--data", str(data)])
     assert code == 2
     assert path.name in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+class TestCheckpointArrays:
+    def test_old_layout_evaluates_bitwise_equal(self, stored, tmp_path):
+        _, data, _ = stored
+        cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=2, d_ff=8,
+                             n_max=8, out_dim=4)
+        extra = {"grades": [0.0, 0.5, 1.0, 2.0]}
+        paths = {}
+        for layout, init in (("old", per_head_init_params), ("folded", tf.init_params)):
+            paths[layout] = tmp_path / f"{layout}.gtc"
+            tf.save_checkpoint(paths[layout], init(cfg, Rng(0), decoder=False), cfg, extra)
+        old, folded = (evaluate_checkpoint(paths[k], data) for k in ("old", "folded"))
+        assert old["per_dim_error"] == folded["per_dim_error"]
+
+    def test_missing_array_exit_two(self, stored, tmp_path):
+        _, data, _ = stored
+        cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=1, d_ff=8,
+                             n_max=8, out_dim=4)
+        params = tf.init_params(cfg, Rng(0), decoder=False)
+        del params["w_out"]
+        path = tmp_path / "no_w_out.gtc"
+        tf.save_checkpoint(path, params, cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval", "--checkpoint", str(path), "--data", str(data)])
+        assert code == 2
+        msg = err.getvalue()
+        assert path.name in msg and "w_out" in msg and "Traceback" not in msg
 
 
 class TestCorruptContainer:
@@ -394,6 +423,18 @@ class TestCli:
                                         "train": {"steps": 2}, "grading": grading}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [{"model": {"n_heads": 3}},  # d_model 4
+                                          {"train": {"steps": 0}}])
+    def test_invalid_model_or_train_config_exit_two(self, tmp_path, override):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
+                                        "seq_len": 4, "out_dir": str(tmp_path / "run"),
+                                        **override}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert "config error" in err.getvalue() and "Traceback" not in err.getvalue()
 
     def test_unknown_config_key_exit_two(self, tmp_path):
         bad = tmp_path / "bad2.json"

@@ -15,7 +15,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close
+from conftest import assert_close, copying_backward
 
 
 def tiny_setup(mode=gs.LINEAR, **gkw):
@@ -328,3 +328,40 @@ class TestStackedStep:
                                             ds.x[:b], ds.y[:b], 1.0, tc)
             counts.append(len(tape.nodes))
         assert counts[0] == counts[1]
+
+
+def workload_setups():
+    """The three benchmark models: the c15 smoke config in both modes, EGT
+    on hier_copy with fixed grades and ungraded heads, and the wide LGT
+    (d=32, 4 heads, 4 layers, n=32) with learned grades on queries and keys."""
+    yield smoke_setup(gs.LINEAR)
+    yield smoke_setup(gs.EXPONENTIAL)
+    cfg = tf.ModelConfig(vocab_size=16, d_model=16, n_heads=2, n_layers=2, d_ff=32,
+                         n_max=16, m_max=16)
+    gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, grades=np.zeros(16),
+                                    attention_variant="none", positional="exp_decay",
+                                    alpha=0.25, grade_inputs=False)
+    yield (tf.init_params(cfg, Rng(0), decoder=False), gcfg, tasks.gen_hier_copy(32, 8, 1),
+           training.TrainConfig(base_loss="sigmoid_ce", learn_grades=False))
+    cfg = tf.ModelConfig(vocab_size=32, d_model=32, n_heads=4, n_layers=4, d_ff=128,
+                         n_max=32, m_max=16)
+    gcfg = graded.GradedModelConfig(model=cfg, mode=gs.LINEAR,
+                                    grades=Rng(2).generator.uniform(0.0, 1.0, 32),
+                                    attention_variant="queries_keys",
+                                    positional="exp_decay", alpha=0.25, grade_inputs=False)
+    yield (tf.init_params(cfg, Rng(0), decoder=False), gcfg,
+           tasks.gen_hier_copy(32, 32, 1, vocab=32),
+           training.TrainConfig(base_loss="sigmoid_ce"))
+
+
+class TestBackwardCopies:
+    def test_gradients_equal_copying_backward(self):
+        for params, gcfg, ds, tc in workload_setups():
+            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+            tape, total, _, _ = training.record_step(
+                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+            grads = tape.backward(total)
+            want = copying_backward(tape, total)
+            assert set(grads) == set(want)
+            for name in want:
+                assert np.array_equal(grads[name], want[name]), name

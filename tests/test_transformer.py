@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close
+from conftest import assert_close, per_head_init_params
 
 
 def run_nodes(params, builder):
@@ -32,6 +34,24 @@ class TestConfig:
     def test_round_trip_dict(self):
         cfg = tf.ModelConfig(vocab_size=4, d_model=8, n_heads=2, n_layers=1, d_ff=8)
         assert tf.ModelConfig(**cfg.to_dict()) == cfg
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("vocab,d,h,layers", [(0, 4, 2, 2), (12, 8, 2, 1), (16, 16, 4, 2)])
+    def test_folded_equals_stacked_per_head_draws(self, vocab, d, h, layers):
+        cfg = tf.ModelConfig(vocab_size=vocab, d_model=d, n_heads=h, n_layers=layers,
+                             d_ff=16, out_dim=4 if not vocab else 0)
+        got = tf.init_params(cfg, Rng(3))
+        old = per_head_init_params(cfg, Rng(3))
+        want = {k: v for k, v in old.items() if not re.fullmatch(r".+\.[wc][qkv]\d+", k)}
+        for prefix in {k.split(".")[0] for k in old if "." in k}:
+            for tag in ("w", "c") if prefix.startswith("dec") else ("w",):
+                for m in "qkv":
+                    want[f"{prefix}.{tag}{m}"] = np.hstack(
+                        [old[f"{prefix}.{tag}{m}{i}"] for i in range(h)])
+        assert set(got) == set(want)
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
 
 class TestPositionalEncoding:
@@ -167,9 +187,9 @@ class TestMultiHead:
         x = tensor.randn_matrix(rng, 5, 4)
 
         def direct(p, t):
-            q = ad.matmul(t.constant(x), p["enc0.wq0"])
-            k = ad.matmul(t.constant(x), p["enc0.wk0"])
-            v = ad.matmul(t.constant(x), p["enc0.wv0"])
+            q = ad.matmul(t.constant(x), p["enc0.wq"])
+            k = ad.matmul(t.constant(x), p["enc0.wk"])
+            v = ad.matmul(t.constant(x), p["enc0.wv"])
             return tf.attention_head(q, k, v, cfg.d_k)
 
         got = run_nodes(params, lambda p, t: tf.multi_head(p, "enc0", t.constant(x), cfg))
@@ -208,10 +228,10 @@ class TestCrossAttention:
     def test_y_equals_z_coincides_with_self_attention(self, token_model):
         cfg, params = token_model
         shared = {k: v for k, v in params.items()}
-        for i in range(cfg.n_heads):  # same projections for self and cross paths
-            shared[f"dec0.cq{i}"] = shared[f"dec0.wq{i}"]
-            shared[f"dec0.ck{i}"] = shared[f"dec0.wk{i}"]
-            shared[f"dec0.cv{i}"] = shared[f"dec0.wv{i}"]
+        # same projections for self and cross paths
+        shared["dec0.cq"] = shared["dec0.wq"]
+        shared["dec0.ck"] = shared["dec0.wk"]
+        shared["dec0.cv"] = shared["dec0.wv"]
         shared["dec0.co"] = shared["dec0.wo"]
         y = Rng(4).generator.normal(size=(4, cfg.d_model))
         cross = run_nodes(shared, lambda p, t: tf.multi_head(
@@ -308,6 +328,98 @@ class TestEncoderDecoderGenerate:
         assert np.abs(pert[3] - base[3]).max() > 1e-6
 
 
+def full_prefix_decode(params, z, cfg, m_max, eos):
+    """Reference: the whole prefix through the masked decoder for every token.
+    Returns the tokens and the decoder's last row at each step."""
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = tf.as_nodes(params, tape, trainable=False)
+        z = tape.constant(z)
+        out, rows, generated = [], [], [tf.START_TOKEN]
+        while len(out) < m_max:
+            ids = tf.check_tokens(generated, cfg, limit=cfg.m_max + 1)
+            emb = ad.add(ad.embedding_rows(p["embed"], ids - 1),
+                         tf.positional_matrix(ids.size, cfg.d_model, cfg.m_max + 1))
+            row = tf.decoder(p, emb, z, cfg).value[-1]
+            rows.append(row)
+            token = int(np.argmax(row @ params["embed"].T)) + 1
+            out.append(token)
+            generated.append(token)
+            if token == eos:
+                break
+    return out, rows
+
+
+def recording_decoder(monkeypatch):
+    """Patch tf.decoder to keep the last row of each call's output."""
+    rows = []
+    original = tf.decoder
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        rows.append(out.value[-1].copy())
+        return out
+
+    monkeypatch.setattr(tf, "decoder", recorded)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def deep_token_model():
+    cfg = tf.ModelConfig(vocab_size=16, d_model=16, n_heads=4, n_layers=2, d_ff=32,
+                         n_max=16, m_max=10)
+    return cfg, tf.init_params(cfg, Rng(9))
+
+
+class TestCachedDecode:
+    @pytest.mark.parametrize("model", ["token_model", "deep_token_model"])
+    @pytest.mark.parametrize("eos", [tf.EOS_TOKEN, 0])  # 0: never stops early
+    def test_matches_full_prefix_decode(self, request, monkeypatch, model, eos):
+        cfg, params = request.getfixturevalue(model)
+        for seed in range(4):
+            z = Rng(seed).generator.normal(size=(int(3 + seed), cfg.d_model))
+            want_tokens, want_rows = full_prefix_decode(params, z, cfg, cfg.m_max, eos)
+            rows = recording_decoder(monkeypatch)
+            assert tf.greedy_decode(params, z, cfg, cfg.m_max, eos) == want_tokens
+            assert len(rows) == len(want_rows)
+            for got, want in zip(rows, want_rows):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            monkeypatch.undo()
+
+    def test_past_model_m_max_raises_at_same_token(self, token_model, monkeypatch):
+        cfg, params = token_model
+        z = Rng(1).generator.normal(size=(4, cfg.d_model))
+        m_max = cfg.m_max + 3
+        with pytest.raises(SequenceTooLong):
+            full_prefix_decode(params, z, cfg, m_max, 0)
+        rows = recording_decoder(monkeypatch)
+        with pytest.raises(SequenceTooLong):
+            tf.greedy_decode(params, z, cfg, m_max, 0)
+        assert len(rows) == cfg.m_max + 1
+
+    def test_cross_kv_projected_once_per_request(self, deep_token_model):
+        cfg, params = deep_token_model
+        z = Rng(2).generator.normal(size=(5, cfg.d_model))
+        tape = ad.Tape()
+        cache: dict = {}
+        with ad.recording(tape):
+            p = tf.as_nodes(params, tape, trainable=False)
+            for t in range(3):
+                tf.decoder(p, Rng(t).generator.normal(size=(1, cfg.d_model)), z, cfg, cache)
+                for l in range(cfg.n_layers):
+                    assert cache[f"dec{l}.w"][0].shape == (t + 1, cfg.d_model)
+                    assert cache[f"dec{l}.c"][0].shape == (5, cfg.d_model)
+            cross_k = [cache[f"dec{l}.c"][0] for l in range(cfg.n_layers)]
+            tf.decoder(p, np.ones((1, cfg.d_model)), z, cfg, cache)
+        assert all(cache[f"dec{l}.c"][0] is k for l, k in enumerate(cross_k))
+
+    def test_cache_takes_one_row(self, token_model):
+        cfg, params = token_model
+        with pytest.raises(DimensionMismatch):
+            run_nodes(params, lambda p, t: tf.decoder(
+                p, np.ones((2, cfg.d_model)), np.ones((3, cfg.d_model)), cfg, {}))
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, token_model):
         cfg, params = token_model
@@ -331,4 +443,42 @@ class TestCheckpoint:
             meta["config"] = config
         container.save_arrays(path, params, meta)
         with pytest.raises(ValueError, match="model.gtc"):
+            tf.load_checkpoint(path)
+
+    def test_old_layout_is_folded(self, tmp_path, deep_token_model):
+        cfg, _ = deep_token_model
+        path = tmp_path / "old.gtc"
+        tf.save_checkpoint(path, per_head_init_params(cfg, Rng(4)), cfg)
+        loaded, _, _ = tf.load_checkpoint(path)
+        want = tf.init_params(cfg, Rng(4))
+        assert set(loaded) == set(want)
+        for name in want:
+            assert np.array_equal(loaded[name], want[name]), name
+
+    def test_decoder_arrays_may_be_absent(self, tmp_path, token_model):
+        cfg, _ = token_model
+        path = tmp_path / "enc.gtc"
+        tf.save_checkpoint(path, tf.init_params(cfg, Rng(0), decoder=False), cfg)
+        loaded, _, _ = tf.load_checkpoint(path)
+        assert not any(k.startswith("dec") for k in loaded)
+
+    @pytest.mark.parametrize("name,edit", [
+        ("embed", "drop"),             # encoder array missing
+        ("enc0.wq", "drop"),
+        ("enc0.ln1.g", "reshape"),     # wrong shape
+        ("enc0.wk", "reshape"),
+        ("dec0.w1", "drop"),           # decoder arrays only partly present
+        ("enc0.wv1", "old_drop"),      # old layout with a head missing
+        ("enc0.wq0", "old_reshape"),
+    ])
+    def test_missing_or_misshapen_array(self, tmp_path, token_model, name, edit):
+        cfg, params = token_model
+        arrays = per_head_init_params(cfg, Rng(0)) if edit.startswith("old") else dict(params)
+        if edit.endswith("drop"):
+            del arrays[name]
+        else:
+            arrays[name] = arrays[name][:, :-1]
+        path = tmp_path / "model.gtc"
+        tf.save_checkpoint(path, arrays, cfg)
+        with pytest.raises(ValueError, match=f"model.gtc.*{name}"):
             tf.load_checkpoint(path)
