@@ -78,16 +78,23 @@ class Tape:
     def constant(self, value) -> Node:
         return self.record(Node(_as2d(value)))
 
-    def backward(self, root: Node) -> dict[str, np.ndarray]:
+    def backward(self, root: Node, out: dict[str, np.ndarray] | None = None
+                 ) -> dict[str, np.ndarray]:
         """Gradients of a scalar root w.r.t. all registered leaves.
 
         Unused leaves get zero gradients, so every registered leaf has a
-        populated adjoint afterwards.
+        populated adjoint afterwards.  When `out` is given it maps every
+        leaf name to a zero-filled array of the leaf's shape, such as a
+        view of one flat buffer; each leaf's gradient is summed into its
+        array, and `out` is returned.
         """
         if root.value.shape != (1, 1):
             raise NotScalarRoot(f"root has shape {root.value.shape}")
         for node in self.nodes:
             node.grad = None
+        if out is not None:
+            for name, leaf in self.params.items():
+                leaf.grad = out[name]
         root.grad = np.ones((1, 1))
         for node in reversed(self.nodes):
             g = node.grad
@@ -102,10 +109,10 @@ class Tape:
                     parent.grad = contrib.copy() if shared else contrib
                 else:
                     parent.grad += contrib
-        out = {}
-        for name, leaf in self.params.items():
-            out[name] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        return out
+        if out is not None:
+            return out
+        return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
+                for name, leaf in self.params.items()}
 
 
 _ACTIVE: list[Tape] = []
@@ -185,19 +192,6 @@ def scale(a, c: float) -> Node:
     a = wrap(a)
     c = float(c)
     return _rec(a.value * c, (a,), (lambda g: g * c,))
-
-
-def scale_by(a, s) -> Node:
-    """Multiply by a 1x1 scalar node (broadcast over all entries)."""
-    a, s = wrap(a), wrap(s)
-    if s.shape != (1, 1):
-        raise DimensionMismatch(f"scale_by expects 1x1 scalar, got {s.shape}")
-    av, sv = a.value, s.value
-    return _rec(
-        av * sv,
-        (a, s),
-        (lambda g: g * sv, lambda g: np.array([[np.sum(g * av)]])),
-    )
 
 
 def add_rowvec(x, b) -> Node:
@@ -485,6 +479,9 @@ def pow_base(base: float, q) -> Node:
 # gradient checking
 
 
+GRAD_CHECK_FLOOR = 1e-3  # error scale floor, as a share of the parameter's peak |gradient|
+
+
 def grad_check(
     f: Callable[[dict[str, Node]], Node],
     point: dict[str, np.ndarray],
@@ -498,6 +495,12 @@ def grad_check(
     keep the point away from activation kinks.  When `sample` is given,
     only that many randomly chosen coordinates per parameter are probed
     (all coordinates of parameters with <= sample entries are checked).
+
+    Each error is |analytic - central| / (max(|central|, GRAD_CHECK_FLOOR
+    * peak) + 1e-8), with peak the largest |central| probed in that
+    parameter: an entry near zero (softmax rows sum to zero, for one) is
+    measured against the parameter's scale, not against the O(h^2) floor
+    of the central difference.  A NaN error counts as infinite.
     """
     point = {k: _as2d(v) for k, v in point.items()}
     tape = Tape()
@@ -520,15 +523,19 @@ def grad_check(
         flat_ids = np.arange(arr.size)
         if sample is not None and arr.size > sample:
             flat_ids = rng.choice(arr.size, size=sample, replace=False)
-        for fid in flat_ids:
+        central = np.empty(flat_ids.size)
+        analytic = np.empty(flat_ids.size)
+        for n, fid in enumerate(flat_ids):
             i, j = divmod(int(fid), arr.shape[1])
             probe = {k: v.copy() for k, v in point.items()}
             probe[name][i, j] = arr[i, j] + h
             f_plus = eval_at(probe)
             probe[name][i, j] = arr[i, j] - h
             f_minus = eval_at(probe)
-            central = (f_plus - f_minus) / (2.0 * h)
-            analytic = grads[name][i, j]
-            rel = abs(analytic - central) / (abs(central) + 1e-8)
-            worst = max(worst, rel)
+            central[n] = (f_plus - f_minus) / (2.0 * h)
+            analytic[n] = grads[name][i, j]
+        if flat_ids.size:
+            scale = np.maximum(np.abs(central), GRAD_CHECK_FLOOR * np.abs(central).max()) + 1e-8
+            err = np.abs(analytic - central) / scale
+            worst = max(worst, np.inf if np.isnan(err).any() else float(err.max()))
     return worst

@@ -289,7 +289,7 @@ def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
     collect = [[] for _ in range(gcfg.model.n_layers)] if collect_attention else None
     tape = ad.Tape()
     with ad.recording(tape):
-        p = tf.as_nodes(params, tape, trainable=False)
+        p = tf.as_nodes(params, tape, trainable=False, stage="encoder")
         z, logits = forward_nodes(p, gcfg, inputs, lam=lam, collect=collect)
     return (z.value, logits.value, collect) if collect_attention else (z.value, logits.value)
 

@@ -5,7 +5,9 @@ Adam, and one training loop for both grading modes.
 In exponential mode the loop re-anneals the base every step, recomputes the
 maximum grade over the model and head tuples, and caps the grade learning
 rate at 0.9x the stability bound before updating.  Learned grades are
-projected back to >= 0 after each step.
+projected back to >= 0 after each step.  Parameters and grades share one
+flat buffer, so clipping, Adam, the finiteness check and the rollback each
+run over whole buffers, not array by array.
 """
 
 from __future__ import annotations
@@ -84,44 +86,76 @@ def grade_lr_bound(mode: str, lam: float, q_max: float) -> float:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def clip_gradient(grads: dict[str, np.ndarray], threshold: float):
-    """Global-norm clipping over the concatenated gradient vector.
+class FlatLayout:
+    """Named arrays laid end to end in one flat float64 buffer, in dict order."""
 
-    Returns (clipped grads, pre-clip norm, post-clip norm, fired flag).
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        self.shapes = {k: np.shape(v) for k, v in arrays.items()}
+        self.offsets = np.cumsum([0] + [int(np.prod(s)) for s in self.shapes.values()])
+        self.size = int(self.offsets[-1])
+
+    def pack(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
+        """A new buffer holding copies of the arrays."""
+        return np.concatenate([np.ravel(arrays[k]) for k in self.shapes], dtype=np.float64)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Same-shaped views of each array's part of flat."""
+        return {k: flat[a:b].reshape(shape) for k, shape, a, b
+                in zip(self.shapes, self.shapes.values(), self.offsets, self.offsets[1:])}
+
+    def name_at(self, index: int) -> str:
+        return list(self.shapes)[int(np.searchsorted(self.offsets, index, side="right")) - 1]
+
+
+def clip_gradient(grads: np.ndarray, threshold: float):
+    """Global-norm clipping of a flat gradient buffer, in place.
+
+    Returns (pre-clip norm, post-clip norm, fired flag).
     """
-    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    total = float(np.sqrt(np.dot(grads, grads)))
     if total <= threshold or total == 0.0:
-        return grads, total, total, False
-    factor = threshold / total
-    clipped = {k: g * factor for k, g in grads.items()}
-    return clipped, total, threshold, True
+        return total, total, False
+    grads *= threshold / total
+    return total, threshold, True
 
 
 class AdamState:
-    """Per-parameter first/second moments with bias correction."""
+    """First and second moments of a flat buffer, its step count, and two
+    work buffers of the same size for the update."""
 
-    def __init__(self, params: dict[str, np.ndarray]):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    def __init__(self, size: int):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.work = (np.empty(size), np.empty(size))
         self.t = 0
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, lr: float | dict[str, float],
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """In-place Adam update; lr may be a per-name dict for mixed rates."""
+    """In-place Adam update of a flat buffer from its gradient.
+
+    Elementwise m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
+    params -= (lr mhat) / (sqrt(vhat) + eps), all into preallocated buffers.
+    """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
     bc2 = 1.0 - beta2**state.t
-    for name, g in grads.items():
-        if name not in params:
-            continue
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        mhat = state.m[name] / bc1
-        vhat = state.v[name] / bc2
-        step_lr = lr[name] if isinstance(lr, dict) else lr
-        params[name] -= step_lr * mhat / (np.sqrt(vhat) + eps)
+    m, v = state.m, state.v
+    a, b = state.work
+    np.multiply(grads, 1.0 - beta1, out=a)
+    np.multiply(m, beta1, out=m)
+    np.add(m, a, out=m)
+    np.multiply(grads, 1.0 - beta2, out=a)
+    np.multiply(a, grads, out=a)
+    np.multiply(v, beta2, out=v)
+    np.add(v, a, out=v)
+    np.divide(m, bc1, out=a)
+    np.multiply(a, lr, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    np.add(b, eps, out=b)
+    np.divide(a, b, out=a)
+    np.subtract(params, a, out=params)
 
 
 # ---------------------------------------------------------------------------
@@ -254,29 +288,46 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     data_x: (num, n, d) float input sequences or (num, n) int token ids;
     data_y: (num, n, out_dim) targets.  Loss weights come from the model
     grade tuple each step, so learned grades reshape the loss as they move.
+
+    The parameters and then the grade tuples live in one flat buffer, and
+    the gradient and both Adam moments in flat buffers of the same layout;
+    the returned arrays keep their shapes and are views of that buffer.
+    A non-finite loss, parameter or grade restores the state after the
+    last good step and raises DivergenceDetected naming the step and the
+    first non-finite array, with the restored result attached.
     """
     exponential = gcfg.mode == EXPONENTIAL
-    params = {k: v.copy() for k, v in params.items()}
     if cfg.grade_init_scale is not None:
         gcfg = replace(gcfg, grades=grade_init(cfg.grade_init_scale, gcfg.model.d_model),
                        head_grades=None)
     else:
         gcfg = replace(gcfg)
-
-    rng = Rng(cfg.seed)
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy()}
-    for i, qh in enumerate(gcfg.head_grades):
-        grade_arrays[f"q_head_{i}"] = qh.reshape(1, -1).copy()
-
-    theta_state = AdamState(params)
-    grade_state = AdamState(grade_arrays) if cfg.learn_grades else None
-
     num = data_x.shape[0]
     if data_y.shape[0] != num:
         raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
+
+    grade_arrays = {"q": gcfg.grades.reshape(1, -1)}
+    for i, qh in enumerate(gcfg.head_grades):
+        grade_arrays[f"q_head_{i}"] = qh.reshape(1, -1)
+    layout = FlatLayout({**params, **grade_arrays})
+    flat = layout.pack({**params, **grade_arrays})
+    views = layout.views(flat)
+    params = {k: views[k] for k in params}
+    grade_arrays = {k: views[k] for k in grade_arrays}
+    gcfg.grades = grade_arrays["q"].reshape(-1)
+    gcfg.head_grades = [grade_arrays[f"q_head_{i}"].reshape(-1)
+                        for i in range(gcfg.model.n_heads)]
+    n_theta = int(layout.offsets[len(params)])
+    theta, grades = flat[:n_theta], flat[n_theta:]
+    grad = np.zeros(layout.size)
+    grad_views = layout.views(grad)
+    theta_state = AdamState(theta.size)
+    grade_state = AdamState(grades.size) if cfg.learn_grades else None
+
+    rng = Rng(cfg.seed)
     metrics: list[dict] = []
-    last_good = {k: v.copy() for k, v in params.items()}
-    diverged = False
+    last_good = flat.copy()
+    failure = None
     start = time.perf_counter()
 
     for t in range(1, cfg.steps + 1):
@@ -286,42 +337,31 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         tape, total, main, reg = record_step(
             params, grade_arrays, gcfg, data_x[batch_ids], data_y[batch_ids], lam_t, cfg)
         loss_val = float(total.value[0, 0])
-
         if not np.isfinite(loss_val):
-            diverged = True
-            params = last_good
+            failure = "loss"
             break
 
-        grads = tape.backward(total)
-        if not cfg.learn_grades:
-            grads = {k: g for k, g in grads.items() if not k.startswith("q")}
-        grads, pre, post, fired = clip_gradient(grads, cfg.clip_threshold)
+        grad.fill(0.0)
+        tape.backward(total, out=grad_views)
+        pre, post, fired = clip_gradient(grad, cfg.clip_threshold)
 
-        q_max = max(float(v.max()) for v in grade_arrays.values())
         if exponential:
-            bound = grade_lr_bound(EXPONENTIAL, lam_t, q_max)
+            bound = grade_lr_bound(EXPONENTIAL, lam_t, float(grades.max()))
         else:
-            bound = grade_lr_bound(LINEAR, 1.0, gcfg.max_weight())
+            bound = grade_lr_bound(LINEAR, 1.0, float(gcfg.weights(grades).max()))
         eta_q = min(cfg.lr_grades, 0.9 * bound)
 
-        theta_grads = {k: g for k, g in grads.items() if k in params}
-        adam_step(params, theta_grads, theta_state, cfg.lr,
+        adam_step(theta, grad[:n_theta], theta_state, cfg.lr,
                   cfg.beta1, cfg.beta2, cfg.eps_adam)
         if cfg.learn_grades:
-            grade_grads = {k: g for k, g in grads.items() if k in grade_arrays}
-            adam_step(grade_arrays, grade_grads, grade_state, eta_q,
+            adam_step(grades, grad[n_theta:], grade_state, eta_q,
                       cfg.beta1, cfg.beta2, cfg.eps_adam)
-            for k in grade_arrays:
-                np.maximum(grade_arrays[k], 0.0, out=grade_arrays[k])
-            gcfg.grades = grade_arrays["q"].reshape(-1)
-            gcfg.head_grades = [grade_arrays[f"q_head_{i}"].reshape(-1)
-                                for i in range(gcfg.model.n_heads)]
+            np.maximum(grades, 0.0, out=grades)
 
-        if any(not np.all(np.isfinite(v)) for v in params.values()):
-            diverged = True
-            params = last_good
+        if not np.isfinite(flat).all():
+            failure = "update"
             break
-        last_good = {k: v.copy() for k, v in params.items()}
+        np.copyto(last_good, flat)
 
         metrics.append({
             "step": t,
@@ -333,8 +373,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             "grad_norm_post": post,
             "clipped": int(fired),
             "grade_norm": float(np.linalg.norm(grade_arrays["q"])),
-            "head_grade_norm": float(np.sqrt(sum(
-                np.sum(v**2) for k, v in grade_arrays.items() if k != "q"))),
+            "head_grade_norm": float(np.linalg.norm(grades[gcfg.grades.size:])),
             "eta_q": eta_q,
             "eta_q_bound": bound,
         })
@@ -346,17 +385,28 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
                 extra={"step": t, "lambda": lam_t},
             )
 
+    if failure:
+        message = _divergence_message(t, failure, layout, flat)
+        np.copyto(flat, last_good)
     result = TrainResult(
         params=params,
-        grades=grade_arrays["q"].reshape(-1),
-        head_grades=[grade_arrays[f"q_head_{i}"].reshape(-1)
-                     for i in range(gcfg.model.n_heads)],
+        grades=gcfg.grades,
+        head_grades=gcfg.head_grades,
         metrics=metrics,
-        diverged=diverged,
+        diverged=failure is not None,
         wall_time=time.perf_counter() - start,
     )
-    if diverged:
-        exc = DivergenceDetected("non-finite loss or parameter; aborting at last good state")
+    if failure:
+        exc = DivergenceDetected(message)
         exc.result = result
         raise exc
     return result
+
+
+def _divergence_message(t: int, failure: str, layout: FlatLayout, flat: np.ndarray) -> str:
+    bad = np.flatnonzero(~np.isfinite(flat))
+    culprit = f"first non-finite array {layout.name_at(bad[0])!r}" if bad.size \
+        else "every parameter and grade finite"
+    what = "loss" if failure == "loss" else "parameter or grade after the update"
+    return (f"non-finite {what} at step {t} ({culprit}); "
+            f"parameters and grades restored to step {t - 1}")

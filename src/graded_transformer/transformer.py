@@ -118,7 +118,18 @@ def init_params(cfg: ModelConfig, rng: Rng, decoder: bool = True) -> dict[str, n
     return p
 
 
-def as_nodes(params: dict[str, np.ndarray], tape: ad.Tape, trainable: bool) -> dict[str, ad.Node]:
+def as_nodes(params: dict[str, np.ndarray], tape: ad.Tape, trainable: bool,
+             stage: str | None = None) -> dict[str, ad.Node]:
+    """Parameters as tape leaves (trainable) or constants.
+
+    stage "encoder" wraps only the arrays the embedding, encoder and output
+    head read, "decoder" only the embedding table and the decoder layers;
+    None wraps every array.
+    """
+    if stage is not None:
+        decoder = stage == "decoder"
+        params = {k: v for k, v in params.items()
+                  if k.startswith("dec") == decoder or k == "embed"}
     if trainable:
         return {k: tape.param(k, v) for k, v in params.items()}
     return {k: tape.constant(v) for k, v in params.items()}
@@ -305,7 +316,7 @@ def encode(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray) -> np
     """Run the encoder on an already-embedded n x d matrix."""
     tape = ad.Tape()
     with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False)
+        p = as_nodes(params, tape, trainable=False, stage="encoder")
         out = encoder(p, tape.constant(x), cfg)
     return out.value
 
@@ -315,7 +326,7 @@ def generate(params: dict[str, np.ndarray], cfg: ModelConfig, tokens,
     """Encoder on the embedded tokens, then greedy_decode."""
     tape = ad.Tape()
     with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False)
+        p = as_nodes(params, tape, trainable=False, stage="encoder")
         z = encoder(p, embed_tokens(p, cfg, tokens), cfg)
     return greedy_decode(params, z.value, cfg, cfg.m_max if m_max is None else m_max, eos)
 
@@ -330,7 +341,7 @@ def greedy_decode(params: dict[str, np.ndarray], z: np.ndarray, cfg: ModelConfig
     """
     tape = ad.Tape()
     with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False)
+        p = as_nodes(params, tape, trainable=False, stage="decoder")
         z = tape.constant(z)
         positions = positional_matrix(min(m_max, cfg.m_max + 1), cfg.d_model, cfg.m_max + 1)
         cache: dict = {}

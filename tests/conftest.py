@@ -107,3 +107,96 @@ def copying_backward(tape, root):
                 parent.grad += contrib
     return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
             for name, leaf in tape.params.items()}
+
+
+# ---------------------------------------------------------------------------
+# reference optimizer: per-array clipping, Adam and rollback, one dict entry
+# per parameter or grade tuple (training.train keeps them in flat buffers)
+
+
+def ref_clip_gradient(grads, threshold):
+    """Reference: global-norm clipping summed array by array."""
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
+    if total <= threshold or total == 0.0:
+        return grads, total, total, False
+    factor = threshold / total
+    return {k: g * factor for k, g in grads.items()}, total, threshold, True
+
+
+class RefAdamState:
+    """Reference: per-name first/second moments."""
+
+    def __init__(self, params):
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.t = 0
+
+
+def ref_adam_step(params, grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Reference: in-place Adam over a dict of arrays."""
+    state.t += 1
+    bc1 = 1.0 - beta1**state.t
+    bc2 = 1.0 - beta2**state.t
+    for name, g in grads.items():
+        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
+        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        mhat = state.m[name] / bc1
+        vhat = state.v[name] / bc2
+        params[name] -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def ref_train(params, gcfg, data_x, data_y, cfg):
+    """Reference: training.train's loop over per-name dicts, rolling back
+    only the parameters on divergence.  Returns (params, grades,
+    head_grades, losses, diverged)."""
+    from dataclasses import replace
+
+    from graded_transformer import graded_space as gs
+    from graded_transformer import training
+
+    exponential = gcfg.mode == gs.EXPONENTIAL
+    params = {k: v.copy() for k, v in params.items()}
+    gcfg = replace(gcfg)
+    rng = Rng(cfg.seed)
+    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy()}
+    for i, qh in enumerate(gcfg.head_grades):
+        grade_arrays[f"q_head_{i}"] = qh.reshape(1, -1).copy()
+    theta_state = RefAdamState(params)
+    grade_state = RefAdamState(grade_arrays)
+    num = data_x.shape[0]
+    last_good = {k: v.copy() for k, v in params.items()}
+    losses, diverged = [], False
+    for t in range(1, cfg.steps + 1):
+        lam_t = training.anneal_lambda(t, cfg.steps, cfg.lambda_max) if exponential else 1.0
+        ids = rng.generator.integers(0, num, size=min(cfg.batch_size, num))
+        tape, total, _, _ = training.record_step(params, grade_arrays, gcfg, data_x[ids],
+                                                 data_y[ids], lam_t, cfg)
+        loss = float(total.value[0, 0])
+        if not np.isfinite(loss):
+            diverged, params = True, last_good
+            break
+        grads, *_ = ref_clip_gradient(tape.backward(total), cfg.clip_threshold)
+        if exponential:
+            q_max = max(float(v.max()) for v in grade_arrays.values())
+            bound = training.grade_lr_bound(gs.EXPONENTIAL, lam_t, q_max)
+        else:
+            bound = training.grade_lr_bound(gs.LINEAR, 1.0, gcfg.max_weight())
+        eta_q = min(cfg.lr_grades, 0.9 * bound)
+        ref_adam_step(params, {k: grads[k] for k in params}, theta_state, cfg.lr,
+                      cfg.beta1, cfg.beta2, cfg.eps_adam)
+        if cfg.learn_grades:
+            ref_adam_step(grade_arrays, {k: grads[k] for k in grade_arrays}, grade_state,
+                          eta_q, cfg.beta1, cfg.beta2, cfg.eps_adam)
+            for v in grade_arrays.values():
+                np.maximum(v, 0.0, out=v)
+            gcfg.grades = grade_arrays["q"].reshape(-1)
+            gcfg.head_grades = [grade_arrays[f"q_head_{i}"].reshape(-1)
+                                for i in range(gcfg.model.n_heads)]
+        if any(not np.all(np.isfinite(v)) for v in params.values()):
+            diverged, params = True, last_good
+            break
+        last_good = {k: v.copy() for k, v in params.items()}
+        losses.append(loss)
+    return (params, grade_arrays["q"].reshape(-1),
+            [grade_arrays[f"q_head_{i}"].reshape(-1) for i in range(gcfg.model.n_heads)],
+            losses, diverged)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -147,7 +149,7 @@ class TestPrimitiveGradients:
         "sigmoid", "transpose", "vstack",
     ])
     def test_primitive(self, case):
-        g = np.random.default_rng(hash(case) % 2**32)
+        g = np.random.default_rng(zlib.crc32(case.encode()))
         worst = 0.0
         for _ in range(20):
             x0 = g.normal(0.0, 1.0, (3, 4))

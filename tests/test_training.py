@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, copying_backward
+from conftest import (
+    RefAdamState,
+    assert_close,
+    copying_backward,
+    ref_adam_step,
+    ref_clip_gradient,
+    ref_train,
+)
 
 
 def tiny_setup(mode=gs.LINEAR, **gkw):
@@ -85,25 +94,39 @@ class TestCompositeLoss:
 
 class TestClip:
     def test_below_threshold_unchanged(self):
-        grads = {"a": np.array([[3.0, 4.0]])}
-        out, pre, post, fired = training.clip_gradient(grads, 10.0)
+        grads = np.array([3.0, 4.0])
+        pre, post, fired = training.clip_gradient(grads, 10.0)
         assert not fired and pre == post == 5.0
-        assert np.array_equal(out["a"], grads["a"])
+        assert np.array_equal(grads, [3.0, 4.0])
 
     def test_halving(self):
-        grads = {"a": np.array([[6.0, 8.0]])}  # norm 10
-        out, pre, post, fired = training.clip_gradient(grads, 5.0)
+        grads = np.array([6.0, 8.0])  # norm 10
+        pre, post, fired = training.clip_gradient(grads, 5.0)
         assert fired and pre == 10.0 and post == 5.0
-        assert_close(out["a"], [[3.0, 4.0]])
+        assert_close(grads, [3.0, 4.0])
 
     def test_post_norm_bounded(self):
         g = Rng(1).generator
         for _ in range(50):
-            grads = {f"p{i}": g.normal(0, 2, (2, 3)) for i in range(3)}
+            grads = np.concatenate([g.normal(0, 2, (2, 3)).ravel() for i in range(3)])
             tau = float(g.uniform(0.1, 4.0))
-            out, *_ = training.clip_gradient(grads, tau)
-            norm = float(np.sqrt(sum(np.sum(v * v) for v in out.values())))
+            training.clip_gradient(grads, tau)
+            norm = float(np.sqrt(np.sum(grads * grads)))
             assert norm <= tau * (1 + 1e-12)
+
+    def test_matches_per_array_reference(self):
+        # one pass over the flat buffer against the sum of per-array sums
+        g = Rng(6).generator
+        for _ in range(50):
+            arrays = {f"p{i}": g.normal(0, 2, (i + 1, 3)) for i in range(4)}
+            tau = float(g.uniform(0.1, 8.0))
+            want, want_pre, _, want_fired = ref_clip_gradient(arrays, tau)
+            flat = np.concatenate([v.ravel() for v in arrays.values()])
+            pre, _, fired = training.clip_gradient(flat, tau)
+            assert fired == want_fired
+            assert abs(pre - want_pre) <= 1e-15 * want_pre
+            ref = np.concatenate([v.ravel() for v in want.values()])
+            assert np.abs(flat - ref).max() <= 1e-15 * np.abs(ref).max()
 
 
 class TestSchedulesAndBounds:
@@ -137,31 +160,47 @@ class TestSchedulesAndBounds:
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        params = {"w": np.array([[1.0, -2.0]])}
-        state = training.AdamState(params)
-        training.adam_step(params, {"w": np.zeros((1, 2))}, state, 0.1)
-        assert_close(params["w"], [[1.0, -2.0]])
+        params = np.array([1.0, -2.0])
+        state = training.AdamState(2)
+        training.adam_step(params, np.zeros(2), state, 0.1)
+        assert_close(params, [1.0, -2.0])
 
     def test_constant_gradient_step_approaches_lr_sign(self):
-        params = {"w": np.array([[0.0]])}
-        state = training.AdamState(params)
-        prev = 0.0
+        params = np.array([0.0])
+        state = training.AdamState(1)
         step = None
         for _ in range(200):
-            before = params["w"][0, 0]
-            training.adam_step(params, {"w": np.array([[2.5]])}, state, 1e-2)
-            step = before - params["w"][0, 0]
+            before = params[0]
+            training.adam_step(params, np.array([2.5]), state, 1e-2)
+            step = before - params[0]
         assert step == pytest.approx(1e-2, rel=1e-3)
 
     def test_determinism(self):
         def run():
-            params = {"w": np.array([[0.3, -0.7]])}
-            state = training.AdamState(params)
+            params = np.array([0.3, -0.7])
+            state = training.AdamState(2)
             g = Rng(3).generator
             for _ in range(20):
-                training.adam_step(params, {"w": g.normal(size=(1, 2))}, state, 1e-2)
-            return params["w"]
+                training.adam_step(params, g.normal(size=(1, 2)).ravel(), state, 1e-2)
+            return params
         assert np.array_equal(run(), run())
+
+    def test_bitwise_equal_to_per_array_reference(self):
+        g = Rng(12).generator
+        shapes = {"w": (3, 4), "b": (1, 4), "q": (1, 5)}
+        ref = {k: g.normal(0.0, 1.0, s) for k, s in shapes.items()}
+        layout = training.FlatLayout(ref)
+        flat = layout.pack(ref)
+        views = layout.views(flat)
+        state, ref_state = training.AdamState(flat.size), RefAdamState(ref)
+        for step in range(40):
+            grads = {k: g.normal(0.0, 10.0 ** g.integers(-6, 3), s) for k, s in shapes.items()}
+            grads["b"][0, step % 4] = 0.0
+            lr = 10.0 ** g.uniform(-4, -1)
+            ref_adam_step(ref, grads, ref_state, lr)
+            training.adam_step(flat, layout.pack(grads), state, lr)
+            for k in shapes:
+                assert np.array_equal(views[k], ref[k]), (step, k)
 
 
 class TestTrainLoop:
@@ -216,7 +255,57 @@ class TestTrainLoop:
         tc = training.TrainConfig(steps=5, seed=1, batch_size=2)
         with pytest.raises(DivergenceDetected) as exc_info:
             training.train(bad, gcfg, ds.x, ds.y, tc)
-        assert exc_info.value.result.diverged
+        result = exc_info.value.result
+        assert result.diverged and result.metrics == []
+        assert str(exc_info.value) == (
+            "non-finite loss at step 1 (first non-finite array 'w_out'); "
+            "parameters and grades restored to step 0")
+        assert np.array_equal(result.grades, gcfg.grades)
+        assert all(np.array_equal(a, b) for a, b in zip(result.head_grades, gcfg.head_grades))
+
+    def diverge_at_step_3(self, monkeypatch, target, poison):
+        """Train 5 steps with `poison` applied to the output of `target` at
+        step 3; the result must equal a clean 2-step run."""
+        cfg, params, gcfg, ds = tiny_setup()
+        tc = training.TrainConfig(steps=5, seed=1, batch_size=4)
+        clean = training.train(params, gcfg, ds.x, ds.y, replace(tc, steps=2))
+        real, calls = getattr(training, target), []
+
+        def poisoned(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(None)
+            if len(calls) == 3:
+                poison(args, out)
+            return out
+
+        monkeypatch.setattr(training, target, poisoned)
+        with pytest.raises(DivergenceDetected) as exc_info:
+            training.train(params, gcfg, ds.x, ds.y, tc)
+        result = exc_info.value.result
+        assert result.diverged and len(result.metrics) == 2
+        assert np.array_equal(result.grades, clean.grades)
+        for a, b in zip(result.head_grades, clean.head_grades):
+            assert np.array_equal(a, b)
+        for k in clean.params:
+            assert np.array_equal(result.params[k], clean.params[k]), k
+        return str(exc_info.value)
+
+    def test_divergence_in_grade_gradient_rolls_back_grades(self, monkeypatch):
+        def poison(args, out):
+            args[0][-1] = np.nan  # last entry of the flat gradient: q_head_1
+
+        message = self.diverge_at_step_3(monkeypatch, "clip_gradient", poison)
+        assert message == ("non-finite parameter or grade after the update at step 3 "
+                           "(first non-finite array 'q_head_1'); "
+                           "parameters and grades restored to step 2")
+
+    def test_divergence_in_loss(self, monkeypatch):
+        def poison(args, out):
+            out[1].value[0, 0] = np.inf
+
+        message = self.diverge_at_step_3(monkeypatch, "record_step", poison)
+        assert message == ("non-finite loss at step 3 (every parameter and grade finite); "
+                           "parameters and grades restored to step 2")
 
     def test_determinism(self):
         cfg, params, gcfg, ds = tiny_setup()
@@ -365,3 +454,38 @@ class TestBackwardCopies:
             assert set(grads) == set(want)
             for name in want:
                 assert np.array_equal(grads[name], want[name]), name
+
+    def test_flat_out_equals_fresh_arrays(self):
+        # gradients summed into zeroed views of one buffer, as train does
+        for params, gcfg, ds, tc in workload_setups():
+            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+            tape, total, _, _ = training.record_step(
+                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+            want = tape.backward(total)
+            layout = training.FlatLayout(want)
+            flat = np.zeros(layout.size)
+            got = tape.backward(total, out=layout.views(flat))
+            assert set(got) == set(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), name
+                assert np.shares_memory(got[name], flat), name
+
+
+class TestFlatState:
+    def test_train_matches_per_array_reference(self):
+        for params, gcfg, ds, tc in workload_setups():
+            tc = replace(tc, steps=6)
+            res = training.train(params, gcfg, ds.x, ds.y, tc)
+            ref_params, ref_q, ref_heads, ref_losses, _ = ref_train(params, gcfg, ds.x, ds.y, tc)
+            assert len(res.metrics) == len(ref_losses) == 6
+            pairs = [(k, res.params[k], ref_params[k]) for k in ref_params]
+            pairs += [("q", res.grades, ref_q)]
+            pairs += [(f"q_head_{i}", a, b) for i, (a, b) in
+                      enumerate(zip(res.head_grades, ref_heads))]
+            assert set(res.params) == set(ref_params)
+            for name, got, want in pairs:
+                assert got.shape == want.shape, name
+                dev = np.abs(got - want).max()
+                assert dev <= 1e-12 * np.abs(want).max(), f"{name}: {dev:.3e}"
+            for got, want in zip(res.metric_column("loss"), ref_losses):
+                assert abs(got - want) <= 1e-12 * abs(want)
