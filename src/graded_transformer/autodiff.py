@@ -5,6 +5,12 @@ recorded in creation order, which is a valid topological order, so the
 backward pass is a single reverse sweep.  Each primitive stores its local
 vector-Jacobian products as closures.
 
+A tape with no parameter leaf keeps values only: until the first
+`Tape.param` call, every op and constant returns a bare node with no
+parents or VJPs, and the tape does not keep it.  A node depends only on
+nodes made before it, so such a node can never carry a gradient; forward
+passes that no one differentiates pay for no bookkeeping, with no flag.
+
 Gradients w.r.t. exponential-grading bases are obtained by writing
 ``base**q`` as ``exp(q * ln(base))`` on the tape, so the grade derivative
 is exactly ``base**q * ln(base)``.
@@ -56,6 +62,8 @@ class Node:
 class Tape:
     """Recording context: ordered node list plus named parameter leaves.
 
+    Nodes are kept only once a parameter leaf is registered; before that
+    the tape records values only (see the module docstring).
     Single-threaded during recording and backward; independent tapes may
     run concurrently.
     """
@@ -76,7 +84,8 @@ class Tape:
         return node
 
     def constant(self, value) -> Node:
-        return self.record(Node(_as2d(value)))
+        node = Node(_as2d(value))
+        return self.record(node) if self.params else node
 
     def backward(self, root: Node, out: dict[str, np.ndarray] | None = None
                  ) -> dict[str, np.ndarray]:
@@ -158,7 +167,10 @@ def wrap(x) -> Node:
 
 
 def _rec(value, parents, vjps) -> Node:
-    return _tape().record(Node(value, tuple(parents), tuple(vjps)))
+    tape = _tape()
+    if not tape.params:  # values only: nothing made so far can carry a gradient
+        return Node(value)
+    return tape.record(Node(value, tuple(parents), tuple(vjps)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,16 +391,18 @@ def layer_norm_rows(x, gamma, beta, eps: float) -> Node:
     d = x.shape[1]
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=1, keepdims=True)
+    # Row means as sum / d: the values of ndarray.mean without its
+    # per-call Python overhead.
+    centred = x.value - x.value.sum(axis=1, keepdims=True) / d
+    var = (centred ** 2).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.value - mu) * inv
+    xhat = centred * inv
     gv = gamma.value
 
     def vjp_x(g):
         gh = g * gv
-        return (gh - gh.mean(axis=1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=1, keepdims=True)) * inv
+        return (gh - gh.sum(axis=1, keepdims=True) / d
+                - xhat * ((gh * xhat).sum(axis=1, keepdims=True) / d)) * inv
 
     return _rec(
         xhat * gv + beta.value,
@@ -433,7 +447,7 @@ def vstack(parts: Sequence[Node]) -> Node:
         (lambda a, b: (lambda g: g[a:b]))(offsets[i], offsets[i + 1])
         for i in range(len(parts))
     ]
-    return _rec(np.vstack([p.value for p in parts]), tuple(parts), tuple(vjps))
+    return _rec(np.concatenate([p.value for p in parts]), tuple(parts), tuple(vjps))
 
 
 def graded_relu_op(x, grades, sign_preserving: bool = False) -> Node:

@@ -17,7 +17,7 @@ from . import tasks
 from . import tensor
 from . import training
 from . import transformer as tf
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceDetected
 from .graded_space import EXPONENTIAL, LINEAR, WeightMap, affine_map
 from .tensor import Rng
 
@@ -117,7 +117,13 @@ def _final_eval(params, gcfg, ds, n_eval: int, lam: float | None):
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
-    """Train per config; returns the summary dict (also written to disk)."""
+    """Train per config; returns the summary dict (also written to disk).
+
+    A diverged run writes its metrics CSV and a summary entry with
+    "diverged": true, the divergence message and the completed steps
+    (loss fields null when none completed), then re-raises; later runs
+    do not start.
+    """
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = default_model_config(cfg.task, cfg.model)
@@ -139,7 +145,21 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for name, rcfg in runs.items():
         params = tf.init_params(model, Rng(cfg.init_seed), decoder=False)
         start = time.perf_counter()
-        result = training.train(params, rcfg, ds.x, ds.y, tcfg, checkpoint_dir=str(out / name))
+        try:
+            result = training.train(params, rcfg, ds.x, ds.y, tcfg,
+                                    checkpoint_dir=str(out / name))
+        except DivergenceDetected as exc:
+            metrics = exc.result.metrics
+            training.write_metrics_csv(out / f"{name}_metrics.csv", metrics)
+            summary["runs"][name] = {
+                **_loss_fields(metrics),
+                "wall_time_s": time.perf_counter() - start,
+                "steps": len(metrics),
+                "diverged": True,
+                "divergence": str(exc),
+            }
+            _write_summary(out, summary)
+            raise
         wall = time.perf_counter() - start
         lam = result.metrics[-1]["lambda"] if rcfg.mode == EXPONENTIAL else None
         final_cfg = graded.GradedModelConfig(
@@ -161,9 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             },
         )
         summary["runs"][name] = {
-            "first_loss": result.metrics[0]["loss"],
-            "final_loss": result.metrics[-1]["loss"],
-            "loss_ratio": result.metrics[-1]["loss"] / result.metrics[0]["loss"],
+            **_loss_fields(result.metrics),
             "per_dim_error": errs.tolist(),
             "grade_weighted_error": float(np.sum(final_weights * errs)),
             "high_grade_error": float(np.mean(errs[list(tasks.POLY_SIGNAL_DIMS)]))
@@ -176,9 +194,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "wall_time_s": wall,
             "steps": len(result.metrics),
             "diverged": result.diverged,
+            "divergence": None,
         }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_summary(out, summary)
     return summary
+
+
+def _loss_fields(metrics: list[dict]) -> dict:
+    """First and final loss and their ratio; None when no step completed."""
+    if not metrics:
+        return {"first_loss": None, "final_loss": None, "loss_ratio": None}
+    first, final = metrics[0]["loss"], metrics[-1]["loss"]
+    return {"first_loss": first, "final_loss": final, "loss_ratio": final / first}
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
 
 
 def evaluate_checkpoint(checkpoint_path, data_path) -> dict:

@@ -2,7 +2,8 @@
 
 Forward passes are written against the autodiff tape so the same code
 serves training and inference; inference wraps parameters as constants
-and reads back plain arrays.  Post-norm residual order throughout:
+on a tape with no parameter leaf, which keeps values only, and reads
+back plain arrays.  Post-norm residual order throughout:
 X' = Ln(X + Mh(X)), then Ln(X' + Fnn(X')).
 
 Positions are 1-based.  Token ids live in [1, vocab_size]; id 1 is the
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,10 +157,18 @@ def positional_encoding(i: int, d: int, n_max: int | None = None) -> np.ndarray:
 
 
 def positional_matrix(n: int, d: int, n_max: int | None = None) -> np.ndarray:
-    """Encodings of positions 1..n, one row each."""
+    """Encodings of positions 1..n, one row each: a read-only table shared
+    by every call with the same (n, d)."""
     if n_max is not None and n > n_max:
         raise PositionOutOfRange(f"position {n} outside [1, {n_max}]")
-    return _sinusoids(np.arange(1, n + 1, dtype=np.float64), d)
+    return _sinusoid_table(n, d)
+
+
+@lru_cache(maxsize=64)
+def _sinusoid_table(n: int, d: int) -> np.ndarray:
+    table = _sinusoids(np.arange(1, n + 1, dtype=np.float64), d)
+    table.flags.writeable = False
+    return table
 
 
 def causal_mask(n: int) -> np.ndarray:
@@ -166,10 +176,10 @@ def causal_mask(n: int) -> np.ndarray:
     return np.triu(np.full((n, n), MASK_VALUE), k=1)
 
 
-def check_tokens(tokens, cfg: ModelConfig, limit: int | None = None) -> np.ndarray:
+def check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     """Validated ids: one sequence (n,) or a batch (B, n) of equal-length
-    sequences.  The length cap applies to each sequence."""
-    cap = cfg.n_max if limit is None else limit
+    sequences.  The length cap n_max applies to each sequence."""
+    cap = cfg.n_max
     try:
         ids = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
     except ValueError as exc:  # ragged batch
@@ -346,16 +356,17 @@ def greedy_decode(params: dict[str, np.ndarray], z: np.ndarray, cfg: ModelConfig
         positions = positional_matrix(min(m_max, cfg.m_max + 1), cfg.d_model, cfg.m_max + 1)
         cache: dict = {}
         out: list[int] = []
-        generated = [START_TOKEN]
+        token = START_TOKEN
         while len(out) < m_max:
-            ids = check_tokens(generated, cfg, limit=cfg.m_max + 1)
-            t = ids.size
-            row = ad.add(ad.embedding_rows(p["embed"], ids[-1:] - 1), positions[t - 1:t])
+            # argmax + 1 keeps every id in range; only the length needs a check
+            t = len(out) + 1
+            if t > cfg.m_max + 1:
+                raise SequenceTooLong(f"sequence of length {t} exceeds {cfg.m_max + 1}")
+            row = ad.add(ad.embedding_rows(p["embed"], [token - 1]), positions[t - 1:t])
             dec = decoder(p, row, z, cfg, cache)
             logits = dec.value[-1] @ params["embed"].T
             token = int(np.argmax(logits)) + 1  # argmax returns the first max
             out.append(token)
-            generated.append(token)
             if token == eos:
                 break
     return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from graded_transformer import autodiff as ad
 from graded_transformer import transformer as tf
 from graded_transformer.tensor import Rng
 
@@ -107,6 +108,43 @@ def copying_backward(tape, root):
                 parent.grad += contrib
     return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
             for name, leaf in tape.params.items()}
+
+
+# ---------------------------------------------------------------------------
+# references for values-only inference
+
+
+def recorded(fn, *args, **kwargs):
+    """Reference: fn(*args, **kwargs) with every tape it makes holding an
+    unused parameter leaf from the start, so each records full nodes with
+    parents and VJPs, as every tape did before the values-only rule.
+    Returns fn's result and, per tape made, the number of op nodes (nodes
+    with parents) it recorded."""
+    tapes = []
+
+    class RecordingTape(ad.Tape):
+        def __init__(self):
+            super().__init__()
+            self.param("unused", np.zeros((1, 1)))
+            tapes.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "Tape", RecordingTape)
+        out = fn(*args, **kwargs)
+    return out, [sum(1 for node in t.nodes if node.parents) for t in tapes]
+
+
+def mean_layer_norm(x, gamma, beta, eps, g):
+    """Reference: ad.layer_norm_rows' value and x-adjoint for the output
+    adjoint g, with row means taken by ndarray.mean."""
+    mu = x.mean(axis=1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    gh = g * gamma
+    dx = (gh - gh.mean(axis=1, keepdims=True)
+          - xhat * (gh * xhat).mean(axis=1, keepdims=True)) * inv
+    return xhat * gamma + beta, dx
 
 
 # ---------------------------------------------------------------------------

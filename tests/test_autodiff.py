@@ -8,7 +8,7 @@ from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoot
 
-from conftest import assert_close, copying_backward
+from conftest import assert_close, copying_backward, mean_layer_norm
 
 
 def scalar(fn, point):
@@ -105,6 +105,73 @@ class TestGradientAliasing:
         ref = copying_backward(tape2, root2)
         for name in point:
             assert np.array_equal(grads[name], ref[name]), name
+
+
+class TestValuesOnly:
+    """A tape with no parameter leaf keeps values only."""
+
+    def setup_method(self):
+        g = np.random.default_rng(11)
+        self.a = g.normal(0.0, 1.0, (3, 4))
+        self.w0 = g.normal(0.0, 1.0, (4, 2))
+        self.up = g.uniform(0.5, 1.5, (3, 2))
+
+    def test_param_free_tape_keeps_no_nodes(self):
+        tape = ad.Tape()
+        with ad.recording(tape):
+            c = tape.constant(self.a)
+            h = ad.relu(ad.matmul(c, ad.transpose(c)))
+            y = ad.layer_norm_rows(h, np.ones((1, 3)), np.zeros((1, 3)), 1e-5)
+            s = ad.sum_all(ad.vstack([y, ad.softmax_rows(y)]))
+        assert tape.nodes == [] and tape.params == {}
+        for node in (c, h, y, s):
+            assert node.parents == () and node.vjps == ()
+        assert np.array_equal(h.value, np.maximum(self.a @ self.a.T, 0.0))
+
+    def test_late_param_gets_unchanged_gradients(self):
+        a, up = self.a, self.up
+
+        def fn(p):
+            return ad.sum_all(ad.mul(ad.matmul(ad.softmax_rows(a), p["w"]), up))
+
+        tape = ad.Tape()
+        with ad.recording(tape):
+            c = ad.softmax_rows(tape.constant(a))  # before any parameter: values only
+            assert tape.nodes == [] and c.parents == ()
+            w = tape.param("w", self.w0)
+            root = ad.sum_all(ad.mul(ad.matmul(c, w), up))
+        assert tape.nodes[0] is w and len(tape.nodes) == 5  # w, matmul, up, mul, sum_all
+        ref_tape, ref_root = scalar(fn, {"w": self.w0})
+        want = ref_tape.backward(ref_root)["w"]
+        for _ in range(2):  # a second sweep over the same tape gives the same
+            assert np.array_equal(tape.backward(root)["w"], want)
+        assert ad.grad_check(fn, {"w": self.w0}) <= 1e-4
+
+    def test_nested_param_free_tape(self):
+        outer = ad.Tape()
+        with ad.recording(outer):
+            w = outer.param("w", self.w0)
+            inner = ad.Tape()
+            with ad.recording(inner):
+                v = ad.relu(inner.constant(self.a))
+            assert inner.nodes == [] and v.parents == ()
+            root = ad.sum_all(ad.mul(ad.matmul(v, w), self.up))
+        assert len(outer.nodes) == 5  # w, matmul, up, mul, sum_all
+        assert_close(outer.backward(root)["w"], v.value.T @ self.up, tol=1e-14)
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_layer_norm_equals_mean_reference(self, d):
+        g = np.random.default_rng(d)
+        x = g.normal(0.0, 3.0, (6, d)) + g.normal(0.0, 50.0, (6, 1))
+        x[2] = 1.25  # a constant row: zero variance
+        gamma, beta = g.uniform(0.5, 1.5, (1, d)), g.normal(0.0, 1.0, (1, d))
+        up = g.normal(0.0, 1.0, (6, d))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            y = ad.layer_norm_rows(tape.param("x", x), gamma, beta, 1e-5)
+        want_y, want_dx = mean_layer_norm(x, gamma, beta, 1e-5, up)
+        assert np.array_equal(y.value, want_y)
+        assert np.array_equal(y.vjps[0](up), want_dx)
 
 
 class TestGradCheck:

@@ -15,6 +15,7 @@ from graded_transformer import harness
 from graded_transformer import props
 from graded_transformer import tasks
 from graded_transformer import tensor
+from graded_transformer import training
 from graded_transformer import transformer as tf
 from graded_transformer.harness import ExperimentConfig, evaluate_checkpoint, run_experiment
 from graded_transformer.tensor import Rng
@@ -412,6 +413,29 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"task": "poly_degree"}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 3
+
+    @pytest.mark.parametrize("scale, steps", [(500, 0), (100, 1)])
+    def test_diverged_run_writes_artifacts(self, tmp_path, scale, steps):
+        # grade_init_scale 500 overflows the loss at step 1; 100 at step 2
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "task": "poly_degree", "mode": "exponential", "out_dir": str(out),
+            "train": {"steps": 10, "lambda_max": 60, "grade_init_scale": scale}}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 3
+        assert f"non-finite loss at step {steps + 1}" in err.getvalue()
+        rows = (out / "graded_metrics.csv").read_text().splitlines()
+        assert rows[0].split(",") == training.METRIC_FIELDS
+        assert len(rows) == 1 + steps
+        run = json.loads((out / "summary.json").read_text())["runs"]["graded"]
+        assert run["diverged"] is True and run["steps"] == steps
+        assert run["divergence"] == err.getvalue().removeprefix("divergence: ").strip()
+        if steps:
+            assert run["first_loss"] == run["final_loss"] and run["loss_ratio"] == 1.0
+        else:
+            assert run["first_loss"] is run["final_loss"] is run["loss_ratio"] is None
 
     @pytest.mark.parametrize("grading", [{"weight_map": "identity"},
                                          {"attention_variant": "bogus"}])

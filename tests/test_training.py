@@ -23,6 +23,7 @@ from conftest import (
     copying_backward,
     ref_adam_step,
     ref_clip_gradient,
+    recorded,
     ref_train,
 )
 
@@ -441,6 +442,65 @@ def workload_setups():
     yield (tf.init_params(cfg, Rng(0), decoder=False), gcfg,
            tasks.gen_hier_copy(32, 32, 1, vocab=32),
            training.TrainConfig(base_loss="sigmoid_ce"))
+
+
+def decoder_rows(monkeypatch, fn, *args):
+    """fn(*args) and a copy of every row block tf.decoder returns in it."""
+    rows, real = [], tf.decoder
+
+    def spy(*a, **kw):
+        out = real(*a, **kw)
+        rows.append(out.value.copy())
+        return out
+
+    monkeypatch.setattr(tf, "decoder", spy)
+    out = fn(*args)
+    monkeypatch.setattr(tf, "decoder", real)
+    return out, rows
+
+
+class TestValuesOnlyInference:
+    """Inference tapes hold no parameter leaf, so they keep values only; the
+    values equal those of tapes that record every node (conftest.recorded)."""
+
+    def assert_same(self, fn, *args):
+        want, counts = recorded(fn, *args)
+        assert counts and min(counts) > 0  # the reference really recorded
+        got = fn(*args)
+        for a, b in zip(got if isinstance(got, tuple) else [got],
+                        want if isinstance(want, tuple) else [want]):
+            assert np.array_equal(a, b)
+        return got
+
+    def test_workload_models_bitwise(self, monkeypatch):
+        for params, gcfg, ds, _ in workload_setups():
+            cfg = gcfg.model
+            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else None
+            z, _ = self.assert_same(graded.forward, params, gcfg, ds.x[:4], lam)
+            z = z[:ds.x.shape[1]]  # the first sequence's encoder rows
+            self.assert_same(tf.encode, params, cfg, z)
+            if cfg.vocab_size:
+                full = tf.init_params(cfg, Rng(0), decoder=True)
+                want, want_rows = decoder_rows(monkeypatch, recorded, tf.greedy_decode,
+                                               full, z, cfg, cfg.m_max)
+                got, rows = decoder_rows(monkeypatch, tf.greedy_decode, full, z, cfg, cfg.m_max)
+                assert got == want[0] and len(rows) == len(want_rows) == len(got)
+                assert all(np.array_equal(a, b) for a, b in zip(rows, want_rows))
+
+    def test_token_model_with_decoder_bitwise(self, token_model, monkeypatch):
+        cfg, params = token_model
+        gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL,
+                                        grades=Rng(3).generator.uniform(0.0, 1.0, 8),
+                                        attention_variant="queries_keys",
+                                        positional="exp_decay", alpha=0.25)
+        prompt = [1, 5, 7, 3, 9]
+        self.assert_same(tf.generate, params, cfg, prompt)
+        want, want_rows = decoder_rows(monkeypatch, recorded, graded.graded_generate,
+                                       params, gcfg, prompt, None, 1.7)
+        got, rows = decoder_rows(monkeypatch, graded.graded_generate, params, gcfg, prompt,
+                                 None, 1.7)
+        assert got == want[0] and len(rows) == len(want_rows) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(rows, want_rows))
 
 
 class TestBackwardCopies:

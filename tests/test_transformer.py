@@ -88,6 +88,14 @@ class TestPositionalEncoding:
                 assert np.array_equal(tf.positional_matrix(n, d), want), (n, d)
             assert np.array_equal(tf.positional_encoding(64, d), want[-1])
 
+    def test_matrix_is_one_read_only_table(self):
+        table = tf.positional_matrix(8, 4)
+        assert tf.positional_matrix(8, 4, n_max=16) is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            table += 1.0
+
 
 class TestEmbedding:
     def test_lookup_matches_table_row(self, token_model):
@@ -337,7 +345,9 @@ def full_prefix_decode(params, z, cfg, m_max, eos):
         z = tape.constant(z)
         out, rows, generated = [], [], [tf.START_TOKEN]
         while len(out) < m_max:
-            ids = tf.check_tokens(generated, cfg, limit=cfg.m_max + 1)
+            if len(generated) > cfg.m_max + 1:
+                raise SequenceTooLong(f"{len(generated)} tokens exceed {cfg.m_max + 1}")
+            ids = np.array(generated)
             emb = ad.add(ad.embedding_rows(p["embed"], ids - 1),
                          tf.positional_matrix(ids.size, cfg.d_model, cfg.m_max + 1))
             row = tf.decoder(p, emb, z, cfg).value[-1]
