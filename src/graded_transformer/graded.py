@@ -181,19 +181,8 @@ def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) 
 
 def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
     """Decayed encodings of positions 1..n: row t is positional_scale(t) * PE(t)."""
-    table = tf.positional_matrix(n, gcfg.model.d_model, gcfg.model.n_max)
-    t = np.arange(1, n + 1, dtype=np.float64)
-    if gcfg.positional == "off":
-        scales = np.ones(n)
-    elif gcfg.positional == "linear_decay":
-        scales = 1.0 - gcfg.alpha * t
-    else:
-        b = gcfg.base if lam is None else lam
-        # Object entries take Python's float pow per position, as
-        # positional_scale does: numpy's float64 power may run a SIMD
-        # kernel that differs from it in the last bit.
-        scales = np.power(b, -gcfg.alpha * t.astype(object)).astype(np.float64)
-    return scales[:, None] * table
+    scales = np.array([positional_scale(t, gcfg, lam) for t in range(1, n + 1)])
+    return scales[:, None] * tf.positional_matrix(n, gcfg.model.d_model, gcfg.model.n_max)
 
 
 class AttentionGrading:

@@ -179,19 +179,18 @@ def causal_mask(n: int) -> np.ndarray:
 def check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     """Validated ids: one sequence (n,) or a batch (B, n) of equal-length
     sequences.  The length cap n_max applies to each sequence."""
-    cap = cfg.n_max
     try:
         ids = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
     except ValueError as exc:  # ragged batch
-        if any(len(row) > cap for row in tokens):
-            raise SequenceTooLong(f"a sequence of the batch exceeds {cap}") from exc
+        if any(len(row) > cfg.n_max for row in tokens):
+            raise SequenceTooLong(f"a sequence of the batch exceeds {cfg.n_max}") from exc
         raise DimensionMismatch("batched sequences must share one length") from exc
     if ids.ndim > 2:
         raise DimensionMismatch(f"token ids must be (n,) or (B, n), got {ids.ndim}-D")
     if np.any(ids < 1) or np.any(ids > cfg.vocab_size):
         raise TokenOutOfRange(f"token ids must lie in [1, {cfg.vocab_size}]")
-    if ids.shape[-1] > cap:
-        raise SequenceTooLong(f"sequence of length {ids.shape[-1]} exceeds {cap}")
+    if ids.shape[-1] > cfg.n_max:
+        raise SequenceTooLong(f"sequence of length {ids.shape[-1]} exceeds {cfg.n_max}")
     return ids
 
 
