@@ -5,6 +5,12 @@ recorded in creation order, which is a valid topological order, so the
 backward pass is a single reverse sweep.  Each primitive stores its local
 vector-Jacobian products as closures.
 
+Each transformer sublayer is one node: `feed_forward_rows` is
+relu(x w1 + b1) w2 + b2, `layer_norm_rows` is the residual step LN(x + r)
+and `attention_rows` is scaled dot-product attention for every head and
+sequence.  Such a node's VJPs share one inner adjoint (hidden, normalised
+or score), computed once per backward.
+
 A tape with no parameter leaf keeps values only: until the first
 `Tape.param` call, every op and constant returns a bare node with no
 parents or VJPs, and the tape does not keep it.  A node depends only on
@@ -244,12 +250,6 @@ def transpose(a) -> Node:
     return _rec(a.value.T.copy(), (a,), (lambda g: g.T,))
 
 
-def relu(a) -> Node:
-    a = wrap(a)
-    mask = a.value > 0
-    return _rec(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
-
-
 def exp(a) -> Node:
     a = wrap(a)
     ev = np.exp(a.value)
@@ -341,9 +341,10 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
 
     c = 1.0 / np.sqrt(d_k)
     qb, kb, vb = split(q.value, n_q, d_k), split(k.value, n_k, d_k), split(v.value, n_k, d_v)
-    scores = (qb @ kb.transpose(0, 1, 3, 2)) * c
+    scores = qb @ kb.transpose(0, 1, 3, 2)
+    scores *= c
     if mask is not None:
-        scores = scores + mask
+        scores += mask
     p = tensor.softmax_rows(scores)
     if collect is not None:
         collect.extend(p[:, i] for i in range(heads))
@@ -352,8 +353,10 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     def adjoints(g):
         if memo.get("g") is not g:
             gb = split(g, n_q, d_v)
-            dp = gb @ vb.transpose(0, 1, 3, 2)
-            ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
+            ds = gb @ vb.transpose(0, 1, 3, 2)  # dp, turned into ds in place
+            ds -= (ds * p).sum(axis=3, keepdims=True)
+            ds *= p
+            ds *= c
             memo.update(g=g, gb=gb, ds=ds)
         return memo["gb"], memo["ds"]
 
@@ -385,31 +388,89 @@ def normalize_rows(x) -> Node:
     return _rec(y, (x,), (vjp,))
 
 
-def layer_norm_rows(x, gamma, beta, eps: float) -> Node:
-    """Row-wise (z - mean)/sqrt(var + eps) * gamma + beta."""
-    x, gamma, beta = wrap(x), wrap(gamma), wrap(beta)
+def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
+    """Row-wise (z - mean)/sqrt(var + eps) * gamma + beta of z = x + r.
+
+    One node for the post-norm residual step LN(x + r).  x and r get the
+    same adjoint, computed once per backward; r's is a copy, so the two
+    never share memory.
+    """
+    x, r, gamma, beta = wrap(x), wrap(r), wrap(gamma), wrap(beta)
     d = x.shape[1]
+    if r.shape != x.shape:
+        raise DimensionMismatch(f"layer_norm_rows: x {x.shape} vs r {r.shape}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
+    z = x.value + r.value
     # Row means as sum / d: the values of ndarray.mean without its
     # per-call Python overhead.
-    centred = x.value - x.value.sum(axis=1, keepdims=True) / d
+    centred = z - z.sum(axis=1, keepdims=True) / d
     var = (centred ** 2).sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     gv = gamma.value
+    memo: dict = {}
 
-    def vjp_x(g):
-        gh = g * gv
-        return (gh - gh.sum(axis=1, keepdims=True) / d
-                - xhat * ((gh * xhat).sum(axis=1, keepdims=True) / d)) * inv
+    def vjp_z(g):
+        if memo.get("g") is not g:
+            gh = g * gv
+            dz = (gh - gh.sum(axis=1, keepdims=True) / d
+                  - xhat * ((gh * xhat).sum(axis=1, keepdims=True) / d)) * inv
+            memo.update(g=g, dz=dz)
+        return memo["dz"]
+
+    out = xhat * gv
+    out += beta.value
+    return _rec(
+        out,
+        (x, r, gamma, beta),
+        (
+            vjp_z,
+            lambda g: vjp_z(g).copy(),
+            lambda g: (g * xhat).sum(axis=0, keepdims=True),
+            lambda g: g.sum(axis=0, keepdims=True),
+        ),
+    )
+
+
+def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
+    """relu(x w1 + b1) w2 + b2 as one node.
+
+    Bias and ReLU run in place in the hidden buffer; backward keeps x and
+    the ReLU output, whose positive entries are the ReLU's mask.  The five
+    VJPs share the hidden adjoint, computed once per backward.  A NaN
+    pre-activation propagates to the output.
+    """
+    x, w1, b1, w2, b2 = wrap(x), wrap(w1), wrap(b1), wrap(w2), wrap(b2)
+    d, f = w1.shape
+    if x.shape[1] != d or b1.shape != (1, f) or w2.shape[0] != f \
+            or b2.shape != (1, w2.shape[1]):
+        raise DimensionMismatch(
+            f"feed_forward_rows: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
+            f"w2 {w2.shape}, b2 {b2.shape}")
+    xv, w1v, w2v = x.value, w1.value, w2.value
+    hidden = xv @ w1v
+    hidden += b1.value
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ w2v
+    out += b2.value
+    memo: dict = {}
+
+    def hidden_adjoint(g):
+        if memo.get("g") is not g:
+            gh = g @ w2v.T
+            gh *= hidden > 0
+            memo.update(g=g, gh=gh)
+        return memo["gh"]
 
     return _rec(
-        xhat * gv + beta.value,
-        (x, gamma, beta),
+        out,
+        (x, w1, b1, w2, b2),
         (
-            vjp_x,
-            lambda g: (g * xhat).sum(axis=0, keepdims=True),
+            lambda g: hidden_adjoint(g) @ w1v.T,
+            lambda g: xv.T @ hidden_adjoint(g),
+            lambda g: hidden_adjoint(g).sum(axis=0, keepdims=True),
+            lambda g: hidden.T @ g,
             lambda g: g.sum(axis=0, keepdims=True),
         ),
     )

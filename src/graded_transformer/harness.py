@@ -41,10 +41,17 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} must hold a JSON object, "
+                              f"not {type(raw).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(raw) - known
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
+        for section in ("model", "train", "grading"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object, "
+                                  f"not {type(raw[section]).__name__}")
         return cls(**raw)
 
 
@@ -137,6 +144,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     grades = ds.grades[: model.d_model] if ds.grades.size >= model.d_model \
         else np.zeros(model.d_model)
     gcfg = build_graded_config(cfg, model, grades)
+    n = ds.x.shape[1]
+    if n > model.n_max and (model.vocab_size or gcfg.add_positional):
+        # token ids and positional encodings exist only for positions 1..n_max
+        raise ConfigError(f"seq_len {n} exceeds the model's n_max {model.n_max}")
     runs["graded"] = gcfg
     if cfg.run_baseline:
         runs["baseline"] = graded.unit_config(model)

@@ -121,8 +121,8 @@ def _prim_grads(seed):
                        {"x": x0, "y": y0}),
             "softmax": (lambda p: ad.sum_all(ad.mul(ad.softmax_rows(p["x"]), weights)),
                         {"x": x0}),
-            "layer_norm": (lambda p: ad.sum_all(ad.mul(
-                ad.layer_norm_rows(p["x"], p["g"], p["b"], 1e-5), weights)),
+            "layer_norm": (lambda p: ad.sum_all(ad.mul(  # LN(x + 0): x's draws only
+                ad.layer_norm_rows(p["x"], np.zeros((3, 4)), p["g"], p["b"], 1e-5), weights)),
                 {"x": x0, "g": gamma0, "b": beta0}),
             "graded_relu": (lambda p: ad.sum_all(ad.mul(
                 ad.graded_relu_op(p["x"], q), weights)), {"x": sx}),

@@ -49,11 +49,14 @@ def softmax_rows(m) -> np.ndarray:
     """Softmax over the last axis, stabilized by max subtraction.
 
     The one softmax of the package: the tape's softmax and attention
-    nodes call it too.
+    nodes call it too.  Shift, exponential and normalisation share one
+    buffer; m is not modified.
     """
     m = np.asarray(m, dtype=np.float64)
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def spectral_norm(m: Matrix, iters: int = 200, seed: int = 0) -> float:

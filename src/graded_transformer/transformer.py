@@ -261,23 +261,26 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
 
 
 def feed_forward(p: dict[str, ad.Node], prefix: str, x) -> ad.Node:
-    hidden = ad.relu(ad.add_rowvec(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return ad.add_rowvec(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    """Fnn(x) = relu(x W1 + b1) W2 + b2, one tape node."""
+    return ad.feed_forward_rows(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"],
+                                p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
-def layer_norm(p: dict[str, ad.Node], site: str, x, eps: float) -> ad.Node:
-    return ad.layer_norm_rows(x, p[f"{site}.g"], p[f"{site}.b"], eps)
+def layer_norm(p: dict[str, ad.Node], site: str, x, r, eps: float) -> ad.Node:
+    """Ln(x + r), the residual add and LayerNorm of one post-norm step, as
+    one tape node."""
+    return ad.layer_norm_rows(x, r, p[f"{site}.g"], p[f"{site}.b"], eps)
 
 
 def encoder_layer(p, l: int, x, cfg: ModelConfig, grading=None,
                   collect: list | None = None, seq_len: int | None = None) -> ad.Node:
     pre = f"enc{l}"
     attn = multi_head(p, pre, x, cfg, grading=grading, collect=collect, seq_len=seq_len)
-    x1 = layer_norm(p, f"{pre}.ln1", ad.add(x, attn), cfg.eps)
+    x1 = layer_norm(p, f"{pre}.ln1", x, attn, cfg.eps)
     ff = feed_forward(p, pre, x1)
     if grading is not None:
         ff = grading.graded_ffn(ff)
-    return layer_norm(p, f"{pre}.ln2", ad.add(x1, ff), cfg.eps)
+    return layer_norm(p, f"{pre}.ln2", x1, ff, cfg.eps)
 
 
 def encoder(p, x, cfg: ModelConfig, grading=None, collect=None,
@@ -296,10 +299,10 @@ def decoder_layer(p, l: int, y, z, cfg: ModelConfig, cache: dict | None = None) 
     pre = f"dec{l}"
     mask = causal_mask(y.shape[0]) if cache is None else None
     sa = multi_head(p, pre, y, cfg, mask=mask, cache=cache)
-    y1 = layer_norm(p, f"{pre}.ln1", ad.add(y, sa), cfg.eps)
+    y1 = layer_norm(p, f"{pre}.ln1", y, sa, cfg.eps)
     ca = multi_head(p, pre, y1, cfg, kv=z, cross=True, cache=cache)
-    y2 = layer_norm(p, f"{pre}.ln2", ad.add(y1, ca), cfg.eps)
-    return layer_norm(p, f"{pre}.ln3", ad.add(y2, feed_forward(p, pre, y2)), cfg.eps)
+    y2 = layer_norm(p, f"{pre}.ln2", y1, ca, cfg.eps)
+    return layer_norm(p, f"{pre}.ln3", y2, feed_forward(p, pre, y2), cfg.eps)
 
 
 def decoder(p, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:

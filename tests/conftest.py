@@ -44,6 +44,12 @@ def assert_close(a, b, tol=1e-12, msg=""):
     assert dev <= tol, f"{msg} max dev {dev:.3e} > {tol:.1e}"
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and bytes: -0.0 differs from 0.0, a NaN equals itself."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def unnormalized_softmax(m):
     """Injected fault: tensor.softmax_rows without the normalization."""
     m = np.asarray(m, dtype=np.float64)
@@ -134,9 +140,63 @@ def recorded(fn, *args, **kwargs):
     return out, [sum(1 for node in t.nodes if node.parents) for t in tapes]
 
 
+def where_relu(a):
+    """Reference: the ReLU node of the unfused chain, zeroing with np.where
+    (a NaN input gives 0)."""
+    a = ad.wrap(a)
+    mask = a.value > 0
+    return ad._rec(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
+
+
+def unfused_feed_forward(p, prefix, x):
+    """Reference: tf.feed_forward as a five-node chain, matmul, bias, ReLU,
+    matmul, bias."""
+    hidden = where_relu(ad.add_rowvec(ad.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+    return ad.add_rowvec(ad.matmul(hidden, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+
+
+def unfused_layer_norm(p, site, x, r, eps):
+    """Reference: tf.layer_norm as an ad.add node, then LayerNorm of the sum
+    (plus a zero residual)."""
+    s = ad.add(x, r)
+    return ad.layer_norm_rows(s, np.zeros(s.shape), p[f"{site}.g"], p[f"{site}.b"], eps)
+
+
+def out_of_place_softmax(m):
+    """Reference: tensor.softmax_rows with a new array per step."""
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def out_of_place_attention(q, k, v, n_q, n_k, heads, mask, g):
+    """Reference: ad.attention_rows' value and q, k, v adjoints for the
+    output adjoint g, with a new array per step of the scores and of the
+    score adjoint ds."""
+    b = q.shape[0] // n_q
+    d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
+
+    def split(x, n, w):
+        return x.reshape(b, n, heads, w).transpose(0, 2, 1, 3)
+
+    def merge(x, n):
+        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
+
+    c = 1.0 / np.sqrt(d_k)
+    qb, kb, vb = split(q, n_q, d_k), split(k, n_k, d_k), split(v, n_k, d_v)
+    scores = (qb @ kb.transpose(0, 1, 3, 2)) * c
+    if mask is not None:
+        scores = scores + mask
+    p = out_of_place_softmax(scores)
+    gb = split(g, n_q, d_v)
+    dp = gb @ vb.transpose(0, 1, 3, 2)
+    ds = p * (dp - (dp * p).sum(axis=3, keepdims=True)) * c
+    return (merge(p @ vb, n_q), merge(ds @ kb, n_q),
+            merge(ds.transpose(0, 1, 3, 2) @ qb, n_k), merge(p.transpose(0, 1, 3, 2) @ gb, n_k))
+
+
 def mean_layer_norm(x, gamma, beta, eps, g):
-    """Reference: ad.layer_norm_rows' value and x-adjoint for the output
-    adjoint g, with row means taken by ndarray.mean."""
+    """Reference: ad.layer_norm_rows' value and adjoint of the sum x for the
+    output adjoint g, with row means taken by ndarray.mean."""
     mu = x.mean(axis=1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)

@@ -8,7 +8,14 @@ from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoot
 
-from conftest import assert_close, copying_backward, mean_layer_norm
+from conftest import (
+    assert_close,
+    copying_backward,
+    mean_layer_norm,
+    out_of_place_attention,
+    same_bits,
+    unfused_feed_forward,
+)
 
 
 def scalar(fn, point):
@@ -120,8 +127,8 @@ class TestValuesOnly:
         tape = ad.Tape()
         with ad.recording(tape):
             c = tape.constant(self.a)
-            h = ad.relu(ad.matmul(c, ad.transpose(c)))
-            y = ad.layer_norm_rows(h, np.ones((1, 3)), np.zeros((1, 3)), 1e-5)
+            h = ad.clip_low(ad.matmul(c, ad.transpose(c)), 0.0)
+            y = ad.layer_norm_rows(h, h, np.ones((1, 3)), np.zeros((1, 3)), 1e-5)
             s = ad.sum_all(ad.vstack([y, ad.softmax_rows(y)]))
         assert tape.nodes == [] and tape.params == {}
         for node in (c, h, y, s):
@@ -153,7 +160,7 @@ class TestValuesOnly:
             w = outer.param("w", self.w0)
             inner = ad.Tape()
             with ad.recording(inner):
-                v = ad.relu(inner.constant(self.a))
+                v = ad.clip_low(inner.constant(self.a), 0.0)
             assert inner.nodes == [] and v.parents == ()
             root = ad.sum_all(ad.mul(ad.matmul(v, w), self.up))
         assert len(outer.nodes) == 5  # w, matmul, up, mul, sum_all
@@ -163,15 +170,75 @@ class TestValuesOnly:
     def test_layer_norm_equals_mean_reference(self, d):
         g = np.random.default_rng(d)
         x = g.normal(0.0, 3.0, (6, d)) + g.normal(0.0, 50.0, (6, 1))
-        x[2] = 1.25  # a constant row: zero variance
+        r = g.normal(0.0, 1.0, (6, d))
+        x[2], r[2] = 1.25, 0.0  # a constant row of x + r: zero variance
         gamma, beta = g.uniform(0.5, 1.5, (1, d)), g.normal(0.0, 1.0, (1, d))
         up = g.normal(0.0, 1.0, (6, d))
         tape = ad.Tape()
         with ad.recording(tape):
-            y = ad.layer_norm_rows(tape.param("x", x), gamma, beta, 1e-5)
-        want_y, want_dx = mean_layer_norm(x, gamma, beta, 1e-5, up)
+            y = ad.layer_norm_rows(tape.param("x", x), tape.param("r", r), gamma, beta, 1e-5)
+        want_y, want_dz = mean_layer_norm(x + r, gamma, beta, 1e-5, up)
         assert np.array_equal(y.value, want_y)
-        assert np.array_equal(y.vjps[0](up), want_dx)
+        dx, dr = y.vjps[0](up), y.vjps[1](up)
+        assert np.array_equal(dx, want_dz) and np.array_equal(dr, want_dz)
+        assert not np.shares_memory(dx, dr)
+
+
+class TestFeedForwardRows:
+    """feed_forward_rows, one node, against the five-node chain with its
+    np.where ReLU (conftest.unfused_feed_forward)."""
+
+    def setup_method(self):
+        g = np.random.default_rng(21)
+        self.p = {"f.w1": g.normal(0.0, 1.0, (4, 6)), "f.b1": g.normal(0.0, 1.0, (1, 6)),
+                  "f.w2": g.normal(0.0, 1.0, (6, 3)), "f.b2": g.normal(0.0, 1.0, (1, 3))}
+        self.x = g.normal(0.0, 1.0, (5, 4))
+        self.x[1] = 0.0  # pre-activations equal to b1
+        self.x[2] = -0.0
+        self.p["f.b1"][0, :2] = (0.0, -0.0)  # exact zero pre-activations in rows 1, 2
+        self.up = g.normal(0.0, 1.0, (5, 3))
+
+    def run(self, ffn, x):
+        names = ["f.w1", "f.b1", "f.w2", "f.b2"]
+        tape = ad.Tape()
+        with ad.recording(tape):
+            p = {k: tape.param(k, self.p[k]) for k in names}
+            xn = tape.param("x", x)
+            out = ffn(p, "f", xn)
+            root = ad.sum_all(ad.mul(out, self.up))
+        return out, tape.backward(root)
+
+    def test_one_node_bitwise_equal_to_chain(self):
+        out, grads = self.run(tf.feed_forward, self.x)
+        want, want_grads = self.run(unfused_feed_forward, self.x)
+        assert len(out.parents) == 5
+        assert same_bits(out.value, want.value)
+        for name in want_grads:
+            assert same_bits(grads[name], want_grads[name]), name
+
+    def test_relu_bitwise_on_finite_inputs(self):
+        # the node's np.maximum against the chain's np.where, signed zeros,
+        # subnormals and the largest floats included
+        h = np.array([[-0.0, 0.0, -5e-324, 5e-324, -1.0, 1.0, -1.7e308, 1.7e308]])
+        assert same_bits(np.maximum(h, 0.0), np.where(h > 0, h, 0.0))
+
+    def test_nan_pre_activation_propagates(self):
+        # np.where mapped a NaN pre-activation to 0; the node keeps it
+        x = self.x.copy()
+        x[3, 0] = np.nan
+        out, _ = self.run(tf.feed_forward, x)
+        want, _ = self.run(unfused_feed_forward, x)
+        assert np.isnan(out.value[3]).all()
+        assert same_bits(want.value[3], self.p["f.b2"][0])
+        keep = [0, 1, 2, 4]
+        assert same_bits(out.value[keep], want.value[keep])
+
+    def test_shape_errors(self):
+        p = self.p
+        with ad.recording(ad.Tape()), pytest.raises(DimensionMismatch):
+            ad.feed_forward_rows(self.x, p["f.w1"], p["f.b1"], p["f.w2"], np.zeros((1, 6)))
+        with ad.recording(ad.Tape()), pytest.raises(DimensionMismatch):
+            ad.feed_forward_rows(self.x[:, :3], p["f.w1"], p["f.b1"], p["f.w2"], p["f.b2"])
 
 
 class TestGradCheck:
@@ -211,9 +278,9 @@ class TestGradCheck:
 
 class TestPrimitiveGradients:
     @pytest.mark.parametrize("case", [
-        "matmul", "softmax", "layer_norm", "graded_relu", "exp_activation",
-        "scale_cols", "normalize_rows", "add_rowvec", "hstack", "embedding",
-        "sigmoid", "transpose", "vstack",
+        "matmul", "softmax", "layer_norm", "layer_norm_residual", "feed_forward",
+        "graded_relu", "exp_activation", "scale_cols", "normalize_rows", "add_rowvec",
+        "hstack", "embedding", "sigmoid", "transpose", "vstack",
     ])
     def test_primitive(self, case):
         g = np.random.default_rng(zlib.crc32(case.encode()))
@@ -235,8 +302,26 @@ class TestPrimitiveGradients:
                 gam = g.uniform(0.8, 1.2, (1, 4))
                 bet = g.normal(0.0, 0.1, (1, 4))
                 fn = lambda p: ad.sum_all(ad.mul(
-                    ad.layer_norm_rows(p["x"], p["g"], p["b"], 1e-5), up))
+                    ad.layer_norm_rows(p["x"], np.zeros((3, 4)), p["g"], p["b"], 1e-5), up))
                 point = {"x": x0, "g": gam, "b": bet}
+            elif case == "layer_norm_residual":
+                r0 = g.normal(0.0, 1.0, (3, 4))
+                gam = g.uniform(0.8, 1.2, (1, 4))
+                bet = g.normal(0.0, 0.1, (1, 4))
+                fn = lambda p: ad.sum_all(ad.mul(
+                    ad.layer_norm_rows(p["x"], p["r"], p["g"], p["b"], 1e-5), up))
+                point = {"x": x0, "r": r0, "g": gam, "b": bet}
+            elif case == "feed_forward":
+                w2 = g.normal(0.0, 0.5, (5, 4))
+                b2 = g.normal(0.0, 0.1, (1, 4))
+                while True:  # keep every pre-activation off the ReLU kink
+                    w1 = g.normal(0.0, 0.5, (4, 5))
+                    b1 = g.normal(0.0, 0.5, (1, 5))
+                    if np.abs(x0 @ w1 + b1).min() >= 0.05:
+                        break
+                fn = lambda p: ad.sum_all(ad.mul(
+                    ad.feed_forward_rows(p["x"], p["w1"], p["b1"], p["w2"], p["b2"]), up))
+                point = {"x": x0, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
             elif case == "graded_relu":
                 fn = lambda p: ad.sum_all(ad.mul(ad.graded_relu_op(p["x"], q), up))
                 point = {"x": sx}
@@ -409,6 +494,27 @@ class TestAttentionRows:
             assert_close(got, want, tol=1e-12)
         for name in point:
             assert_close(grads[name], want_grads[name], tol=1e-12, msg=name)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False)])
+    def test_in_place_kernels_bitwise(self, heads, n_q, n_k, causal):
+        # scores, softmax and the score adjoint built in place equal the
+        # out-of-place expressions bit for bit
+        g = np.random.default_rng(30 + heads + n_k)
+        b, d_k, d_v = 3, 3, 2
+        mask = tf.causal_mask(n_q) if causal else None
+        q = g.normal(0.0, 1.0, (b * n_q, heads * d_k))
+        k = g.normal(0.0, 1.0, (b * n_k, heads * d_k))
+        v = g.normal(0.0, 1.0, (b * n_k, heads * d_v))
+        up = g.normal(0.0, 1.0, (b * n_q, heads * d_v))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            out = ad.attention_rows(tape.param("q", q), tape.param("k", k),
+                                    tape.param("v", v), n_q, n_k, mask, heads=heads)
+        want = out_of_place_attention(q, k, v, n_q, n_k, heads, mask, up)
+        assert same_bits(out.value, want[0])
+        for vjp, want_adjoint in zip(out.vjps, want[1:]):
+            assert same_bits(vjp(up), want_adjoint)
 
     def test_heads_must_divide_widths(self):
         tape = ad.Tape()

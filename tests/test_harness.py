@@ -460,6 +460,35 @@ class TestCli:
             assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "config error" in err.getvalue() and "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("raw, message", [
+        (5, "must hold a JSON object, not int"),
+        (["task"], "must hold a JSON object, not list"),
+    ])
+    def test_config_not_an_object_exit_two(self, tmp_path, raw, message):
+        self.assert_config_error(tmp_path, raw, message)
+
+    @pytest.mark.parametrize("section, value", [("model", [1]), ("train", 3),
+                                                ("grading", "scores")])
+    def test_config_section_not_an_object_exit_two(self, tmp_path, section, value):
+        self.assert_config_error(tmp_path, {"task": "poly_degree", section: value},
+                                 f"section {section!r} must be a JSON object")
+
+    def test_seq_len_above_n_max_exit_two(self, tmp_path):
+        # hier_copy's default model has n_max 16
+        self.assert_config_error(tmp_path, {"task": "hier_copy", "seq_len": 40,
+                                            "out_dir": str(tmp_path / "run")},
+                                 "seq_len 40 exceeds the model's n_max 16")
+
+    @staticmethod
+    def assert_config_error(tmp_path, raw, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert err.getvalue().startswith("config error: ") and message in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
     def test_unknown_config_key_exit_two(self, tmp_path):
         bad = tmp_path / "bad2.json"
         bad.write_text(json.dumps({"task": "poly_degree", "bogus": 1}))

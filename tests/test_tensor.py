@@ -7,7 +7,7 @@ from graded_transformer import tensor
 from graded_transformer.errors import DimensionMismatch, ZeroMatrix
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close
+from conftest import assert_close, out_of_place_softmax, same_bits
 
 
 class TestMatmul:
@@ -50,6 +50,13 @@ class TestSoftmaxRows:
 
     def test_large_values_stable(self):
         assert_close(tensor.softmax_rows(np.array([[1000.0, 1000.0]])), [[0.5, 0.5]])
+
+    def test_one_buffer_bitwise_and_input_untouched(self):
+        m = np.random.default_rng(8).normal(0.0, 5.0, (3, 4, 7))
+        m[0, 0] = -1e30  # a masked row
+        before = m.copy()
+        assert same_bits(tensor.softmax_rows(m), out_of_place_softmax(m))
+        assert same_bits(m, before)
 
     @given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
                     min_size=1, max_size=5).filter(

@@ -25,6 +25,9 @@ from conftest import (
     ref_clip_gradient,
     recorded,
     ref_train,
+    same_bits,
+    unfused_feed_forward,
+    unfused_layer_norm,
 )
 
 
@@ -419,6 +422,18 @@ class TestStackedStep:
             counts.append(len(tape.nodes))
         assert counts[0] == counts[1]
 
+    def test_node_counts_per_step(self):
+        # poly smoke in both modes, hier_copy EGT, wide LGT.  Each encoder
+        # layer's FFN and residual LayerNorms are one node each; the unfused
+        # chains would record 6 more nodes per layer.
+        counts = []
+        for params, gcfg, ds, tc in workload_setups():
+            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+            tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
+                                            ds.x[:16], ds.y[:16], lam, tc)
+            counts.append(len(tape.nodes))
+        assert counts == [82, 82, 87, 150]
+
 
 def workload_setups():
     """The three benchmark models: the c15 smoke config in both modes, EGT
@@ -515,6 +530,28 @@ class TestBackwardCopies:
             for name in want:
                 assert np.array_equal(grads[name], want[name]), name
 
+    def test_residual_layer_norm_inputs_get_unshared_gradients(self, monkeypatch):
+        # x and r of LN(x + r) get one adjoint; r's must be a copy
+        real = tf.layer_norm
+        for params, gcfg, ds, tc in workload_setups():
+            norms = []
+
+            def spy(*args):
+                norms.append(real(*args))
+                return norms[-1]
+
+            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+            with monkeypatch.context() as mp:
+                mp.setattr(tf, "layer_norm", spy)
+                tape, total, _, _ = training.record_step(
+                    params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+            tape.backward(total)
+            assert len(norms) == 2 * gcfg.model.n_layers
+            for node in norms:
+                x, r = node.parents[:2]
+                assert x is not r and x.grad is not None and r.grad is not None
+                assert not np.shares_memory(x.grad, r.grad)
+
     def test_flat_out_equals_fresh_arrays(self):
         # gradients summed into zeroed views of one buffer, as train does
         for params, gcfg, ds, tc in workload_setups():
@@ -529,6 +566,82 @@ class TestBackwardCopies:
             for name in want:
                 assert np.array_equal(got[name], want[name]), name
                 assert np.shares_memory(got[name], flat), name
+
+
+class TestFusedSublayers:
+    """tf.feed_forward and tf.layer_norm record one node each, with values
+    and gradients bit for bit those of the unfused chains
+    (conftest.unfused_feed_forward, conftest.unfused_layer_norm)."""
+
+    @staticmethod
+    def run(monkeypatch, ffn, ln, build):
+        """build() -> (tape, root) with tf.feed_forward and tf.layer_norm
+        replaced by ffn and ln; returns the root value, the leaf gradients
+        and, per sublayer call, its output value and its inputs' gradients."""
+        calls = []
+
+        def spy(fn, inputs):
+            def wrapped(*args):
+                out = fn(*args)
+                calls.append(([args[i] for i in inputs], out))
+                return out
+            return wrapped
+
+        with monkeypatch.context() as mp:
+            mp.setattr(tf, "feed_forward", spy(ffn, [2]))
+            mp.setattr(tf, "layer_norm", spy(ln, [2, 3]))
+            tape, root = build()
+        grads = tape.backward(root)
+        return root.value, grads, [(out.value, [x.grad for x in xs]) for xs, out in calls]
+
+    @staticmethod
+    def perturbed(params, g):
+        """Biases and LayerNorm gains moved off their init values of 0 and 1."""
+        return {k: v + g.normal(0.0, 0.1, v.shape) if k.endswith(("b1", "b2", ".g", ".b"))
+                else v for k, v in params.items()}
+
+    def assert_fused_equals_unfused(self, monkeypatch, build):
+        got = self.run(monkeypatch, tf.feed_forward, tf.layer_norm, build)
+        want = self.run(monkeypatch, unfused_feed_forward, unfused_layer_norm, build)
+        assert same_bits(got[0], want[0])
+        assert set(got[1]) == set(want[1])
+        for name in want[1]:
+            assert same_bits(got[1][name], want[1][name]), name
+        assert len(got[2]) == len(want[2]) > 0
+        for (out, input_grads), (want_out, want_grads) in zip(got[2], want[2]):
+            assert same_bits(out, want_out)
+            assert len(input_grads) == len(want_grads)
+            assert all(same_bits(a, b) for a, b in zip(input_grads, want_grads))
+
+    def test_training_step_bitwise(self, monkeypatch):
+        g = Rng(8).generator
+        for params, gcfg, ds, tc in workload_setups():
+            params = self.perturbed(params, g)
+            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+            self.assert_fused_equals_unfused(monkeypatch, lambda: training.record_step(
+                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)[:2])
+
+    def test_cached_decoder_step_bitwise(self, monkeypatch):
+        # the wide model's decoder: a first row fills the cache, a second row
+        # is one cached step; every parameter is a leaf
+        *_, (_, gcfg, _, _) = workload_setups()
+        cfg = gcfg.model
+        g = Rng(9).generator
+        params = self.perturbed(tf.init_params(cfg, Rng(0), decoder=True), g)
+        z, up = g.normal(0.0, 1.0, (cfg.n_max, cfg.d_model)), g.normal(0.0, 1.0, (1, cfg.d_model))
+        positions = tf.positional_matrix(2, cfg.d_model)
+
+        def build():
+            tape = ad.Tape()
+            with ad.recording(tape):
+                p = tf.as_nodes(params, tape, trainable=True, stage="decoder")
+                cache = {}
+                for t, token in enumerate([tf.START_TOKEN, 7]):
+                    row = ad.add(ad.embedding_rows(p["embed"], [token - 1]), positions[t:t + 1])
+                    out = tf.decoder(p, row, tape.constant(z), cfg, cache)
+                return tape, ad.sum_all(ad.mul(out, up))
+
+        self.assert_fused_equals_unfused(monkeypatch, build)
 
 
 class TestFlatState:

@@ -262,7 +262,7 @@ class TestFfnLayerNorm:
     def test_layer_norm_constant_row(self):
         tape = ad.Tape()
         with ad.recording(tape):
-            out = ad.layer_norm_rows(np.full((1, 4), 3.3), np.ones((1, 4)),
+            out = ad.layer_norm_rows(np.full((1, 4), 3.3), np.zeros((1, 4)), np.ones((1, 4)),
                                      np.zeros((1, 4)), 1e-5)
         assert np.abs(out.value).max() <= 1e-6
 
@@ -270,7 +270,7 @@ class TestFfnLayerNorm:
         x = tensor.randn_matrix(rng, 6, 8) * 3.0
         tape = ad.Tape()
         with ad.recording(tape):
-            out = ad.layer_norm_rows(x, np.ones((1, 8)), np.zeros((1, 8)), 1e-8)
+            out = ad.layer_norm_rows(x, np.zeros((6, 8)), np.ones((1, 8)), np.zeros((1, 8)), 1e-8)
         v = out.value
         assert np.abs(v.mean(axis=1)).max() <= 1e-12
         assert np.abs(v.var(axis=1) - 1.0).max() <= 1e-6
