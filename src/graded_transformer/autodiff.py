@@ -24,12 +24,13 @@ is exactly ``base**q * ln(base)``.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor
-from .errors import DimensionMismatch, NonFinite, NotScalarRoot
+from .errors import DimensionMismatch, NonFinite, NotScalarRoot, ZeroAfterGrading
 
 
 class Node:
@@ -339,7 +340,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     def merge(x, n):  # (B, heads, n, w) -> (B n, heads w) rows
         return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
 
-    c = 1.0 / np.sqrt(d_k)
+    c = 1.0 / math.sqrt(d_k)
     qb, kb, vb = split(q.value, n_q, d_k), split(k.value, n_k, d_k), split(v.value, n_k, d_v)
     scores = qb @ kb.transpose(0, 1, 3, 2)
     scores *= c
@@ -354,7 +355,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
         if memo.get("g") is not g:
             gb = split(g, n_q, d_v)
             ds = gb @ vb.transpose(0, 1, 3, 2)  # dp, turned into ds in place
-            ds -= (ds * p).sum(axis=3, keepdims=True)
+            ds -= np.add.reduce(ds * p, axis=3, keepdims=True)
             ds *= p
             ds *= c
             memo.update(g=g, gb=gb, ds=ds)
@@ -373,8 +374,6 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
 
 def normalize_rows(x) -> Node:
     """Scale each row to unit Euclidean norm; zero rows are an error."""
-    from .errors import ZeroAfterGrading
-
     x = wrap(x)
     norms = np.linalg.norm(x.value, axis=1, keepdims=True)
     if np.any(norms == 0.0):
@@ -402,10 +401,10 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
     z = x.value + r.value
-    # Row means as sum / d: the values of ndarray.mean without its
-    # per-call Python overhead.
-    centred = z - z.sum(axis=1, keepdims=True) / d
-    var = (centred ** 2).sum(axis=1, keepdims=True) / d
+    # Row sums by np.add.reduce, which ndarray.sum dispatches to, and means
+    # as sum / d: the values of ndarray.mean without its Python wrappers.
+    centred = z - np.add.reduce(z, axis=1, keepdims=True) / d
+    var = np.add.reduce(centred ** 2, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centred * inv
     gv = gamma.value
@@ -414,8 +413,8 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
     def vjp_z(g):
         if memo.get("g") is not g:
             gh = g * gv
-            dz = (gh - gh.sum(axis=1, keepdims=True) / d
-                  - xhat * ((gh * xhat).sum(axis=1, keepdims=True) / d)) * inv
+            dz = (gh - np.add.reduce(gh, axis=1, keepdims=True) / d
+                  - xhat * (np.add.reduce(gh * xhat, axis=1, keepdims=True) / d)) * inv
             memo.update(g=g, dz=dz)
         return memo["dz"]
 
@@ -491,24 +490,23 @@ def embedding_rows(table, ids: Sequence[int]) -> Node:
 
 
 def hstack(parts: Sequence[Node]) -> Node:
-    parts = [wrap(p) for p in parts]
-    widths = [p.shape[1] for p in parts]
-    offsets = np.cumsum([0] + widths)
-    vjps = [
-        (lambda a, b: (lambda g: g[:, a:b]))(offsets[i], offsets[i + 1])
-        for i in range(len(parts))
-    ]
-    return _rec(np.hstack([p.value for p in parts]), tuple(parts), tuple(vjps))
+    return _stack(parts, 1)
 
 
 def vstack(parts: Sequence[Node]) -> Node:
+    return _stack(parts, 0)
+
+
+def _stack(parts: Sequence[Node], axis: int) -> Node:
+    """Parts joined along axis 1 (hstack) or 0 (vstack); each VJP is its part's slice."""
     parts = [wrap(p) for p in parts]
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
-    vjps = [
-        (lambda a, b: (lambda g: g[a:b]))(offsets[i], offsets[i + 1])
-        for i in range(len(parts))
-    ]
-    return _rec(np.concatenate([p.value for p in parts]), tuple(parts), tuple(vjps))
+    vjps, start = [], 0
+    for p in parts:
+        stop = start + p.value.shape[axis]
+        cut = (slice(None),) * axis + (slice(start, stop),)
+        vjps.append(lambda g, cut=cut: g[cut])
+        start = stop
+    return _rec(np.concatenate([p.value for p in parts], axis=axis), parts, vjps)
 
 
 def graded_relu_op(x, grades, sign_preserving: bool = False) -> Node:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,10 +49,12 @@ class ExperimentConfig:
         bad = set(raw) - known
         if bad:
             raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        for section in ("model", "train", "grading"):
-            if not isinstance(raw.get(section, {}), dict):
-                raise ConfigError(f"config section {section!r} must be a JSON object, "
-                                  f"not {type(raw[section]).__name__}")
+        for name, want in typing.get_type_hints(cls).items():  # exact: an int takes no bool
+            if name in raw and type(raw[name]) is not want:
+                kind = {int: "integer", bool: "boolean", str: "string", dict: "object"}[want]
+                raise ConfigError(
+                    f"config {'section' if want is dict else 'key'} {name!r} must be "
+                    f"a JSON {kind}, not {type(raw[name]).__name__}")
         return cls(**raw)
 
 
@@ -131,8 +134,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     (loss fields null when none completed), then re-raises; later runs
     do not start.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     model = default_model_config(cfg.task, cfg.model)
     tcfg = build_train_config(cfg)
     try:
@@ -140,7 +141,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    runs = {}
     grades = ds.grades[: model.d_model] if ds.grades.size >= model.d_model \
         else np.zeros(model.d_model)
     gcfg = build_graded_config(cfg, model, grades)
@@ -148,10 +148,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if n > model.n_max and (model.vocab_size or gcfg.add_positional):
         # token ids and positional encodings exist only for positions 1..n_max
         raise ConfigError(f"seq_len {n} exceeds the model's n_max {model.n_max}")
-    runs["graded"] = gcfg
+    runs = {"graded": gcfg}
     if cfg.run_baseline:
         runs["baseline"] = graded.unit_config(model)
 
+    out = Path(cfg.out_dir)  # made only once the whole config is valid
+    out.mkdir(parents=True, exist_ok=True)
     summary = {"task": cfg.task, "mode": cfg.mode, "runs": {}}
     for name, rcfg in runs.items():
         params = tf.init_params(model, Rng(cfg.init_seed), decoder=False)

@@ -48,14 +48,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def softmax_rows(m) -> np.ndarray:
     """Softmax over the last axis, stabilized by max subtraction.
 
-    The one softmax of the package: the tape's softmax and attention
-    nodes call it too.  Shift, exponential and normalisation share one
-    buffer; m is not modified.
+    The one softmax of the package; the tape's softmax and attention nodes
+    call it too.  One buffer holds shift, exponential and normalisation,
+    with direct ufunc reductions for the max and the sum; m is not modified.
     """
     m = np.asarray(m, dtype=np.float64)
-    e = m - m.max(axis=-1, keepdims=True)
+    e = m - np.maximum.reduce(m, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 

@@ -184,6 +184,53 @@ class TestValuesOnly:
         assert not np.shares_memory(dx, dr)
 
 
+class TestStack:
+    """hstack and vstack of parts of unequal widths or heights, Nodes
+    (even positions) mixed with plain arrays (odd positions)."""
+
+    SIZES = [3, 1, 4, 2]
+
+    def parts(self, how, n):
+        g = np.random.default_rng(n)
+        shapes = [(3, s) if how == "hstack" else (s, 3) for s in self.SIZES[:n]]
+        return [g.normal(0.0, 1.0, shape) for shape in shapes]
+
+    @staticmethod
+    def stacked(how, values, make_node):
+        parts = [make_node(f"p{i}", v) if i % 2 == 0 else v for i, v in enumerate(values)]
+        return getattr(ad, how)(parts), parts
+
+    @pytest.mark.parametrize("how", ["hstack", "vstack"])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_values_only_tape(self, how, n):
+        values = self.parts(how, n)
+        tape = ad.Tape()
+        with ad.recording(tape):
+            out, _ = self.stacked(how, values, lambda name, v: tape.constant(v))
+        assert same_bits(out.value, getattr(np, how)(values))
+        assert tape.nodes == [] and out.parents == () and out.vjps == ()
+
+    @pytest.mark.parametrize("how", ["hstack", "vstack"])
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_each_vjp_returns_its_slice(self, how, n):
+        values = self.parts(how, n)
+        axis = 1 if how == "hstack" else 0
+        tape = ad.Tape()
+        with ad.recording(tape):
+            out, parts = self.stacked(how, values, tape.param)
+            up = np.random.default_rng(7).normal(0.0, 1.0, out.shape)
+            root = ad.sum_all(ad.mul(out, up))
+        assert same_bits(out.value, getattr(np, how)(values))
+        want = np.split(up, np.cumsum(self.SIZES[:n])[:-1], axis=axis)
+        assert len(out.parents) == len(out.vjps) == n
+        for i, (parent, vjp) in enumerate(zip(out.parents, out.vjps)):
+            assert parent is parts[i] if i % 2 == 0 else same_bits(parent.value, values[i])
+            assert same_bits(vjp(up), want[i]), i
+        grads = tape.backward(root)
+        for i in range(0, n, 2):
+            assert same_bits(grads[f"p{i}"], want[i]), i
+
+
 class TestFeedForwardRows:
     """feed_forward_rows, one node, against the five-node chain with its
     np.where ReLU (conftest.unfused_feed_forward)."""

@@ -473,6 +473,35 @@ class TestCli:
         self.assert_config_error(tmp_path, {"task": "poly_degree", section: value},
                                  f"section {section!r} must be a JSON object")
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"seq_len": "a"}, "key 'seq_len' must be a JSON integer, not str"),
+        ({"init_seed": "a", "train": {"steps": 1}},
+         "key 'init_seed' must be a JSON integer, not str"),
+        ({"run_baseline": "yes", "train": {"steps": 1}},
+         "key 'run_baseline' must be a JSON boolean, not str"),
+        ({"dataset_size": True}, "key 'dataset_size' must be a JSON integer, not bool"),
+        ({"seq_len": 8.0}, "key 'seq_len' must be a JSON integer, not float"),
+        ({"task": 5}, "key 'task' must be a JSON string, not int"),
+    ])
+    def test_config_key_of_wrong_type_exit_two(self, tmp_path, raw, message):
+        out = tmp_path / "run"
+        self.assert_config_error(tmp_path, {**raw, "out_dir": str(out)}, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override", [
+        {"mode": "bogus"}, {"dataset_size": -1}, {"model": {"n_heads": 3}},
+        {"train": {"steps": 0}}, {"grading": {"attention_variant": "bogus"}},
+        {"task": "hier_copy", "seq_len": 40},
+    ])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, override):
+        out = tmp_path / "run"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
+                                        "seq_len": 4, **override}))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_seq_len_above_n_max_exit_two(self, tmp_path):
         # hier_copy's default model has n_max 16
         self.assert_config_error(tmp_path, {"task": "hier_copy", "seq_len": 40,
