@@ -48,23 +48,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    # Operator sugar covers the common arithmetic; everything else is a
-    # module-level function.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 class Tape:
     """Recording context: ordered node list plus named parameter leaves.

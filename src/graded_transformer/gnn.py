@@ -147,41 +147,3 @@ def graded_loss(kind: str, grades, y, y_hat) -> float:
     if kind == MAX_GRADED:
         return float(np.max(np.sqrt(q) * np.abs(err)) ** 2)
     raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def sequence_loss_weights(grades, mode: str, weight_map=None, base: float = 2.0) -> np.ndarray:
-    """Per-dimension multipliers of the sequence loss.
-
-    Linear mode: f(q_k); exponential mode: base**q_k.
-    """
-    from .graded_space import EXPONENTIAL, LINEAR, GradingSpec, WeightMap
-
-    if mode == LINEAR:
-        spec = GradingSpec(LINEAR, weight_map or WeightMap())
-    elif mode == EXPONENTIAL:
-        spec = GradingSpec(EXPONENTIAL, base=base)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return spec.weights(grades)
-
-
-def sequence_loss(grades, mode: str, y, y_hat, base_loss: str = "squared",
-                  weight_map=None, base: float = 2.0) -> float:
-    """sum_i sum_k w_k * l(y_hat[i,k], y[i,k]) over a sequence.
-
-    base_loss "squared": l = (y - y_hat)**2; "binary_ce": binary
-    cross-entropy with y_hat treated as probabilities.
-    """
-    w = sequence_loss_weights(grades, mode, weight_map, base)
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    y_hat = np.atleast_2d(np.asarray(y_hat, dtype=np.float64))
-    if y.shape != y_hat.shape or y.shape[1] != w.size:
-        raise DimensionMismatch("sequence_loss: shape mismatch")
-    if base_loss == "squared":
-        cell = (y - y_hat) ** 2
-    elif base_loss == "binary_ce":
-        p = np.clip(y_hat, CE_CLAMP, 1.0 - CE_CLAMP)
-        cell = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    else:
-        raise ValueError(f"unknown base loss {base_loss!r}")
-    return float(np.sum(cell * w))

@@ -45,17 +45,59 @@ class ExperimentConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object, "
                               f"not {type(raw).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(raw) - known
-        if bad:
-            raise ConfigError(f"unknown config keys: {sorted(bad)}")
-        for name, want in typing.get_type_hints(cls).items():  # exact: an int takes no bool
-            if name in raw and type(raw[name]) is not want:
-                kind = {int: "integer", bool: "boolean", str: "string", dict: "object"}[want]
-                raise ConfigError(
-                    f"config {'section' if want is dict else 'key'} {name!r} must be "
-                    f"a JSON {kind}, not {type(raw[name]).__name__}")
+        _check_keys(raw, cls)
+        _check_keys(raw.get("model", {}), tf.ModelConfig, "model")
+        _check_keys(raw.get("train", {}), training.TrainConfig, "train")
+        # the grading section sets neither the model nor the mode
+        _check_keys(raw.get("grading", {}), graded.GradedModelConfig, "grading",
+                    exclude=("model", "mode"))
         return cls(**raw)
+
+
+_JSON_KINDS = {int: "integer", float: "number", bool: "boolean", str: "string",
+               dict: "object", type(None): "null"}
+
+
+def _numbers(value) -> bool:
+    """A JSON array of numbers; a boolean is no number."""
+    return type(value) is list and all(type(v) in (int, float) for v in value)
+
+
+def _expected_kind(value, hint) -> str | None:
+    """The JSON kind a config value annotated `hint` must have, or None when
+    it has it.  Types match exactly (an int field takes no bool), except
+    that a float field also takes an integer and `X | None` also takes null."""
+    if hint is np.ndarray:  # a grade tuple
+        return None if _numbers(value) else "array of numbers"
+    if hint is WeightMap:
+        affine = (type(value) is dict and list(value) == ["affine"]
+                  and _numbers(value["affine"]) and len(value["affine"]) == 2)
+        return None if type(value) is str or affine else \
+            'string naming a weight map or {"affine": [a, b]}'
+    options = typing.get_args(hint) or (hint,)
+    if list in options:  # per-head grade tuples
+        ok = value is None or (type(value) is list and all(map(_numbers, value)))
+        return None if ok else "array of number arrays or null"
+    ok = type(value) in options or (float in options and type(value) is int)
+    return None if ok else " or ".join(_JSON_KINDS[t] for t in options)
+
+
+def _check_keys(raw: dict, cls, section: str = "", exclude=()) -> None:
+    """Raise ConfigError for a key of `raw` that the dataclass `cls` does not
+    declare (or that `exclude` names), or whose value has the wrong JSON
+    kind for its annotation; messages name keys as `section.key`."""
+    hints = {k: v for k, v in typing.get_type_hints(cls).items() if k not in exclude}
+    bad = set(raw) - set(hints)
+    if bad:
+        where = f" in section {section!r}" if section else ""
+        raise ConfigError(f"unknown config keys{where}: {sorted(bad)}")
+    for name, value in raw.items():
+        kind = _expected_kind(value, hints[name])
+        if kind:
+            key = f"{section}.{name}" if section else name
+            raise ConfigError(
+                f"config {'section' if hints[name] is dict else 'key'} {key!r} must be "
+                f"a JSON {kind}, not {type(value).__name__}")
 
 
 def default_model_config(task: str, overrides: dict) -> tf.ModelConfig:

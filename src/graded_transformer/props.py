@@ -95,69 +95,120 @@ def _spec_diag(seed):
 # autodiff
 
 
-def _primitive_points(seed):
-    r = Rng(seed)
-    g = r.generator
-    return g, r
+PRIMITIVE_CASES = (
+    "matmul", "softmax", "layer_norm", "layer_norm_residual", "feed_forward",
+    "graded_relu", "graded_relu_sign", "exp_activation", "scale_cols", "normalize_rows",
+    "add_rowvec", "hstack", "embedding", "sigmoid", "transpose", "vstack",
+)
+
+
+def primitive_case(case: str, g: np.random.Generator):
+    """One random (fn, point) for a primitive's gradient check: fn sums the
+    primitive's output against O(1) positive weights, which keeps the
+    gradients O(1)."""
+    x0 = g.normal(0.0, 1.0, (3, 4))
+    up = g.uniform(0.5, 1.5, (3, 4))
+    q = g.uniform(0.8, 2.5, (1, 4))
+    sx = np.where(np.abs(x0) < 0.2, x0 + 0.5, x0)  # keep away from kinks
+
+    def summed(out, weights=up):
+        return ad.sum_all(ad.mul(out, weights))
+
+    if case == "matmul":
+        y0 = g.normal(0.0, 1.0, (4, 3))
+        upm = g.uniform(0.5, 1.5, (3, 3))
+        return lambda p: summed(ad.matmul(p["x"], p["y"]), upm), {"x": x0, "y": y0}
+    if case == "softmax":
+        return lambda p: summed(ad.softmax_rows(p["x"])), {"x": x0}
+    if case == "layer_norm":  # LN(x + 0)
+        gam = g.uniform(0.8, 1.2, (1, 4))
+        bet = g.normal(0.0, 0.1, (1, 4))
+        return (lambda p: summed(ad.layer_norm_rows(p["x"], np.zeros((3, 4)), p["g"],
+                                                    p["b"], 1e-5)),
+                {"x": x0, "g": gam, "b": bet})
+    if case == "layer_norm_residual":
+        r0 = g.normal(0.0, 1.0, (3, 4))
+        gam = g.uniform(0.8, 1.2, (1, 4))
+        bet = g.normal(0.0, 0.1, (1, 4))
+        return (lambda p: summed(ad.layer_norm_rows(p["x"], p["r"], p["g"], p["b"], 1e-5)),
+                {"x": x0, "r": r0, "g": gam, "b": bet})
+    if case == "feed_forward":
+        w2 = g.normal(0.0, 0.5, (5, 4))
+        b2 = g.normal(0.0, 0.1, (1, 4))
+        while True:  # keep every pre-activation off the ReLU kink
+            w1 = g.normal(0.0, 0.5, (4, 5))
+            b1 = g.normal(0.0, 0.5, (1, 5))
+            if np.abs(x0 @ w1 + b1).min() >= 0.05:
+                break
+        return (lambda p: summed(ad.feed_forward_rows(p["x"], p["w1"], p["b1"], p["w2"],
+                                                      p["b2"])),
+                {"x": x0, "w1": w1, "b1": b1, "w2": w2, "b2": b2})
+    if case == "graded_relu":
+        return lambda p: summed(ad.graded_relu_op(p["x"], q)), {"x": sx}
+    if case == "graded_relu_sign":
+        return lambda p: summed(ad.graded_relu_op(p["x"], q, sign_preserving=True)), {"x": sx}
+    if case == "exp_activation":
+        return lambda p: summed(ad.exp_activation_op(p["x"], q)), {"x": x0}
+    if case == "scale_cols":
+        w0 = g.uniform(0.5, 1.5, (1, 4))
+        return lambda p: summed(ad.scale_cols(p["x"], p["w"])), {"x": x0, "w": w0}
+    if case == "normalize_rows":
+        return lambda p: summed(ad.normalize_rows(p["x"])), {"x": x0 + 2.0}
+    if case == "add_rowvec":
+        b0 = g.normal(0.0, 1.0, (1, 4))
+        return lambda p: summed(ad.add_rowvec(p["x"], p["b"])), {"x": x0, "b": b0}
+    if case == "hstack":
+        y0 = g.normal(0.0, 1.0, (3, 2))
+        up6 = g.uniform(0.5, 1.5, (3, 6))
+        return lambda p: summed(ad.hstack([p["x"], p["y"]]), up6), {"x": x0, "y": y0}
+    if case == "vstack":
+        y0 = g.normal(0.0, 1.0, (2, 4))
+        up5 = g.uniform(0.5, 1.5, (5, 4))
+        return lambda p: summed(ad.vstack([p["x"], p["y"]]), up5), {"x": x0, "y": y0}
+    if case == "embedding":
+        table = g.normal(0.0, 1.0, (5, 4))
+        return lambda p: summed(ad.embedding_rows(p["t"], [0, 3, 3])), {"t": table}
+    if case == "sigmoid":
+        return lambda p: summed(ad.sigmoid(p["x"])), {"x": x0}
+    if case == "transpose":
+        up_t = g.uniform(0.5, 1.5, (4, 3))
+        return lambda p: summed(ad.transpose(p["x"]), up_t), {"x": x0}
+    raise ValueError(f"unknown primitive case {case!r}")
+
+
+def primitive_gradient_error(case: str, g: np.random.Generator, trials: int = 20) -> float:
+    """Worst relative error of the tape gradient against central differences
+    over `trials` draws of one primitive case."""
+    return max(ad.grad_check(*primitive_case(case, g), h=1e-5) for _ in range(trials))
 
 
 @prop("autodiff.primitive_gradients", "tape gradients of every primitive match central differences")
 def _prim_grads(seed):
-    g, r = _primitive_points(seed)
-    worst = 0.0
-    for trial in range(20):
-        x0 = g.normal(0.0, 1.0, (3, 4))
-        w0 = g.uniform(0.5, 1.5, (1, 4))
-        y0 = g.normal(0.0, 1.0, (4, 3))
-        gamma0 = g.uniform(0.8, 1.2, (1, 4))
-        beta0 = g.normal(0.0, 0.1, (1, 4))
-        weights = g.uniform(0.5, 1.5, (3, 4))  # scalarizer, keeps grads O(1)
-        wy = g.uniform(0.5, 1.5, (3, 3))
-        q = g.uniform(0.8, 2.5, (1, 4))
-        sx = np.where(np.abs(x0) < 0.2, x0 + 0.5, x0)  # keep away from kinks
-
-        cases = {
-            "matmul": (lambda p: ad.sum_all(ad.mul(ad.matmul(p["x"], p["y"]), wy)),
-                       {"x": x0, "y": y0}),
-            "softmax": (lambda p: ad.sum_all(ad.mul(ad.softmax_rows(p["x"]), weights)),
-                        {"x": x0}),
-            "layer_norm": (lambda p: ad.sum_all(ad.mul(  # LN(x + 0): x's draws only
-                ad.layer_norm_rows(p["x"], np.zeros((3, 4)), p["g"], p["b"], 1e-5), weights)),
-                {"x": x0, "g": gamma0, "b": beta0}),
-            "graded_relu": (lambda p: ad.sum_all(ad.mul(
-                ad.graded_relu_op(p["x"], q), weights)), {"x": sx}),
-            "graded_relu_sign": (lambda p: ad.sum_all(ad.mul(
-                ad.graded_relu_op(p["x"], q, sign_preserving=True), weights)), {"x": sx}),
-            "exp_activation": (lambda p: ad.sum_all(ad.mul(
-                ad.exp_activation_op(p["x"], q), weights)), {"x": x0}),
-            "scale_cols": (lambda p: ad.sum_all(ad.mul(
-                ad.scale_cols(p["x"], p["w"]), weights)), {"x": x0, "w": w0}),
-            "normalize_rows": (lambda p: ad.sum_all(ad.mul(
-                ad.normalize_rows(p["x"]), weights)), {"x": x0 + 2.0}),
-        }
-        for fn, point in cases.values():
-            worst = max(worst, ad.grad_check(fn, point, h=1e-5))
+    g = Rng(seed).generator
+    worst = max(primitive_gradient_error(case, g) for case in PRIMITIVE_CASES)
     return worst <= 1e-4, f"max rel err {worst:.3e}", "<= 1e-4"
 
 
-@prop("autodiff.softmax_jacobian", "softmax backward equals the brute-force Jacobian contraction")
-def _softmax_jac(seed):
-    g, _ = _primitive_points(seed)
+def softmax_jacobian_error(g: np.random.Generator, draws: int = 10) -> float:
+    """Max |tape VJP - brute-force row-Jacobian contraction| of softmax_rows
+    over `draws` random 3x3 inputs and upstream gradients."""
     worst = 0.0
-    for _ in range(10):
+    for _ in range(draws):
         x = g.normal(0.0, 1.0, (3, 3))
         up = g.normal(0.0, 1.0, (3, 3))
         tape = ad.Tape()
         with ad.recording(tape):
-            xn = tape.param("x", x)
-            root = ad.sum_all(ad.mul(ad.softmax_rows(xn), up))
+            root = ad.sum_all(ad.mul(ad.softmax_rows(tape.param("x", x)), up))
         got = tape.backward(root)["x"]
-        want = np.zeros_like(x)
         p = tensor.softmax_rows(x)
-        for i in range(3):  # rows independent; contract the row Jacobian
-            jac = np.diag(p[i]) - np.outer(p[i], p[i])
-            want[i] = jac @ up[i]
+        want = np.stack([(np.diag(p[i]) - np.outer(p[i], p[i])) @ up[i] for i in range(3)])
         worst = max(worst, float(np.abs(got - want).max()))
+    return worst
+
+
+@prop("autodiff.softmax_jacobian", "softmax backward equals the brute-force Jacobian contraction")
+def _softmax_jac(seed):
+    worst = softmax_jacobian_error(Rng(seed).generator)
     return worst <= 1e-8, f"max abs dev {worst:.3e}", "<= 1e-8"
 
 
@@ -165,46 +216,51 @@ def _softmax_jac(seed):
 # graded space
 
 
-@prop("graded_space.star_group_law", "(lam*mu) star x = lam star (mu star x)")
-def _star_group(seed):
-    g, _ = _primitive_points(seed)
-    worst = 0.0
-    for _ in range(100):
+# plus_one linear weights and 2**q exponential weights, alternated by draw
+_PLUS_ONE_AND_EXP2 = (gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one")),
+                     gs.GradingSpec(gs.EXPONENTIAL, base=2.0))
+
+
+def star_action_errors(g: np.random.Generator, draws: int = 100) -> tuple[float, float]:
+    """Worst deviations from the group law (lam mu) * x = lam * (mu * x) and
+    from the commutation M (lam * x) = lam * (M x) of plus_one grading with
+    the star action, on the same `draws` random (q, x, lam, mu)."""
+    group = commute = 0.0
+    for _ in range(draws):
         q = g.uniform(0.0, 3.0, 5)
         x = g.normal(0.0, 1.0, 5)
         lam, mu = g.uniform(0.2, 3.0, 2)
         left = gs.star_action(lam * mu, q, x)
         right = gs.star_action(lam, q, gs.star_action(mu, q, x))
-        worst = max(worst, float(np.abs(left - right).max()))
+        group = max(group, float(np.abs(left - right).max()))
+        m = gs.grading_matrix(q, _PLUS_ONE_AND_EXP2[0])
+        left = m @ gs.star_action(lam, q, x)
+        right = gs.star_action(lam, q, m @ x)
+        commute = max(commute, float(np.abs(left - right).max()))
+    return group, commute
+
+
+@prop("graded_space.star_group_law", "(lam*mu) star x = lam star (mu star x)")
+def _star_group(seed):
+    worst, _ = star_action_errors(Rng(seed).generator)
     return worst <= 1e-10, f"max abs dev {worst:.3e}", "<= 1e-10"
 
 
 @prop("graded_space.grading_star_commute", "diagonal grading commutes with the scalar action")
 def _grading_commute(seed):
-    g, _ = _primitive_points(seed)
-    spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
-    worst = 0.0
-    for _ in range(100):
-        q = g.uniform(0.0, 2.0, 5)
-        x = g.normal(0.0, 1.0, 5)
-        lam = g.uniform(0.2, 3.0)
-        m = gs.grading_matrix(q, spec)
-        left = m @ gs.star_action(lam, q, x)
-        right = gs.star_action(lam, q, m @ x)
-        worst = max(worst, float(np.abs(left - right).max()))
+    _, worst = star_action_errors(Rng(seed).generator)
     return worst <= 1e-10, f"max abs dev {worst:.3e}", "<= 1e-10"
 
 
 @prop("graded_space.norm_bounds", "||M x|| <= max-weight * ||x|| in both modes")
 def _norm_bounds(seed):
-    g, _ = _primitive_points(seed)
+    g = Rng(seed).generator
     ok = True
     worst = -np.inf
     for _ in range(1000):
         q = g.uniform(0.0, 2.5, 6)
         x = g.normal(0.0, 1.0, 6)
-        for spec in (gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one")),
-                     gs.GradingSpec(gs.EXPONENTIAL, base=2.0)):
+        for spec in _PLUS_ONE_AND_EXP2:
             w = spec.weights(q)
             lhs = np.linalg.norm(w * x)
             rhs = w.max() * np.linalg.norm(x)
@@ -215,7 +271,7 @@ def _norm_bounds(seed):
 
 @prop("graded_space.bilinear_positive", "x^T M x > 0 for x != 0 under exponential grading")
 def _bilinear_pos(seed):
-    g, _ = _primitive_points(seed)
+    g = Rng(seed).generator
     spec = gs.GradingSpec(gs.EXPONENTIAL, base=3.0)
     vals = []
     for _ in range(200):
@@ -233,7 +289,7 @@ def _bilinear_pos(seed):
       "grading suppresses coordinate j relative to the top-grade coordinate "
       "by exactly w_j / w_max")
 def _concentration(seed):
-    g, _ = _primitive_points(seed)
+    g = Rng(seed).generator
     spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
     worst = 0.0
     for _ in range(200):
@@ -256,23 +312,34 @@ def _concentration(seed):
     return worst <= 1e-12, f"max factor dev {worst:.3e}", "<= 1e-12"
 
 
+def grading_lipschitz_errors(g: np.random.Generator,
+                             draws: int = 1000) -> tuple[int, float, float]:
+    """The grading X -> X diag(w) against ||phi(X+D) - phi(X)|| <= m_max ||D||
+    on `draws` random 4x6 (X, D): the number of violations (at 1e-12
+    relative), the largest excess lhs - rhs, and the worst |lhs - rhs| for a
+    D on the top-weight column, where equality holds."""
+    violations, excess, equality = 0, -np.inf, 0.0
+    for trial in range(draws):
+        d = 6
+        grades = g.uniform(0.0, 2.0, d)
+        x = g.normal(size=(4, d))
+        delta = g.normal(size=(4, d)) * 0.5
+        w = _PLUS_ONE_AND_EXP2[trial % 2].weights(grades)
+        lhs = np.linalg.norm((x + delta) * w - x * w)
+        rhs = w.max() * np.linalg.norm(delta)
+        violations += int(lhs > rhs * (1 + 1e-12))
+        excess = max(excess, lhs - rhs)
+        delta_top = np.zeros((4, d))
+        delta_top[:, int(np.argmax(w))] = g.normal(size=4)
+        equality = max(equality, abs(np.linalg.norm(delta_top * w)
+                                     - w.max() * np.linalg.norm(delta_top)))
+    return violations, excess, equality
+
+
 @prop("graded_space.grading_lipschitz", "||phi(X+D) - phi(X)|| <= max-weight * ||D||")
 def _grading_lip(seed):
-    g, _ = _primitive_points(seed)
-    ok = True
-    worst = -np.inf
-    for _ in range(500):
-        q = g.uniform(0.0, 2.0, 6)
-        x = g.normal(0.0, 1.0, (4, 6))
-        delta = g.normal(0.0, 0.3, (4, 6))
-        for spec in (gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one")),
-                     gs.GradingSpec(gs.EXPONENTIAL, base=2.0)):
-            w = spec.weights(q)
-            lhs = np.linalg.norm((x + delta) * w - x * w)
-            rhs = w.max() * np.linalg.norm(delta)
-            ok &= lhs <= rhs * (1 + 1e-12)
-            worst = max(worst, lhs - rhs)
-    return ok, f"max bound excess {worst:.3e}", "<= 0"
+    violations, excess, _ = grading_lipschitz_errors(Rng(seed).generator)
+    return violations == 0, f"max bound excess {excess:.3e}", "<= 0"
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +350,7 @@ def _grading_lip(seed):
       "losses are >= 0 and vanish exactly at y_hat = y; weighted one-hot "
       "cross-entropy is minimized at the target")
 def _loss_zero(seed):
-    g, _ = _primitive_points(seed)
+    g = Rng(seed).generator
     ok = True
     for _ in range(100):
         q = g.uniform(0.2, 3.0, 4)
@@ -312,7 +379,7 @@ def _loss_zero(seed):
 
 @prop("gnn.max_dominated_by_norm", "max-graded loss never exceeds the norm loss")
 def _max_vs_norm(seed):
-    g, _ = _primitive_points(seed)
+    g = Rng(seed).generator
     ok = True
     for _ in range(300):
         q = g.uniform(0.1, 3.0, 5)
@@ -323,14 +390,14 @@ def _max_vs_norm(seed):
     return ok, "dominance held on 300 draws", "max <= sum"
 
 
-@prop("gnn.unit_grades_reduce", "unit grades give the ungraded losses back")
-def _unit_reduce(seed):
-    g, _ = _primitive_points(seed)
+def unit_grade_reduction_error(g: np.random.Generator, draws: int = 100) -> float:
+    """Worst deviation of the MSE, norm, max-graded and cross-entropy losses
+    at unit grades from their ungraded forms, over `draws` random draws."""
     worst = 0.0
-    for _ in range(100):
+    ones = np.ones(5)
+    for _ in range(draws):
         y = g.normal(0.0, 1.0, 5)
         yh = g.normal(0.0, 1.0, 5)
-        ones = np.ones(5)
         worst = max(worst, abs(gnn.graded_loss(gnn.MSE, ones, y, yh) - np.mean((y - yh) ** 2)))
         worst = max(worst, abs(gnn.graded_loss(gnn.NORM, ones, y, yh) - np.sum((y - yh) ** 2)))
         worst = max(worst, abs(gnn.graded_loss(gnn.MAX_GRADED, ones, y, yh)
@@ -341,6 +408,12 @@ def _unit_reduce(seed):
         t /= t.sum()
         worst = max(worst, abs(gnn.graded_loss(gnn.CROSS_ENTROPY, ones, t, p)
                                - (-np.sum(t * np.log(p)))))
+    return worst
+
+
+@prop("gnn.unit_grades_reduce", "unit grades give the ungraded losses back")
+def _unit_reduce(seed):
+    worst = unit_grade_reduction_error(Rng(seed).generator)
     return worst <= 1e-12, f"max dev {worst:.3e}", "<= 1e-12"
 
 
@@ -348,39 +421,48 @@ def _unit_reduce(seed):
 # baseline transformer
 
 
-@prop("transformer.row_stochastic", "every attention map is row-stochastic")
-def _row_stochastic(seed):
-    r = Rng(seed)
-    g = r.generator
-    worst = 0.0
+def attention_row_sum_error(g: np.random.Generator, calls: int = 1000) -> tuple[float, int]:
+    """Graded attention maps over `calls` random draws, cycling the five
+    variants and alternating plus_one and 4**q weights: the max |row sum - 1|
+    and the number of maps with a negative entry."""
     variants = ("none", "scores", "queries_keys", "multi_head", "values")
-    for trial in range(1000):
+    weights = (_PLUS_ONE_AND_EXP2[0], gs.GradingSpec(gs.EXPONENTIAL, base=4.0))
+    worst, negative = 0.0, 0
+    for trial in range(calls):
         n, dk = int(g.integers(2, 7)), int(g.integers(2, 6))
         q = g.normal(0.0, float(g.choice([1.0, 5.0])), (n, dk))
         k = g.normal(0.0, 1.0, (n, dk))
         v = g.normal(0.0, 1.0, (n, dk))
-        grades = g.uniform(0.0, 2.0, dk)
-        variant = variants[trial % len(variants)]
-        if trial % 2 == 0:
-            w = gs.WeightMap("plus_one").values(grades)
-        else:
-            w = gs.GradingSpec(gs.EXPONENTIAL, base=4.0).weights(grades)
-        _, attn = graded.graded_attention(q, k, v, w, variant)
+        w = weights[trial % 2].weights(g.uniform(0.0, 2.0, dk))
+        _, attn = graded.graded_attention(q, k, v, w, variants[trial % len(variants)])
         worst = max(worst, float(np.abs(attn.sum(axis=1) - 1.0).max()))
-        if np.any(attn < 0):
-            return False, "negative attention entry", ">= 0"
-    return worst <= 1e-12, f"max row-sum dev {worst:.3e}", "<= 1e-12"
+        negative += int(np.any(attn < 0))
+    return worst, negative
 
 
-@prop("transformer.scaling_variance", "scores q.k/sqrt(d_k) have unit variance under N(0,1)")
-def _scaling_var(seed):
+@prop("transformer.row_stochastic", "every attention map is row-stochastic")
+def _row_stochastic(seed):
+    worst, negative = attention_row_sum_error(Rng(seed).generator)
+    return (worst <= 1e-12 and negative == 0,
+            f"max row-sum dev {worst:.3e}, {negative} maps with a negative entry", "<= 1e-12")
+
+
+def score_variance_error(seed: int, dks=(4, 16, 64)) -> float:
+    """Max |var(q.k / sqrt(d_k)) - 1| over d_k for 100k standard normal
+    (q, k) pairs; each d_k draws from Rng(seed + d_k)."""
     worst = 0.0
-    for dk in (4, 16, 64):
+    for dk in dks:
         g = Rng(seed + dk).generator
         q = g.standard_normal((100_000, dk))
         k = g.standard_normal((100_000, dk))
         s = (q * k).sum(axis=1) / np.sqrt(dk)
         worst = max(worst, abs(float(s.var()) - 1.0))
+    return worst
+
+
+@prop("transformer.scaling_variance", "scores q.k/sqrt(d_k) have unit variance under N(0,1)")
+def _scaling_var(seed):
+    worst = score_variance_error(seed)
     return worst <= 0.05, f"max |var - 1| = {worst:.4f}", "<= 0.05"
 
 
@@ -398,23 +480,29 @@ def _psd(seed):
     return low >= -1e-9, f"min Rayleigh quotient {low:.3e}", ">= -1e-9"
 
 
-@prop("transformer.permutation_equivariance", "MH(PX) = P MH(X) without masks or positions")
-def _perm_equiv(seed):
-    r = Rng(seed)
-    cfg = tf.ModelConfig(vocab_size=0, d_model=8, n_heads=2, n_layers=1, d_ff=16, n_max=16)
-    params = tf.init_params(cfg, r)
+def permutation_equivariance_error(params, cfg, g: np.random.Generator, draws: int,
+                                   max_rows: int) -> float:
+    """Max ||MH(PX) - P MH(X)||_F of the enc0 attention block over `draws`
+    random X with 2 <= n < max_rows rows and random permutations P."""
     worst = 0.0
-    for _ in range(100):
-        n = int(r.generator.integers(2, 8))
-        x = r.generator.normal(0.0, 1.0, (n, 8))
-        perm = r.generator.permutation(n)
-        p_mat = np.eye(n)[perm]
+    for _ in range(draws):
+        n = int(g.integers(2, max_rows))
+        x = g.normal(0.0, 1.0, (n, cfg.d_model))
+        p_mat = np.eye(n)[g.permutation(n)]
         tape = ad.Tape()
         with ad.recording(tape):
             nodes = tf.as_nodes(params, tape, trainable=False)
             mh_x = tf.multi_head(nodes, "enc0", tape.constant(x), cfg).value
             mh_px = tf.multi_head(nodes, "enc0", tape.constant(p_mat @ x), cfg).value
         worst = max(worst, float(np.linalg.norm(mh_px - p_mat @ mh_x)))
+    return worst
+
+
+@prop("transformer.permutation_equivariance", "MH(PX) = P MH(X) without masks or positions")
+def _perm_equiv(seed):
+    r = Rng(seed)
+    cfg = tf.ModelConfig(vocab_size=0, d_model=8, n_heads=2, n_layers=1, d_ff=16, n_max=16)
+    worst = permutation_equivariance_error(tf.init_params(cfg, r), cfg, r.generator, 100, 8)
     return worst <= 1e-10, f"max Frobenius dev {worst:.3e}", "<= 1e-10"
 
 
@@ -459,71 +547,79 @@ def _pos_bias(seed):
     return ok, "scores strictly decrease with position", "strict ordering"
 
 
-@prop("graded.attention_rank_scaling",
-      "sigma_max(Q M K^T) <= m_max sigma_max(Q K^T) for orthonormal Q and for "
-      "K = Q, and <= m_max min(kappa(Q), kappa(K)) sigma_max(Q K^T) for "
-      "full-column-rank Q, K (unconditionally false: Q=[[1,1]], K=[[-1,1]], "
-      "weights (1,3) give 2 > 0)")
-def _rank_scaling(seed):
+def rank_scaling_ratios(g: np.random.Generator, draws: int = 200):
+    """sigma_max(Q M K^T) against m_max sigma_max(Q K^T), M = diag(w), on
+    `draws` random 6x4 Q, K with weights alternating plus_one and 2**q.
+
+    Returns the worst lhs/bound of the three forms that are theorems
+    (orthonormal Q, K = Q, and the bound times min(kappa(Q), kappa(K))),
+    the number of draws exceeding the unconditional form at 1e-9 relative,
+    both sides of the counterexample Q=[[1,1]], K=[[-1,1]], weights (1,3),
+    and whether it gives 2 > 0 with rank-deficient Q and K.
+    """
     # Orthonormal Q: Q M K^T = (Q M Q^T)(Q K^T) and ||Q M Q^T|| = m_max.
     # K = Q: 0 <= Q M Q^T <= m_max Q Q^T in the Loewner order.
     # Full column rank: Q M K^T = (Q M Q^+)(Q K^T) = (Q K^T)(K^+T M K^T).
     def sigma(a):
         return float(np.linalg.norm(a, 2))
 
-    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=1, n_layers=1, d_ff=4)
-    weight_configs = (
-        graded.GradedModelConfig(model=cfg, weight_map=gs.WeightMap("plus_one")),
-        graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=2.0),
-    )
-    g = Rng(seed).generator
-    worst = np.zeros(3)
+    worst = {"orthonormal": 0.0, "K=Q": 0.0, "kappa": 0.0}
     violations = 0
-    for trial in range(200):
+    for trial in range(draws):
         n, dk = 6, 4
-        q = g.normal(0.0, 1.0, (n, dk))
-        k = g.normal(0.0, 1.0, (n, dk))
-        grades = g.uniform(0.0, 2.0, dk)
-        w = weight_configs[trial % 2].weights(grades)
+        q = g.normal(size=(n, dk))
+        k = g.normal(size=(n, dk))
+        w = _PLUS_ONE_AND_EXP2[trial % 2].weights(g.uniform(0.0, 2.0, dk))
         m_max = float(w.max())
         qo = np.linalg.qr(q)[0]
         kappa = min(np.linalg.cond(q), np.linalg.cond(k))
         left, stated = sigma((q * w) @ k.T), m_max * sigma(q @ k.T)
-        worst = np.maximum(worst, [
-            sigma((qo * w) @ k.T) / (m_max * sigma(qo @ k.T)),
-            sigma((q * w) @ q.T) / (m_max * sigma(q @ q.T)),
-            left / (kappa * stated),
-        ])
+        ratios = {
+            "orthonormal": sigma((qo * w) @ k.T) / (m_max * sigma(qo @ k.T)),
+            "K=Q": sigma((q * w) @ q.T) / (m_max * sigma(q @ q.T)),
+            "kappa": left / (kappa * stated),
+        }
+        worst = {form: max(worst[form], r) for form, r in ratios.items()}
         violations += int(left > stated * (1 + 1e-9))
-    cq, ck = np.array([[1.0, 1.0]]), np.array([[-1.0, 1.0]])
-    counterexample = (sigma((cq * [1.0, 3.0]) @ ck.T) == 2.0 and sigma(cq @ ck.T) == 0.0
-                      and np.linalg.matrix_rank(cq) < 2 and np.linalg.matrix_rank(ck) < 2)
-    ok = bool(np.all(worst <= 1 + 1e-9)) and counterexample
-    return ok, (
-        f"worst lhs/bound: orthonormal {worst[0]:.4f}, K=Q {worst[1]:.4f}, "
-        f"kappa {worst[2]:.4f}; {violations}/200 draws exceed the unconditional form"
-    ), "<= 1 (+1e-9 rel)"
+    cq, ck, cw = np.array([[1.0, 1.0]]), np.array([[-1.0, 1.0]]), np.array([1.0, 3.0])
+    sides = (sigma((cq * cw) @ ck.T), float(cw.max()) * sigma(cq @ ck.T))
+    counterexample = (sides == (2.0, 0.0) and np.linalg.matrix_rank(cq) < cq.shape[1]
+                      and np.linalg.matrix_rank(ck) < ck.shape[1])
+    return worst, violations, sides, counterexample
+
+
+@prop("graded.attention_rank_scaling",
+      "sigma_max(Q M K^T) <= m_max sigma_max(Q K^T) for orthonormal Q and for "
+      "K = Q, and <= m_max min(kappa(Q), kappa(K)) sigma_max(Q K^T) for "
+      "full-column-rank Q, K (unconditionally false: Q=[[1,1]], K=[[-1,1]], "
+      "weights (1,3) give 2 > 0)")
+def _rank_scaling(seed):
+    worst, violations, _, counterexample = rank_scaling_ratios(Rng(seed).generator)
+    ok = all(r <= 1 + 1e-9 for r in worst.values()) and counterexample
+    ratios = ", ".join(f"{form} {r:.4f}" for form, r in worst.items())
+    return ok, (f"worst lhs/bound: {ratios}; "
+                f"{violations}/200 draws exceed the unconditional form"), "<= 1 (+1e-9 rel)"
+
+
+def rank_scaling_product_ratio(g: np.random.Generator, draws: int = 200) -> float:
+    """Worst sigma_max(Q M K^T) / (m_max sigma_max(Q) sigma_max(K)) on the
+    draws of rank_scaling_ratios."""
+    worst = 0.0
+    for trial in range(draws):
+        q = g.normal(size=(6, 4))
+        k = g.normal(size=(6, 4))
+        w = _PLUS_ONE_AND_EXP2[trial % 2].weights(g.uniform(0.0, 2.0, 4))
+        left = float(np.linalg.norm((q * w) @ k.T, 2))
+        bound = float(w.max() * np.linalg.norm(q, 2) * np.linalg.norm(k, 2))
+        worst = max(worst, left / bound)
+    return worst
 
 
 @prop("graded.attention_rank_scaling_provable",
       "sigma_max(Q M K^T) <= m_max sigma_max(Q) sigma_max(K) for every Q, K "
       "(the K = Q case of the stated form is in graded.attention_rank_scaling)")
 def _rank_scaling_provable(seed):
-    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=1, n_layers=1, d_ff=4)
-    weight_configs = (
-        graded.GradedModelConfig(model=cfg, weight_map=gs.WeightMap("plus_one")),
-        graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=2.0),
-    )
-    g = Rng(seed).generator
-    worst = 0.0
-    for trial in range(200):
-        n, dk = 6, 4
-        q = g.normal(0.0, 1.0, (n, dk))
-        k = g.normal(0.0, 1.0, (n, dk))
-        w = weight_configs[trial % 2].weights(g.uniform(0.0, 2.0, dk))
-        left = float(np.linalg.norm((q * w) @ k.T, 2))
-        bound = float(w.max() * np.linalg.norm(q, 2) * np.linalg.norm(k, 2))
-        worst = max(worst, left / bound)
+    worst = rank_scaling_product_ratio(Rng(seed).generator)
     return worst <= 1 + 1e-9, f"worst lhs/product bound {worst:.4f}", "<= 1 (+1e-9 rel)"
 
 
@@ -595,24 +691,32 @@ def _deff(seed):
     return ok, f"d_eff at deltas (0.25, 1, 2) = {vals}", "[1, 2, 4]"
 
 
-@prop("graded.egt_concentration", "the top-grade coordinate's score share grows with the base")
-def _egt_conc(seed):
-    g = Rng(seed).generator
-    ok = True
-    for _ in range(100):
+def egt_nonmonotone_count(g: np.random.Generator, draws: int = 100) -> int:
+    """Draws (of `draws` random 4x5 Q, K with a unique top grade) where the
+    top-grade coordinate's mean share of |q_i k_j w| does not strictly
+    increase over exponential bases 2, 4, 8, 16."""
+    bad = 0
+    for _ in range(draws):
         dk = 5
         grades = g.uniform(0.0, 1.5, dk)
         grades[int(g.integers(0, dk))] = 2.5  # unique max grade
-        q = g.normal(0.0, 1.0, (4, dk))
-        k = g.normal(0.0, 1.0, (4, dk))
+        q = g.normal(size=(4, dk))
+        k = g.normal(size=(4, dk))
         m = int(np.argmax(grades))
         shares = []
         for lam in (2.0, 4.0, 8.0, 16.0):
             w = gs.GradingSpec(gs.EXPONENTIAL, base=lam).weights(grades)
             contrib = np.abs(q[:, None, :] * k[None, :, :] * w)
             shares.append(float((contrib[:, :, m] / contrib.sum(axis=2)).mean()))
-        ok &= all(shares[i] < shares[i + 1] for i in range(3))
-    return ok, "share strictly increasing at base 2,4,8,16", "strict increase"
+        bad += int(not all(a < b for a, b in zip(shares, shares[1:])))
+    return bad
+
+
+@prop("graded.egt_concentration", "the top-grade coordinate's score share grows with the base")
+def _egt_conc(seed):
+    bad = egt_nonmonotone_count(Rng(seed).generator)
+    return bad == 0, f"{bad}/100 draws not strictly increasing at base 2,4,8,16", \
+        "strict increase"
 
 
 # ---------------------------------------------------------------------------

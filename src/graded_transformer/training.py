@@ -56,6 +56,9 @@ class TrainConfig:
             raise ValueError("regularization weights must be >= 0")
         if not self.lambda_max > 1.0:
             raise InvalidLambda("lambda_max must exceed 1")
+        if self.base_loss not in ("squared", "sigmoid_ce"):
+            raise ValueError(
+                f"base_loss must be 'squared' or 'sigmoid_ce', not {self.base_loss!r}")
 
 
 def grade_init(rule_scale: float, d: int) -> np.ndarray:
@@ -185,14 +188,6 @@ def sequence_loss_node(logits: ad.Node, targets: np.ndarray, weights: ad.Node,
 
 def _sq_norm(node: ad.Node) -> ad.Node:
     return ad.sum_all(ad.mul(node, node))
-
-
-def total_loss(logits: ad.Node, targets: np.ndarray, grade_nodes: dict,
-               loss_weights: ad.Node, cfg: TrainConfig, n_heads: int,
-               base_loss: str = "squared") -> ad.Node:
-    """Weighted sequence loss plus the grade regularizers, as one scalar node."""
-    main = sequence_loss_node(logits, targets, loss_weights, base_loss)
-    return ad.add(main, regularizer_node(grade_nodes, cfg, n_heads))
 
 
 def regularizer_node(grade_nodes: dict, cfg: TrainConfig, n_heads: int) -> ad.Node:

@@ -12,12 +12,10 @@ test_c10_provable_bound.
 import numpy as np
 
 from graded_transformer import autodiff as ad
-from graded_transformer import gnn
 from graded_transformer import graded
 from graded_transformer import graded_space as gs
 from graded_transformer import props
 from graded_transformer import tasks
-from graded_transformer import tensor
 from graded_transformer import training
 from graded_transformer import transformer as tf
 from graded_transformer.tensor import Rng
@@ -43,29 +41,15 @@ def test_c01_photonic_example():
 
 def test_c02_loss_multipliers_exact():
     q = [0.0, 0.5, 1.0, 2.0]
-    lgt = gnn.sequence_loss_weights(q, gs.LINEAR)
-    egt = gnn.sequence_loss_weights(q, gs.EXPONENTIAL, base=2.0)
+    lgt = gs.GradingSpec(gs.LINEAR).weights(q)
+    egt = gs.GradingSpec(gs.EXPONENTIAL, base=2.0).weights(q)
     dev = max(np.abs(lgt - [1.0, 1.5, 2.0, 3.0]).max(),
               np.abs(egt - [1.0, np.sqrt(2.0), 2.0, 4.0]).max())
     assert verdict(2, dev <= 1e-12, f"multiplier dev {dev:.2e} (tol 1e-12)")
 
 
 def test_c03_row_stochastic_all_variants():
-    g = Rng(0).generator
-    variants = ("none", "scores", "queries_keys", "multi_head", "values")
-    worst = 0.0
-    neg = 0
-    for trial in range(1000):
-        n, dk = int(g.integers(2, 7)), int(g.integers(2, 6))
-        q = g.normal(0.0, float(g.choice([1.0, 5.0])), (n, dk))
-        k = g.normal(0.0, 1.0, (n, dk))
-        v = g.normal(0.0, 1.0, (n, dk))
-        grades = g.uniform(0.0, 2.0, dk)
-        w = gs.WeightMap("plus_one").values(grades) if trial % 2 == 0 \
-            else np.exp(grades * np.log(4.0))
-        _, attn = graded.graded_attention(q, k, v, w, variants[trial % 5])
-        worst = max(worst, float(np.abs(attn.sum(axis=1) - 1.0).max()))
-        neg += int(np.any(attn < 0))
+    worst, neg = props.attention_row_sum_error(Rng(0).generator, 1000)
     ok = worst <= 1e-12 and neg == 0
     assert verdict(3, ok, f"1000 calls, max row-sum dev {worst:.2e} (tol 1e-12), "
                           f"{neg} negative entries")
@@ -74,54 +58,18 @@ def test_c03_row_stochastic_all_variants():
 def test_c04_permutation_equivariance():
     cfg = tf.ModelConfig(vocab_size=0, d_model=8, n_heads=2, n_layers=1, d_ff=16)
     params = tf.init_params(cfg, Rng(4))
-    g = Rng(14).generator
-    worst = 0.0
-    for _ in range(100):
-        n = int(g.integers(2, 9))
-        x = g.normal(size=(n, 8))
-        p_mat = np.eye(n)[g.permutation(n)]
-        tape = ad.Tape()
-        with ad.recording(tape):
-            nodes = tf.as_nodes(params, tape, trainable=False)
-            mh_x = tf.multi_head(nodes, "enc0", tape.constant(x), cfg).value
-            mh_px = tf.multi_head(nodes, "enc0", tape.constant(p_mat @ x), cfg).value
-        worst = max(worst, float(np.linalg.norm(mh_px - p_mat @ mh_x)))
+    worst = props.permutation_equivariance_error(params, cfg, Rng(14).generator, 100, 9)
     assert verdict(4, worst <= 1e-10, f"100 draws, max Frobenius dev {worst:.2e} (tol 1e-10)")
 
 
 def test_c05_scaling_factor_variance():
-    worst = 0.0
-    for dk in (4, 16, 64):
-        g = Rng(500 + dk).generator
-        q = g.standard_normal((100_000, dk))
-        k = g.standard_normal((100_000, dk))
-        s = (q * k).sum(axis=1) / np.sqrt(dk)
-        worst = max(worst, abs(float(s.var()) - 1.0))
+    worst = props.score_variance_error(500, (4, 16, 64))
     assert verdict(5, worst <= 0.05, f"max |sample var - 1| {worst:.4f} over d_k in (4,16,64) (tol 0.05)")
 
 
 def test_c06_grading_stage_lipschitz():
-    g = Rng(6).generator
-    ok = True
-    worst_eq = 0.0
-    for trial in range(1000):
-        d = 6
-        grades = g.uniform(0.0, 2.0, d)
-        x = g.normal(size=(4, d))
-        delta = g.normal(size=(4, d)) * 0.5
-        if trial % 2 == 0:
-            w = gs.WeightMap("plus_one").values(grades)
-        else:
-            w = np.exp(grades * np.log(2.0))
-        lhs = np.linalg.norm((x + delta) * w - x * w)
-        ok &= lhs <= w.max() * np.linalg.norm(delta) * (1 + 1e-12)
-        # equality when the perturbation lives on the top-weight coordinate
-        delta_top = np.zeros((4, d))
-        delta_top[:, int(np.argmax(w))] = g.normal(size=4)
-        lhs_top = np.linalg.norm(delta_top * w)
-        rhs_top = w.max() * np.linalg.norm(delta_top)
-        worst_eq = max(worst_eq, abs(lhs_top - rhs_top))
-    ok &= worst_eq <= 1e-9
+    violations, _, worst_eq = props.grading_lipschitz_errors(Rng(6).generator, 1000)
+    ok = violations == 0 and worst_eq <= 1e-9
     assert verdict(6, ok, f"bound held on 1000 draws; equality dev {worst_eq:.2e} (tol 1e-9)")
 
 
@@ -144,20 +92,7 @@ def test_c07_graded_relu_homogeneity():
 
 
 def test_c08_star_group_law_and_commutation():
-    g = Rng(8).generator
-    worst = 0.0
-    spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
-    for _ in range(100):
-        q = g.uniform(0.0, 3.0, 5)
-        x = g.normal(size=5)
-        lam, mu = g.uniform(0.2, 3.0, 2)
-        left = gs.star_action(lam * mu, q, x)
-        right = gs.star_action(lam, q, gs.star_action(mu, q, x))
-        worst = max(worst, float(np.abs(left - right).max()))
-        m = gs.grading_matrix(q, spec)
-        c_left = m @ gs.star_action(lam, q, x)
-        c_right = gs.star_action(lam, q, m @ x)
-        worst = max(worst, float(np.abs(c_left - c_right).max()))
+    worst = max(props.star_action_errors(Rng(8).generator, 100))
     assert verdict(8, worst <= 1e-10, f"group law + commutation, max dev {worst:.2e} (tol 1e-10)")
 
 
@@ -191,40 +126,8 @@ def test_c10_rank_scaling_as_stated():
     #   factor min(kappa(Q), kappa(K)).
     # The counterexample Q=[[1,1]], K=[[-1,1]], M=diag(1,3) (2 > 0) has Q and K
     # of rank 1 < 2 columns, so no form above covers it.
-    def sigma(a):
-        return float(np.linalg.norm(a, 2))
-
-    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=1, n_layers=1, d_ff=4)
-    weight_configs = (
-        graded.GradedModelConfig(model=cfg, weight_map=gs.WeightMap("plus_one")),
-        graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=2.0),
-    )
-    g = Rng(10).generator
-    worst = {"orthonormal": 0.0, "K=Q": 0.0, "kappa": 0.0}
-    violations = 0
-    for trial in range(200):
-        n, dk = 6, 4
-        q = g.normal(size=(n, dk))
-        k = g.normal(size=(n, dk))
-        grades = g.uniform(0.0, 2.0, dk)
-        w = weight_configs[trial % 2].weights(grades)
-        m_max = float(w.max())
-        qo = np.linalg.qr(q)[0]
-        kappa = min(np.linalg.cond(q), np.linalg.cond(k))
-        left, stated = sigma((q * w) @ k.T), m_max * sigma(q @ k.T)
-        ratios = {
-            "orthonormal": sigma((qo * w) @ k.T) / (m_max * sigma(qo @ k.T)),
-            "K=Q": sigma((q * w) @ q.T) / (m_max * sigma(q @ q.T)),
-            "kappa": left / (kappa * stated),
-        }
-        worst = {form: max(worst[form], r) for form, r in ratios.items()}
-        violations += int(left > stated * (1 + 1e-9))
-    cq, ck, cw = np.array([[1.0, 1.0]]), np.array([[-1.0, 1.0]]), np.array([1.0, 3.0])
-    c_left = sigma((cq * cw) @ ck.T)
-    c_right = float(cw.max()) * sigma(cq @ ck.T)
-    counterexample = (c_left == 2.0 and c_right == 0.0
-                      and np.linalg.matrix_rank(cq) < cq.shape[1]
-                      and np.linalg.matrix_rank(ck) < ck.shape[1])
+    worst, violations, (c_left, c_right), counterexample = \
+        props.rank_scaling_ratios(Rng(10).generator, 200)
     ok = all(r <= 1 + 1e-9 for r in worst.values()) and counterexample
     ratios_text = ", ".join(f"{form} {r:.4f}" for form, r in worst.items())
     assert verdict(10, ok, f"worst lhs/bound over 200 draws: {ratios_text} (tol 1+1e-9); "
@@ -237,20 +140,7 @@ def test_c10_provable_bound():
     # The product bound sigma_max(Q M K^T) <= m_max sigma_max(Q) sigma_max(K)
     # holds for every Q and K.  The K = Q case of the stated form is asserted
     # in test_c10_rank_scaling_as_stated on the same draws.
-    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=1, n_layers=1, d_ff=4)
-    weight_configs = (
-        graded.GradedModelConfig(model=cfg, weight_map=gs.WeightMap("plus_one")),
-        graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=2.0),
-    )
-    g = Rng(10).generator
-    worst = 0.0
-    for trial in range(200):
-        q = g.normal(size=(6, 4))
-        k = g.normal(size=(6, 4))
-        w = weight_configs[trial % 2].weights(g.uniform(0.0, 2.0, 4))
-        left = float(np.linalg.norm((q * w) @ k.T, 2))
-        bound = float(w.max() * np.linalg.norm(q, 2) * np.linalg.norm(k, 2))
-        worst = max(worst, left / bound)
+    worst = props.rank_scaling_product_ratio(Rng(10).generator, 200)
     assert verdict(10, worst <= 1 + 1e-9,
                    f"product bound on 200 draws: worst lhs/bound {worst:.4f} (tol 1+1e-9)")
 
@@ -332,21 +222,7 @@ def test_c12_annealing_bounds_clipping():
 
 
 def test_c13_egt_concentration():
-    g = Rng(13).generator
-    bad = 0
-    for _ in range(100):
-        dk = 5
-        grades = g.uniform(0.0, 1.5, dk)
-        grades[int(g.integers(0, dk))] = 2.5
-        q = g.normal(size=(4, dk))
-        k = g.normal(size=(4, dk))
-        m = int(np.argmax(grades))
-        shares = []
-        for lam in (2.0, 4.0, 8.0, 16.0):
-            w = np.exp(grades * np.log(lam))
-            contrib = np.abs(q[:, None, :] * k[None, :, :] * w)
-            shares.append(float((contrib[:, :, m] / contrib.sum(axis=2)).mean()))
-        bad += int(not all(a < b for a, b in zip(shares, shares[1:])))
+    bad = props.egt_nonmonotone_count(Rng(13).generator, 100)
     assert verdict(13, bad == 0,
                    f"100 draws, {bad} non-monotone share sequences over base 2,4,8,16")
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graded_transformer import autodiff as ad
+from graded_transformer import props
 from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoot
@@ -324,108 +325,14 @@ class TestGradCheck:
 
 
 class TestPrimitiveGradients:
-    @pytest.mark.parametrize("case", [
-        "matmul", "softmax", "layer_norm", "layer_norm_residual", "feed_forward",
-        "graded_relu", "exp_activation", "scale_cols", "normalize_rows", "add_rowvec",
-        "hstack", "embedding", "sigmoid", "transpose", "vstack",
-    ])
+    @pytest.mark.parametrize("case", props.PRIMITIVE_CASES)
     def test_primitive(self, case):
         g = np.random.default_rng(zlib.crc32(case.encode()))
-        worst = 0.0
-        for _ in range(20):
-            x0 = g.normal(0.0, 1.0, (3, 4))
-            up = g.uniform(0.5, 1.5, (3, 4))
-            q = g.uniform(0.8, 2.5, (1, 4))
-            sx = np.where(np.abs(x0) < 0.2, x0 + 0.5, x0)
-            if case == "matmul":
-                y0 = g.normal(0.0, 1.0, (4, 3))
-                upm = g.uniform(0.5, 1.5, (3, 3))
-                fn = lambda p: ad.sum_all(ad.mul(ad.matmul(p["x"], p["y"]), upm))
-                point = {"x": x0, "y": y0}
-            elif case == "softmax":
-                fn = lambda p: ad.sum_all(ad.mul(ad.softmax_rows(p["x"]), up))
-                point = {"x": x0}
-            elif case == "layer_norm":
-                gam = g.uniform(0.8, 1.2, (1, 4))
-                bet = g.normal(0.0, 0.1, (1, 4))
-                fn = lambda p: ad.sum_all(ad.mul(
-                    ad.layer_norm_rows(p["x"], np.zeros((3, 4)), p["g"], p["b"], 1e-5), up))
-                point = {"x": x0, "g": gam, "b": bet}
-            elif case == "layer_norm_residual":
-                r0 = g.normal(0.0, 1.0, (3, 4))
-                gam = g.uniform(0.8, 1.2, (1, 4))
-                bet = g.normal(0.0, 0.1, (1, 4))
-                fn = lambda p: ad.sum_all(ad.mul(
-                    ad.layer_norm_rows(p["x"], p["r"], p["g"], p["b"], 1e-5), up))
-                point = {"x": x0, "r": r0, "g": gam, "b": bet}
-            elif case == "feed_forward":
-                w2 = g.normal(0.0, 0.5, (5, 4))
-                b2 = g.normal(0.0, 0.1, (1, 4))
-                while True:  # keep every pre-activation off the ReLU kink
-                    w1 = g.normal(0.0, 0.5, (4, 5))
-                    b1 = g.normal(0.0, 0.5, (1, 5))
-                    if np.abs(x0 @ w1 + b1).min() >= 0.05:
-                        break
-                fn = lambda p: ad.sum_all(ad.mul(
-                    ad.feed_forward_rows(p["x"], p["w1"], p["b1"], p["w2"], p["b2"]), up))
-                point = {"x": x0, "w1": w1, "b1": b1, "w2": w2, "b2": b2}
-            elif case == "graded_relu":
-                fn = lambda p: ad.sum_all(ad.mul(ad.graded_relu_op(p["x"], q), up))
-                point = {"x": sx}
-            elif case == "exp_activation":
-                fn = lambda p: ad.sum_all(ad.mul(ad.exp_activation_op(p["x"], q), up))
-                point = {"x": x0}
-            elif case == "scale_cols":
-                w0 = g.uniform(0.5, 1.5, (1, 4))
-                fn = lambda p: ad.sum_all(ad.mul(ad.scale_cols(p["x"], p["w"]), up))
-                point = {"x": x0, "w": w0}
-            elif case == "normalize_rows":
-                fn = lambda p: ad.sum_all(ad.mul(ad.normalize_rows(p["x"]), up))
-                point = {"x": x0 + 2.0}
-            elif case == "add_rowvec":
-                b0 = g.normal(0.0, 1.0, (1, 4))
-                fn = lambda p: ad.sum_all(ad.mul(ad.add_rowvec(p["x"], p["b"]), up))
-                point = {"x": x0, "b": b0}
-            elif case == "hstack":
-                y0 = g.normal(0.0, 1.0, (3, 2))
-                up6 = g.uniform(0.5, 1.5, (3, 6))
-                fn = lambda p: ad.sum_all(ad.mul(ad.hstack([p["x"], p["y"]]), up6))
-                point = {"x": x0, "y": y0}
-            elif case == "vstack":
-                y0 = g.normal(0.0, 1.0, (2, 4))
-                up5 = g.uniform(0.5, 1.5, (5, 4))
-                fn = lambda p: ad.sum_all(ad.mul(ad.vstack([p["x"], p["y"]]), up5))
-                point = {"x": x0, "y": y0}
-            elif case == "embedding":
-                table = g.normal(0.0, 1.0, (5, 4))
-                ids = [0, 3, 3]
-                fn = lambda p: ad.sum_all(ad.mul(ad.embedding_rows(p["t"], ids), up))
-                point = {"t": table}
-            elif case == "sigmoid":
-                fn = lambda p: ad.sum_all(ad.mul(ad.sigmoid(p["x"]), up))
-                point = {"x": x0}
-            else:  # transpose
-                up_t = g.uniform(0.5, 1.5, (4, 3))
-                fn = lambda p: ad.sum_all(ad.mul(ad.transpose(p["x"]), up_t))
-                point = {"x": x0}
-            worst = max(worst, ad.grad_check(fn, point, h=1e-5))
+        worst = props.primitive_gradient_error(case, g)
         assert worst <= 1e-4, f"{case}: {worst:.3e}"
 
     def test_softmax_jacobian_bruteforce(self):
-        g = np.random.default_rng(2)
-        for _ in range(10):
-            x = g.normal(0.0, 1.0, (3, 3))
-            up = g.normal(0.0, 1.0, (3, 3))
-            tape = ad.Tape()
-            with ad.recording(tape):
-                xn = tape.param("x", x)
-                root = ad.sum_all(ad.mul(ad.softmax_rows(xn), up))
-            got = tape.backward(root)["x"]
-            p = tensor.softmax_rows(x)
-            want = np.stack([
-                (np.diag(p[i]) - np.outer(p[i], p[i])) @ up[i] for i in range(3)
-            ])
-            assert_close(got, want, tol=1e-8)
+        assert props.softmax_jacobian_error(np.random.default_rng(2)) <= 1e-8
 
 
 class TestAttentionRows:

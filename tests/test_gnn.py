@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graded_transformer import autodiff as ad
 from graded_transformer import gnn
 from graded_transformer import graded_space as gs
+from graded_transformer import props
+from graded_transformer import training
 from graded_transformer.errors import (
     DomainError,
     NegativeWeightFractionalGrade,
@@ -100,8 +103,8 @@ class TestGradedLayer:
 class TestGradedLosses:
     def test_multiplier_examples(self):
         q = [0.0, 0.5, 1.0, 2.0]
-        lgt = gnn.sequence_loss_weights(q, gs.LINEAR)
-        egt = gnn.sequence_loss_weights(q, gs.EXPONENTIAL, base=2.0)
+        lgt = gs.GradingSpec(gs.LINEAR).weights(q)
+        egt = gs.GradingSpec(gs.EXPONENTIAL, base=2.0).weights(q)
         assert_close(lgt, [1.0, 1.5, 2.0, 3.0], tol=1e-12)
         assert_close(egt, [1.0, np.sqrt(2.0), 2.0, 4.0], tol=1e-12)
 
@@ -138,15 +141,14 @@ class TestGradedLosses:
             gnn.graded_loss(gnn.NORM, q, y, yh) * (1 + 1e-12)
 
     def test_unit_grade_reduction(self):
-        g = np.random.default_rng(9)
-        y, yh = g.normal(size=5), g.normal(size=5)
-        ones = np.ones(5)
-        assert abs(gnn.graded_loss(gnn.MSE, ones, y, yh) - np.mean((y - yh) ** 2)) <= 1e-12
-        assert abs(gnn.graded_loss(gnn.NORM, ones, y, yh) - np.sum((y - yh) ** 2)) <= 1e-12
+        assert props.unit_grade_reduction_error(np.random.default_rng(9), 1) <= 1e-12
 
     def test_sequence_loss_binary_ce(self):
         y = np.array([[1.0, 0.0]])
         p = np.array([[0.8, 0.3]])
-        got = gnn.sequence_loss([0.0, 1.0], gs.LINEAR, y, p, base_loss="binary_ce")
+        w = np.array([[1.0, 2.0]])  # plus_one weights of grades (0, 1)
+        with ad.recording(ad.Tape()):  # logits log(p / (1 - p)) give sigmoid p
+            got = training.sequence_loss_node(ad.wrap(np.log(p / (1 - p))), y, ad.wrap(w),
+                                              "sigmoid_ce").value[0, 0]
         want = -np.log(0.8) * 1.0 + -np.log(0.7) * 2.0
         assert abs(got - want) <= 1e-12

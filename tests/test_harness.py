@@ -482,6 +482,19 @@ class TestCli:
         ({"dataset_size": True}, "key 'dataset_size' must be a JSON integer, not bool"),
         ({"seq_len": 8.0}, "key 'seq_len' must be a JSON integer, not float"),
         ({"task": 5}, "key 'task' must be a JSON string, not int"),
+        ({"model": {"d_model": "4"}}, "key 'model.d_model' must be a JSON integer, not str"),
+        ({"train": {"lr": "x"}}, "key 'train.lr' must be a JSON number, not str"),
+        ({"train": {"steps": 1.5}}, "key 'train.steps' must be a JSON integer, not float"),
+        ({"train": {"base_loss": "bogus"}},
+         "base_loss must be 'squared' or 'sigmoid_ce', not 'bogus'"),
+        ({"grading": {"grades": "abc"}},
+         "key 'grading.grades' must be a JSON array of numbers, not str"),
+        ({"grading": {"weight_map": {"foo": 1}}},
+         "key 'grading.weight_map' must be a JSON string naming a weight map"),
+        ({"grading": {"weight_map": {"affine": [1]}}},
+         "key 'grading.weight_map' must be a JSON string naming a weight map"),
+        ({"grading": {"head_grades": [["a"]]}},
+         "key 'grading.head_grades' must be a JSON array of number arrays or null"),
     ])
     def test_config_key_of_wrong_type_exit_two(self, tmp_path, raw, message):
         out = tmp_path / "run"
@@ -491,7 +504,10 @@ class TestCli:
     @pytest.mark.parametrize("override", [
         {"mode": "bogus"}, {"dataset_size": -1}, {"model": {"n_heads": 3}},
         {"train": {"steps": 0}}, {"grading": {"attention_variant": "bogus"}},
-        {"task": "hier_copy", "seq_len": 40},
+        {"task": "hier_copy", "seq_len": 40}, {"model": {"d_model": "4"}},
+        {"train": {"lr": "x"}}, {"train": {"steps": 1.5}}, {"train": {"base_loss": "bogus"}},
+        {"grading": {"grades": "abc"}}, {"grading": {"weight_map": {"foo": 1}}},
+        {"grading": {"weight_map": {"affine": [1]}}}, {"grading": {"head_grades": [["a"]]}},
     ])
     def test_config_error_leaves_no_output_directory(self, tmp_path, override):
         out = tmp_path / "run"

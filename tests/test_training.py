@@ -72,18 +72,6 @@ class TestCompositeLoss:
             reg = training.regularizer_node(nodes, cfg, n_heads=2)
         assert reg.value[0, 0] == pytest.approx(1.0)
 
-    def test_total_loss_without_regularizers_is_main(self):
-        cfg = training.TrainConfig(gamma=0.0, gamma_heads=0.0, gamma_coord=0.0)
-        y = np.array([[1.0, 0.0]])
-        tape = ad.Tape()
-        with ad.recording(tape):
-            logits = tape.constant(np.array([[0.5, 0.5]]))
-            w = tape.constant(np.array([[1.0, 2.0]]))
-            nodes = {"q": tape.param("q", np.array([[3.0, 4.0]]))}
-            total = training.total_loss(logits, y, nodes, w, cfg, n_heads=0)
-            main = training.sequence_loss_node(logits, y, w, "squared")
-        assert total.value[0, 0] == main.value[0, 0]
-
     def test_gamma_terms_add(self):
         tape = ad.Tape()
         cfg = training.TrainConfig(gamma=0.5, gamma_heads=2.0, gamma_coord=0.0)
