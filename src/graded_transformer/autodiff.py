@@ -11,11 +11,14 @@ and `attention_rows` is scaled dot-product attention for every head and
 sequence.  Such a node's VJPs share one inner adjoint (hidden, normalised
 or score), computed once per backward.
 
-A tape with no parameter leaf keeps values only: until the first
-`Tape.param` call, every op and constant returns a bare node with no
-parents or VJPs, and the tape does not keep it.  A node depends only on
-nodes made before it, so such a node can never carry a gradient; forward
-passes that no one differentiates pay for no bookkeeping, with no flag.
+A node records only when one of its parents records.  Parameter leaves
+are live; constants (`Tape.constant`, `wrap`) are bare nodes no tape
+keeps.  Each primitive computes its value first and returns a bare node,
+with no VJP closures, when no parent is live; otherwise the active tape
+records it with its live parents and their VJPs only.  A dead node has no
+parameter ancestor, so inference records nothing, and backward calls no
+VJP into constants, fixed grade weights or targets; the gradients equal
+those of full recording bit for bit.
 
 Gradients w.r.t. exponential-grading bases are obtained by writing
 ``base**q`` as ``exp(q * ln(base))`` on the tape, so the grade derivative
@@ -34,15 +37,16 @@ from .errors import DimensionMismatch, NonFinite, NotScalarRoot, ZeroAfterGradin
 
 
 class Node:
-    """One recorded value plus the local backward rules to its parents."""
+    """One value; a live node also holds the VJPs to its live parents."""
 
-    __slots__ = ("value", "parents", "vjps", "grad")
+    __slots__ = ("value", "parents", "vjps", "grad", "live")
 
-    def __init__(self, value: np.ndarray, parents=(), vjps=()):
+    def __init__(self, value: np.ndarray, parents=(), vjps=(), live: bool = False):
         self.value = value
         self.parents = parents
         self.vjps = vjps
         self.grad = None
+        self.live = live
 
     @property
     def shape(self):
@@ -52,10 +56,10 @@ class Node:
 class Tape:
     """Recording context: ordered node list plus named parameter leaves.
 
-    Nodes are kept only once a parameter leaf is registered; before that
-    the tape records values only (see the module docstring).
-    Single-threaded during recording and backward; independent tapes may
-    run concurrently.
+    The list holds the parameter leaves and every node recorded from a
+    live parent, nothing else (see the module docstring); `record` is the
+    one place nodes are appended.  Single-threaded during recording and
+    backward; independent tapes may run concurrently.
     """
 
     def __init__(self):
@@ -69,13 +73,12 @@ class Tape:
     def param(self, name: str, value) -> Node:
         if name in self.params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        node = self.record(Node(_as2d(value)))
+        node = self.record(Node(_as2d(value), (), (), True))
         self.params[name] = node
         return node
 
     def constant(self, value) -> Node:
-        node = Node(_as2d(value))
-        return self.record(node) if self.params else node
+        return Node(_as2d(value))
 
     def backward(self, root: Node, out: dict[str, np.ndarray] | None = None
                  ) -> dict[str, np.ndarray]:
@@ -150,17 +153,20 @@ def _as2d(value) -> np.ndarray:
 
 
 def wrap(x) -> Node:
-    """Lift a plain array (or pass a Node through) onto the active tape."""
+    """Lift a plain array to a constant node (or pass a Node through)."""
     if isinstance(x, Node):
         return x
-    return _tape().constant(x)
+    return Node(_as2d(x))
 
 
-def _rec(value, parents, vjps) -> Node:
-    tape = _tape()
-    if not tape.params:  # values only: nothing made so far can carry a gradient
-        return Node(value)
-    return tape.record(Node(value, tuple(parents), tuple(vjps)))
+def _rec(value, parents: tuple, vjps: tuple) -> Node:
+    """Record value on the active tape with its live parents and their VJPs;
+    callers return a bare Node(value) when no parent is live."""
+    for p in parents:
+        if not p.live:
+            parents, vjps = zip(*[(p, f) for p, f in zip(parents, vjps) if p.live])
+            break
+    return _tape().record(Node(value, parents, vjps, True))
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +177,20 @@ def add(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"add: {a.shape} vs {b.shape}")
-    return _rec(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
+    out = a.value + b.value
+    if not (a.live or b.live):
+        return Node(out)
+    return _rec(out, (a, b), (lambda g: g, lambda g: g))
 
 
 def sub(a, b) -> Node:
     a, b = wrap(a), wrap(b)
     if a.shape != b.shape:
         raise DimensionMismatch(f"sub: {a.shape} vs {b.shape}")
-    return _rec(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
+    out = a.value - b.value
+    if not (a.live or b.live):
+        return Node(out)
+    return _rec(out, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a, b) -> Node:
@@ -187,12 +199,16 @@ def mul(a, b) -> Node:
     if a.shape != b.shape:
         raise DimensionMismatch(f"mul: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
+    if not (a.live or b.live):
+        return Node(av * bv)
     return _rec(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
 def scale(a, c: float) -> Node:
     a = wrap(a)
     c = float(c)
+    if not a.live:
+        return Node(a.value * c)
     return _rec(a.value * c, (a,), (lambda g: g * c,))
 
 
@@ -201,11 +217,10 @@ def add_rowvec(x, b) -> Node:
     x, b = wrap(x), wrap(b)
     if b.shape != (1, x.shape[1]):
         raise DimensionMismatch(f"add_rowvec: {x.shape} vs {b.shape}")
-    return _rec(
-        x.value + b.value,
-        (x, b),
-        (lambda g: g, lambda g: g.sum(axis=0, keepdims=True)),
-    )
+    out = x.value + b.value
+    if not (x.live or b.live):
+        return Node(out)
+    return _rec(out, (x, b), (lambda g: g, lambda g: g.sum(axis=0, keepdims=True)))
 
 
 def scale_cols(x, w) -> Node:
@@ -214,6 +229,8 @@ def scale_cols(x, w) -> Node:
     if w.shape != (1, x.shape[1]):
         raise DimensionMismatch(f"scale_cols: {x.shape} vs {w.shape}")
     xv, wv = x.value, w.value
+    if not (x.live or w.live):
+        return Node(xv * wv)
     return _rec(
         xv * wv,
         (x, w),
@@ -226,17 +243,23 @@ def matmul(a, b) -> Node:
     if a.shape[1] != b.shape[0]:
         raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
     av, bv = a.value, b.value
+    if not (a.live or b.live):
+        return Node(av @ bv)
     return _rec(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def transpose(a) -> Node:
     a = wrap(a)
+    if not a.live:
+        return Node(a.value.T.copy())
     return _rec(a.value.T.copy(), (a,), (lambda g: g.T,))
 
 
 def exp(a) -> Node:
     a = wrap(a)
     ev = np.exp(a.value)
+    if not a.live:
+        return Node(ev)
     return _rec(ev, (a,), (lambda g: g * ev,))
 
 
@@ -245,17 +268,23 @@ def log(a) -> Node:
     av = a.value
     with np.errstate(invalid="ignore", divide="ignore"):  # NaN flows to NonFinite checks
         lv = np.log(av)
+    if not a.live:
+        return Node(lv)
     return _rec(lv, (a,), (lambda g: g / av,))
 
 
 def sigmoid(a) -> Node:
     a = wrap(a)
     s = 1.0 / (1.0 + np.exp(-a.value))
+    if not a.live:
+        return Node(s)
     return _rec(s, (a,), (lambda g: g * s * (1.0 - s),))
 
 
 def absolute(a) -> Node:
     a = wrap(a)
+    if not a.live:
+        return Node(np.abs(a.value))
     sgn = np.sign(a.value)
     return _rec(np.abs(a.value), (a,), (lambda g: g * sgn,))
 
@@ -263,24 +292,27 @@ def absolute(a) -> Node:
 def clip_low(a, lo: float) -> Node:
     """max(a, lo); gradient passes only through unclipped entries."""
     a = wrap(a)
+    if not a.live:
+        return Node(np.maximum(a.value, lo))
     mask = a.value >= lo
     return _rec(np.maximum(a.value, lo), (a,), (lambda g: g * mask,))
 
 
 def sum_all(a) -> Node:
     a = wrap(a)
+    out = np.array([[a.value.sum()]])
+    if not a.live:
+        return Node(out)
     shape = a.shape
-    return _rec(
-        np.array([[a.value.sum()]]),
-        (a,),
-        (lambda g: np.full(shape, g[0, 0]),),
-    )
+    return _rec(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
 def softmax_rows(x) -> Node:
     """Row softmax; the value is tensor.softmax_rows."""
     x = wrap(x)
     p = tensor.softmax_rows(x.value)
+    if not x.live:
+        return Node(p)
 
     def vjp(g):
         dot = (g * p).sum(axis=1, keepdims=True)
@@ -332,6 +364,9 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     p = tensor.softmax_rows(scores)
     if collect is not None:
         collect.extend(p[:, i] for i in range(heads))
+    out = merge(p @ vb, n_q)
+    if not (q.live or k.live or v.live):
+        return Node(out)
     memo: dict = {}
 
     def adjoints(g):
@@ -345,7 +380,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
         return memo["gb"], memo["ds"]
 
     return _rec(
-        merge(p @ vb, n_q),
+        out,
         (q, k, v),
         (
             lambda g: merge(adjoints(g)[1] @ kb, n_q),
@@ -362,6 +397,8 @@ def normalize_rows(x) -> Node:
     if np.any(norms == 0.0):
         raise ZeroAfterGrading("cannot normalize a zero row")
     y = x.value / norms
+    if not x.live:
+        return Node(y)
 
     def vjp(g):
         dot = (g * y).sum(axis=1, keepdims=True)
@@ -383,14 +420,18 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
         raise DimensionMismatch(f"layer_norm_rows: x {x.shape} vs r {r.shape}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
-    z = x.value + r.value
-    # Row sums by np.add.reduce, which ndarray.sum dispatches to, and means
-    # as sum / d: the values of ndarray.mean without its Python wrappers.
-    centred = z - np.add.reduce(z, axis=1, keepdims=True) / d
-    var = np.add.reduce(centred ** 2, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
+    # xhat is z = x + r, centred and scaled in place.  Row sums by
+    # np.add.reduce, which ndarray.sum dispatches to, and means as sum / d:
+    # the values of ndarray.mean without its Python wrappers.
+    xhat = x.value + r.value
+    xhat -= np.add.reduce(xhat, axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=1, keepdims=True) / d + eps)
+    xhat *= inv
     gv = gamma.value
+    out = xhat * gv
+    out += beta.value
+    if not (x.live or r.live or gamma.live or beta.live):
+        return Node(out)
     memo: dict = {}
 
     def vjp_z(g):
@@ -401,8 +442,6 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
             memo.update(g=g, dz=dz)
         return memo["dz"]
 
-    out = xhat * gv
-    out += beta.value
     return _rec(
         out,
         (x, r, gamma, beta),
@@ -436,6 +475,8 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ w2v
     out += b2.value
+    if not (x.live or w1.live or b1.live or w2.live or b2.live):
+        return Node(out)
     memo: dict = {}
 
     def hidden_adjoint(g):
@@ -462,6 +503,8 @@ def embedding_rows(table, ids: Sequence[int]) -> Node:
     """Gather rows of an embedding table; backward scatter-adds."""
     table = wrap(table)
     idx = np.asarray(ids, dtype=np.int64)
+    if not table.live:
+        return Node(table.value[idx])
     shape = table.shape
 
     def vjp(g):
@@ -483,45 +526,16 @@ def vstack(parts: Sequence[Node]) -> Node:
 def _stack(parts: Sequence[Node], axis: int) -> Node:
     """Parts joined along axis 1 (hstack) or 0 (vstack); each VJP is its part's slice."""
     parts = [wrap(p) for p in parts]
+    out = np.concatenate([p.value for p in parts], axis=axis)
+    if not any([p.live for p in parts]):
+        return Node(out)
     vjps, start = [], 0
     for p in parts:
         stop = start + p.value.shape[axis]
         cut = (slice(None),) * axis + (slice(start, stop),)
         vjps.append(lambda g, cut=cut: g[cut])
         start = stop
-    return _rec(np.concatenate([p.value for p in parts], axis=axis), parts, vjps)
-
-
-def graded_relu_op(x, grades, sign_preserving: bool = False) -> Node:
-    """Componentwise |x|**(1/q), optionally gated to positive inputs.
-
-    grades is a constant 1xd row (q_i > 0) broadcast over rows of x.
-    Subgradient at 0 is 0.
-    """
-    x = wrap(x)
-    q = _as2d(grades)
-    inv_q = np.broadcast_to(1.0 / q, x.shape)
-    ax = np.abs(x.value)
-    nonzero = ax > 0
-    safe = np.where(nonzero, ax, 1.0)  # keeps 0**negative out of the pow
-    powed = np.where(nonzero, safe**inv_q, 0.0)
-    slope = np.where(nonzero, inv_q * safe ** (inv_q - 1.0), 0.0)
-    if sign_preserving:
-        pos = x.value > 0
-        val = np.where(pos, powed, 0.0)
-        deriv = np.where(pos, slope, 0.0)
-    else:
-        val = powed
-        deriv = slope * np.sign(x.value)
-    return _rec(val, (x,), (lambda g: g * deriv,))
-
-
-def exp_activation_op(x, grades) -> Node:
-    """Componentwise exp(x/q) - 1 with constant grades q_i > 0."""
-    x = wrap(x)
-    q = _as2d(grades)
-    e = np.exp(x.value / q)
-    return _rec(e - 1.0, (x,), (lambda g: g * e / q,))
+    return _rec(out, tuple(parts), tuple(vjps))
 
 
 def pow_base(base: float, q) -> Node:
@@ -565,10 +579,8 @@ def grad_check(
         root = f(nodes)
     grads = tape.backward(root)
 
-    def eval_at(p):
-        t = Tape()
-        with recording(t):
-            val = f({k: t.constant(v) for k, v in p.items()}).value[0, 0]
+    def eval_at(p):  # constants only: nothing records
+        val = f({k: Node(v) for k, v in p.items()}).value[0, 0]
         if not np.isfinite(val):
             raise NonFinite("function value is not finite at probe point")
         return val

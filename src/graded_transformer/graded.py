@@ -276,7 +276,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
 
 
 # ---------------------------------------------------------------------------
-# plain (numpy) surface: the stages above on a throwaway tape
+# plain (numpy) surface: the stages above on constant nodes
 
 
 def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
@@ -306,9 +306,8 @@ def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.nda
     """Scale features by the grading weights; optionally normalize each
     vector (row) to unit norm afterwards."""
     x = np.asarray(x, dtype=np.float64)
-    with ad.recording(ad.Tape()):
-        w = weight_node(gcfg, _row(gcfg.grades), lam)
-        out = grade_rows(_row(x) if x.ndim == 1 else x, w, gcfg.normalize_inputs).value
+    w = weight_node(gcfg, _row(gcfg.grades), lam)
+    out = grade_rows(_row(x) if x.ndim == 1 else x, w, gcfg.normalize_inputs).value
     return out[0] if x.ndim == 1 else out
 
 
@@ -323,30 +322,27 @@ def graded_attention(q, k, v, head_weights, variant: str,
     if np.shape(q)[1] != w.size or np.shape(k)[1] != w.size:
         raise DimensionMismatch("graded_attention: weight length must equal d_k")
     collect: list = []
-    with ad.recording(ad.Tape()):
-        q, k, v = AttentionGrading(variant, w).apply(ad.wrap(q), ad.wrap(k), ad.wrap(v))
-        out = tf.attention_head(q, k, v, w.size, mask, collect).value
+    q, k, v = AttentionGrading(variant, w).apply(ad.wrap(q), ad.wrap(k), ad.wrap(v))
+    out = tf.attention_head(q, k, v, w.size, mask, collect).value
     return out, collect[0][0]
 
 
 def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
                       lam: float | None = None) -> np.ndarray:
     """M * Fnn(x) for one row vector, optionally normalized."""
-    with ad.recording(ad.Tape()):
-        p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
-        ff = tf.feed_forward(p, "ffn", _row(x))
-        grading = AttentionGrading("none", None, weight_node(gcfg, _row(gcfg.grades), lam),
-                                   gcfg.normalize_ffn)
-        return grading.graded_ffn(ff).value[0]
+    p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
+    ff = tf.feed_forward(p, "ffn", _row(x))
+    grading = AttentionGrading("none", None, weight_node(gcfg, _row(gcfg.grades), lam),
+                               gcfg.normalize_ffn)
+    return grading.graded_ffn(ff).value[0]
 
 
 def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
                          lam: float | None = None) -> np.ndarray:
     """Logits z = W_out (M h) + b_out followed by softmax."""
-    with ad.recording(ad.Tape()):
-        w = weight_node(gcfg, _row(gcfg.grades), lam)
-        z = ad.add_rowvec(ad.matmul(ad.scale_cols(_row(h), w), w_out), _row(b_out))
-        return ad.softmax_rows(z).value[0]
+    w = weight_node(gcfg, _row(gcfg.grades), lam)
+    z = ad.add_rowvec(ad.matmul(ad.scale_cols(_row(h), w), w_out), _row(b_out))
+    return ad.softmax_rows(z).value[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Baseline encoder-decoder transformer.
 
 Forward passes are written against the autodiff tape so the same code
-serves training and inference; inference wraps parameters as constants
-on a tape with no parameter leaf, which keeps values only, and reads
-back plain arrays.  Post-norm residual order throughout:
-X' = Ln(X + Mh(X)), then Ln(X' + Fnn(X')).
+serves training and inference; inference wraps parameters as constants,
+from which no node records, and reads back plain arrays.  Post-norm
+residual order throughout: X' = Ln(X + Mh(X)), then Ln(X' + Fnn(X')).
 
 Positions are 1-based.  Token ids live in [1, vocab_size]; id 1 is the
 start token and id 2 is EOS.

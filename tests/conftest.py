@@ -120,10 +120,20 @@ def copying_backward(tape, root):
 # references for values-only inference
 
 
+def live_constants(mp):
+    """Patch ad.wrap and Tape.constant so every constant is a live leaf
+    recorded on its tape: every node then records, with all its parents and
+    VJPs, as under full recording."""
+    def leaf(tape, value):
+        return tape.record(ad.Node(ad._as2d(value), (), (), True))
+
+    mp.setattr(ad.Tape, "constant", leaf)
+    mp.setattr(ad, "wrap", lambda x: x if isinstance(x, ad.Node) else leaf(ad._tape(), x))
+
+
 def recorded(fn, *args, **kwargs):
-    """Reference: fn(*args, **kwargs) with every tape it makes holding an
-    unused parameter leaf from the start, so each records full nodes with
-    parents and VJPs, as every tape did before the values-only rule.
+    """Reference: fn(*args, **kwargs) with every constant a live leaf
+    (live_constants), so each op records a full node with parents and VJPs.
     Returns fn's result and, per tape made, the number of op nodes (nodes
     with parents) it recorded."""
     tapes = []
@@ -131,10 +141,10 @@ def recorded(fn, *args, **kwargs):
     class RecordingTape(ad.Tape):
         def __init__(self):
             super().__init__()
-            self.param("unused", np.zeros((1, 1)))
             tapes.append(self)
 
     with pytest.MonkeyPatch.context() as mp:
+        live_constants(mp)
         mp.setattr(ad, "Tape", RecordingTape)
         out = fn(*args, **kwargs)
     return out, [sum(1 for node in t.nodes if node.parents) for t in tapes]

@@ -148,7 +148,8 @@ class TestValuesOnly:
             assert tape.nodes == [] and c.parents == ()
             w = tape.param("w", self.w0)
             root = ad.sum_all(ad.mul(ad.matmul(c, w), up))
-        assert tape.nodes[0] is w and len(tape.nodes) == 5  # w, matmul, up, mul, sum_all
+        # w, matmul, mul, sum_all: the constant up is a bare node, never recorded
+        assert tape.nodes[0] is w and len(tape.nodes) == 4
         ref_tape, ref_root = scalar(fn, {"w": self.w0})
         want = ref_tape.backward(ref_root)["w"]
         for _ in range(2):  # a second sweep over the same tape gives the same
@@ -164,7 +165,7 @@ class TestValuesOnly:
                 v = ad.clip_low(inner.constant(self.a), 0.0)
             assert inner.nodes == [] and v.parents == ()
             root = ad.sum_all(ad.mul(ad.matmul(v, w), self.up))
-        assert len(outer.nodes) == 5  # w, matmul, up, mul, sum_all
+        assert len(outer.nodes) == 4  # w, matmul, mul, sum_all; v and up are constants
         assert_close(outer.backward(root)["w"], v.value.T @ self.up, tol=1e-14)
 
     @pytest.mark.parametrize("d", [4, 16, 32])
@@ -183,6 +184,48 @@ class TestValuesOnly:
         dx, dr = y.vjps[0](up), y.vjps[1](up)
         assert np.array_equal(dx, want_dz) and np.array_equal(dr, want_dz)
         assert not np.shares_memory(dx, dr)
+
+
+class TestLiveness:
+    """A node records only when one of its parents records: a parameter
+    leaf or a node recorded from one."""
+
+    def setup_method(self):
+        g = np.random.default_rng(12)
+        self.a = g.normal(0.0, 1.0, (3, 4))
+        self.b = g.normal(0.0, 1.0, (4, 3))
+
+    def test_op_of_constants_records_nothing(self):
+        tape = ad.Tape()
+        with ad.recording(tape):
+            w = tape.param("w", self.b)
+            outs = [ad.matmul(tape.constant(self.a), self.b),
+                    ad.layer_norm_rows(self.a, self.a, np.ones((1, 4)), np.zeros((1, 4)), 1e-5),
+                    ad.hstack([self.a, tape.constant(self.a)]),
+                    ad.attention_rows(self.a, self.a, self.a, 3, 3, heads=2)]
+        assert tape.nodes == [w]
+        for out in outs:
+            assert not out.live and out.parents == () and out.vjps == ()
+
+    def test_mixed_op_keeps_its_live_parents(self):
+        tape = ad.Tape()
+        with ad.recording(tape):
+            w = tape.param("w", self.b)
+            c = tape.constant(self.a)
+            prod = ad.matmul(c, w)
+            ln = ad.layer_norm_rows(c, c, tape.param("g", np.ones((1, 4))), np.zeros((1, 4)),
+                                    1e-5)
+            cat = ad.vstack([self.b, w, tape.constant(self.b), prod.value.T])
+        assert prod.live and prod.parents == (w,) and len(prod.vjps) == 1
+        assert same_bits(prod.vjps[0](np.ones((3, 3))), self.a.T @ np.ones((3, 3)))
+        assert ln.parents == (tape.params["g"],) and len(ln.vjps) == 1
+        assert cat.parents == (w,) and same_bits(cat.vjps[0](np.arange(48.0).reshape(16, 3)),
+                                                 np.arange(12.0, 24.0).reshape(4, 3))
+        assert tape.nodes == [w, prod, tape.params["g"], ln, cat]
+
+    def test_constants_need_no_active_tape(self):
+        out = ad.softmax_rows(ad.matmul(self.a, ad.wrap(self.b)))
+        assert not out.live and same_bits(out.value, tensor.softmax_rows(self.a @ self.b))
 
 
 class TestStack:
@@ -223,9 +266,10 @@ class TestStack:
             root = ad.sum_all(ad.mul(out, up))
         assert same_bits(out.value, getattr(np, how)(values))
         want = np.split(up, np.cumsum(self.SIZES[:n])[:-1], axis=axis)
-        assert len(out.parents) == len(out.vjps) == n
-        for i, (parent, vjp) in enumerate(zip(out.parents, out.vjps)):
-            assert parent is parts[i] if i % 2 == 0 else same_bits(parent.value, values[i])
+        live = list(range(0, n, 2))  # the plain-array parts are constants: no VJP
+        assert len(out.parents) == len(out.vjps) == len(live)
+        for i, parent, vjp in zip(live, out.parents, out.vjps):
+            assert parent is parts[i]
             assert same_bits(vjp(up), want[i]), i
         grads = tape.backward(root)
         for i in range(0, n, 2):

@@ -21,6 +21,7 @@ from conftest import (
     RefAdamState,
     assert_close,
     copying_backward,
+    live_constants,
     ref_adam_step,
     ref_clip_gradient,
     recorded,
@@ -413,14 +414,18 @@ class TestStackedStep:
     def test_node_counts_per_step(self):
         # poly smoke in both modes, hier_copy EGT, wide LGT.  Each encoder
         # layer's FFN and residual LayerNorms are one node each; the unfused
-        # chains would record 6 more nodes per layer.
+        # chains would record 6 more nodes per layer.  Constants (inputs,
+        # targets, fixed grades, the regularizer's zero) are not recorded,
+        # nor are ops with no live parent: in hier_copy, with fixed grades,
+        # the grade-weight chain, the regularizer and the loss's 1 - y term
+        # (20 op nodes, 8 constants); in wide LGT the 1 - y subtraction.
         counts = []
         for params, gcfg, ds, tc in workload_setups():
             lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
                                             ds.x[:16], ds.y[:16], lam, tc)
             counts.append(len(tape.nodes))
-        assert counts == [82, 82, 87, 150]
+        assert counts == [76, 79, 59, 141]
 
 
 def workload_setups():
@@ -504,6 +509,52 @@ class TestValuesOnlyInference:
                                  None, 1.7)
         assert got == want[0] and len(rows) == len(want_rows) > 1
         assert all(np.array_equal(a, b) for a, b in zip(rows, want_rows))
+
+
+class TestNodeLiveness:
+    """A training step records only nodes with a parameter ancestor, and
+    its gradients are those of a tape that records every node."""
+
+    @staticmethod
+    def step(params, gcfg, ds, tc):
+        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+        return training.record_step(params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16],
+                                    lam, tc)
+
+    def test_backward_calls_no_vjp_into_a_constant(self):
+        for params, gcfg, ds, tc in workload_setups():
+            tape, total, _, _ = self.step(params, gcfg, ds, tc)
+            reaching = set(map(id, tape.params.values()))  # nodes with a parameter ancestor
+            for node in tape.nodes:
+                if any(id(p) in reaching for p in node.parents):
+                    reaching.add(id(node))
+            calls = []
+
+            def counted(vjp, parent):
+                def call(g):
+                    calls.append(parent)
+                    return vjp(g)
+                return call
+
+            for node in tape.nodes:
+                node.vjps = tuple(counted(f, p) for f, p in zip(node.vjps, node.parents))
+            tape.backward(total)
+            assert calls and all(id(p) in reaching for p in calls)
+            assert len(reaching) == len(tape.nodes)
+
+    def test_gradients_equal_full_recording(self):
+        for params, gcfg, ds, tc in workload_setups():
+            tape, total, _, _ = self.step(params, gcfg, ds, tc)
+            got = tape.backward(total)
+            with pytest.MonkeyPatch.context() as mp:
+                live_constants(mp)
+                full, full_total, _, _ = self.step(params, gcfg, ds, tc)
+            want = full.backward(full_total)
+            assert len(full.nodes) > len(tape.nodes)
+            assert same_bits(total.value, full_total.value)
+            assert set(got) == set(want) == set(tape.params)
+            for name in want:
+                assert same_bits(got[name], want[name]), name
 
 
 class TestBackwardCopies:
