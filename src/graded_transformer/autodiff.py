@@ -19,10 +19,6 @@ records it with its live parents and their VJPs only.  A dead node has no
 parameter ancestor, so inference records nothing, and backward calls no
 VJP into constants, fixed grade weights or targets; the gradients equal
 those of full recording bit for bit.
-
-Gradients w.r.t. exponential-grading bases are obtained by writing
-``base**q`` as ``exp(q * ln(base))`` on the tape, so the grade derivative
-is exactly ``base**q * ln(base)``.
 """
 
 from __future__ import annotations
@@ -536,13 +532,6 @@ def _stack(parts: Sequence[Node], axis: int) -> Node:
         vjps.append(lambda g, cut=cut: g[cut])
         start = stop
     return _rec(out, tuple(parts), tuple(vjps))
-
-
-def pow_base(base: float, q) -> Node:
-    """base**q as exp(q * ln base); grade derivative is base**q * ln(base)."""
-    if base <= 0:
-        raise ValueError("pow_base requires a positive base")
-    return exp(scale(wrap(q), float(np.log(base))))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .errors import (
     PositionOutOfRange,
 )
 from .graded_space import (
-    EXPONENTIAL,
     LINEAR,
     GradingSpec,
     WeightMap,
@@ -71,16 +70,17 @@ class GradedModelConfig:
             q.size != self.model.d_k for q in self.head_grades
         ):
             raise InvalidSpec("need one grade tuple of length d_k per head")
-        if self.mode not in (LINEAR, EXPONENTIAL):
-            raise InvalidSpec(f"unknown grading mode {self.mode!r}")
-        if self.mode == EXPONENTIAL and not self.base > 1.0:
-            raise InvalidSpec("exponential mode requires base > 1")
         if self.attention_variant not in VARIANTS:
             raise InvalidSpec(f"unknown attention variant {self.attention_variant!r}")
         if self.positional not in POSITIONAL_MODES:
             raise InvalidSpec(f"unknown positional mode {self.positional!r}")
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
+        # weights() also rejects an unknown mode or an exponential base <= 1
+        tuples = [self.grades, *self.head_grades]
+        if min(float(self.weights(q).min()) for q in tuples) <= 0:
+            raise InvalidSpec("grading weights must be positive for the model "
+                              "and every head grade tuple")
 
     def spec(self, lam: float | None = None) -> GradingSpec:
         """The grading spec; lam overrides the exponential base (annealing)."""
@@ -94,9 +94,6 @@ class GradedModelConfig:
         """Largest diagonal factor over the model and all head tuples."""
         tuples = [self.grades, *self.head_grades]
         return max(float(self.weights(q, lam).max()) for q in tuples)
-
-    def max_grade(self) -> float:
-        return max(float(q.max()) for q in [self.grades, *self.head_grades])
 
     def effective_dim(self, delta: float = 0.5) -> int:
         return effective_dimension(self.grades, delta)
@@ -124,17 +121,6 @@ def _row(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(1, -1)
 
 
-def weight_node(gcfg: GradedModelConfig, q, lam: float | None = None) -> ad.Node:
-    """Tape form of GradedModelConfig.weights for a (1, d) grade row q
-    (a node, learnable or not, or an array)."""
-    if gcfg.mode == LINEAR:
-        return gcfg.weight_map.node(ad.wrap(q))
-    b = gcfg.base if lam is None else lam
-    if not b > 1.0:
-        raise InvalidSpec("exponential weights need base > 1")
-    return ad.pow_base(b, q)
-
-
 def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
                  grade_nodes: dict | None):
     """Weight rows for the model tuple and for all head tuples (None when
@@ -147,17 +133,18 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
     constants on the active tape).
     """
     grade_nodes = grade_nodes or {}
+    spec = gcfg.spec(lam)
 
     def grades_for(q_value, key):
         q = grade_nodes.get(key)
         return _row(q_value) if q is None else q
 
-    w_model = weight_node(gcfg, grades_for(gcfg.grades, "q"), lam)
+    w_model = spec.node(grades_for(gcfg.grades, "q"))
     if gcfg.attention_variant == "none":
         return w_model, None
     q_heads = [grades_for(gcfg.head_grades[i], f"q_head_{i}")
                for i in range(gcfg.model.n_heads)]
-    return w_model, weight_node(gcfg, ad.hstack(q_heads), lam)
+    return w_model, spec.node(ad.hstack(q_heads))
 
 
 def grade_rows(x, w, normalize: bool) -> ad.Node:
@@ -306,7 +293,7 @@ def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.nda
     """Scale features by the grading weights; optionally normalize each
     vector (row) to unit norm afterwards."""
     x = np.asarray(x, dtype=np.float64)
-    w = weight_node(gcfg, _row(gcfg.grades), lam)
+    w = gcfg.spec(lam).node(_row(gcfg.grades))
     out = grade_rows(_row(x) if x.ndim == 1 else x, w, gcfg.normalize_inputs).value
     return out[0] if x.ndim == 1 else out
 
@@ -332,7 +319,7 @@ def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
     """M * Fnn(x) for one row vector, optionally normalized."""
     p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
     ff = tf.feed_forward(p, "ffn", _row(x))
-    grading = AttentionGrading("none", None, weight_node(gcfg, _row(gcfg.grades), lam),
+    grading = AttentionGrading("none", None, gcfg.spec(lam).node(_row(gcfg.grades)),
                                gcfg.normalize_ffn)
     return grading.graded_ffn(ff).value[0]
 
@@ -340,7 +327,7 @@ def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
 def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
                          lam: float | None = None) -> np.ndarray:
     """Logits z = W_out (M h) + b_out followed by softmax."""
-    w = weight_node(gcfg, _row(gcfg.grades), lam)
+    w = gcfg.spec(lam).node(_row(gcfg.grades))
     z = ad.add_rowvec(ad.matmul(ad.scale_cols(_row(h), w), w_out), _row(b_out))
     return ad.softmax_rows(z).value[0]
 

@@ -9,8 +9,10 @@ exponential grading scales it by base**q_i with base > 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
 import numpy as np
 
+from . import autodiff as ad
 from .errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -20,6 +22,7 @@ from .errors import (
 
 LINEAR = "linear"
 EXPONENTIAL = "exponential"
+WEIGHT_MAPS = ("plus_one", "abs_plus_one", "identity", "affine")
 
 
 @dataclass(frozen=True)
@@ -34,31 +37,19 @@ class WeightMap:
     a: float = 1.0
     b: float = 1.0
 
-    def values(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=np.float64)
-        if self.name == "plus_one":
-            return q + 1.0
-        if self.name == "abs_plus_one":
-            return np.abs(q) + 1.0
-        if self.name == "identity":
-            return q.copy()
-        if self.name == "affine":
-            return self.a + self.b * q
-        raise InvalidSpec(f"unknown weight map {self.name!r}")
+    def __post_init__(self):
+        if self.name not in WEIGHT_MAPS:
+            raise InvalidSpec(f"unknown weight map {self.name!r}")
 
-    def node(self, q_node):
-        """Tape expression of the map for learnable grades."""
-        from . import autodiff as ad
-
+    def node(self, q: ad.Node) -> ad.Node:
+        """The map applied to a (1, d) grade node."""
         if self.name == "plus_one":
-            return ad.add(q_node, np.ones((1, q_node.shape[1])))
+            return ad.add(q, np.ones((1, q.shape[1])))
         if self.name == "abs_plus_one":
-            return ad.add(ad.absolute(q_node), np.ones((1, q_node.shape[1])))
+            return ad.add(ad.absolute(q), np.ones((1, q.shape[1])))
         if self.name == "identity":
-            return q_node
-        if self.name == "affine":
-            return ad.add(ad.scale(q_node, self.b), np.full((1, q_node.shape[1]), self.a))
-        raise InvalidSpec(f"unknown weight map {self.name!r}")
+            return q
+        return ad.add(ad.scale(q, self.b), np.full((1, q.shape[1]), self.a))
 
 
 def affine_map(a: float, b: float) -> WeightMap:
@@ -69,32 +60,33 @@ def affine_map(a: float, b: float) -> WeightMap:
 class GradingSpec:
     """How grades become diagonal scale factors.
 
-    mode "linear": weights f(q_i), requiring f(q_i) > 0.
+    mode "linear": weights f(q_i) for the weight map f.
     mode "exponential": weights base**q_i, requiring base > 1.
+    Whether the weights are positive depends on the grades, so configs
+    check it (GradedModelConfig) rather than the spec.
     """
 
     mode: str = LINEAR
     weight_map: WeightMap = field(default_factory=WeightMap)
     base: float = 2.0
 
-    def validate(self, grades: np.ndarray) -> None:
+    def node(self, q) -> ad.Node:
+        """Weights for a (1, d) grade row q: an array or a node, fixed or
+        learnable.  base**q is written exp(q ln base), so the grade
+        derivative is exactly base**q ln base."""
+        q = ad.wrap(q)
         if self.mode == LINEAR:
-            w = self.weight_map.values(grades)
-            if np.any(w <= 0):
-                raise InvalidSpec("linear grading weights must be positive")
-        elif self.mode == EXPONENTIAL:
-            if not self.base > 1.0:
-                raise InvalidSpec(f"exponential base must exceed 1, got {self.base}")
-        else:
+            return self.weight_map.node(q)
+        if self.mode != EXPONENTIAL:
             raise InvalidSpec(f"unknown grading mode {self.mode!r}")
+        if not self.base > 1.0:
+            raise InvalidSpec(f"exponential base must exceed 1, got {self.base}")
+        return ad.exp(ad.scale(q, float(np.log(self.base))))
 
     def weights(self, grades) -> np.ndarray:
-        """Diagonal scale factors for the given grades."""
-        grades = as_grades(grades)
-        self.validate(grades)
-        if self.mode == LINEAR:
-            return self.weight_map.values(grades)
-        return np.exp(grades * np.log(self.base))
+        """Diagonal scale factors for the given grades, as a new 1-D array
+        (the identity map's node is the grade row itself)."""
+        return self.node(as_grades(grades).reshape(1, -1)).value[0].copy()
 
 
 def as_grades(grades, allow_negative: bool = False) -> np.ndarray:
@@ -128,20 +120,6 @@ def star_action(lam: float, grades, x) -> np.ndarray:
 def grading_matrix(grades, spec: GradingSpec) -> np.ndarray:
     """Diagonal d x d matrix of grading weights."""
     return np.diag(spec.weights(grades))
-
-
-def apply_grading(grades, spec: GradingSpec, x, inverse: bool = False) -> np.ndarray:
-    """Scale the columns of a sequence matrix (or one row vector) by the
-    grading weights; inverse=True undoes it exactly."""
-    q = as_grades(grades)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.size != q.size:
-            raise DimensionMismatch(f"apply_grading: {x.size} vs {q.size}")
-    elif x.shape[1] != q.size:
-        raise DimensionMismatch(f"apply_grading: {x.shape} vs {q.size} grades")
-    w = spec.weights(q)
-    return x / w if inverse else x * w
 
 
 def graded_norm(grades, x) -> float:

@@ -637,7 +637,7 @@ def _jac_norm(seed):
     worst = 0.0
     for i in range(50):
         grades = g.uniform(0.0, 2.0, 6)
-        w = gs.WeightMap("plus_one").values(grades)
+        w = _PLUS_ONE_AND_EXP2[0].weights(grades)
         w[int(g.integers(0, 6))] = w.max() * 1.2  # separate the top weight
         est = tensor.spectral_norm(np.diag(w), iters=300, seed=i)
         worst = max(worst, abs(est - w.max()) / w.max())
@@ -653,7 +653,7 @@ def _runtime(seed):
         q = g.normal(0.0, 1.0, (n, dk))
         k = g.normal(0.0, 1.0, (n, dk))
         v = g.normal(0.0, 1.0, (n, dk))
-        w = gs.WeightMap("plus_one").values(g.uniform(0.0, 2.0, dk))
+        w = _PLUS_ONE_AND_EXP2[0].weights(g.uniform(0.0, 2.0, dk))
 
         def run(variant):
             t0 = time.perf_counter()

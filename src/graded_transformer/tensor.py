@@ -31,10 +31,6 @@ class Rng:
         self.seed = int(seed)
         self.generator = np.random.default_rng(self.seed)
 
-    def spawn(self, offset: int) -> "Rng":
-        """Independent stream derived from this seed and an integer tag."""
-        return Rng((self.seed * 1_000_003 + offset) % (2**63))
-
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product; raises DimensionMismatch on bad inner dims."""

@@ -22,7 +22,13 @@ import numpy as np
 from . import autodiff as ad
 from . import graded
 from . import transformer as tf
-from .errors import DimensionMismatch, DivergenceDetected, InvalidLambda, StepOutOfRange
+from .errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidLambda,
+    InvalidSpec,
+    StepOutOfRange,
+)
 from .graded_space import EXPONENTIAL, LINEAR
 from .tensor import Rng
 
@@ -265,7 +271,7 @@ def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarra
         else:
             grade_nodes = {k: tape.constant(v) for k, v in grade_arrays.items()}
         lam = lam if gcfg.mode == EXPONENTIAL else None
-        loss_w = graded.weight_node(gcfg, grade_nodes["q"], lam)
+        loss_w = gcfg.spec(lam).node(grade_nodes["q"])
         _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, grade_nodes=grade_nodes)
         y_rows = np.reshape(y, (-1, np.shape(y)[-1]))
         main = ad.scale(sequence_loss_node(logits, y_rows, loss_w, cfg.base_loss),
@@ -343,7 +349,12 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         if exponential:
             bound = grade_lr_bound(EXPONENTIAL, lam_t, float(grades.max()))
         else:
-            bound = grade_lr_bound(LINEAR, 1.0, float(gcfg.weights(grades).max()))
+            # learned grades can reach a weight <= 0 under the identity or an affine map
+            w = gcfg.weights(grades)
+            if w.min() <= 0:
+                raise InvalidSpec(f"linear grading weights must be positive; learned "
+                                  f"grades gave {w.min():g} at step {t}")
+            bound = grade_lr_bound(LINEAR, 1.0, float(w.max()))
         eta_q = min(cfg.lr_grades, 0.9 * bound)
 
         adam_step(theta, grad[:n_theta], theta_state, cfg.lr,

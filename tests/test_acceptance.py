@@ -166,7 +166,7 @@ def _full_model_gradcheck(mode: str, seed: int) -> float:
     def f(nodes):
         theta = {k: v for k, v in nodes.items() if not k.startswith("q")}
         grade_nodes = {k: v for k, v in nodes.items() if k.startswith("q")}
-        w = graded.weight_node(gcfg, grade_nodes["q"], lam)
+        w = gcfg.spec(lam).node(grade_nodes["q"])
         _, logits = graded.forward_nodes(theta, gcfg, x, lam=lam,
                                          grade_nodes=grade_nodes)
         loss = training.sequence_loss_node(logits, y, w, "squared")
@@ -191,7 +191,8 @@ def test_c11_gradient_correctness():
         tape = ad.Tape()
         with ad.recording(tape):
             qn = tape.param("q", np.array([[qv]]))
-            root = ad.scale(ad.mul(qn, ad.pow_base(lam, qn)), kv)
+            w = gs.GradingSpec(gs.EXPONENTIAL, base=lam).node(qn)
+            root = ad.scale(ad.mul(qn, w), kv)
         analytic = tape.backward(root)["q"][0, 0]
         closed = (lam**qv + qv * lam**qv * np.log(lam)) * kv
         worst_closed = max(worst_closed, abs(analytic - closed) / max(1.0, abs(closed)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graded_transformer import autodiff as ad
+from graded_transformer import graded_space as gs
 from graded_transformer import props
 from graded_transformer import tensor
 from graded_transformer import transformer as tf
@@ -351,7 +352,8 @@ class TestGradCheck:
             kv = float(g.normal())
 
             def score(p):
-                return ad.scale(ad.mul(p["q"], ad.pow_base(lam, p["q"])), kv)
+                w = gs.GradingSpec(gs.EXPONENTIAL, base=lam).node(p["q"])
+                return ad.scale(ad.mul(p["q"], w), kv)
 
             tape, root = scalar(score, {"q": np.array([[qv]])})
             analytic = tape.backward(root)["q"][0, 0]

@@ -44,6 +44,18 @@ class TestConfig:
         with pytest.raises(InvalidSpec):
             make_gcfg(toy_model, grades=np.array([-1.0, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [
+        lambda: dict(weight_map=gs.WeightMap("bogus")),
+        lambda: dict(weight_map=gs.affine_map(1.0, -1.0)),  # weights 1, .5, 0, -1
+        lambda: dict(weight_map=gs.WeightMap("identity")),  # grade 0 weighs 0
+        lambda: dict(weight_map=gs.WeightMap("identity"), grades=np.ones(4),
+                     head_grades=[np.ones(2), np.array([0.0, 1.0])]),
+        lambda: dict(mode="cubic"),
+    ], ids=["bogus", "affine", "identity", "identity_head", "mode"])
+    def test_bad_grading_rejected(self, toy_model, bad):
+        with pytest.raises(InvalidSpec):
+            make_gcfg(toy_model, **bad())
+
     def test_max_weight(self, toy_model):
         gcfg = make_gcfg(toy_model)
         assert gcfg.max_weight() == 3.0

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graded_transformer import autodiff as ad
 from graded_transformer import graded_space as gs
 from graded_transformer.errors import (
-    DimensionMismatch,
     InvalidSpec,
     NegativeBaseFractionalGrade,
     NonPositiveGrade,
@@ -58,7 +58,9 @@ class TestGradingMatrix:
         with pytest.raises(InvalidSpec):
             gs.GradingSpec(gs.EXPONENTIAL, base=1.0).weights([1.0])
         with pytest.raises(InvalidSpec):
-            gs.GradingSpec(gs.LINEAR, gs.WeightMap("identity")).weights([0.0, 1.0])
+            gs.GradingSpec("cubic").weights([1.0])
+        with pytest.raises(InvalidSpec):
+            gs.WeightMap("bogus")
 
     @given(grades3, st.floats(0.2, 3.0), vec3)
     def test_grading_commutes_with_star(self, q, lam, x):
@@ -66,34 +68,6 @@ class TestGradingMatrix:
         m = gs.grading_matrix(q, spec)
         assert_close(m @ gs.star_action(lam, q, np.array(x)),
                      gs.star_action(lam, q, m @ np.array(x)), tol=1e-10)
-
-
-class TestApplyGrading:
-    def test_photonic_example(self):
-        spec = gs.GradingSpec(gs.LINEAR, gs.affine_map(1.0, 0.1))
-        out = gs.apply_grading([0.0, 1.0, 2.0], spec, [1.0, 0.5, 0.1])
-        assert_close(out, [1.0, 0.55, 0.12], tol=1e-12)
-        norm = float(np.linalg.norm(out))
-        assert abs(norm - 1.148) <= 1e-3
-        assert_close(out / norm, [0.871, 0.479, 0.105], tol=5e-4)
-
-    def test_unit_weights_identity(self):
-        spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
-        x = np.random.default_rng(0).normal(size=(4, 3))
-        assert np.array_equal(gs.apply_grading(np.zeros(3), spec, x), x)
-
-    def test_round_trip(self):
-        spec = gs.GradingSpec(gs.EXPONENTIAL, base=3.0)
-        q = [0.3, 1.2, 2.0]
-        x = np.random.default_rng(1).normal(size=(5, 3))
-        graded_x = gs.apply_grading(q, spec, x)
-        back = gs.apply_grading(q, spec, graded_x, inverse=True)
-        assert_close(back, x, tol=1e-12)
-
-    def test_shape_mismatch(self):
-        spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
-        with pytest.raises(DimensionMismatch):
-            gs.apply_grading([1.0, 2.0], spec, np.ones((2, 3)))
 
 
 class TestNorms:
@@ -191,17 +165,40 @@ def test_effective_dimension():
     assert gs.effective_dimension(q, 2.0) == 4
 
 
-def test_weight_map_node_matches_values():
-    from graded_transformer import autodiff as ad
+ALL_SPECS = [gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one")),
+             gs.GradingSpec(gs.LINEAR, gs.WeightMap("abs_plus_one")),
+             gs.GradingSpec(gs.LINEAR, gs.WeightMap("identity")),
+             gs.GradingSpec(gs.LINEAR, gs.affine_map(1.0, 0.1)),
+             gs.GradingSpec(gs.EXPONENTIAL, base=1.3),
+             gs.GradingSpec(gs.EXPONENTIAL, base=2.0),
+             gs.GradingSpec(gs.EXPONENTIAL, base=3.7)]
 
-    q = np.array([0.0, 0.7, 1.5, 2.0])
-    for wm in (gs.WeightMap("plus_one"), gs.WeightMap("abs_plus_one"),
-               gs.WeightMap("identity"), gs.affine_map(1.0, 0.1)):
-        if wm.name == "identity":
-            qq = q + 0.5  # identity map needs positive grades
-        else:
-            qq = q
-        tape = ad.Tape()
-        with ad.recording(tape):
-            node = wm.node(tape.constant(qq.reshape(1, -1)))
-        assert_close(node.value.ravel(), wm.values(qq), tol=1e-15)
+
+def spec_id(spec):
+    return spec.weight_map.name if spec.mode == gs.LINEAR else f"exp{spec.base}"
+
+
+def closed_form(spec, q):
+    if spec.mode == gs.EXPONENTIAL:
+        return np.exp(q * np.log(spec.base))
+    wm = spec.weight_map
+    return {"plus_one": q + 1.0, "abs_plus_one": np.abs(q) + 1.0, "identity": q,
+            "affine": wm.a + wm.b * q}[wm.name]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+def test_weights_match_closed_form(spec):
+    q = np.array([0.0, 0.7, 1.5, 2.0, 3.25])
+    assert np.array_equal(spec.weights(q), closed_form(spec, q))
+    tape = ad.Tape()
+    with ad.recording(tape):  # a learnable row gives the same values
+        node = spec.node(tape.param("q", q.reshape(1, -1)))
+    assert np.array_equal(node.value[0], closed_form(spec, q))
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+def test_weights_are_a_new_array(spec):
+    q = np.array([0.5, 1.0, 2.0])
+    w = spec.weights(q)
+    w[:] = -7.0
+    assert np.array_equal(q, [0.5, 1.0, 2.0])

@@ -438,15 +438,30 @@ class TestCli:
             assert run["first_loss"] is run["final_loss"] is run["loss_ratio"] is None
 
     @pytest.mark.parametrize("grading", [{"weight_map": "identity"},
-                                         {"attention_variant": "bogus"}])
+                                         {"attention_variant": "bogus"},
+                                         {"weight_map": "bogus"},
+                                         {"weight_map": {"affine": [1.0, -1.0]}}])
     def test_invalid_grading_exit_two(self, tmp_path, capsys, grading):
-        # the identity map gives grade 0 the weight 0, which linear grading forbids
+        # poly grades (0, .5, 1, 2): the identity map weighs grade 0 by 0 and
+        # the affine map 1 - q weighs grade 2 by -1; weights must be positive
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
                                         "seq_len": 4, "out_dir": str(tmp_path / "run"),
                                         "train": {"steps": 2}, "grading": grading}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_learned_grade_reaching_zero_weight_exit_two(self, tmp_path, capsys):
+        # identity map: a grade that the update clamps to 0 weighs its dimension 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "task": "poly_degree", "dataset_size": 32, "seq_len": 4,
+            "out_dir": str(tmp_path / "run"), "train": {"steps": 10, "lr_grades": 1.0},
+            "grading": {"weight_map": "identity", "grades": [0.01, 0.5, 1.0, 2.0]}}))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "learned grades gave 0 at step 2" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", [{"model": {"n_heads": 3}},  # d_model 4
                                           {"train": {"steps": 0}}])
