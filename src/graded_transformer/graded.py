@@ -76,11 +76,7 @@ class GradedModelConfig:
             raise InvalidSpec(f"unknown positional mode {self.positional!r}")
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
-        # weights() also rejects an unknown mode or an exponential base <= 1
-        tuples = [self.grades, *self.head_grades]
-        if min(float(self.weights(q).min()) for q in tuples) <= 0:
-            raise InvalidSpec("grading weights must be positive for the model "
-                              "and every head grade tuple")
+        self.max_weight()  # weights() rejects a bad mode, base or weight map
 
     def spec(self, lam: float | None = None) -> GradingSpec:
         """The grading spec; lam overrides the exponential base (annealing)."""

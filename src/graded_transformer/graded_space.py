@@ -60,10 +60,8 @@ def affine_map(a: float, b: float) -> WeightMap:
 class GradingSpec:
     """How grades become diagonal scale factors.
 
-    mode "linear": weights f(q_i) for the weight map f.
+    mode "linear": weights f(q_i), requiring f(q_i) > 0.
     mode "exponential": weights base**q_i, requiring base > 1.
-    Whether the weights are positive depends on the grades, so configs
-    check it (GradedModelConfig) rather than the spec.
     """
 
     mode: str = LINEAR
@@ -86,7 +84,10 @@ class GradingSpec:
     def weights(self, grades) -> np.ndarray:
         """Diagonal scale factors for the given grades, as a new 1-D array
         (the identity map's node is the grade row itself)."""
-        return self.node(as_grades(grades).reshape(1, -1)).value[0].copy()
+        w = self.node(as_grades(grades).reshape(1, -1)).value[0]
+        if np.any(w <= 0):
+            raise InvalidSpec("linear grading weights must be positive")
+        return w.copy()
 
 
 def as_grades(grades, allow_negative: bool = False) -> np.ndarray:

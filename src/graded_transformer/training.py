@@ -22,13 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import graded
 from . import transformer as tf
-from .errors import (
-    DimensionMismatch,
-    DivergenceDetected,
-    InvalidLambda,
-    InvalidSpec,
-    StepOutOfRange,
-)
+from .errors import DimensionMismatch, DivergenceDetected, InvalidLambda, StepOutOfRange
 from .graded_space import EXPONENTIAL, LINEAR
 from .tensor import Rng
 
@@ -349,12 +343,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         if exponential:
             bound = grade_lr_bound(EXPONENTIAL, lam_t, float(grades.max()))
         else:
-            # learned grades can reach a weight <= 0 under the identity or an affine map
-            w = gcfg.weights(grades)
-            if w.min() <= 0:
-                raise InvalidSpec(f"linear grading weights must be positive; learned "
-                                  f"grades gave {w.min():g} at step {t}")
-            bound = grade_lr_bound(LINEAR, 1.0, float(w.max()))
+            bound = grade_lr_bound(LINEAR, 1.0, float(gcfg.weights(grades).max()))
         eta_q = min(cfg.lr_grades, 0.9 * bound)
 
         adam_step(theta, grad[:n_theta], theta_state, cfg.lr,

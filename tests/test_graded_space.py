@@ -58,6 +58,10 @@ class TestGradingMatrix:
         with pytest.raises(InvalidSpec):
             gs.GradingSpec(gs.EXPONENTIAL, base=1.0).weights([1.0])
         with pytest.raises(InvalidSpec):
+            gs.GradingSpec(gs.LINEAR, gs.WeightMap("identity")).weights([0.0, 1.0])
+        with pytest.raises(InvalidSpec):
+            gs.GradingSpec(gs.LINEAR, gs.affine_map(1.0, -1.0)).weights([0.5, 1.0])
+        with pytest.raises(InvalidSpec):
             gs.GradingSpec("cubic").weights([1.0])
         with pytest.raises(InvalidSpec):
             gs.WeightMap("bogus")
@@ -188,7 +192,7 @@ def closed_form(spec, q):
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
 def test_weights_match_closed_form(spec):
-    q = np.array([0.0, 0.7, 1.5, 2.0, 3.25])
+    q = np.array([0.25, 0.7, 1.5, 2.0, 3.25])  # positive, as identity needs
     assert np.array_equal(spec.weights(q), closed_form(spec, q))
     tape = ad.Tape()
     with ad.recording(tape):  # a learnable row gives the same values

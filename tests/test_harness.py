@@ -461,7 +461,7 @@ class TestCli:
             "grading": {"weight_map": "identity", "grades": [0.01, 0.5, 1.0, 2.0]}}))
         assert cli.main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
-        assert "learned grades gave 0 at step 2" in err and "Traceback" not in err
+        assert "grading weights must be positive" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("override", [{"model": {"n_heads": 3}},  # d_model 4
                                           {"train": {"steps": 0}}])
