@@ -11,6 +11,12 @@ and `attention_rows` is scaled dot-product attention for every head and
 sequence.  Such a node's VJPs share one inner adjoint (hidden, normalised
 or score), computed once per backward.
 
+Every keepdims sum (LayerNorm moments and adjoint, softmax normaliser and
+adjoint, the bias and scale VJPs) is a BLAS product with ones,
+`tensor.row_sums` or `tensor.col_sums`.  Attention scores are laid out
+key-major, (B, heads, n_k, n_q), so the softmax max reduces over a
+non-last axis; the output and VJPs read them through transposed views.
+
 A node records only when one of its parents records.  Parameter leaves
 are live; constants (`Tape.constant`, `wrap`) are bare nodes no tape
 keeps.  Each primitive computes its value first and returns a bare node,
@@ -216,7 +222,7 @@ def add_rowvec(x, b) -> Node:
     out = x.value + b.value
     if not (x.live or b.live):
         return Node(out)
-    return _rec(out, (x, b), (lambda g: g, lambda g: g.sum(axis=0, keepdims=True)))
+    return _rec(out, (x, b), (lambda g: g, tensor.col_sums))
 
 
 def scale_cols(x, w) -> Node:
@@ -230,7 +236,7 @@ def scale_cols(x, w) -> Node:
     return _rec(
         xv * wv,
         (x, w),
-        (lambda g: g * wv, lambda g: (g * xv).sum(axis=0, keepdims=True)),
+        (lambda g: g * wv, lambda g: tensor.col_sums(g * xv)),
     )
 
 
@@ -311,8 +317,7 @@ def softmax_rows(x) -> Node:
         return Node(p)
 
     def vjp(g):
-        dot = (g * p).sum(axis=1, keepdims=True)
-        return p * (g - dot)
+        return p * (g - tensor.row_sums(g * p))
 
     return _rec(p, (x,), (vjp,))
 
@@ -326,10 +331,14 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     v, and its output fills the i-th column block of the result.  Scores
     are formed per sequence and head with batched matmul over
     (B, heads, n, d_k) views, so the score work is B heads n_q n_k, not
-    (B n_q)(B n_k).  mask is an additive (n_q, n_k) array shared by all
-    sequences and heads.  One node; its VJPs share the score adjoint,
-    computed once per backward.  When `collect` is given, one (B, n_q, n_k)
-    array of probabilities per head is appended.
+    (B n_q)(B n_k).  They are key-major, k q^T of shape (B, heads, n_k,
+    n_q), and the softmax normalises along axis -2: its max then reduces
+    over a non-last axis, which numpy does several times faster.  The
+    output, the VJPs and `collect` read probabilities and score adjoint
+    through transposed views, with no copy.  mask is an additive (n_q, n_k)
+    array shared by all sequences and heads.  One node; its VJPs share the
+    score adjoint, computed once per backward.  When `collect` is given,
+    one (B, n_q, n_k) array of probabilities per head is appended (a view).
     """
     q, k, v = wrap(q), wrap(k), wrap(v)
     if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
@@ -351,16 +360,19 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     def merge(x, n):  # (B, heads, n, w) -> (B n, heads w) rows
         return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
 
+    def t(x):  # swap the last two axes: a view
+        return x.transpose(0, 1, 3, 2)
+
     c = 1.0 / math.sqrt(d_k)
     qb, kb, vb = split(q.value, n_q, d_k), split(k.value, n_k, d_k), split(v.value, n_k, d_v)
-    scores = qb @ kb.transpose(0, 1, 3, 2)
+    scores = kb @ t(qb)  # key-major: (B, heads, n_k, n_q)
     scores *= c
     if mask is not None:
-        scores += mask
-    p = tensor.softmax_rows(scores)
+        scores += mask.T
+    p = tensor.softmax_rows(scores, axis=-2)
     if collect is not None:
-        collect.extend(p[:, i] for i in range(heads))
-    out = merge(p @ vb, n_q)
+        collect.extend(p[:, i].transpose(0, 2, 1) for i in range(heads))
+    out = merge(t(p) @ vb, n_q)
     if not (q.live or k.live or v.live):
         return Node(out)
     memo: dict = {}
@@ -368,8 +380,8 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     def adjoints(g):
         if memo.get("g") is not g:
             gb = split(g, n_q, d_v)
-            ds = gb @ vb.transpose(0, 1, 3, 2)  # dp, turned into ds in place
-            ds -= np.add.reduce(ds * p, axis=3, keepdims=True)
+            ds = vb @ t(gb)  # dp, key-major, turned into ds in place
+            ds -= tensor.col_sums(ds * p)
             ds *= p
             ds *= c
             memo.update(g=g, gb=gb, ds=ds)
@@ -379,9 +391,9 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
         out,
         (q, k, v),
         (
-            lambda g: merge(adjoints(g)[1] @ kb, n_q),
-            lambda g: merge(adjoints(g)[1].transpose(0, 1, 3, 2) @ qb, n_k),
-            lambda g: merge(p.transpose(0, 1, 3, 2) @ adjoints(g)[0], n_k),
+            lambda g: merge(t(adjoints(g)[1]) @ kb, n_q),
+            lambda g: merge(adjoints(g)[1] @ qb, n_k),
+            lambda g: merge(p @ adjoints(g)[0], n_k),
         ),
     )
 
@@ -397,8 +409,7 @@ def normalize_rows(x) -> Node:
         return Node(y)
 
     def vjp(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        return (g - y * dot) / norms
+        return (g - y * tensor.row_sums(g * y)) / norms
 
     return _rec(y, (x,), (vjp,))
 
@@ -416,12 +427,10 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
         raise DimensionMismatch(f"layer_norm_rows: x {x.shape} vs r {r.shape}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
-    # xhat is z = x + r, centred and scaled in place.  Row sums by
-    # np.add.reduce, which ndarray.sum dispatches to, and means as sum / d:
-    # the values of ndarray.mean without its Python wrappers.
+    # xhat is z = x + r, centred and scaled in place; means are row sums / d.
     xhat = x.value + r.value
-    xhat -= np.add.reduce(xhat, axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=1, keepdims=True) / d + eps)
+    xhat -= tensor.row_sums(xhat) / d
+    inv = 1.0 / np.sqrt(tensor.row_sums(xhat * xhat) / d + eps)
     xhat *= inv
     gv = gamma.value
     out = xhat * gv
@@ -433,8 +442,8 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
     def vjp_z(g):
         if memo.get("g") is not g:
             gh = g * gv
-            dz = (gh - np.add.reduce(gh, axis=1, keepdims=True) / d
-                  - xhat * (np.add.reduce(gh * xhat, axis=1, keepdims=True) / d)) * inv
+            dz = (gh - tensor.row_sums(gh) / d
+                  - xhat * (tensor.row_sums(gh * xhat) / d)) * inv
             memo.update(g=g, dz=dz)
         return memo["dz"]
 
@@ -444,8 +453,8 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
         (
             vjp_z,
             lambda g: vjp_z(g).copy(),
-            lambda g: (g * xhat).sum(axis=0, keepdims=True),
-            lambda g: g.sum(axis=0, keepdims=True),
+            lambda g: tensor.col_sums(g * xhat),
+            tensor.col_sums,
         ),
     )
 
@@ -488,9 +497,9 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
         (
             lambda g: hidden_adjoint(g) @ w1v.T,
             lambda g: xv.T @ hidden_adjoint(g),
-            lambda g: hidden_adjoint(g).sum(axis=0, keepdims=True),
+            lambda g: tensor.col_sums(hidden_adjoint(g)),
             lambda g: hidden.T @ g,
-            lambda g: g.sum(axis=0, keepdims=True),
+            tensor.col_sums,
         ),
     )
 

@@ -212,17 +212,19 @@ def _holds_ids(inputs) -> bool:
 
 
 def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
-                  lam: float | None = None, grade_nodes: dict | None = None,
+                  lam: float | None = None, weights: tuple | None = None,
                   collect: list | None = None) -> tuple[ad.Node, ad.Node]:
     """Graded forward pass on the active tape.
 
     inputs: token ids, (n,) or a batch (B, n), for vocab models; an (n, d)
     or (B, n, d) array, or an (n, d) Node, otherwise.  The B sequences run
     as one (B n)-row block; attention stays within each sequence.
+    weights is weight_nodes' (model, heads) pair, such as one made from
+    learnable grades; by default the config's fixed tuples.
     Returns (encoder representations, output logits), each B n rows.
     """
     cfg = gcfg.model
-    w_model, w_heads = weight_nodes(gcfg, lam, grade_nodes)
+    w_model, w_heads = weight_nodes(gcfg, lam, None) if weights is None else weights
 
     token_path = cfg.vocab_size > 0 and _holds_ids(inputs)
     if token_path:

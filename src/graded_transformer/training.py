@@ -22,7 +22,13 @@ import numpy as np
 from . import autodiff as ad
 from . import graded
 from . import transformer as tf
-from .errors import DimensionMismatch, DivergenceDetected, InvalidLambda, StepOutOfRange
+from .errors import (
+    DimensionMismatch,
+    DivergenceDetected,
+    InvalidLambda,
+    InvalidSpec,
+    StepOutOfRange,
+)
 from .graded_space import EXPONENTIAL, LINEAR
 from .tensor import Rng
 
@@ -265,10 +271,11 @@ def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarra
         else:
             grade_nodes = {k: tape.constant(v) for k, v in grade_arrays.items()}
         lam = lam if gcfg.mode == EXPONENTIAL else None
-        loss_w = gcfg.spec(lam).node(grade_nodes["q"])
-        _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, grade_nodes=grade_nodes)
+        weights = graded.weight_nodes(gcfg, lam, grade_nodes)
+        _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, weights=weights)
         y_rows = np.reshape(y, (-1, np.shape(y)[-1]))
-        main = ad.scale(sequence_loss_node(logits, y_rows, loss_w, cfg.base_loss),
+        # the model tuple's weights also weigh the loss's output dimensions
+        main = ad.scale(sequence_loss_node(logits, y_rows, weights[0], cfg.base_loss),
                         1.0 / len(x))
         reg = regularizer_node(grade_nodes, cfg, gcfg.model.n_heads)
         total = ad.add(main, reg)
@@ -287,9 +294,10 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     The parameters and then the grade tuples live in one flat buffer, and
     the gradient and both Adam moments in flat buffers of the same layout;
     the returned arrays keep their shapes and are views of that buffer.
-    A non-finite loss, parameter or grade restores the state after the
-    last good step and raises DivergenceDetected naming the step and the
-    first non-finite array, with the restored result attached.
+    A non-finite loss, parameter or grade, or in linear mode a grade whose
+    weight the update took to <= 0, restores the state after the last good
+    step and raises DivergenceDetected naming the step and the first such
+    array, with the restored result attached.
     """
     exponential = gcfg.mode == EXPONENTIAL
     if cfg.grade_init_scale is not None:
@@ -323,6 +331,8 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     metrics: list[dict] = []
     last_good = flat.copy()
     failure = None
+    # largest linear weight of the current grades; positive, as the config checked
+    w_max = None if exponential else float(gcfg.weights(grades).max())
     start = time.perf_counter()
 
     for t in range(1, cfg.steps + 1):
@@ -343,7 +353,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         if exponential:
             bound = grade_lr_bound(EXPONENTIAL, lam_t, float(grades.max()))
         else:
-            bound = grade_lr_bound(LINEAR, 1.0, float(gcfg.weights(grades).max()))
+            bound = grade_lr_bound(LINEAR, 1.0, w_max)
         eta_q = min(cfg.lr_grades, 0.9 * bound)
 
         adam_step(theta, grad[:n_theta], theta_state, cfg.lr,
@@ -356,6 +366,12 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         if not np.isfinite(flat).all():
             failure = "update"
             break
+        if not exponential:
+            try:  # weights() rejects a weight <= 0
+                w_max = float(gcfg.weights(grades).max())
+            except InvalidSpec:
+                failure = "weight"
+                break
         np.copyto(last_good, flat)
 
         metrics.append({
@@ -381,7 +397,11 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             )
 
     if failure:
-        message = _divergence_message(t, failure, layout, flat)
+        if failure == "weight":
+            bad = n_theta + np.flatnonzero(gcfg.spec().node(grades[None]).value[0] <= 0)
+        else:
+            bad = np.flatnonzero(~np.isfinite(flat))
+        message = _divergence_message(t, failure, layout.name_at(bad[0]) if bad.size else None)
         np.copyto(flat, last_good)
     result = TrainResult(
         params=params,
@@ -398,10 +418,14 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     return result
 
 
-def _divergence_message(t: int, failure: str, layout: FlatLayout, flat: np.ndarray) -> str:
-    bad = np.flatnonzero(~np.isfinite(flat))
-    culprit = f"first non-finite array {layout.name_at(bad[0])!r}" if bad.size \
-        else "every parameter and grade finite"
-    what = "loss" if failure == "loss" else "parameter or grade after the update"
-    return (f"non-finite {what} at step {t} ({culprit}); "
-            f"parameters and grades restored to step {t - 1}")
+def _divergence_message(t: int, failure: str, culprit: str | None) -> str:
+    """culprit: the first array holding a non-finite value, or with failure
+    "weight" the first grade array with a weight <= 0."""
+    if failure == "weight":
+        what = f"grading weight <= 0 in {culprit!r} after the update at step {t}"
+    else:
+        what = "loss" if failure == "loss" else "parameter or grade after the update"
+        found = f"first non-finite array {culprit!r}" if culprit \
+            else "every parameter and grade finite"
+        what = f"non-finite {what} at step {t} ({found})"
+    return f"{what}; parameters and grades restored to step {t - 1}"

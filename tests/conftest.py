@@ -44,16 +44,24 @@ def assert_close(a, b, tol=1e-12, msg=""):
     assert dev <= tol, f"{msg} max dev {dev:.3e} > {tol:.1e}"
 
 
+def assert_peak_close(a, b, rel, msg=""):
+    """max |a - b| <= rel * max |b|: a tolerance relative to the reference's peak."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    dev, peak = float(np.abs(a - b).max()), float(np.abs(b).max())
+    assert dev <= rel * peak, f"{msg} max dev {dev:.3e} > {rel:.0e} x peak {peak:.3e}"
+
+
 def same_bits(a, b) -> bool:
     """Equal shapes and bytes: -0.0 differs from 0.0, a NaN equals itself."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def unnormalized_softmax(m):
+def unnormalized_softmax(m, axis=-1):
     """Injected fault: tensor.softmax_rows without the normalization."""
     m = np.asarray(m, dtype=np.float64)
-    return np.exp(m - m.max(axis=-1, keepdims=True))
+    return np.exp(m - m.max(axis=axis, keepdims=True))
 
 
 def per_head_init_params(cfg, rng, decoder=True):
@@ -172,16 +180,65 @@ def unfused_layer_norm(p, site, x, r, eps):
     return ad.layer_norm_rows(s, np.zeros(s.shape), p[f"{site}.g"], p[f"{site}.b"], eps)
 
 
-def out_of_place_softmax(m):
-    """Reference: tensor.softmax_rows with a new array per step."""
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def ones_row_sums(x):
+    """Reference: sums over the last axis as a product with a new column of ones."""
+    return x @ np.ones((x.shape[-1], 1))
+
+
+def ones_col_sums(x):
+    """Reference: sums over axis -2 as a product with a new row of ones."""
+    return np.ones((1, x.shape[-2])) @ x
+
+
+def out_of_place_softmax(m, axis=-1):
+    """Reference in the order of np.add.reduce: softmax along axis with a
+    new array per step and ndarray reductions."""
+    e = np.exp(m - m.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def blas_softmax(m, axis=-1):
+    """Reference: tensor.softmax_rows with a new array per step, its
+    normaliser a product with ones."""
+    e = np.exp(m - m.max(axis=axis, keepdims=True))
+    return e / (ones_row_sums(e) if axis == -1 else ones_col_sums(e))
+
+
+def key_major_attention(q, k, v, n_q, n_k, heads, mask, g):
+    """Reference: ad.attention_rows' value and q, k, v adjoints for the
+    output adjoint g, on key-major (B, heads, n_k, n_q) scores as the node
+    forms them, with a new array per step and the sums over keys products
+    with ones."""
+    b = q.shape[0] // n_q
+    d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
+
+    def split(x, n, w):
+        return x.reshape(b, n, heads, w).transpose(0, 2, 1, 3)
+
+    def merge(x, n):
+        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
+
+    def t(x):
+        return x.transpose(0, 1, 3, 2)
+
+    c = 1.0 / np.sqrt(d_k)
+    qb, kb, vb = split(q, n_q, d_k), split(k, n_k, d_k), split(v, n_k, d_v)
+    scores = (kb @ t(qb)) * c
+    if mask is not None:
+        scores = scores + mask.T
+    p = blas_softmax(scores, axis=-2)
+    gb = split(g, n_q, d_v)
+    dp = vb @ t(gb)
+    ds = p * (dp - ones_col_sums(dp * p)) * c
+    return (merge(t(p) @ vb, n_q), merge(t(ds) @ kb, n_q), merge(ds @ qb, n_k),
+            merge(p @ gb, n_k))
 
 
 def out_of_place_attention(q, k, v, n_q, n_k, heads, mask, g):
     """Reference: ad.attention_rows' value and q, k, v adjoints for the
-    output adjoint g, with a new array per step of the scores and of the
-    score adjoint ds."""
+    output adjoint g in the row-major formula, (B, heads, n_q, n_k) scores
+    normalised along the last axis, with a new array per step of the
+    scores and of the score adjoint ds and ndarray sums."""
     b = q.shape[0] // n_q
     d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
 
@@ -214,6 +271,19 @@ def mean_layer_norm(x, gamma, beta, eps, g):
     gh = g * gamma
     dx = (gh - gh.mean(axis=1, keepdims=True)
           - xhat * (gh * xhat).mean(axis=1, keepdims=True)) * inv
+    return xhat * gamma + beta, dx
+
+
+def blas_layer_norm(x, gamma, beta, eps, g):
+    """Reference: ad.layer_norm_rows' value and adjoint of the sum x for the
+    output adjoint g, with a new array per step and row sums as products
+    with ones."""
+    d = x.shape[1]
+    xc = x - ones_row_sums(x) / d
+    inv = 1.0 / np.sqrt(ones_row_sums(xc * xc) / d + eps)
+    xhat = xc * inv
+    gh = g * gamma
+    dx = (gh - ones_row_sums(gh) / d - xhat * (ones_row_sums(gh * xhat) / d)) * inv
     return xhat * gamma + beta, dx
 
 

@@ -168,7 +168,7 @@ def _full_model_gradcheck(mode: str, seed: int) -> float:
         grade_nodes = {k: v for k, v in nodes.items() if k.startswith("q")}
         w = gcfg.spec(lam).node(grade_nodes["q"])
         _, logits = graded.forward_nodes(theta, gcfg, x, lam=lam,
-                                         grade_nodes=grade_nodes)
+                                         weights=graded.weight_nodes(gcfg, lam, grade_nodes))
         loss = training.sequence_loss_node(logits, y, w, "squared")
         reg = ad.scale(ad.sum_all(ad.mul(grade_nodes["q"], grade_nodes["q"])), 0.01)
         return ad.scale(ad.add(loss, reg), 1.0 / 12)

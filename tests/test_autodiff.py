@@ -12,7 +12,10 @@ from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoo
 
 from conftest import (
     assert_close,
+    assert_peak_close,
+    blas_layer_norm,
     copying_backward,
+    key_major_attention,
     mean_layer_norm,
     out_of_place_attention,
     same_bits,
@@ -169,22 +172,43 @@ class TestValuesOnly:
         assert len(outer.nodes) == 4  # w, matmul, mul, sum_all; v and up are constants
         assert_close(outer.backward(root)["w"], v.value.T @ self.up, tol=1e-14)
 
-    @pytest.mark.parametrize("d", [4, 16, 32])
-    def test_layer_norm_equals_mean_reference(self, d):
-        g = np.random.default_rng(d)
-        x = g.normal(0.0, 3.0, (6, d)) + g.normal(0.0, 50.0, (6, 1))
-        r = g.normal(0.0, 1.0, (6, d))
-        x[2], r[2] = 1.25, 0.0  # a constant row of x + r: zero variance
+    @staticmethod
+    def layer_norm_case(d, rows, seed):
+        g = np.random.default_rng(seed)
+        x = g.normal(0.0, 3.0, (rows, d)) + g.normal(0.0, 50.0, (rows, 1))
+        r = g.normal(0.0, 1.0, (rows, d))
+        if rows > 2:
+            x[2], r[2] = 1.25, 0.0  # a constant row of x + r: zero variance
         gamma, beta = g.uniform(0.5, 1.5, (1, d)), g.normal(0.0, 1.0, (1, d))
-        up = g.normal(0.0, 1.0, (6, d))
+        up = g.normal(0.0, 1.0, (rows, d))
         tape = ad.Tape()
         with ad.recording(tape):
             y = ad.layer_norm_rows(tape.param("x", x), tape.param("r", r), gamma, beta, 1e-5)
-        want_y, want_dz = mean_layer_norm(x + r, gamma, beta, 1e-5, up)
-        assert np.array_equal(y.value, want_y)
+        return x + r, gamma, beta, up, y
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_layer_norm_equals_mean_reference(self, d):
+        # in place equals the out-of-place BLAS sums bit for bit, and the
+        # ndarray.mean formula to 1e-13 of its peak
+        z, gamma, beta, up, y = self.layer_norm_case(d, 6, d)
         dx, dr = y.vjps[0](up), y.vjps[1](up)
+        want_y, want_dz = blas_layer_norm(z, gamma, beta, 1e-5, up)
+        assert np.array_equal(y.value, want_y)
         assert np.array_equal(dx, want_dz) and np.array_equal(dr, want_dz)
         assert not np.shares_memory(dx, dr)
+        mean_y, mean_dz = mean_layer_norm(z, gamma, beta, 1e-5, up)
+        assert_peak_close(y.value, mean_y, 1e-13)
+        assert_peak_close(dx, mean_dz, 1e-13)
+
+    @pytest.mark.parametrize("d", [4, 32])
+    def test_one_row_layer_norm(self, d):
+        # the decode shape: one row per call
+        z, gamma, beta, up, y = self.layer_norm_case(d, 1, 100 + d)
+        want_y, want_dz = blas_layer_norm(z, gamma, beta, 1e-5, up)
+        assert np.array_equal(y.value, want_y) and np.array_equal(y.vjps[0](up), want_dz)
+        mean_y, mean_dz = mean_layer_norm(z, gamma, beta, 1e-5, up)
+        assert_peak_close(y.value, mean_y, 1e-13)
+        assert_peak_close(y.vjps[0](up), mean_dz, 1e-13)
 
 
 class TestLiveness:
@@ -495,26 +519,51 @@ class TestAttentionRows:
         for name in point:
             assert_close(grads[name], want_grads[name], tol=1e-12, msg=name)
 
-    @pytest.mark.parametrize("heads", [1, 4])
-    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False)])
-    def test_in_place_kernels_bitwise(self, heads, n_q, n_k, causal):
-        # scores, softmax and the score adjoint built in place equal the
-        # out-of-place expressions bit for bit
-        g = np.random.default_rng(30 + heads + n_k)
+    @staticmethod
+    def recorded_case(heads, n_q, n_k, causal, seed):
+        g = np.random.default_rng(seed)
         b, d_k, d_v = 3, 3, 2
         mask = tf.causal_mask(n_q) if causal else None
         q = g.normal(0.0, 1.0, (b * n_q, heads * d_k))
         k = g.normal(0.0, 1.0, (b * n_k, heads * d_k))
         v = g.normal(0.0, 1.0, (b * n_k, heads * d_v))
         up = g.normal(0.0, 1.0, (b * n_q, heads * d_v))
-        tape = ad.Tape()
+        tape, collect = ad.Tape(), []
         with ad.recording(tape):
             out = ad.attention_rows(tape.param("q", q), tape.param("k", k),
-                                    tape.param("v", v), n_q, n_k, mask, heads=heads)
-        want = out_of_place_attention(q, k, v, n_q, n_k, heads, mask, up)
+                                    tape.param("v", v), n_q, n_k, mask, collect, heads)
+        return (q, k, v, mask, up), out, collect
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False), (1, 6, False)])
+    def test_in_place_kernels_bitwise(self, heads, n_q, n_k, causal):
+        # key-major scores, softmax and the score adjoint built in place
+        # equal the out-of-place key-major expressions bit for bit
+        (q, k, v, mask, up), out, _ = self.recorded_case(heads, n_q, n_k, causal,
+                                                         30 + heads + n_k)
+        want = key_major_attention(q, k, v, n_q, n_k, heads, mask, up)
         assert same_bits(out.value, want[0])
         for vjp, want_adjoint in zip(out.vjps, want[1:]):
             assert same_bits(vjp(up), want_adjoint)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("n_q,n_k,causal", [(4, 4, True), (2, 5, False), (1, 6, False)])
+    def test_key_major_matches_row_major_formula(self, heads, n_q, n_k, causal):
+        # value and q, k, v adjoints within 1e-14 of the row-major formula's
+        # peak; collect holds (B, n_q, n_k) row-stochastic arrays per head,
+        # exactly 0 above the diagonal under a causal mask
+        (q, k, v, mask, up), out, collect = self.recorded_case(heads, n_q, n_k, causal,
+                                                               50 + heads + n_k)
+        want = out_of_place_attention(q, k, v, n_q, n_k, heads, mask, up)
+        assert_peak_close(out.value, want[0], 1e-14, "value")
+        for name, vjp, want_adjoint in zip("qkv", out.vjps, want[1:]):
+            assert_peak_close(vjp(up), want_adjoint, 1e-14, name)
+        assert len(collect) == heads
+        for probs in collect:
+            assert probs.shape == (3, n_q, n_k) and np.all(probs >= 0)
+            assert_close(probs.sum(axis=2), np.ones((3, n_q)), tol=1e-15)
+            if causal:
+                assert not np.triu(probs, 1).any()
 
     def test_heads_must_divide_widths(self):
         tape = ad.Tape()

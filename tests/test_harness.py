@@ -452,16 +452,24 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_learned_grade_reaching_zero_weight_exit_two(self, tmp_path, capsys):
-        # identity map: a grade that the update clamps to 0 weighs its dimension 0
+    def test_learned_grade_reaching_zero_weight_exit_three(self, tmp_path, capsys):
+        # identity map: the first update clamps grade 0.01 to 0, a weight of
+        # 0; a valid config that diverged, not a config error
+        out = tmp_path / "run"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "task": "poly_degree", "dataset_size": 32, "seq_len": 4,
-            "out_dir": str(tmp_path / "run"), "train": {"steps": 10, "lr_grades": 1.0},
+            "out_dir": str(out), "train": {"steps": 10, "lr_grades": 1.0},
             "grading": {"weight_map": "identity", "grades": [0.01, 0.5, 1.0, 2.0]}}))
-        assert cli.main(["train", "--config", str(cfg_path)]) == 2
+        assert cli.main(["train", "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
-        assert "grading weights must be positive" in err and "Traceback" not in err
+        assert err.startswith("divergence: grading weight <= 0 in 'q' after the update "
+                              "at step 1; parameters and grades restored to step 0")
+        assert "Traceback" not in err
+        rows = (out / "graded_metrics.csv").read_text().splitlines()
+        assert rows == [",".join(training.METRIC_FIELDS)]
+        run = json.loads((out / "summary.json").read_text())["runs"]["graded"]
+        assert run["diverged"] is True and run["steps"] == 0
 
     @pytest.mark.parametrize("override", [{"model": {"n_heads": 3}},  # d_model 4
                                           {"train": {"steps": 0}}])

@@ -7,7 +7,7 @@ from graded_transformer import tensor
 from graded_transformer.errors import DimensionMismatch, ZeroMatrix
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, out_of_place_softmax, same_bits
+from conftest import assert_close, assert_peak_close, blas_softmax, out_of_place_softmax, same_bits
 
 
 class TestMatmul:
@@ -52,11 +52,27 @@ class TestSoftmaxRows:
         assert_close(tensor.softmax_rows(np.array([[1000.0, 1000.0]])), [[0.5, 0.5]])
 
     def test_one_buffer_bitwise_and_input_untouched(self):
+        # in place equals the out-of-place BLAS normaliser bit for bit, and
+        # the np.add.reduce order to 1e-13 of its peak, along either axis
         m = np.random.default_rng(8).normal(0.0, 5.0, (3, 4, 7))
         m[0, 0] = -1e30  # a masked row
+        m[1, :, 2] = -1e30  # a masked column
         before = m.copy()
-        assert same_bits(tensor.softmax_rows(m), out_of_place_softmax(m))
+        for axis in (-1, -2):
+            p = tensor.softmax_rows(m, axis)
+            assert same_bits(p, blas_softmax(m, axis))
+            assert_peak_close(p, out_of_place_softmax(m, axis), 1e-13)
         assert same_bits(m, before)
+
+    def test_columns_are_rows_of_the_transpose(self):
+        m = np.random.default_rng(9).normal(0.0, 5.0, (2, 6, 5))
+        cols = tensor.softmax_rows(m, axis=-2)
+        assert_close(cols, tensor.softmax_rows(m.swapaxes(-1, -2)).swapaxes(-1, -2), tol=1e-15)
+        assert_close(cols.sum(axis=-2), np.ones((2, 5)), tol=1e-15)
+
+    def test_other_axes_rejected(self):
+        with pytest.raises(ValueError):
+            tensor.softmax_rows(np.zeros((2, 3, 4)), axis=0)
 
     @given(st.lists(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=6),
                     min_size=1, max_size=5).filter(
@@ -65,6 +81,31 @@ class TestSoftmaxRows:
         p = tensor.softmax_rows(np.array(rows))
         assert np.all(p >= 0)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+class TestRowColSums:
+    # the model's shapes: a LayerNorm input, one decode row, a score block
+    # and an FFN hidden block
+    SHAPES = [(512, 32), (1, 32), (16, 4, 32, 32), (32, 128), (3, 1)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_match_add_reduce(self, shape):
+        x = np.random.default_rng(len(shape) + shape[-1]).normal(0.0, 1.0, shape)
+        for got, axis in ((tensor.row_sums(x), -1), (tensor.col_sums(x), -2)):
+            want = np.add.reduce(x, axis=axis, keepdims=True)
+            scale = np.add.reduce(np.abs(x), axis=axis, keepdims=True)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-15 * scale), axis
+
+    def test_ones_cached_and_read_only(self):
+        ones = tensor._ones(7)
+        assert ones is tensor._ones(7) and ones.shape == (7, 1)
+        assert not ones.flags.writeable
+        with pytest.raises(ValueError):
+            ones[0, 0] = 2.0
+        tensor.row_sums(np.ones((3, 7)))
+        tensor.col_sums(np.ones((7, 3)))
+        assert np.array_equal(ones, np.ones((7, 1)))
 
 
 class TestSpectralNorm:

@@ -300,6 +300,27 @@ class TestTrainLoop:
         assert message == ("non-finite loss at step 3 (every parameter and grade finite); "
                            "parameters and grades restored to step 2")
 
+    def test_grade_reaching_zero_weight_rolls_back(self):
+        # identity map: the update at step 9 takes head 1's second grade
+        # from 0.0034 to 0, a weight of 0; the result is the 8-step run's
+        cfg, params, gcfg, ds = tiny_setup()
+        gcfg = replace(gcfg, weight_map=gs.WeightMap("identity"),
+                       grades=np.array([0.5, 1.0, 1.0, 0.05]), head_grades=None)
+        tc = training.TrainConfig(steps=10, seed=1, batch_size=4, lr_grades=0.01)
+        clean = training.train(params, gcfg, ds.x, ds.y, replace(tc, steps=8))
+        with pytest.raises(DivergenceDetected) as exc_info:
+            training.train(params, gcfg, ds.x, ds.y, tc)
+        assert str(exc_info.value) == (
+            "grading weight <= 0 in 'q_head_1' after the update at step 9; "
+            "parameters and grades restored to step 8")
+        result = exc_info.value.result
+        assert result.diverged and result.metrics == clean.metrics
+        assert np.array_equal(result.grades, clean.grades)
+        for a, b in zip(result.head_grades, clean.head_grades):
+            assert np.array_equal(a, b) and np.all(a > 0)
+        for k in clean.params:
+            assert np.array_equal(result.params[k], clean.params[k]), k
+
     def test_determinism(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=15, seed=9, batch_size=4)
@@ -369,8 +390,9 @@ def per_sample_step(params, grade_arrays, gcfg, x, y, lam, cfg):
             loss_w = gcfg.weight_map.node(grade_nodes["q"])
         main = None
         for xb, yb in zip(x, y):
-            _, logits = graded.forward_nodes(p, gcfg, xb, lam=lam if exponential else None,
-                                             grade_nodes=grade_nodes)
+            lam_or_none = lam if exponential else None
+            weights = graded.weight_nodes(gcfg, lam_or_none, grade_nodes)
+            _, logits = graded.forward_nodes(p, gcfg, xb, lam=lam_or_none, weights=weights)
             term = training.sequence_loss_node(logits, yb, loss_w, cfg.base_loss)
             main = term if main is None else ad.add(main, term)
         main = ad.scale(main, 1.0 / len(x))
@@ -419,13 +441,30 @@ class TestStackedStep:
         # nor are ops with no live parent: in hier_copy, with fixed grades,
         # the grade-weight chain, the regularizer and the loss's 1 - y term
         # (20 op nodes, 8 constants); in wide LGT the 1 - y subtraction.
+        # The loss reuses the model tuple's weight node, so with learned
+        # grades the weight map records once: 1 node (q + 1) fewer in
+        # linear mode, 2 (scale, exp) in exponential mode.
         counts = []
         for params, gcfg, ds, tc in workload_setups():
             lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
                                             ds.x[:16], ds.y[:16], lam, tc)
             counts.append(len(tape.nodes))
-        assert counts == [76, 79, 59, 141]
+        assert counts == [75, 77, 59, 140]
+
+    @pytest.mark.parametrize("mode", [gs.LINEAR, gs.EXPONENTIAL])
+    def test_one_weight_map_per_grade_row(self, mode, monkeypatch):
+        # learned grades on the smoke config: one GradingSpec.node call for
+        # the model tuple (shared by the encoder and the loss), one for the
+        # stacked head tuples
+        params, gcfg, ds, tc = smoke_setup(mode)
+        calls = []
+        node = gs.GradingSpec.node
+        monkeypatch.setattr(gs.GradingSpec, "node",
+                            lambda spec, q: calls.append(q.live) or node(spec, q))
+        training.record_step(params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16],
+                             1.5, tc)
+        assert calls == [True, True]
 
 
 def workload_setups():
