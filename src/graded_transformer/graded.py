@@ -13,7 +13,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .graded_space import (
     LINEAR,
     GradingSpec,
     WeightMap,
+    affine_map,
     as_grades,
     effective_dimension,
 )
@@ -69,7 +70,7 @@ class GradedModelConfig:
         if len(self.head_grades) != self.model.n_heads or any(
             q.size != self.model.d_k for q in self.head_grades
         ):
-            raise InvalidSpec("need one grade tuple of length d_k per head")
+            raise InvalidSpec("head_grades: need one grade tuple of length d_k per head")
         if self.attention_variant not in VARIANTS:
             raise InvalidSpec(f"unknown attention variant {self.attention_variant!r}")
         if self.positional not in POSITIONAL_MODES:
@@ -77,6 +78,24 @@ class GradedModelConfig:
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
         self.max_weight()  # weights() rejects a bad mode, base or weight map
+
+    def to_dict(self) -> dict:
+        """Every field but the model in the JSON form of a config's grading
+        section: grades as lists, the weight map as a name or {"affine": [a, b]}."""
+        wm = self.weight_map
+        return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"},
+                "grades": self.grades.tolist(),
+                "head_grades": [q.tolist() for q in self.head_grades],
+                "weight_map": {"affine": [wm.a, wm.b]} if wm.name == "affine" else wm.name}
+
+    @classmethod
+    def from_dict(cls, model: tf.ModelConfig, raw: dict) -> "GradedModelConfig":
+        """The config to_dict wrote; absent fields take the defaults above."""
+        wm = raw.get("weight_map")
+        if isinstance(wm, (str, dict)):
+            wm = affine_map(*wm["affine"]) if isinstance(wm, dict) else WeightMap(wm)
+            raw = {**raw, "weight_map": wm}
+        return cls(model=model, **raw)
 
     def spec(self, lam: float | None = None) -> GradingSpec:
         """The grading spec; lam overrides the exponential base (annealing)."""

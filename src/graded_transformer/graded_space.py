@@ -39,7 +39,7 @@ class WeightMap:
 
     def __post_init__(self):
         if self.name not in WEIGHT_MAPS:
-            raise InvalidSpec(f"unknown weight map {self.name!r}")
+            raise InvalidSpec(f"unknown weight_map {self.name!r}, not one of {WEIGHT_MAPS}")
 
     def node(self, q: ad.Node) -> ad.Node:
         """The map applied to a (1, d) grade node."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import time
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,7 @@ from . import tensor
 from . import training
 from . import transformer as tf
 from .errors import ConfigError, DivergenceDetected
-from .graded_space import EXPONENTIAL, LINEAR, WeightMap, affine_map
+from .graded_space import EXPONENTIAL, LINEAR, WeightMap
 from .tensor import Rng
 
 
@@ -117,22 +117,15 @@ def default_model_config(task: str, overrides: dict) -> tf.ModelConfig:
 
 
 def build_graded_config(cfg: ExperimentConfig, model: tf.ModelConfig,
-                        grades: np.ndarray) -> graded.GradedModelConfig:
-    g = dict(cfg.grading)
-    wm = g.pop("weight_map", None)
-    if wm is not None:
-        g["weight_map"] = (affine_map(*wm["affine"]) if isinstance(wm, dict)
-                           else WeightMap(wm))
-    if "grades" in g:
-        grades = np.asarray(g.pop("grades"), dtype=np.float64)
+                        grades: np.ndarray | None) -> graded.GradedModelConfig:
+    """The task's grading defaults, overridden by the config's grading section."""
     defaults = dict(attention_variant="scores")
     if cfg.task == "hier_copy":
         defaults = dict(attention_variant="none", positional="exp_decay", alpha=0.25,
                         grade_inputs=False)
-    defaults.update(g)
     try:
-        return graded.GradedModelConfig(model=model, mode=cfg.mode, grades=grades,
-                                        **defaults)
+        return graded.GradedModelConfig.from_dict(
+            model, {"mode": cfg.mode, "grades": grades, **defaults, **cfg.grading})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -183,8 +176,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grades = ds.grades[: model.d_model] if ds.grades.size >= model.d_model \
-        else np.zeros(model.d_model)
+    grades = ds.grades[:model.d_model] if ds.grades.size >= model.d_model else None
     gcfg = build_graded_config(cfg, model, grades)
     n = ds.x.shape[1]
     if n > model.n_max and (model.vocab_size or gcfg.add_positional):
@@ -217,24 +209,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             raise
         wall = time.perf_counter() - start
         lam = result.metrics[-1]["lambda"] if rcfg.mode == EXPONENTIAL else None
-        final_cfg = graded.GradedModelConfig(
-            **{**rcfg.__dict__, "grades": result.grades,
-               "head_grades": result.head_grades},
-        )
+        final_cfg = replace(rcfg, grades=result.grades, head_grades=result.head_grades)
         errs, attn_mass = _final_eval(result.params, final_cfg, ds, 64, lam)
         final_weights = final_cfg.weights(lam=lam)[: errs.size] \
             if errs.size <= final_cfg.grades.size else np.ones(errs.size)
         training.write_metrics_csv(out / f"{name}_metrics.csv", result.metrics)
-        tf.save_checkpoint(
-            out / f"{name}_final.gtc", result.params, model,
-            extra={
-                "grades": result.grades.tolist(),
-                "mode": rcfg.mode,
-                "attention_variant": rcfg.attention_variant,
-                "base": rcfg.base,
-                "task": cfg.task,
-            },
-        )
+        tf.save_checkpoint(out / f"{name}_final.gtc", result.params, model,
+                           extra={**final_cfg.to_dict(), "lambda": lam, "task": cfg.task})
         summary["runs"][name] = {
             **_loss_fields(result.metrics),
             "per_dim_error": errs.tolist(),
@@ -268,20 +249,30 @@ def _write_summary(out: Path, summary: dict) -> None:
 
 
 def evaluate_checkpoint(checkpoint_path, data_path) -> dict:
-    """Loss and per-dimension error of a stored checkpoint on a dataset."""
+    """Per-dimension error of a checkpoint, rebuilt from its stored grading
+    and lambda, on a dataset of its task.  Unstored grading fields take their
+    defaults; attention_variant takes "scores", as old checkpoints ran."""
     params, model, extra = tf.load_checkpoint(checkpoint_path)
     ds = tasks.load_dataset(data_path)
-    grades = np.asarray(extra.get("grades", np.zeros(model.d_model)))
-    mode = extra.get("mode", LINEAR)
-    gcfg = graded.GradedModelConfig(
-        model=model, mode=mode, grades=grades,
-        attention_variant=extra.get("attention_variant", "scores"),
-        base=max(extra.get("base", 2.0), 1.0 + 1e-9),
-    )
-    lam = gcfg.base if mode == EXPONENTIAL else None
+    task = extra.get("task", ds.task)
+    if task != ds.task:
+        raise ConfigError(f"{checkpoint_path}: a {task!r} checkpoint cannot evaluate "
+                          f"{data_path}, a {ds.task!r} dataset")
+    stored = {f.name: extra[f.name] for f in fields(graded.GradedModelConfig)
+              if f.name in extra and f.name != "model"}
+    try:
+        _check_keys(stored, graded.GradedModelConfig, "extra")
+        gcfg = graded.GradedModelConfig.from_dict(
+            model, {"attention_variant": "scores", **stored})
+        lam = extra.get("lambda") if gcfg.mode == EXPONENTIAL else None
+        gcfg.max_weight(lam)  # a stored lambda must be a base > 1
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{checkpoint_path}: {exc}") from exc
     errs, _ = _final_eval(params, gcfg, ds, 64, lam)
     return {
         "per_dim_error": errs.tolist(),
         "mean_error": float(errs.mean()),
         "size_evaluated": int(min(64, ds.size)),
+        "grading": gcfg.to_dict(),
+        "lambda": lam,
     }

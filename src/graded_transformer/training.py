@@ -393,7 +393,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             tf.save_checkpoint(
                 Path(checkpoint_dir) / f"step{t:06d}.gtc", params, gcfg.model,
-                extra={"step": t, "lambda": lam_t},
+                extra={**gcfg.to_dict(), "step": t, "lambda": lam_t},
             )
 
     if failure:

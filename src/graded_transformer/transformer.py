@@ -12,7 +12,7 @@ start token and id 2 is EOS.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -63,17 +63,7 @@ class ModelConfig:
         return self.out_dim or self.d_model
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "d_model": self.d_model,
-            "n_heads": self.n_heads,
-            "n_layers": self.n_layers,
-            "d_ff": self.d_ff,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "eps": self.eps,
-            "out_dim": self.out_dim,
-        }
+        return asdict(self)
 
 
 def init_params(cfg: ModelConfig, rng: Rng, decoder: bool = True) -> dict[str, np.ndarray]:

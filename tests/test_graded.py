@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,41 @@ class TestConfig:
     def test_bad_grading_rejected(self, toy_model, bad):
         with pytest.raises(InvalidSpec):
             make_gcfg(toy_model, **bad())
+
+    @pytest.mark.parametrize("weight_map", [*(gs.WeightMap(name) for name in gs.WEIGHT_MAPS
+                                              if name != "affine"),
+                                            gs.affine_map(1.0, 0.1)], ids=lambda m: m.name)
+    @pytest.mark.parametrize("variant", graded.VARIANTS)
+    @pytest.mark.parametrize("positional, alpha", [("off", 0.0), ("linear_decay", 0.05),
+                                                   ("exp_decay", 0.25)])
+    def test_dict_round_trip(self, toy_model, weight_map, variant, positional, alpha):
+        # identity weighs grade q by q, so every grade is positive
+        mode = gs.EXPONENTIAL if positional == "exp_decay" else gs.LINEAR
+        gcfg = make_gcfg(toy_model, mode=mode,
+                         grades=np.array([0.5, 1.0, 1.5, 2.0]), weight_map=weight_map,
+                         head_grades=[np.array([0.25, 3.0]), np.array([1.0, 0.75])],
+                         base=2.5, attention_variant=variant, positional=positional,
+                         alpha=alpha, grade_ffn=True, normalize_inputs=False)
+        raw = gcfg.to_dict()
+        again = graded.GradedModelConfig.from_dict(gcfg.model, json.loads(json.dumps(raw)))
+        assert again.to_dict() == raw
+        assert again.weight_map == weight_map
+        assert np.array_equal(again.weights(again.head_grades[0]),
+                              gcfg.weights(gcfg.head_grades[0]))
+
+    def test_from_dict_fills_defaults(self, toy_model):
+        cfg, _ = toy_model
+        assert graded.GradedModelConfig.from_dict(cfg, {}).to_dict() == \
+            graded.GradedModelConfig(cfg).to_dict()
+        raw = graded.GradedModelConfig.from_dict(cfg, {"grades": [0.0, 1.0, 2.0, 3.0]}).to_dict()
+        assert raw["head_grades"] == [[0.0, 1.0], [2.0, 3.0]]
+        assert raw["weight_map"] == "plus_one" and raw["mode"] == gs.LINEAR
+
+    def test_to_dict_is_the_grading_section_form(self, toy_model):
+        raw = make_gcfg(toy_model, weight_map=gs.affine_map(1.0, 0.1)).to_dict()
+        assert set(raw) == set(graded.GradedModelConfig.__dataclass_fields__) - {"model"}
+        assert raw["grades"] == [0.0, 0.5, 1.0, 2.0]
+        assert raw["weight_map"] == {"affine": [1.0, 0.1]}
 
     def test_max_weight(self, toy_model):
         gcfg = make_gcfg(toy_model)

@@ -141,15 +141,22 @@ def _rewrite_header(raw: bytes, edit) -> bytes:
     return raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + hlen:]
 
 
-def _assert_rejected(path, data):
-    """A ValueError naming the file; `eval` exits 2 and prints no traceback."""
-    with pytest.raises(ValueError, match=path.name):
-        container.load_arrays(path)
+def _assert_rejected(path, data, key=None):
+    """A ValueError naming the file, from the container reader or, for a bad
+    stored `key`, from evaluate_checkpoint naming the key too; `eval` exits 2
+    and prints no traceback."""
+    with pytest.raises(ValueError, match=path.name) as info:
+        if key is None:
+            container.load_arrays(path)
+        else:
+            evaluate_checkpoint(path, data)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["eval", "--checkpoint", str(path), "--data", str(data)])
     assert code == 2
     assert path.name in err.getvalue() and "Traceback" not in err.getvalue()
+    if key is not None:
+        assert key in str(info.value) and key in err.getvalue()
 
 
 class TestCheckpointArrays:
@@ -229,6 +236,61 @@ class TestCorruptContainer:
         _assert_rejected(path, data)
         path.write_bytes(raw[:8] + (len(raw)).to_bytes(8, "little") + raw[16:])
         _assert_rejected(path, data)
+
+
+def _edit_extra(**stored):
+    return lambda header: header["meta"]["extra"].update(stored)
+
+
+class TestStoredGrading:
+    # the model of `stored` has d_model 4 and 2 heads, so d_k 2
+    @pytest.mark.parametrize("key, grading", [
+        ("weight_map", {"weight_map": "bogus"}),
+        ("weight_map", {"weight_map": {"affine": [1.0]}}),
+        ("grades", {"grades": "abc"}),
+        ("grades", {"grades": [0.0, "a", 1.0, 2.0]}),
+        ("grades", {"grades": [0.0, 1.0, 2.0]}),
+        ("head_grades", {"head_grades": [[0.0], [1.0]]}),
+        ("head_grades", {"head_grades": [[0.0, 1.0]]}),
+        ("base", {"mode": "exponential", "base": 1.0}),
+        ("base", {"mode": "exponential", "base": 0.5}),
+        ("mode", {"mode": 3}),
+    ])
+    def test_malformed_grading_exit_two(self, stored, key, grading):
+        raw, data, path = stored
+        path.write_bytes(_rewrite_header(raw, _edit_extra(**grading)))
+        _assert_rejected(path, data, key)
+
+    @pytest.mark.parametrize("lam", ["x", 1.0, [2.0]])
+    def test_malformed_lambda_exit_two(self, stored, lam):
+        raw, data, path = stored
+        path.write_bytes(_rewrite_header(raw, _edit_extra(mode="exponential", **{"lambda": lam})))
+        _assert_rejected(path, data, "")  # the message is the grading spec's, naming no key
+
+    @pytest.mark.parametrize("task, other", [("poly_degree", "hier_copy"),
+                                             ("hier_copy", "poly_degree")])
+    def test_task_mismatch_exit_two(self, stored, tmp_path, task, other):
+        raw, _, path = stored
+        path.write_bytes(_rewrite_header(raw, _edit_extra(task=task)))
+        data = tmp_path / "other.gtc"
+        tasks.save_dataset(data, tasks.generate(other, 4, 4, seed=1))
+        _assert_rejected(path, data, repr(task))
+        with pytest.raises(ValueError, match=repr(other)):
+            evaluate_checkpoint(path, data)
+
+    def test_grades_only_checkpoint_unchanged(self, stored):
+        # an old checkpoint that stores only grades evaluates as linear with
+        # variant "scores" and every other field its default; its
+        # per_dim_error must not move
+        raw, data, path = stored
+        path.write_bytes(raw)
+        report = evaluate_checkpoint(path, data)
+        want = [1.840668744130534, 0.8470320684444467, 2.3852958086435585, 1.5425988523504497]
+        assert np.allclose(report["per_dim_error"], want, rtol=1e-12, atol=0)
+        assert report["lambda"] is None
+        assert report["grading"] == graded.GradedModelConfig(
+            tf.load_checkpoint(path)[1], grades=np.array([0.0, 0.5, 1.0, 2.0]),
+            attention_variant="scores").to_dict()
 
 
 class TestPropsRegistry:
@@ -337,6 +399,52 @@ class TestExperiment:
         summary = run_experiment(cfg)
         mass = summary["runs"]["graded"]["attention_mass_by_position"]
         assert mass[0] > 1.0 / len(mass)
+
+
+REPRODUCED = {
+    # poly_degree's default grading learns head grades apart from the model tuple
+    "poly_linear": dict(task="poly_degree", mode="linear", train={}),
+    # annealing takes lambda to 3, away from the base 2
+    "hier_exponential": dict(task="hier_copy", mode="exponential",
+                             train={"lambda_max": 3.0}),
+}
+
+
+@pytest.fixture(scope="module", params=list(REPRODUCED))
+def reproduced(request, tmp_path_factory):
+    """A run's output directory, its data saved as a dataset file, its summary."""
+    out = tmp_path_factory.mktemp(request.param)
+    case = REPRODUCED[request.param]
+    cfg = ExperimentConfig(task=case["task"], mode=case["mode"], dataset_size=32, seq_len=6,
+                           run_baseline=True, out_dir=str(out),
+                           train={"steps": 60, "seed": 3, "checkpoint_every": 30,
+                                  **case["train"]})
+    summary = run_experiment(cfg)
+    data = out / "data.gtc"
+    tasks.save_dataset(data, tasks.generate(cfg.task, cfg.dataset_size, cfg.seq_len, seed=3))
+    return out, data, summary
+
+
+class TestReproduction:
+    @pytest.mark.parametrize("run", ["graded", "baseline"])
+    @pytest.mark.parametrize("checkpoint", ["{run}_final.gtc", "{run}/step000060.gtc"])
+    def test_eval_reproduces_summary(self, reproduced, run, checkpoint):
+        out, data, summary = reproduced
+        report = evaluate_checkpoint(out / checkpoint.format(run=run), data)
+        want = summary["runs"][run]["per_dim_error"]
+        assert np.abs(np.subtract(report["per_dim_error"], want)).max() <= 1e-12
+
+    def test_report_shows_the_stored_grading(self, reproduced):
+        out, data, summary = reproduced
+        report = evaluate_checkpoint(out / "graded_final.gtc", data)
+        grading = report["grading"]
+        assert grading == {k: v for k, v in tf.load_checkpoint(out / "graded_final.gtc")[2].items()
+                           if k not in ("lambda", "task")}
+        if summary["mode"] == "linear":
+            assert report["lambda"] is None
+            assert np.concatenate(grading["head_grades"]).tolist() != grading["grades"]
+        else:
+            assert report["lambda"] == 3.0 and grading["base"] == 2.0
 
 
 def per_sequence_eval(params, gcfg, ds, n_eval, lam):
