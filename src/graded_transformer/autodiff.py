@@ -9,7 +9,8 @@ Each transformer sublayer is one node: `feed_forward_rows` is
 relu(x w1 + b1) w2 + b2, `layer_norm_rows` is the residual step LN(x + r)
 and `attention_rows` is scaled dot-product attention for every head and
 sequence.  Such a node's VJPs share one inner adjoint (hidden, normalised
-or score), computed once per backward.
+or score), computed once per backward.  The training loss and grade penalty
+are one node each too (`training.sequence_loss_node`, `regularizer_node`).
 
 Every keepdims sum (LayerNorm moments and adjoint, softmax normaliser and
 adjoint, the bias and scale VJPs) is a BLAS product with ones,
@@ -20,9 +21,9 @@ non-last axis; the output and VJPs read them through transposed views.
 A node records only when one of its parents records.  Parameter leaves
 are live; constants (`Tape.constant`, `wrap`) are bare nodes no tape
 keeps.  Each primitive computes its value first and returns a bare node,
-with no VJP closures, when no parent is live; otherwise the active tape
-records it with its live parents and their VJPs only.  A dead node has no
-parameter ancestor, so inference records nothing, and backward calls no
+with no VJP closures, when no parent is live; otherwise `record` puts it
+on the active tape with its live parents and their VJPs only.  A dead node
+has no parameter ancestor, so inference records nothing, and backward calls no
 VJP into constants, fixed grade weights or targets; the gradients equal
 those of full recording bit for bit.
 """
@@ -161,9 +162,9 @@ def wrap(x) -> Node:
     return Node(_as2d(x))
 
 
-def _rec(value, parents: tuple, vjps: tuple) -> Node:
+def record(value, parents: tuple, vjps: tuple) -> Node:
     """Record value on the active tape with its live parents and their VJPs;
-    callers return a bare Node(value) when no parent is live."""
+    callers return a bare Node(value), before any VJP, when no parent is live."""
     for p in parents:
         if not p.live:
             parents, vjps = zip(*[(p, f) for p, f in zip(parents, vjps) if p.live])
@@ -182,17 +183,7 @@ def add(a, b) -> Node:
     out = a.value + b.value
     if not (a.live or b.live):
         return Node(out)
-    return _rec(out, (a, b), (lambda g: g, lambda g: g))
-
-
-def sub(a, b) -> Node:
-    a, b = wrap(a), wrap(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"sub: {a.shape} vs {b.shape}")
-    out = a.value - b.value
-    if not (a.live or b.live):
-        return Node(out)
-    return _rec(out, (a, b), (lambda g: g, lambda g: -g))
+    return record(out, (a, b), (lambda g: g, lambda g: g))
 
 
 def mul(a, b) -> Node:
@@ -203,7 +194,7 @@ def mul(a, b) -> Node:
     av, bv = a.value, b.value
     if not (a.live or b.live):
         return Node(av * bv)
-    return _rec(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
+    return record(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
 def scale(a, c: float) -> Node:
@@ -211,7 +202,7 @@ def scale(a, c: float) -> Node:
     c = float(c)
     if not a.live:
         return Node(a.value * c)
-    return _rec(a.value * c, (a,), (lambda g: g * c,))
+    return record(a.value * c, (a,), (lambda g: g * c,))
 
 
 def add_rowvec(x, b) -> Node:
@@ -222,7 +213,7 @@ def add_rowvec(x, b) -> Node:
     out = x.value + b.value
     if not (x.live or b.live):
         return Node(out)
-    return _rec(out, (x, b), (lambda g: g, tensor.col_sums))
+    return record(out, (x, b), (lambda g: g, tensor.col_sums))
 
 
 def scale_cols(x, w) -> Node:
@@ -233,7 +224,7 @@ def scale_cols(x, w) -> Node:
     xv, wv = x.value, w.value
     if not (x.live or w.live):
         return Node(xv * wv)
-    return _rec(
+    return record(
         xv * wv,
         (x, w),
         (lambda g: g * wv, lambda g: tensor.col_sums(g * xv)),
@@ -247,14 +238,14 @@ def matmul(a, b) -> Node:
     av, bv = a.value, b.value
     if not (a.live or b.live):
         return Node(av @ bv)
-    return _rec(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+    return record(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def transpose(a) -> Node:
     a = wrap(a)
     if not a.live:
         return Node(a.value.T.copy())
-    return _rec(a.value.T.copy(), (a,), (lambda g: g.T,))
+    return record(a.value.T.copy(), (a,), (lambda g: g.T,))
 
 
 def exp(a) -> Node:
@@ -262,25 +253,7 @@ def exp(a) -> Node:
     ev = np.exp(a.value)
     if not a.live:
         return Node(ev)
-    return _rec(ev, (a,), (lambda g: g * ev,))
-
-
-def log(a) -> Node:
-    a = wrap(a)
-    av = a.value
-    with np.errstate(invalid="ignore", divide="ignore"):  # NaN flows to NonFinite checks
-        lv = np.log(av)
-    if not a.live:
-        return Node(lv)
-    return _rec(lv, (a,), (lambda g: g / av,))
-
-
-def sigmoid(a) -> Node:
-    a = wrap(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    if not a.live:
-        return Node(s)
-    return _rec(s, (a,), (lambda g: g * s * (1.0 - s),))
+    return record(ev, (a,), (lambda g: g * ev,))
 
 
 def absolute(a) -> Node:
@@ -288,16 +261,7 @@ def absolute(a) -> Node:
     if not a.live:
         return Node(np.abs(a.value))
     sgn = np.sign(a.value)
-    return _rec(np.abs(a.value), (a,), (lambda g: g * sgn,))
-
-
-def clip_low(a, lo: float) -> Node:
-    """max(a, lo); gradient passes only through unclipped entries."""
-    a = wrap(a)
-    if not a.live:
-        return Node(np.maximum(a.value, lo))
-    mask = a.value >= lo
-    return _rec(np.maximum(a.value, lo), (a,), (lambda g: g * mask,))
+    return record(np.abs(a.value), (a,), (lambda g: g * sgn,))
 
 
 def sum_all(a) -> Node:
@@ -306,7 +270,7 @@ def sum_all(a) -> Node:
     if not a.live:
         return Node(out)
     shape = a.shape
-    return _rec(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
+    return record(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
 def softmax_rows(x) -> Node:
@@ -319,7 +283,7 @@ def softmax_rows(x) -> Node:
     def vjp(g):
         return p * (g - tensor.row_sums(g * p))
 
-    return _rec(p, (x,), (vjp,))
+    return record(p, (x,), (vjp,))
 
 
 def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
@@ -387,7 +351,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
             memo.update(g=g, gb=gb, ds=ds)
         return memo["gb"], memo["ds"]
 
-    return _rec(
+    return record(
         out,
         (q, k, v),
         (
@@ -411,7 +375,7 @@ def normalize_rows(x) -> Node:
     def vjp(g):
         return (g - y * tensor.row_sums(g * y)) / norms
 
-    return _rec(y, (x,), (vjp,))
+    return record(y, (x,), (vjp,))
 
 
 def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
@@ -447,7 +411,7 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
             memo.update(g=g, dz=dz)
         return memo["dz"]
 
-    return _rec(
+    return record(
         out,
         (x, r, gamma, beta),
         (
@@ -491,7 +455,7 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
             memo.update(g=g, gh=gh)
         return memo["gh"]
 
-    return _rec(
+    return record(
         out,
         (x, w1, b1, w2, b2),
         (
@@ -517,7 +481,7 @@ def embedding_rows(table, ids: Sequence[int]) -> Node:
         np.add.at(out, idx, g)
         return out
 
-    return _rec(table.value[idx], (table,), (vjp,))
+    return record(table.value[idx], (table,), (vjp,))
 
 
 def hstack(parts: Sequence[Node]) -> Node:
@@ -540,7 +504,7 @@ def _stack(parts: Sequence[Node], axis: int) -> Node:
         cut = (slice(None),) * axis + (slice(start, stop),)
         vjps.append(lambda g, cut=cut: g[cut])
         start = stop
-    return _rec(out, tuple(parts), tuple(vjps))
+    return record(out, tuple(parts), tuple(vjps))
 
 
 # ---------------------------------------------------------------------------

@@ -265,7 +265,8 @@ def evaluate_checkpoint(checkpoint_path, data_path) -> dict:
         gcfg = graded.GradedModelConfig.from_dict(
             model, {"attention_variant": "scores", **stored})
         lam = extra.get("lambda") if gcfg.mode == EXPONENTIAL else None
-        gcfg.max_weight(lam)  # a stored lambda must be a base > 1
+        if lam is not None and not (type(lam) in (int, float) and 1 < lam < np.inf):
+            raise ValueError(f"extra.lambda must be a finite number > 1 or null, got {lam!r}")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{checkpoint_path}: {exc}") from exc
     errs, _ = _final_eval(params, gcfg, ds, 64, lam)

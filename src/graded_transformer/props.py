@@ -97,14 +97,15 @@ def _spec_diag(seed):
 
 PRIMITIVE_CASES = (
     "matmul", "softmax", "layer_norm", "layer_norm_residual", "feed_forward", "scale_cols",
-    "normalize_rows", "add_rowvec", "hstack", "embedding", "sigmoid", "transpose", "vstack",
+    "normalize_rows", "add_rowvec", "hstack", "embedding", "loss_squared", "loss_sigmoid_ce",
+    "regularizer", "transpose", "vstack",
 )
 
 
 def primitive_case(case: str, g: np.random.Generator):
     """One random (fn, point) for a primitive's gradient check: fn sums the
     primitive's output against O(1) positive weights, which keeps the
-    gradients O(1)."""
+    gradients O(1).  The training loss and penalty nodes count as primitives."""
     x0 = g.normal(0.0, 1.0, (3, 4))
     up = g.uniform(0.5, 1.5, (3, 4))
 
@@ -159,8 +160,15 @@ def primitive_case(case: str, g: np.random.Generator):
     if case == "embedding":
         table = g.normal(0.0, 1.0, (5, 4))
         return lambda p: summed(ad.embedding_rows(p["t"], [0, 3, 3])), {"t": table}
-    if case == "sigmoid":
-        return lambda p: summed(ad.sigmoid(p["x"])), {"x": x0}
+    if case in ("loss_squared", "loss_sigmoid_ce"):  # scalar nodes: one weight up[:1, :1]
+        y0, w0 = g.uniform(0.0, 1.0, (3, 4)), g.uniform(0.5, 1.5, (1, 4))
+        base = case.removeprefix("loss_")
+        return (lambda p: summed(training.sequence_loss_node(p["x"], y0, p["w"], base),
+                                 up[:1, :1]), {"x": x0, "w": w0})
+    if case == "regularizer":  # the model row and 3 head rows, every gamma > 0
+        cfg = training.TrainConfig(gamma=0.7, gamma_heads=0.3, gamma_coord=1.3)
+        rows = {"q": x0[:1], **{f"q_head_{i}": x0[i, :2] for i in range(3)}}
+        return lambda p: summed(training.regularizer_node(p, cfg, 3), up[:1, :1]), rows
     if case == "transpose":
         up_t = g.uniform(0.5, 1.5, (4, 3))
         return lambda p: summed(ad.transpose(p["x"]), up_t), {"x": x0}

@@ -100,6 +100,10 @@ def load_dataset(path) -> Dataset:
     arrays, meta = container.load_arrays(path)
     if meta.get("kind") != "dataset":
         raise ValueError(f"{path}: not a dataset container")
+    for key, part in (("task", meta), ("x", arrays), ("y", arrays), ("grades", arrays)):
+        if key not in part:
+            kind = "meta key" if part is meta else "array"
+            raise ValueError(f"{path}: dataset container has no {key!r} {kind}")
     return Dataset(meta["task"], arrays["x"], arrays["y"], arrays["grades"])
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import time
+from functools import reduce
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .errors import (
     StepOutOfRange,
 )
 from .graded_space import EXPONENTIAL, LINEAR
-from .tensor import Rng
+from .tensor import Rng, col_sums
 
 
 @dataclass
@@ -39,7 +40,7 @@ class TrainConfig:
     lr: float = 3e-3
     lr_grades: float = 1e-2
     gamma: float = 1e-3          # penalty on ||q||^2
-    gamma_heads: float = 0.0     # penalty on sum_i ||q_i||^2 (exponential default 1e-3)
+    gamma_heads: float = 0.0     # penalty on sum_i ||q_i||^2
     gamma_coord: float = 1e-3    # penalty on head-tuple variance
     clip_threshold: float = 5.0
     lambda_max: float = 2.0
@@ -173,53 +174,74 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
 
 def sequence_loss_node(logits: ad.Node, targets: np.ndarray, weights: ad.Node,
                        base_loss: str) -> ad.Node:
-    """sum_i sum_k w_k * l(logits[i,k], y[i,k]) on the tape."""
-    y = ad.wrap(np.asarray(targets, dtype=np.float64))
+    """sum_i sum_k w_k l(z_ik, y_ik) as one node: l is (z - y)^2, or for
+    sigmoid_ce -(y log p + (1 - y) log(1 - p)) with p = sigmoid(z), where p
+    and 1 - p are clamped below at 1e-12; a clamped entry passes no gradient.
+    Value and VJPs (to z, w) equal the elementwise chain's bit for bit."""
+    z, w, y = logits.value, weights.value, np.asarray(targets, dtype=np.float64)
     if base_loss == "squared":
-        diff = ad.sub(logits, y)
-        cell = ad.mul(diff, diff)
+        diff = z - y
+        cell = diff * diff
+
+        def d_cell(gc):  # the logits' adjoint from the cells' adjoint gc
+            return 2 * (gc * diff)
     elif base_loss == "sigmoid_ce":
-        p = ad.clip_low(ad.sigmoid(logits), 1e-12)
-        one_minus = ad.clip_low(ad.sub(ad.wrap(np.ones_like(targets, dtype=np.float64)), p), 1e-12)
-        ones = np.ones_like(targets, dtype=np.float64)
-        cell = ad.scale(
-            ad.add(ad.mul(y, ad.log(p)),
-                   ad.mul(ad.sub(ad.wrap(ones), y), ad.log(one_minus))),
-            -1.0,
-        )
+        s = 1.0 / (1.0 + np.exp(-z))
+        p = np.maximum(s, 1e-12)
+        one_minus = np.maximum(1.0 - p, 1e-12)
+        cell = (y * np.log(p) + (1.0 - y) * np.log(one_minus)) * -1.0
+
+        def d_cell(gc):
+            gp = -gc * y / p + gc * (1.0 - y) / one_minus * (1.0 - p >= 1e-12)
+            return gp * (s >= 1e-12) * s * (1.0 - s)
     else:
         raise ValueError(f"unknown base loss {base_loss!r}")
-    return ad.sum_all(ad.scale_cols(cell, weights))
-
-
-def _sq_norm(node: ad.Node) -> ad.Node:
-    return ad.sum_all(ad.mul(node, node))
+    out = np.array([[(cell * w).sum()]])
+    if not (logits.live or weights.live):
+        return ad.Node(out)
+    return ad.record(out, (logits, weights), (lambda g: d_cell(g[0, 0] * w),
+                                              lambda g: col_sums(g[0, 0] * cell)))
 
 
 def regularizer_node(grade_nodes: dict, cfg: TrainConfig, n_heads: int) -> ad.Node:
-    """gamma ||q||^2 + gamma' sum_i ||q_i||^2 + gamma_coord sum_i ||q_i - mean_j q_j||^2."""
-    total = ad.wrap(np.zeros((1, 1)))
-    if "q" in grade_nodes and cfg.gamma > 0:
-        total = ad.add(total, ad.scale(_sq_norm(grade_nodes["q"]), cfg.gamma))
-    heads = [grade_nodes[f"q_head_{i}"] for i in range(n_heads)
-             if f"q_head_{i}" in grade_nodes]
-    if heads:
-        if cfg.gamma_heads > 0:
-            acc = _sq_norm(heads[0])
-            for h in heads[1:]:
-                acc = ad.add(acc, _sq_norm(h))
-            total = ad.add(total, ad.scale(acc, cfg.gamma_heads))
-        if cfg.gamma_coord > 0 and len(heads) > 1:
-            mean = heads[0]
-            for h in heads[1:]:
-                mean = ad.add(mean, h)
-            mean = ad.scale(mean, 1.0 / len(heads))
-            acc = None
-            for h in heads:
-                dev = _sq_norm(ad.sub(h, mean))
-                acc = dev if acc is None else ad.add(acc, dev)
-            total = ad.add(total, ad.scale(acc, cfg.gamma_coord))
-    return total
+    """gamma ||q||^2 + gamma' sum_i ||q_i||^2 + gamma_coord sum_i ||q_i - mean_j q_j||^2
+    as one node; a term whose gamma is 0 is left out, the last also below two
+    head tuples.  Value and VJPs take the steps of the elementwise chain, in
+    its order, so they equal its bit for bit.  Fixed grades record nothing."""
+    heads = [grade_nodes[f"q_head_{i}"] for i in range(n_heads) if f"q_head_{i}" in grade_nodes]
+    gamma_q = cfg.gamma if "q" in grade_nodes else 0.0
+    gamma_h = cfg.gamma_heads if heads else 0.0
+    gamma_c = cfg.gamma_coord if len(heads) > 1 else 0.0
+    parents = ([grade_nodes["q"]] if gamma_q else []) + (heads if gamma_h or gamma_c else [])
+    qv, hv = grade_nodes["q"].value if gamma_q else None, [h.value for h in heads]
+    total = (qv * qv).sum() * gamma_q if gamma_q else 0.0
+    if gamma_h:
+        total += sum((h * h).sum() for h in hv) * gamma_h
+    if gamma_c:
+        mean = sum(hv[1:], hv[0]) * (1.0 / len(hv))
+        dev = [h - mean for h in hv]
+        total += sum((d * d).sum() for d in dev) * gamma_c
+    out = np.array([[total]])
+    if not any(p.live for p in parents):
+        return ad.Node(out)
+    memo: dict = {}
+
+    def adjoints(g):  # per parent, summed in the order the chain's backward sums
+        if memo.get("g") is not g:
+            g0, head_adj = g[0, 0], [None] * len(hv)
+            if gamma_c:
+                e = [2 * (g0 * gamma_c * d) for d in dev]
+                g_mean = reduce(np.subtract, e[-2::-1], -e[-1]) * (1.0 / len(hv))
+                head_adj = [b + g_mean for b in e]
+            if gamma_h:
+                a = [g0 * gamma_h * h for h in hv]
+                head_adj = [2 * x if s is None else s + x + x for s, x in zip(head_adj, a)]
+            adj = [2 * (g0 * gamma_q * qv)] if gamma_q else []
+            memo.update(g=g, adj=adj + head_adj if gamma_h or gamma_c else adj)
+        return memo["adj"]
+
+    return ad.record(out, tuple(parents),
+                     tuple(lambda g, i=i: adjoints(g)[i] for i in range(len(parents))))
 
 
 # ---------------------------------------------------------------------------

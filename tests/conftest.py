@@ -163,7 +163,7 @@ def where_relu(a):
     (a NaN input gives 0)."""
     a = ad.wrap(a)
     mask = a.value > 0
-    return ad._rec(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
+    return ad.record(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
 
 
 def unfused_feed_forward(p, prefix, x):
@@ -178,6 +178,81 @@ def unfused_layer_norm(p, site, x, r, eps):
     (plus a zero residual)."""
     s = ad.add(x, r)
     return ad.layer_norm_rows(s, np.zeros(s.shape), p[f"{site}.g"], p[f"{site}.b"], eps)
+
+
+def chain_op(value, parents, vjps):
+    """Reference: one elementwise node of the loss and penalty chains, a bare
+    node when no parent is live."""
+    if not any(p.live for p in parents):
+        return ad.Node(value)
+    return ad.record(value, parents, vjps)
+
+
+def chain_sub(a, b):
+    a, b = ad.wrap(a), ad.wrap(b)
+    return chain_op(a.value - b.value, (a, b), (lambda g: g, lambda g: -g))
+
+
+def chain_log(a):
+    a = ad.wrap(a)
+    return chain_op(np.log(a.value), (a,), (lambda g: g / a.value,))
+
+
+def chain_sigmoid(a):
+    a = ad.wrap(a)
+    s = 1.0 / (1.0 + np.exp(-a.value))
+    return chain_op(s, (a,), (lambda g: g * s * (1.0 - s),))
+
+
+def chain_clip_low(a, lo):
+    """max(a, lo); gradient passes only through unclipped entries."""
+    a = ad.wrap(a)
+    mask = a.value >= lo
+    return chain_op(np.maximum(a.value, lo), (a,), (lambda g: g * mask,))
+
+
+def chain_sequence_loss(logits, targets, weights, base_loss):
+    """Reference: training.sequence_loss_node as a chain of elementwise
+    nodes, 4 for squared and 12 for sigmoid_ce when the weights record."""
+    y = ad.wrap(np.asarray(targets, dtype=np.float64))
+    if base_loss == "squared":
+        diff = chain_sub(logits, y)
+        cell = ad.mul(diff, diff)
+    else:
+        ones = np.ones_like(targets, dtype=np.float64)
+        p = chain_clip_low(chain_sigmoid(logits), 1e-12)
+        one_minus = chain_clip_low(chain_sub(ones, p), 1e-12)
+        cell = ad.scale(ad.add(ad.mul(y, chain_log(p)),
+                               ad.mul(chain_sub(ones, y), chain_log(one_minus))), -1.0)
+    return ad.sum_all(ad.scale_cols(cell, weights))
+
+
+def chain_regularizer(grade_nodes, cfg, n_heads):
+    """Reference: training.regularizer_node as a chain of elementwise nodes
+    from a constant zero, one squared norm per grade tuple and deviation."""
+    def sq_norm(node):
+        return ad.sum_all(ad.mul(node, node))
+
+    total = ad.wrap(np.zeros((1, 1)))
+    if "q" in grade_nodes and cfg.gamma > 0:
+        total = ad.add(total, ad.scale(sq_norm(grade_nodes["q"]), cfg.gamma))
+    heads = [grade_nodes[f"q_head_{i}"] for i in range(n_heads)
+             if f"q_head_{i}" in grade_nodes]
+    if heads and cfg.gamma_heads > 0:
+        acc = sq_norm(heads[0])
+        for h in heads[1:]:
+            acc = ad.add(acc, sq_norm(h))
+        total = ad.add(total, ad.scale(acc, cfg.gamma_heads))
+    if cfg.gamma_coord > 0 and len(heads) > 1:
+        mean = heads[0]
+        for h in heads[1:]:
+            mean = ad.add(mean, h)
+        mean = ad.scale(mean, 1.0 / len(heads))
+        acc = sq_norm(chain_sub(heads[0], mean))
+        for h in heads[1:]:
+            acc = ad.add(acc, sq_norm(chain_sub(h, mean)))
+        total = ad.add(total, ad.scale(acc, cfg.gamma_coord))
+    return total
 
 
 def ones_row_sums(x):

@@ -261,11 +261,31 @@ class TestStoredGrading:
         path.write_bytes(_rewrite_header(raw, _edit_extra(**grading)))
         _assert_rejected(path, data, key)
 
-    @pytest.mark.parametrize("lam", ["x", 1.0, [2.0]])
+    @pytest.mark.parametrize("lam", ["x", 1.0, [2.0], True, float("inf")])
     def test_malformed_lambda_exit_two(self, stored, lam):
         raw, data, path = stored
         path.write_bytes(_rewrite_header(raw, _edit_extra(mode="exponential", **{"lambda": lam})))
-        _assert_rejected(path, data, "")  # the message is the grading spec's, naming no key
+        _assert_rejected(path, data, "extra.lambda")
+
+    @pytest.mark.parametrize("missing", ["task", "y"])
+    def test_dataset_missing_key_exit_two(self, stored, tmp_path, missing):
+        # a dataset container with no task meta key, or with no y array
+        raw, _, path = stored
+        path.write_bytes(raw)
+        ds = tasks.gen_poly_degree(4, 4, 1)
+        arrays = {"x": ds.x, "y": ds.y, "grades": ds.grades}
+        meta = {"kind": "dataset", "task": ds.task}
+        (meta if missing == "task" else arrays).pop(missing)
+        data = tmp_path / "partial.gtc"
+        container.save_arrays(data, arrays, meta=meta)
+        with pytest.raises(ValueError, match=f"{data.name}.*{missing!r}"):
+            evaluate_checkpoint(path, data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["eval", "--checkpoint", str(path), "--data", str(data)])
+        assert code == 2
+        msg = err.getvalue()
+        assert data.name in msg and repr(missing) in msg and "Traceback" not in msg
 
     @pytest.mark.parametrize("task, other", [("poly_degree", "hier_copy"),
                                              ("hier_copy", "poly_degree")])

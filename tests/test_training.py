@@ -20,6 +20,8 @@ from graded_transformer.tensor import Rng
 from conftest import (
     RefAdamState,
     assert_close,
+    chain_regularizer,
+    chain_sequence_loss,
     copying_backward,
     live_constants,
     ref_adam_step,
@@ -436,21 +438,22 @@ class TestStackedStep:
     def test_node_counts_per_step(self):
         # poly smoke in both modes, hier_copy EGT, wide LGT.  Each encoder
         # layer's FFN and residual LayerNorms are one node each; the unfused
-        # chains would record 6 more nodes per layer.  Constants (inputs,
-        # targets, fixed grades, the regularizer's zero) are not recorded,
-        # nor are ops with no live parent: in hier_copy, with fixed grades,
-        # the grade-weight chain, the regularizer and the loss's 1 - y term
-        # (20 op nodes, 8 constants); in wide LGT the 1 - y subtraction.
-        # The loss reuses the model tuple's weight node, so with learned
-        # grades the weight map records once: 1 node (q + 1) fewer in
-        # linear mode, 2 (scale, exp) in exponential mode.
+        # chains would record 6 more nodes per layer.  The graded loss and
+        # the grade penalty are one node each, where the elementwise chains
+        # (conftest.chain_sequence_loss, conftest.chain_regularizer) would
+        # record 19 / 19 / 12 / 37 nodes.  Constants (inputs, targets, fixed
+        # grades) are not recorded, nor are ops with no live parent: in
+        # hier_copy, with fixed grades, the grade-weight chain and the
+        # penalty.  The loss reuses the model tuple's weight node, so with
+        # learned grades the weight map records once: 1 node (q + 1) fewer
+        # in linear mode, 2 (scale, exp) in exponential mode.
         counts = []
         for params, gcfg, ds, tc in workload_setups():
             lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
                                             ds.x[:16], ds.y[:16], lam, tc)
             counts.append(len(tape.nodes))
-        assert counts == [75, 77, 59, 140]
+        assert counts == [58, 60, 48, 105]
 
     @pytest.mark.parametrize("mode", [gs.LINEAR, gs.EXPONENTIAL])
     def test_one_weight_map_per_grade_row(self, mode, monkeypatch):
@@ -720,6 +723,88 @@ class TestFusedSublayers:
                 return tape, ad.sum_all(ad.mul(out, up))
 
         self.assert_fused_equals_unfused(monkeypatch, build)
+
+
+class TestOneNodeObjective:
+    """training.sequence_loss_node and training.regularizer_node record one
+    node each, with values and gradients bit for bit those of the
+    elementwise chains (conftest.chain_sequence_loss,
+    conftest.chain_regularizer)."""
+
+    @staticmethod
+    def run(monkeypatch, loss, reg, setup):
+        """record_step with the loss and the penalty replaced by loss and reg;
+        returns the total, main and penalty values, the leaf gradients, the
+        tape's node count and, per call, its output and its inputs' gradients."""
+        params, gcfg, ds, tc = setup
+        calls = []
+
+        def spy(fn):
+            def wrapped(*args):
+                calls.append((args, fn(*args)))
+                return calls[-1][1]
+            return wrapped
+
+        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+        with monkeypatch.context() as mp:
+            mp.setattr(training, "sequence_loss_node", spy(loss))
+            mp.setattr(training, "regularizer_node", spy(reg))
+            tape, total, main, penalty = training.record_step(
+                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+        grads = tape.backward(total)
+        (loss_args, loss_out), (reg_args, reg_out) = calls
+        inputs = [loss_args[0], loss_args[2], *reg_args[0].values()]
+        return ([total.value, main.value, penalty.value], grads, len(tape.nodes),
+                [loss_out, reg_out], [x.grad for x in inputs])
+
+    @staticmethod
+    def setups():
+        """The four workload models, and the learned-grade ones again with
+        every penalty weight > 0."""
+        for params, gcfg, ds, tc in workload_setups():
+            yield params, gcfg, ds, tc
+            if tc.learn_grades:
+                yield params, gcfg, ds, replace(tc, gamma_heads=2e-3)
+
+    def test_training_step_bitwise(self, monkeypatch):
+        saved = []
+        for setup in self.setups():
+            values, grads, nodes, (loss, reg), input_grads = self.run(
+                monkeypatch, training.sequence_loss_node, training.regularizer_node, setup)
+            want = self.run(monkeypatch, chain_sequence_loss, chain_regularizer, setup)
+            assert all(same_bits(a, b) for a, b in zip(values, want[0]))
+            assert set(grads) == set(want[1])
+            for name in want[1]:
+                assert same_bits(grads[name], want[1][name]), name
+            assert len(input_grads) == len(want[4])
+            assert all(same_bits(a, b) for a, b in zip(input_grads, want[4]))
+            # one node each, on the logits, the live weight row and the grade leaves
+            learned = setup[3].learn_grades
+            assert len(loss.parents) == 1 + learned
+            assert len(reg.parents) == learned * (1 + setup[1].model.n_heads)
+            saved.append(want[2] - nodes)
+        # nodes the chains record beyond the one-node versions; gamma_heads > 0
+        # adds 3 h + 1 chain nodes: a product and a sum per head tuple, h - 1
+        # adds, a scale and the add into the total
+        assert saved == [17, 24, 17, 24, 11, 35, 48]
+
+    def test_clamped_sigmoid_ce_passes_no_gradient(self):
+        # sigmoid(40) rounds to 1, so 1 - p clamps; sigmoid(-40) < 1e-12, so
+        # p clamps; at 30, 1 - p (~1e-13) clamps though sigmoid is below 1.
+        # Each clamped term passes no gradient, as in the chain; the
+        # unclamped derivative (p - y) w would be about +-w where y != p.
+        z = np.array([[40.0, -40.0, 40.0, -40.0, 30.0]])
+        y = np.array([[0.0, 1.0, 1.0, 0.0, 0.0]])
+        w = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        got, want = [], []
+        for loss, out in ((training.sequence_loss_node, got), (chain_sequence_loss, want)):
+            tape = ad.Tape()
+            with ad.recording(tape):
+                root = loss(tape.param("z", z), y, tape.param("w", w), "sigmoid_ce")
+            out += [root.value, *tape.backward(root).values()]
+        assert np.array_equal(got[1], np.zeros((1, 5)))
+        assert got[2][0, 0] == got[2][0, 1] == -np.log(1e-12)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 class TestFlatState:
