@@ -26,6 +26,16 @@ on the active tape with its live parents and their VJPs only.  A dead node
 has no parameter ancestor, so inference records nothing, and backward calls no
 VJP into constants, fixed grade weights or targets; the gradients equal
 those of full recording bit for bit.
+
+Inference runs mostly one-row calls (a decode step), where fixed per-call
+work weighs as much as the arithmetic, so the values-only path does no
+more than the arithmetic needs: a 2-D float64 array becomes a constant
+with no copy or conversion, `wrap` is a type-identity test, shape checks
+read `value.shape` once, views and VJP helpers are built only when a
+parent is live, and LayerNorm applies gamma and beta in place.  The
+decoder's self-attention K/V rows grow in a `RowBuffer`: each step
+appends its row and gets a view of the rows so far, with no prefix copy;
+the append node's VJPs are the row slices of a vertical stack.
 """
 
 from __future__ import annotations
@@ -37,6 +47,8 @@ import numpy as np
 
 from . import tensor
 from .errors import DimensionMismatch, NonFinite, NotScalarRoot, ZeroAfterGrading
+
+_F64 = np.dtype(np.float64)
 
 
 class Node:
@@ -80,7 +92,12 @@ class Tape:
         self.params[name] = node
         return node
 
-    def constant(self, value) -> Node:
+    @staticmethod
+    def constant(value) -> Node:
+        """A constant node, which no tape keeps.  A 2-D float64 array
+        becomes its value as is, neither copied nor converted."""
+        if type(value) is np.ndarray and value.dtype is _F64 and value.ndim == 2:
+            return Node(value)
         return Node(_as2d(value))
 
     def backward(self, root: Node, out: dict[str, np.ndarray] | None = None
@@ -157,9 +174,7 @@ def _as2d(value) -> np.ndarray:
 
 def wrap(x) -> Node:
     """Lift a plain array to a constant node (or pass a Node through)."""
-    if isinstance(x, Node):
-        return x
-    return Node(_as2d(x))
+    return x if type(x) is Node else Tape.constant(x)
 
 
 def record(value, parents: tuple, vjps: tuple) -> Node:
@@ -177,10 +192,12 @@ def record(value, parents: tuple, vjps: tuple) -> Node:
 
 
 def add(a, b) -> Node:
-    a, b = wrap(a), wrap(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"add: {a.shape} vs {b.shape}")
-    out = a.value + b.value
+    if type(a) is not Node or type(b) is not Node:
+        a, b = wrap(a), wrap(b)
+    av, bv = a.value, b.value
+    if av.shape != bv.shape:
+        raise DimensionMismatch(f"add: {av.shape} vs {bv.shape}")
+    out = av + bv
     if not (a.live or b.live):
         return Node(out)
     return record(out, (a, b), (lambda g: g, lambda g: g))
@@ -189,9 +206,9 @@ def add(a, b) -> Node:
 def mul(a, b) -> Node:
     """Elementwise product of same-shape nodes."""
     a, b = wrap(a), wrap(b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"mul: {a.shape} vs {b.shape}")
     av, bv = a.value, b.value
+    if av.shape != bv.shape:
+        raise DimensionMismatch(f"mul: {av.shape} vs {bv.shape}")
     if not (a.live or b.live):
         return Node(av * bv)
     return record(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
@@ -208,9 +225,10 @@ def scale(a, c: float) -> Node:
 def add_rowvec(x, b) -> Node:
     """x + b with b a 1xd row broadcast over the rows of x."""
     x, b = wrap(x), wrap(b)
-    if b.shape != (1, x.shape[1]):
-        raise DimensionMismatch(f"add_rowvec: {x.shape} vs {b.shape}")
-    out = x.value + b.value
+    xv, bv = x.value, b.value
+    if bv.shape != (1, xv.shape[1]):
+        raise DimensionMismatch(f"add_rowvec: {xv.shape} vs {bv.shape}")
+    out = xv + bv
     if not (x.live or b.live):
         return Node(out)
     return record(out, (x, b), (lambda g: g, tensor.col_sums))
@@ -219,9 +237,9 @@ def add_rowvec(x, b) -> Node:
 def scale_cols(x, w) -> Node:
     """Scale column j of x by w[0, j]; w may itself be a node (learnable)."""
     x, w = wrap(x), wrap(w)
-    if w.shape != (1, x.shape[1]):
-        raise DimensionMismatch(f"scale_cols: {x.shape} vs {w.shape}")
     xv, wv = x.value, w.value
+    if wv.shape != (1, xv.shape[1]):
+        raise DimensionMismatch(f"scale_cols: {xv.shape} vs {wv.shape}")
     if not (x.live or w.live):
         return Node(xv * wv)
     return record(
@@ -232,10 +250,11 @@ def scale_cols(x, w) -> Node:
 
 
 def matmul(a, b) -> Node:
-    a, b = wrap(a), wrap(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
+    if type(a) is not Node or type(b) is not Node:
+        a, b = wrap(a), wrap(b)
     av, bv = a.value, b.value
+    if av.shape[1] != bv.shape[0]:
+        raise DimensionMismatch(f"matmul: {av.shape} x {bv.shape}")
     if not (a.live or b.live):
         return Node(av @ bv)
     return record(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
@@ -269,7 +288,7 @@ def sum_all(a) -> Node:
     out = np.array([[a.value.sum()]])
     if not a.live:
         return Node(out)
-    shape = a.shape
+    shape = a.value.shape
     return record(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
@@ -304,60 +323,63 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     score adjoint, computed once per backward.  When `collect` is given,
     one (B, n_q, n_k) array of probabilities per head is appended (a view).
     """
-    q, k, v = wrap(q), wrap(k), wrap(v)
-    if heads < 1 or q.shape[1] % heads or v.shape[1] % heads:
+    if type(q) is not Node or type(k) is not Node or type(v) is not Node:
+        q, k, v = wrap(q), wrap(k), wrap(v)
+    qv, kv, vv = q.value, k.value, v.value
+    rows, width = qv.shape
+    if heads < 1 or width % heads or vv.shape[1] % heads:
         raise DimensionMismatch(
-            f"attention_rows: widths {q.shape[1]}, {v.shape[1]} not in {heads} heads")
-    d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
-    if n_q < 1 or n_k < 1 or q.shape[0] % n_q:
-        raise DimensionMismatch(f"attention_rows: {q.shape[0]} rows not in blocks of {n_q}")
-    b = q.shape[0] // n_q
-    if k.shape != (b * n_k, q.shape[1]) or v.shape[0] != b * n_k:
+            f"attention_rows: widths {width}, {vv.shape[1]} not in {heads} heads")
+    d_k, d_v = width // heads, vv.shape[1] // heads
+    if n_q < 1 or n_k < 1 or rows % n_q:
+        raise DimensionMismatch(f"attention_rows: {rows} rows not in blocks of {n_q}")
+    b = rows // n_q
+    if kv.shape != (b * n_k, width) or vv.shape[0] != b * n_k:
         raise DimensionMismatch(
-            f"attention_rows: q {q.shape} ({b} x {n_q}) vs k {k.shape}, v {v.shape}")
+            f"attention_rows: q {qv.shape} ({b} x {n_q}) vs k {kv.shape}, v {vv.shape}")
     if mask is not None and np.shape(mask) != (n_q, n_k):
         raise DimensionMismatch(f"attention_rows: mask {np.shape(mask)} vs ({n_q}, {n_k})")
 
-    def split(x, n, w):  # (B n, heads w) rows -> (B, heads, n, w) view
-        return x.reshape(b, n, heads, w).transpose(0, 2, 1, 3)
-
-    def merge(x, n):  # (B, heads, n, w) -> (B n, heads w) rows
-        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
-
-    def t(x):  # swap the last two axes: a view
-        return x.transpose(0, 1, 3, 2)
-
     c = 1.0 / math.sqrt(d_k)
-    qb, kb, vb = split(q.value, n_q, d_k), split(k.value, n_k, d_k), split(v.value, n_k, d_v)
-    scores = kb @ t(qb)  # key-major: (B, heads, n_k, n_q)
+    # (B n, heads w) rows viewed as (B, heads, n, w); q as (B, heads, d_k, n_q)
+    qt = qv.reshape(b, n_q, heads, d_k).transpose(0, 2, 3, 1)
+    kb = kv.reshape(b, n_k, heads, d_k).transpose(0, 2, 1, 3)
+    vb = vv.reshape(b, n_k, heads, d_v).transpose(0, 2, 1, 3)
+    scores = kb @ qt  # key-major: (B, heads, n_k, n_q)
     scores *= c
     if mask is not None:
         scores += mask.T
     p = tensor.softmax_rows(scores, axis=-2)
+    pt = p.transpose(0, 1, 3, 2)
     if collect is not None:
-        collect.extend(p[:, i].transpose(0, 2, 1) for i in range(heads))
-    out = merge(t(p) @ vb, n_q)
+        collect.extend(pt[:, i] for i in range(heads))
+    # (B, heads, n_q, d_v) -> (B n_q, heads d_v) rows
+    out = (pt @ vb).transpose(0, 2, 1, 3).reshape(rows, -1)
     if not (q.live or k.live or v.live):
         return Node(out)
+
+    def merge(x, n):  # (B, heads, n, w) -> (B n, heads w) rows
+        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
+
     memo: dict = {}
 
-    def adjoints(g):
+    def adjoints(g):  # g as (B, heads, d_v, n_q), and the key-major score adjoint
         if memo.get("g") is not g:
-            gb = split(g, n_q, d_v)
-            ds = vb @ t(gb)  # dp, key-major, turned into ds in place
+            gt = g.reshape(b, n_q, heads, d_v).transpose(0, 2, 3, 1)
+            ds = vb @ gt  # dp, key-major, turned into ds in place
             ds -= tensor.col_sums(ds * p)
             ds *= p
             ds *= c
-            memo.update(g=g, gb=gb, ds=ds)
-        return memo["gb"], memo["ds"]
+            memo.update(g=g, gt=gt, ds=ds)
+        return memo["gt"], memo["ds"]
 
     return record(
         out,
         (q, k, v),
         (
-            lambda g: merge(t(adjoints(g)[1]) @ kb, n_q),
-            lambda g: merge(adjoints(g)[1] @ qb, n_k),
-            lambda g: merge(p @ adjoints(g)[0], n_k),
+            lambda g: merge(adjoints(g)[1].transpose(0, 1, 3, 2) @ kb, n_q),
+            lambda g: merge(adjoints(g)[1] @ qt.transpose(0, 1, 3, 2), n_k),
+            lambda g: merge(p @ adjoints(g)[0].transpose(0, 1, 3, 2), n_k),
         ),
     )
 
@@ -383,24 +405,28 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
 
     One node for the post-norm residual step LN(x + r).  x and r get the
     same adjoint, computed once per backward; r's is a copy, so the two
-    never share memory.
+    never share memory.  With no live parent, gamma and beta are applied in
+    place to the normalised buffer.
     """
-    x, r, gamma, beta = wrap(x), wrap(r), wrap(gamma), wrap(beta)
-    d = x.shape[1]
-    if r.shape != x.shape:
-        raise DimensionMismatch(f"layer_norm_rows: x {x.shape} vs r {r.shape}")
-    if gamma.shape != (1, d) or beta.shape != (1, d):
+    if not (type(x) is type(r) is type(gamma) is type(beta) is Node):
+        x, r, gamma, beta = wrap(x), wrap(r), wrap(gamma), wrap(beta)
+    xv, gv, bv = x.value, gamma.value, beta.value
+    d = xv.shape[1]
+    if r.value.shape != xv.shape:
+        raise DimensionMismatch(f"layer_norm_rows: x {xv.shape} vs r {r.value.shape}")
+    if gv.shape != (1, d) or bv.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
     # xhat is z = x + r, centred and scaled in place; means are row sums / d.
-    xhat = x.value + r.value
+    xhat = xv + r.value
     xhat -= tensor.row_sums(xhat) / d
     inv = 1.0 / np.sqrt(tensor.row_sums(xhat * xhat) / d + eps)
     xhat *= inv
-    gv = gamma.value
-    out = xhat * gv
-    out += beta.value
     if not (x.live or r.live or gamma.live or beta.live):
-        return Node(out)
+        xhat *= gv
+        xhat += bv
+        return Node(xhat)
+    out = xhat * gv
+    out += bv
     memo: dict = {}
 
     def vjp_z(g):
@@ -431,19 +457,20 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
     VJPs share the hidden adjoint, computed once per backward.  A NaN
     pre-activation propagates to the output.
     """
-    x, w1, b1, w2, b2 = wrap(x), wrap(w1), wrap(b1), wrap(w2), wrap(b2)
-    d, f = w1.shape
-    if x.shape[1] != d or b1.shape != (1, f) or w2.shape[0] != f \
-            or b2.shape != (1, w2.shape[1]):
+    if not (type(x) is type(w1) is type(b1) is type(w2) is type(b2) is Node):
+        x, w1, b1, w2, b2 = wrap(x), wrap(w1), wrap(b1), wrap(w2), wrap(b2)
+    xv, w1v, b1v, w2v, b2v = x.value, w1.value, b1.value, w2.value, b2.value
+    d, f = w1v.shape
+    if xv.shape[1] != d or b1v.shape != (1, f) or w2v.shape[0] != f \
+            or b2v.shape != (1, w2v.shape[1]):
         raise DimensionMismatch(
-            f"feed_forward_rows: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, "
-            f"w2 {w2.shape}, b2 {b2.shape}")
-    xv, w1v, w2v = x.value, w1.value, w2.value
+            f"feed_forward_rows: x {xv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
+            f"w2 {w2v.shape}, b2 {b2v.shape}")
     hidden = xv @ w1v
-    hidden += b1.value
+    hidden += b1v
     np.maximum(hidden, 0.0, out=hidden)
     out = hidden @ w2v
-    out += b2.value
+    out += b2v
     if not (x.live or w1.live or b1.live or w2.live or b2.live):
         return Node(out)
     memo: dict = {}
@@ -474,7 +501,7 @@ def embedding_rows(table, ids: Sequence[int]) -> Node:
     idx = np.asarray(ids, dtype=np.int64)
     if not table.live:
         return Node(table.value[idx])
-    shape = table.shape
+    shape = table.value.shape
 
     def vjp(g):
         out = np.zeros(shape)
@@ -485,18 +512,18 @@ def embedding_rows(table, ids: Sequence[int]) -> Node:
 
 
 def hstack(parts: Sequence[Node]) -> Node:
-    return _stack(parts, 1)
-
-
-def vstack(parts: Sequence[Node]) -> Node:
-    return _stack(parts, 0)
-
-
-def _stack(parts: Sequence[Node], axis: int) -> Node:
-    """Parts joined along axis 1 (hstack) or 0 (vstack); each VJP is its part's slice."""
+    """Parts side by side; each VJP is its part's column slice."""
     parts = [wrap(p) for p in parts]
-    out = np.concatenate([p.value for p in parts], axis=axis)
-    if not any([p.live for p in parts]):
+    return _stack(np.concatenate([p.value for p in parts], axis=1), parts, 1)
+
+
+def _stack(out: np.ndarray, parts: Sequence[Node], axis: int) -> Node:
+    """out, the parts' values joined along axis 0 or 1, as a node; each VJP
+    is its part's slice."""
+    for p in parts:
+        if p.live:
+            break
+    else:
         return Node(out)
     vjps, start = [], 0
     for p in parts:
@@ -505,6 +532,46 @@ def _stack(parts: Sequence[Node], axis: int) -> Node:
         vjps.append(lambda g, cut=cut: g[cut])
         start = stop
     return record(out, tuple(parts), tuple(vjps))
+
+
+class RowBuffer:
+    """Rows appended call by call, as the self-attention K or V of one
+    decoded sequence.
+
+    `append(new)` writes new's rows after the earlier ones into one array
+    and returns a node whose value is a view of every row so far.  Its
+    parents are the node the previous append returned and new, with the
+    row slices as VJPs, so the node equals the vertical stack of all
+    appended rows, in value and in gradient.  Rows once written are never
+    rewritten: every node returned keeps its value.  When full, the array
+    is copied into one of twice the size.  A buffer serves one sequence of
+    appends; it cannot branch into two continuations.
+    """
+
+    FIRST_ROWS = 8  # rows of the first array
+
+    __slots__ = ("data", "node")
+
+    def __init__(self):
+        self.data: np.ndarray | None = None
+        self.node: Node | None = None
+
+    def append(self, new) -> Node:
+        new = wrap(new)
+        rows, prev, data = new.value, self.node, self.data
+        n = 0 if prev is None else prev.value.shape[0]
+        m = n + rows.shape[0]
+        if data is None:
+            data = self.data = np.empty((max(m, self.FIRST_ROWS), rows.shape[1]))
+        elif rows.shape[1] != data.shape[1]:
+            raise DimensionMismatch(f"append: rows {rows.shape} vs width {data.shape[1]}")
+        elif m > data.shape[0]:
+            grown = np.empty((max(m, 2 * data.shape[0]), data.shape[1]))
+            grown[:n] = data[:n]
+            data = self.data = grown
+        data[n:m] = rows
+        self.node = _stack(data[:m], (new,) if prev is None else (prev, new), 0)
+        return self.node
 
 
 # ---------------------------------------------------------------------------

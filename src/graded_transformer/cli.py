@@ -60,10 +60,10 @@ def main(argv=None) -> int:
 
         try:
             ds = tasks.generate(args.task, args.size, args.seq_len, args.seed)
-        except ValueError as exc:
+            tasks.save_dataset(args.out, ds)
+        except (ValueError, OSError) as exc:  # OSError: unwritable --out
             sys.stderr.write(f"config error: {exc}\n")
             return 2
-        tasks.save_dataset(args.out, ds)
         print(f"wrote {args.task} dataset ({ds.size} x {ds.x.shape[1]}) to {args.out}")
         return 0
 
@@ -75,7 +75,8 @@ def main(argv=None) -> int:
             if args.out:
                 cfg.out_dir = args.out
             summary = run_experiment(cfg)
-        except (ConfigError, InvalidSpec) as exc:  # InvalidSpec: bad grading settings
+        except (ConfigError, InvalidSpec, OSError) as exc:
+            # InvalidSpec: bad grading settings; OSError: unwritable output directory
             sys.stderr.write(f"config error: {exc}\n")
             return 2
         except DivergenceDetected as exc:

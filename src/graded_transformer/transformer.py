@@ -203,13 +203,15 @@ def attention_head(q, k, v, d_k: int, mask: np.ndarray | None = None,
     stack the same number of sequences.  `collect` receives one
     (B, n_q, n_k) array of attention probabilities per head.
     """
-    q, k, v = ad.wrap(q), ad.wrap(k), ad.wrap(v)
-    if q.shape[1] % d_k:
-        raise DimensionMismatch(f"attention_head: q width {q.shape[1]} not heads x d_k {d_k}")
-    n_q = q.shape[0] if seq_len is None else seq_len
-    sequences = q.shape[0] // n_q if n_q > 0 else 0
-    n_k = k.shape[0] // sequences if sequences else 0
-    return ad.attention_rows(q, k, v, n_q, n_k, mask, collect, q.shape[1] // d_k)
+    if type(q) is not ad.Node or type(k) is not ad.Node:
+        q, k = ad.wrap(q), ad.wrap(k)
+    rows, width = q.value.shape
+    if width % d_k:
+        raise DimensionMismatch(f"attention_head: q width {width} not heads x d_k {d_k}")
+    n_q = rows if seq_len is None else seq_len
+    sequences = rows // n_q if n_q > 0 else 0
+    n_k = k.value.shape[0] // sequences if sequences else 0
+    return ad.attention_rows(q, k, v, n_q, n_k, mask, collect, width // d_k)
 
 
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
@@ -227,8 +229,11 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     `cache` (incremental decoding of one sequence) is a dict kept across
     the calls of one request.  Cross-attention projects K/V from kv on the
     first call and reuses them afterwards; self-attention appends this
-    call's K/V rows to those of the earlier calls, so x holds only the new
-    rows and attends to every earlier one.
+    call's K/V rows to those of the earlier calls in a pair of
+    ad.RowBuffer, so x holds only the new rows and attends to every
+    earlier one.  A cache serves one request and one continuation: the
+    earlier rows are never rewritten, and a copy of the dict shares its
+    buffers.
     """
     name = f"{prefix}.{'c' if cross else 'w'}"
     kv = x if kv is None else kv
@@ -238,11 +243,12 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     else:
         k = ad.matmul(kv, p[f"{name}k"])
         v = ad.matmul(kv, p[f"{name}v"])
-        if cache is not None:
-            if name in cache:
-                k = ad.vstack([cache[name][0], k])
-                v = ad.vstack([cache[name][1], v])
+        if cross and cache is not None:
             cache[name] = (k, v)
+        elif cache is not None:
+            if name not in cache:
+                cache[name] = (ad.RowBuffer(), ad.RowBuffer())
+            k, v = cache[name][0].append(k), cache[name][1].append(v)
     if grading is not None:
         q, k, v = grading.apply(q, k, v)
     heads = attention_head(q, k, v, cfg.d_k, mask, collect, seq_len)

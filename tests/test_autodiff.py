@@ -134,7 +134,7 @@ class TestValuesOnly:
             c = tape.constant(self.a)
             h = ad.absolute(ad.matmul(c, ad.transpose(c)))
             y = ad.layer_norm_rows(h, h, np.ones((1, 3)), np.zeros((1, 3)), 1e-5)
-            s = ad.sum_all(ad.vstack([y, ad.softmax_rows(y)]))
+            s = ad.sum_all(ad.hstack([y, ad.softmax_rows(y)]))
         assert tape.nodes == [] and tape.params == {}
         for node in (c, h, y, s):
             assert node.parents == () and node.vjps == ()
@@ -240,12 +240,12 @@ class TestLiveness:
             prod = ad.matmul(c, w)
             ln = ad.layer_norm_rows(c, c, tape.param("g", np.ones((1, 4))), np.zeros((1, 4)),
                                     1e-5)
-            cat = ad.vstack([self.b, w, tape.constant(self.b), prod.value.T])
+            cat = ad.hstack([self.b, w, tape.constant(self.b), c.value.T])
         assert prod.live and prod.parents == (w,) and len(prod.vjps) == 1
         assert same_bits(prod.vjps[0](np.ones((3, 3))), self.a.T @ np.ones((3, 3)))
         assert ln.parents == (tape.params["g"],) and len(ln.vjps) == 1
-        assert cat.parents == (w,) and same_bits(cat.vjps[0](np.arange(48.0).reshape(16, 3)),
-                                                 np.arange(12.0, 24.0).reshape(4, 3))
+        assert cat.parents == (w,) and same_bits(cat.vjps[0](np.arange(48.0).reshape(4, 12)),
+                                                 np.arange(48.0).reshape(4, 12)[:, 3:6])
         assert tape.nodes == [w, prod, tape.params["g"], ln, cat]
 
     def test_constants_need_no_active_tape(self):
@@ -254,8 +254,9 @@ class TestLiveness:
 
 
 class TestStack:
-    """hstack and vstack of parts of unequal widths or heights, Nodes
-    (even positions) mixed with plain arrays (odd positions)."""
+    """hstack, and vstack as rows appended part by part to an ad.RowBuffer,
+    of parts of unequal widths or heights, Nodes (even positions) mixed
+    with plain arrays (odd positions)."""
 
     SIZES = [3, 1, 4, 2]
 
@@ -267,7 +268,12 @@ class TestStack:
     @staticmethod
     def stacked(how, values, make_node):
         parts = [make_node(f"p{i}", v) if i % 2 == 0 else v for i, v in enumerate(values)]
-        return getattr(ad, how)(parts), parts
+        if how == "hstack":
+            return ad.hstack(parts), parts
+        rows = ad.RowBuffer()
+        for part in parts:
+            out = rows.append(part)
+        return out, parts
 
     @pytest.mark.parametrize("how", ["hstack", "vstack"])
     @pytest.mark.parametrize("n", [1, 2, 4])
@@ -291,14 +297,25 @@ class TestStack:
             root = ad.sum_all(ad.mul(out, up))
         assert same_bits(out.value, getattr(np, how)(values))
         want = np.split(up, np.cumsum(self.SIZES[:n])[:-1], axis=axis)
-        live = list(range(0, n, 2))  # the plain-array parts are constants: no VJP
-        assert len(out.parents) == len(out.vjps) == len(live)
-        for i, parent, vjp in zip(live, out.parents, out.vjps):
-            assert parent is parts[i]
-            assert same_bits(vjp(up), want[i]), i
+        # the plain-array parts are constants: no VJP
+        if how == "hstack":
+            expect = [(parts[i], want[i]) for i in range(0, n, 2)]
+        else:  # the last append: the node of the earlier rows, then the last part
+            expect = [(None, up[:-self.SIZES[n - 1]])] if n > 1 else []
+            expect += [(parts[n - 1], want[n - 1])] if (n - 1) % 2 == 0 else []
+        assert len(out.parents) == len(out.vjps) == len(expect)
+        for parent, vjp, (part, piece) in zip(out.parents, out.vjps, expect):
+            assert part is None or parent is part
+            assert same_bits(vjp(up), piece)
         grads = tape.backward(root)
         for i in range(0, n, 2):
             assert same_bits(grads[f"p{i}"], want[i]), i
+
+    def test_append_checks_the_width(self):
+        rows = ad.RowBuffer()
+        rows.append(np.ones((1, 3)))
+        with pytest.raises(DimensionMismatch):
+            rows.append(np.ones((1, 1)))
 
 
 class TestFeedForwardRows:

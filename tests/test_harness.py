@@ -525,6 +525,24 @@ class TestCli:
         ds = tasks.load_dataset(data)
         assert ds.size == 8
 
+    def test_gen_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "ds.gtc"
+        assert cli.main(["gen", "--task", "poly", "--size", "4", "--len", "8",
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+
+    def test_train_unwritable_out_exit_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
+                                        "seq_len": 4}))
+        out = blocker / "sub"
+        assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and str(out) in err
+
     def test_train_config_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"task": "nope"}))

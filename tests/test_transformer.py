@@ -370,6 +370,13 @@ def recording_decoder(monkeypatch):
 
 
 @pytest.fixture(scope="module")
+def long_token_model():
+    cfg = tf.ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ff=16,
+                         n_max=12, m_max=20)
+    return cfg, tf.init_params(cfg, Rng(6))
+
+
+@pytest.fixture(scope="module")
 def deep_token_model():
     cfg = tf.ModelConfig(vocab_size=16, d_model=16, n_heads=4, n_layers=2, d_ff=32,
                          n_max=16, m_max=10)
@@ -377,7 +384,8 @@ def deep_token_model():
 
 
 class TestCachedDecode:
-    @pytest.mark.parametrize("model", ["token_model", "deep_token_model"])
+    # long_token_model decodes past the K/V buffers' first capacity
+    @pytest.mark.parametrize("model", ["token_model", "deep_token_model", "long_token_model"])
     @pytest.mark.parametrize("eos", [tf.EOS_TOKEN, 0])  # 0: never stops early
     def test_matches_full_prefix_decode(self, request, monkeypatch, model, eos):
         cfg, params = request.getfixturevalue(model)
@@ -387,6 +395,8 @@ class TestCachedDecode:
             rows = recording_decoder(monkeypatch)
             assert tf.greedy_decode(params, z, cfg, cfg.m_max, eos) == want_tokens
             assert len(rows) == len(want_rows)
+            if model == "long_token_model" and eos == 0:
+                assert len(rows) > 2 * ad.RowBuffer.FIRST_ROWS
             for got, want in zip(rows, want_rows):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             monkeypatch.undo()
@@ -412,11 +422,33 @@ class TestCachedDecode:
             for t in range(3):
                 tf.decoder(p, Rng(t).generator.normal(size=(1, cfg.d_model)), z, cfg, cache)
                 for l in range(cfg.n_layers):
-                    assert cache[f"dec{l}.w"][0].shape == (t + 1, cfg.d_model)
+                    assert cache[f"dec{l}.w"][0].node.shape == (t + 1, cfg.d_model)
                     assert cache[f"dec{l}.c"][0].shape == (5, cfg.d_model)
             cross_k = [cache[f"dec{l}.c"][0] for l in range(cfg.n_layers)]
             tf.decoder(p, np.ones((1, cfg.d_model)), z, cfg, cache)
         assert all(cache[f"dec{l}.c"][0] is k for l, k in enumerate(cross_k))
+
+    def test_earlier_kv_nodes_keep_their_values(self, deep_token_model):
+        # each step's K/V nodes view the same buffers, which later steps
+        # append to and, past the first capacity, copy into larger ones
+        cfg, params = deep_token_model
+        z = Rng(3).generator.normal(size=(5, cfg.d_model))
+        tape = ad.Tape()
+        cache: dict = {}
+        kept = []
+        with ad.recording(tape):
+            p = tf.as_nodes(params, tape, trainable=False)
+            for t in range(2 * ad.RowBuffer.FIRST_ROWS + 1):
+                tf.decoder(p, Rng(t).generator.normal(size=(1, cfg.d_model)), z, cfg, cache)
+                nodes = [b.node for l in range(cfg.n_layers) for b in cache[f"dec{l}.w"]]
+                kept.append([(node, node.value.copy()) for node in nodes])
+        for t, step in enumerate(kept):
+            for node, value in step:
+                assert node.value.shape[0] == t + 1
+                assert np.array_equal(node.value, value)
+            if t:  # step t's rows extend step t - 1's
+                for (node, _), (earlier, _) in zip(step, kept[t - 1]):
+                    assert np.array_equal(node.value[:t], earlier.value)
 
     def test_cache_takes_one_row(self, token_model):
         cfg, params = token_model
