@@ -12,11 +12,13 @@ sequence.  Such a node's VJPs share one inner adjoint (hidden, normalised
 or score), computed once per backward.  The training loss and grade penalty
 are one node each too (`training.sequence_loss_node`, `regularizer_node`).
 
-Every keepdims sum (LayerNorm moments and adjoint, softmax normaliser and
-adjoint, the bias and scale VJPs) is a BLAS product with ones,
-`tensor.row_sums` or `tensor.col_sums`.  Attention scores are laid out
-key-major, (B, heads, n_k, n_q), so the softmax max reduces over a
-non-last axis; the output and VJPs read them through transposed views.
+Every keepdims sum (softmax normaliser and adjoint, the bias and scale
+VJPs) is a BLAS product with ones, `tensor.row_sums` or `tensor.col_sums`,
+and every LayerNorm mean (moments and adjoint) a product with a column of
+1/d, `tensor.mean_column`.  Attention scores are laid out key-major,
+(B, heads, n_k, n_q), so the softmax max reduces over a non-last axis; the
+softmax normalises the score buffer in place, and the output and VJPs read
+it through transposed views.
 
 A node records only when one of its parents records.  Parameter leaves
 are live; constants (`Tape.constant`, `wrap`) are bare nodes no tape
@@ -349,7 +351,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     scores *= c
     if mask is not None:
         scores += mask.T
-    p = tensor.softmax_rows(scores, axis=-2)
+    p = tensor.softmax_rows(scores, axis=-2, out=scores)
     pt = p.transpose(0, 1, 3, 2)
     if collect is not None:
         collect.extend(pt[:, i] for i in range(heads))
@@ -416,10 +418,13 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
         raise DimensionMismatch(f"layer_norm_rows: x {xv.shape} vs r {r.value.shape}")
     if gv.shape != (1, d) or bv.shape != (1, d):
         raise DimensionMismatch("layer_norm_rows: gamma/beta must be 1xd")
-    # xhat is z = x + r, centred and scaled in place; means are row sums / d.
+    # xhat is z = x + r, centred and scaled in place; the row means are
+    # products with a column of 1/d (ndarray.dot: the same BLAS call as @,
+    # with less fixed cost), and 1/sqrt(var + eps) is one power.
+    col = tensor.mean_column(d)
     xhat = xv + r.value
-    xhat -= tensor.row_sums(xhat) / d
-    inv = 1.0 / np.sqrt(tensor.row_sums(xhat * xhat) / d + eps)
+    xhat -= xhat.dot(col)
+    inv = np.power((xhat * xhat).dot(col) + eps, -0.5)
     xhat *= inv
     if not (x.live or r.live or gamma.live or beta.live):
         xhat *= gv
@@ -432,8 +437,10 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
     def vjp_z(g):
         if memo.get("g") is not g:
             gh = g * gv
-            dz = (gh - tensor.row_sums(gh) / d
-                  - xhat * (tensor.row_sums(gh * xhat) / d)) * inv
+            dz = gh - gh.dot(col)
+            gh *= xhat
+            dz -= xhat * gh.dot(col)
+            dz *= inv
             memo.update(g=g, dz=dz)
         return memo["dz"]
 
@@ -496,17 +503,18 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
 
 
 def embedding_rows(table, ids: Sequence[int]) -> Node:
-    """Gather rows of an embedding table; backward scatter-adds."""
+    """Gather rows of an embedding table; backward sums the adjoint rows of
+    each id as one product with a one-hot (table rows, ids) matrix."""
     table = wrap(table)
     idx = np.asarray(ids, dtype=np.int64)
     if not table.live:
         return Node(table.value[idx])
-    shape = table.value.shape
+    vocab = table.value.shape[0]
 
     def vjp(g):
-        out = np.zeros(shape)
-        np.add.at(out, idx, g)
-        return out
+        onehot = np.zeros((vocab, idx.size))
+        onehot[idx, np.arange(idx.size)] = 1.0
+        return onehot @ g
 
     return record(table.value[idx], (table,), (vjp,))
 

@@ -169,22 +169,27 @@ def grade_rows(x, w, normalize: bool) -> ad.Node:
     return ad.normalize_rows(x) if normalize else x
 
 
+def _decay(t: np.ndarray, gcfg: GradedModelConfig, lam: float | None) -> np.ndarray:
+    """Decay factors of the 1-based positions t, one numpy expression: the
+    one formula behind positional_scale and graded_positional_matrix."""
+    if gcfg.positional == "off":
+        return np.ones(t.shape)
+    if gcfg.positional == "linear_decay":
+        return 1.0 - gcfg.alpha * t
+    return np.power(gcfg.base if lam is None else lam, -gcfg.alpha * t)
+
+
 def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) -> float:
     """Decay factor applied to the positional encoding of 1-based position t."""
     if t < 1 or t > gcfg.model.n_max:
         raise PositionOutOfRange(f"position {t} outside [1, {gcfg.model.n_max}]")
-    if gcfg.positional == "off":
-        return 1.0
-    if gcfg.positional == "linear_decay":
-        return 1.0 - gcfg.alpha * t
-    b = gcfg.base if lam is None else lam
-    return float(b ** (-gcfg.alpha * t))
+    return float(_decay(np.array([float(t)]), gcfg, lam)[0])
 
 
 def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
     """Decayed encodings of positions 1..n: row t is positional_scale(t) * PE(t)."""
-    scales = np.array([positional_scale(t, gcfg, lam) for t in range(1, n + 1)])
-    return scales[:, None] * tf.positional_matrix(n, gcfg.model.d_model, gcfg.model.n_max)
+    table = tf.positional_matrix(n, gcfg.model.d_model, gcfg.model.n_max)
+    return _decay(np.arange(1.0, n + 1), gcfg, lam)[:, None] * table
 
 
 class AttentionGrading:
@@ -300,10 +305,14 @@ def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
 
 def graded_generate(params, gcfg: GradedModelConfig, tokens,
                     m_max: int | None = None, lam: float | None = None) -> list[int]:
-    """Greedy generation with the graded encoder and the standard decoder."""
-    z, _ = forward(params, gcfg, np.asarray(tokens, dtype=np.int64), lam)
+    """Greedy generation with the graded encoder and the standard decoder,
+    every array wrapped once for both."""
     cap = gcfg.model.m_max if m_max is None else m_max
-    return tf.greedy_decode(params, z, gcfg.model, cap, tf.EOS_TOKEN)
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = tf.as_nodes(params, tape, trainable=False)
+        z, _ = forward_nodes(p, gcfg, np.asarray(tokens, dtype=np.int64), lam=lam)
+        return tf.decode_nodes(p, z, gcfg.model, cap, tf.EOS_TOKEN)
 
 
 def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:

@@ -5,8 +5,10 @@ are pure; randomness is always drawn from an explicitly seeded `Rng`, never
 from a global generator.
 
 Sums over a short axis are BLAS products with a cached column of ones
-(`row_sums`, `col_sums`): several times faster than `np.add.reduce` on the
-model's shapes, and equal to it up to summation order.
+(`row_sums`, `col_sums`), and row means products with a cached column of
+1/n (`mean_column`): several times faster than `np.add.reduce` on the
+model's shapes, and equal to it up to summation order and, for a mean,
+the rounding of 1/n.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroMatrix
 
 Matrix = np.ndarray  # 2-D float64, row-major
+
+_F64 = np.dtype(np.float64)
 
 
 def as_matrix(data) -> Matrix:
@@ -55,6 +59,15 @@ def _ones(n: int) -> np.ndarray:
     return ones
 
 
+@lru_cache(maxsize=256)
+def mean_column(n: int) -> np.ndarray:
+    """A read-only (n, 1) column of 1/n: x @ mean_column(n) holds the row
+    means of an (.., n) array x."""
+    col = np.full((n, 1), 1.0 / n)
+    col.flags.writeable = False
+    return col
+
+
 def row_sums(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis, kept as an axis of length 1: x @ ones."""
     return x @ _ones(x.shape[-1])
@@ -65,19 +78,22 @@ def col_sums(x: np.ndarray) -> np.ndarray:
     return _ones(x.shape[-2]).T @ x
 
 
-def softmax_rows(m, axis: int = -1) -> np.ndarray:
+def softmax_rows(m, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along `axis`, -1 (rows) or -2 (columns), stabilized by max
     subtraction.
 
     The one softmax of the package; the tape's softmax and attention nodes
-    call it too (attention on key-major scores, along -2).  One buffer
-    holds shift, exponential and normalisation; the max is a ufunc
-    reduction, the normaliser `row_sums` or `col_sums`.  m is not modified.
+    call it too (attention on key-major scores, along -2, normalised in
+    place: out is the score buffer itself).  One buffer, out or a new
+    array, holds shift, exponential and normalisation; the max is a ufunc
+    reduction, the normaliser `row_sums` or `col_sums`.  m is modified only
+    when it is out.
     """
     if axis not in (-1, -2):
         raise ValueError(f"softmax_rows normalises along axis -1 or -2, not {axis}")
-    m = np.asarray(m, dtype=np.float64)
-    e = m - np.maximum.reduce(m, axis=axis, keepdims=True)
+    if type(m) is not np.ndarray or m.dtype is not _F64:
+        m = np.asarray(m, dtype=np.float64)
+    e = np.subtract(m, np.maximum.reduce(m, axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= row_sums(e) if axis == -1 else col_sums(e)
     return e

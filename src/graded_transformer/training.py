@@ -61,6 +61,17 @@ class TrainConfig:
             raise ValueError("clip threshold must be positive")
         if min(self.gamma, self.gamma_heads, self.gamma_coord) < 0:
             raise ValueError("regularization weights must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, not {self.batch_size!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, not {self.lr!r}")
+        if not self.lr_grades >= 0:
+            raise ValueError(f"lr_grades must be >= 0, not {self.lr_grades!r}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} must lie in [0, 1), not {getattr(self, key)!r}")
+        if not self.eps_adam > 0:
+            raise ValueError(f"eps_adam must be > 0, not {self.eps_adam!r}")
         if not self.lambda_max > 1.0:
             raise InvalidLambda("lambda_max must exceed 1")
         if self.base_loss not in ("squared", "sigmoid_ce"):

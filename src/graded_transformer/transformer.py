@@ -214,6 +214,33 @@ def attention_head(q, k, v, d_k: int, mask: np.ndarray | None = None,
     return ad.attention_rows(q, k, v, n_q, n_k, mask, collect, width // d_k)
 
 
+# Parameter names, built once per prefix rather than on every call.
+
+
+@lru_cache(maxsize=256)
+def _attention_names(prefix: str, cross: bool) -> tuple[str, str, str, str, str]:
+    """The cache key and the W_Q, W_K, W_V and W_O names of one attention."""
+    name = f"{prefix}.{'c' if cross else 'w'}"
+    return name, f"{name}q", f"{name}k", f"{name}v", f"{name}o"
+
+
+@lru_cache(maxsize=256)
+def _ffn_names(prefix: str) -> tuple[str, str, str, str]:
+    return f"{prefix}.w1", f"{prefix}.b1", f"{prefix}.w2", f"{prefix}.b2"
+
+
+@lru_cache(maxsize=256)
+def _norm_names(site: str) -> tuple[str, str]:
+    return f"{site}.g", f"{site}.b"
+
+
+@lru_cache(maxsize=256)
+def _layer_names(stack: str, l: int) -> tuple[str, str, str, str]:
+    """Layer l's prefix in the "enc" or "dec" stack and its LayerNorm sites."""
+    pre = f"{stack}{l}"
+    return pre, f"{pre}.ln1", f"{pre}.ln2", f"{pre}.ln3"
+
+
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
                mask: np.ndarray | None = None, grading=None,
                collect: list | None = None, kv=None, cross: bool = False,
@@ -235,14 +262,14 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     earlier rows are never rewritten, and a copy of the dict shares its
     buffers.
     """
-    name = f"{prefix}.{'c' if cross else 'w'}"
+    name, wq, wk, wv, wo = _attention_names(prefix, cross)
     kv = x if kv is None else kv
-    q = ad.matmul(x, p[f"{name}q"])
+    q = ad.matmul(x, p[wq])
     if cross and cache is not None and name in cache:
         k, v = cache[name]
     else:
-        k = ad.matmul(kv, p[f"{name}k"])
-        v = ad.matmul(kv, p[f"{name}v"])
+        k = ad.matmul(kv, p[wk])
+        v = ad.matmul(kv, p[wv])
         if cross and cache is not None:
             cache[name] = (k, v)
         elif cache is not None:
@@ -252,30 +279,31 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     if grading is not None:
         q, k, v = grading.apply(q, k, v)
     heads = attention_head(q, k, v, cfg.d_k, mask, collect, seq_len)
-    return ad.matmul(heads, p[f"{name}o"])
+    return ad.matmul(heads, p[wo])
 
 
 def feed_forward(p: dict[str, ad.Node], prefix: str, x) -> ad.Node:
     """Fnn(x) = relu(x W1 + b1) W2 + b2, one tape node."""
-    return ad.feed_forward_rows(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"],
-                                p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    w1, b1, w2, b2 = _ffn_names(prefix)
+    return ad.feed_forward_rows(x, p[w1], p[b1], p[w2], p[b2])
 
 
 def layer_norm(p: dict[str, ad.Node], site: str, x, r, eps: float) -> ad.Node:
     """Ln(x + r), the residual add and LayerNorm of one post-norm step, as
     one tape node."""
-    return ad.layer_norm_rows(x, r, p[f"{site}.g"], p[f"{site}.b"], eps)
+    g, b = _norm_names(site)
+    return ad.layer_norm_rows(x, r, p[g], p[b], eps)
 
 
 def encoder_layer(p, l: int, x, cfg: ModelConfig, grading=None,
                   collect: list | None = None, seq_len: int | None = None) -> ad.Node:
-    pre = f"enc{l}"
+    pre, ln1, ln2, _ = _layer_names("enc", l)
     attn = multi_head(p, pre, x, cfg, grading=grading, collect=collect, seq_len=seq_len)
-    x1 = layer_norm(p, f"{pre}.ln1", x, attn, cfg.eps)
+    x1 = layer_norm(p, ln1, x, attn, cfg.eps)
     ff = feed_forward(p, pre, x1)
     if grading is not None:
         ff = grading.graded_ffn(ff)
-    return layer_norm(p, f"{pre}.ln2", x1, ff, cfg.eps)
+    return layer_norm(p, ln2, x1, ff, cfg.eps)
 
 
 def encoder(p, x, cfg: ModelConfig, grading=None, collect=None,
@@ -291,13 +319,13 @@ def encoder(p, x, cfg: ModelConfig, grading=None, collect=None,
 
 
 def decoder_layer(p, l: int, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:
-    pre = f"dec{l}"
+    pre, ln1, ln2, ln3 = _layer_names("dec", l)
     mask = causal_mask(y.shape[0]) if cache is None else None
     sa = multi_head(p, pre, y, cfg, mask=mask, cache=cache)
-    y1 = layer_norm(p, f"{pre}.ln1", y, sa, cfg.eps)
+    y1 = layer_norm(p, ln1, y, sa, cfg.eps)
     ca = multi_head(p, pre, y1, cfg, kv=z, cross=True, cache=cache)
-    y2 = layer_norm(p, f"{pre}.ln2", y1, ca, cfg.eps)
-    return layer_norm(p, f"{pre}.ln3", y2, feed_forward(p, pre, y2), cfg.eps)
+    y2 = layer_norm(p, ln2, y1, ca, cfg.eps)
+    return layer_norm(p, ln3, y2, feed_forward(p, pre, y2), cfg.eps)
 
 
 def decoder(p, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:
@@ -330,42 +358,50 @@ def encode(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray) -> np
 
 def generate(params: dict[str, np.ndarray], cfg: ModelConfig, tokens,
              m_max: int | None = None, eos: int = EOS_TOKEN) -> list[int]:
-    """Encoder on the embedded tokens, then greedy_decode."""
+    """Encoder on the embedded tokens, then greedy decoding (decode_nodes),
+    with every array wrapped once for both."""
     tape = ad.Tape()
     with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False, stage="encoder")
+        p = as_nodes(params, tape, trainable=False)
         z = encoder(p, embed_tokens(p, cfg, tokens), cfg)
-    return greedy_decode(params, z.value, cfg, cfg.m_max if m_max is None else m_max, eos)
+        return decode_nodes(p, z, cfg, cfg.m_max if m_max is None else m_max, eos)
 
 
 def greedy_decode(params: dict[str, np.ndarray], z: np.ndarray, cfg: ModelConfig,
                   m_max: int, eos: int = EOS_TOKEN) -> list[int]:
-    """Greedy decoding against encoder output z: argmax over softmax(W_e z_t);
-    ties break to the lowest token id; stops at EOS or after m_max tokens.
+    """decode_nodes against the encoder output z, on a fresh tape."""
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = as_nodes(params, tape, trainable=False, stage="decoder")
+        return decode_nodes(p, tape.constant(z), cfg, m_max, eos)
+
+
+def decode_nodes(p: dict[str, ad.Node], z: ad.Node, cfg: ModelConfig, m_max: int,
+                 eos: int = EOS_TOKEN) -> list[int]:
+    """Greedy decoding on the active tape against the encoder output node z:
+    argmax over softmax(W_e z_t); ties break to the lowest token id; stops
+    at EOS or after m_max tokens.
 
     Each token runs the decoder on its one new row, with the cross-attention
     K/V of z and the earlier rows' self-attention K/V held in a cache.
     """
-    tape = ad.Tape()
-    with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False, stage="decoder")
-        z = tape.constant(z)
-        positions = positional_matrix(min(m_max, cfg.m_max + 1), cfg.d_model, cfg.m_max + 1)
-        cache: dict = {}
-        out: list[int] = []
-        token = START_TOKEN
-        while len(out) < m_max:
-            # argmax + 1 keeps every id in range; only the length needs a check
-            t = len(out) + 1
-            if t > cfg.m_max + 1:
-                raise SequenceTooLong(f"sequence of length {t} exceeds {cfg.m_max + 1}")
-            row = ad.add(ad.embedding_rows(p["embed"], [token - 1]), positions[t - 1:t])
-            dec = decoder(p, row, z, cfg, cache)
-            logits = dec.value[-1] @ params["embed"].T
-            token = int(np.argmax(logits)) + 1  # argmax returns the first max
-            out.append(token)
-            if token == eos:
-                break
+    embed = p["embed"]
+    positions = positional_matrix(min(m_max, cfg.m_max + 1), cfg.d_model, cfg.m_max + 1)
+    cache: dict = {}
+    out: list[int] = []
+    token = START_TOKEN
+    while len(out) < m_max:
+        # argmax + 1 keeps every id in range; only the length needs a check
+        t = len(out) + 1
+        if t > cfg.m_max + 1:
+            raise SequenceTooLong(f"sequence of length {t} exceeds {cfg.m_max + 1}")
+        row = ad.add(ad.embedding_rows(embed, [token - 1]), positions[t - 1:t])
+        dec = decoder(p, row, z, cfg, cache)
+        logits = dec.value[-1] @ embed.value.T
+        token = int(np.argmax(logits)) + 1  # argmax returns the first max
+        out.append(token)
+        if token == eos:
+            break
     return out
 
 

@@ -58,10 +58,12 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def unnormalized_softmax(m, axis=-1):
-    """Injected fault: tensor.softmax_rows without the normalization."""
+def unnormalized_softmax(m, axis=-1, out=None):
+    """Injected fault: tensor.softmax_rows without the normalization (into
+    out when given, as tensor.softmax_rows does)."""
     m = np.asarray(m, dtype=np.float64)
-    return np.exp(m - m.max(axis=axis, keepdims=True))
+    e = np.subtract(m, m.max(axis=axis, keepdims=True), out=out)
+    return np.exp(e, out=e)
 
 
 def per_head_init_params(cfg, rng, decoder=True):
@@ -351,14 +353,14 @@ def mean_layer_norm(x, gamma, beta, eps, g):
 
 def blas_layer_norm(x, gamma, beta, eps, g):
     """Reference: ad.layer_norm_rows' value and adjoint of the sum x for the
-    output adjoint g, with a new array per step and row sums as products
-    with ones."""
-    d = x.shape[1]
-    xc = x - ones_row_sums(x) / d
-    inv = 1.0 / np.sqrt(ones_row_sums(xc * xc) / d + eps)
+    output adjoint g, with a new array per step, row means as products with
+    a new column of 1/d and the inverse deviation (var + eps)^-0.5."""
+    col = np.full((x.shape[1], 1), 1.0 / x.shape[1])
+    xc = x - x @ col
+    inv = np.power((xc * xc) @ col + eps, -0.5)
     xhat = xc * inv
     gh = g * gamma
-    dx = (gh - ones_row_sums(gh) / d - xhat * (ones_row_sums(gh * xhat) / d)) * inv
+    dx = (gh - gh @ col - xhat * ((gh * xhat) @ col)) * inv
     return xhat * gamma + beta, dx
 
 

@@ -186,9 +186,11 @@ class TestValuesOnly:
             y = ad.layer_norm_rows(tape.param("x", x), tape.param("r", r), gamma, beta, 1e-5)
         return x + r, gamma, beta, up, y
 
-    @pytest.mark.parametrize("d", [4, 16, 32])
+    # d = 6 and 12: 1/d is inexact, so a mean taken as x @ (1/d column)
+    # differs from the sum over d in the last bits
+    @pytest.mark.parametrize("d", [4, 6, 12, 16, 32])
     def test_layer_norm_equals_mean_reference(self, d):
-        # in place equals the out-of-place BLAS sums bit for bit, and the
+        # in place equals the out-of-place BLAS means bit for bit, and the
         # ndarray.mean formula to 1e-13 of its peak
         z, gamma, beta, up, y = self.layer_norm_case(d, 6, d)
         dx, dr = y.vjps[0](up), y.vjps[1](up)
@@ -200,7 +202,7 @@ class TestValuesOnly:
         assert_peak_close(y.value, mean_y, 1e-13)
         assert_peak_close(dx, mean_dz, 1e-13)
 
-    @pytest.mark.parametrize("d", [4, 32])
+    @pytest.mark.parametrize("d", [4, 6, 32])
     def test_one_row_layer_norm(self, d):
         # the decode shape: one row per call
         z, gamma, beta, up, y = self.layer_norm_case(d, 1, 100 + d)
@@ -209,6 +211,24 @@ class TestValuesOnly:
         mean_y, mean_dz = mean_layer_norm(z, gamma, beta, 1e-5, up)
         assert_peak_close(y.value, mean_y, 1e-13)
         assert_peak_close(y.vjps[0](up), mean_dz, 1e-13)
+
+    @pytest.mark.parametrize("d", [4, 6, 12, 32])
+    def test_one_row_matches_its_row_in_a_block(self, d):
+        # a decode step normalises one row; the full-prefix pass normalises
+        # the same row inside a block.  BLAS takes a one-row product as a
+        # dot and a block's as a matrix-vector product, which sum in their
+        # own orders, so the two agree to rounding, not bit for bit
+        z, gamma, beta, up, y = self.layer_norm_case(d, 8, 200 + d)
+        dz = y.vjps[0](up)
+        for i in range(8):
+            tape = ad.Tape()
+            with ad.recording(tape):
+                one = ad.layer_norm_rows(tape.param("z", z[i:i + 1]), np.zeros((1, d)),
+                                         gamma, beta, 1e-5)
+            assert_peak_close(one.value, y.value[i:i + 1], 1e-13)
+            assert_peak_close(one.vjps[0](up[i:i + 1]), dz[i:i + 1], 1e-13)
+            values_only = ad.layer_norm_rows(z[i:i + 1], np.zeros((1, d)), gamma, beta, 1e-5)
+            assert np.array_equal(values_only.value, one.value)
 
 
 class TestLiveness:
@@ -373,6 +393,29 @@ class TestFeedForwardRows:
             ad.feed_forward_rows(self.x, p["f.w1"], p["f.b1"], p["f.w2"], np.zeros((1, 6)))
         with ad.recording(ad.Tape()), pytest.raises(DimensionMismatch):
             ad.feed_forward_rows(self.x[:, :3], p["f.w1"], p["f.b1"], p["f.w2"], p["f.b2"])
+
+
+class TestEmbeddingRows:
+    @pytest.mark.parametrize("vocab, ids", [
+        (5, [3]),
+        (5, [0, 3, 3, 1, 3, 0]),  # repeated ids, and ids 2 and 4 unused
+        (32, list(np.random.default_rng(9).integers(0, 32, 512))),  # wide_lgt's batch
+    ])
+    def test_gradient_sums_each_ids_rows(self, vocab, ids):
+        g = np.random.default_rng(vocab)
+        table = g.normal(0.0, 1.0, (vocab, 6))
+        up = g.normal(0.0, 1.0, (len(ids), 6))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            rows = ad.embedding_rows(tape.param("t", table), ids)
+        assert np.array_equal(rows.value, table[ids])
+        want = np.zeros_like(table)
+        np.add.at(want, np.asarray(ids), up)  # reference: scatter-add row by row
+        got = rows.vjps[0](up)
+        assert got.shape == table.shape
+        assert_peak_close(got, want, 1e-13)
+        unused = np.setdiff1d(np.arange(vocab), ids)
+        assert not got[unused].any()
 
 
 class TestGradCheck:

@@ -311,33 +311,32 @@ class TestForward:
             assert graded.graded_generate(params, ucfg, toks) == \
                 tf.generate(params, cfg, toks)
 
-    def test_generate_wraps_each_array_once_per_stage(self, token_model, monkeypatch):
+    def test_generate_wraps_each_array_once_per_request(self, token_model, monkeypatch):
         cfg, params = token_model
         gcfg = graded.GradedModelConfig(model=cfg, grades=Rng(4).generator.uniform(0, 1, 8),
                                         attention_variant="queries_keys",
                                         positional="exp_decay", alpha=0.1)
         real, wrapped = tf.as_nodes, []
 
-        def every_array(params, tape, trainable, stage=None):
-            return real(params, tape, trainable)  # the old wrap: all arrays each stage
-
         def recording(params, tape, trainable, stage=None):
             nodes = real(params, tape, trainable, stage)
-            wrapped.append(set(nodes))
+            wrapped.append(list(nodes))
             return nodes
 
         prompts = [list(Rng(s).generator.integers(3, cfg.vocab_size + 1, size=5))
                    for s in range(6)]
-        monkeypatch.setattr(tf, "as_nodes", every_array)
-        want = [graded.graded_generate(params, gcfg, toks) for toks in prompts]
+        # reference: the encoder and the decoder on their own tapes, each
+        # wrapping the arrays of its stage
+        want = [tf.greedy_decode(params, graded.forward(params, gcfg, np.asarray(toks))[0],
+                                 cfg, cfg.m_max) for toks in prompts]
         monkeypatch.setattr(tf, "as_nodes", recording)
         for toks, tokens in zip(prompts, want):
             wrapped.clear()
             assert graded.graded_generate(params, gcfg, toks) == tokens
-            encoder_stage, decoder_stage = wrapped
-            assert encoder_stage | decoder_stage == set(params)
-            assert encoder_stage & decoder_stage == {"embed"}
-            assert all(k.startswith("dec") for k in decoder_stage - {"embed"})
+            assert len(wrapped) == 1 and sorted(wrapped[0]) == sorted(params)
+            wrapped.clear()
+            tf.generate(params, cfg, toks)
+            assert len(wrapped) == 1 and sorted(wrapped[0]) == sorted(params)
 
     def test_exponential_base_must_exceed_one(self, toy_model):
         cfg, params = toy_model

@@ -629,6 +629,35 @@ class TestCli:
             assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert "config error" in err.getvalue() and "Traceback" not in err.getvalue()
 
+    @pytest.mark.parametrize("train, message", [
+        ({"batch_size": 0}, "batch_size must be >= 1, not 0"),
+        ({"batch_size": -3}, "batch_size must be >= 1, not -3"),
+        ({"lr": 0.0}, "lr must be > 0, not 0.0"),
+        ({"lr": -1e-3}, "lr must be > 0, not -0.001"),
+        ({"lr_grades": -0.1}, "lr_grades must be >= 0, not -0.1"),
+        ({"beta1": 1.0}, "beta1 must lie in [0, 1), not 1.0"),
+        ({"beta1": -0.5}, "beta1 must lie in [0, 1), not -0.5"),
+        ({"beta2": 1.5}, "beta2 must lie in [0, 1), not 1.5"),
+        ({"eps_adam": 0.0}, "eps_adam must be > 0, not 0.0"),
+    ])
+    def test_bad_optimizer_setting_exit_two(self, tmp_path, train, message):
+        # each used to end in a traceback (exit 1) or a reported divergence (exit 3)
+        out = tmp_path / "run"
+        self.assert_config_error(tmp_path, {"task": "poly_degree", "dataset_size": 16,
+                                            "seq_len": 4, "out_dir": str(out),
+                                            "train": {"steps": 2, **train}}, message)
+        assert not out.exists()
+
+    def test_zero_grade_rate_is_accepted(self, tmp_path):
+        # lr_grades 0 and beta1 0 are valid: grades stay fixed, Adam keeps no momentum
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "task": "poly_degree", "dataset_size": 16, "seq_len": 4,
+            "out_dir": str(tmp_path / "run"), "model": {"n_layers": 1},
+            "train": {"steps": 2, "batch_size": 4, "lr_grades": 0.0, "beta1": 0.0}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 0
+
     @pytest.mark.parametrize("raw, message", [
         (5, "must hold a JSON object, not int"),
         (["task"], "must hold a JSON object, not list"),
