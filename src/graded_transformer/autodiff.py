@@ -294,19 +294,6 @@ def sum_all(a) -> Node:
     return record(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
-def softmax_rows(x) -> Node:
-    """Row softmax; the value is tensor.softmax_rows."""
-    x = wrap(x)
-    p = tensor.softmax_rows(x.value)
-    if not x.live:
-        return Node(p)
-
-    def vjp(g):
-        return p * (g - tensor.row_sums(g * p))
-
-    return record(p, (x,), (vjp,))
-
-
 def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
                    collect: list | None = None, heads: int = 1) -> Node:
     """softmax(q k^T / sqrt(d_k) [+ mask]) v per head, within each stacked sequence.

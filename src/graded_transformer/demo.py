@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
+from . import graded
 from . import transformer as tf
 from .gnn import HOMOGENEOUS, graded_loss
 from .graded_space import EXPONENTIAL, LINEAR, GradingSpec, WeightMap, affine_map
@@ -13,10 +15,12 @@ from .training import anneal_lambda
 
 def photonic_rows() -> list[str]:
     x = np.array([1.0, 0.5, 0.1])
-    spec = GradingSpec(LINEAR, affine_map(1.0, 0.1))
-    graded_vec = x * spec.weights([0.0, 1.0, 2.0])
+    model = tf.ModelConfig(vocab_size=0, d_model=3, n_heads=1, n_layers=0, d_ff=1)
+    gcfg = graded.GradedModelConfig(model=model, grades=[0.0, 1.0, 2.0],
+                                    weight_map=affine_map(1.0, 0.1))
+    graded_vec = x * gcfg.weights()
     norm = float(np.linalg.norm(graded_vec))
-    unit = graded_vec / norm
+    unit = graded.graded_input(x, gcfg)  # the model's input stage
     return [
         f"photonic graded input     computed {np.round(graded_vec, 4).tolist()}  reference [1, 0.55, 0.12]",
         f"photonic graded norm      computed {norm:.6f}  reference 1.148",
@@ -58,7 +62,8 @@ def layer_norm_rows() -> list[str]:
     z = np.array([[0.5, -0.2, 0.3]])
     mu = z.mean()
     var = z.var()
-    out = (z - mu) / np.sqrt(var + 1e-5)
+    out = ad.layer_norm_rows(z, np.zeros((1, 3)), np.ones((1, 3)), np.zeros((1, 3)),
+                             1e-5).value  # the model's LN(z + 0), gain 1, bias 0
     return [
         f"layer-norm z=[0.5,-0.2,0.3]  mean {mu:.4f}  variance {var:.6f}  output {np.round(out[0], 4).tolist()}",
         "note: the circulated reference tuple [0.95, -0.38, 0.57] is inconsistent with the",

@@ -13,7 +13,13 @@ from .errors import (
     NonPositiveGrade,
     ProbabilityDomain,
 )
-from .graded_space import as_grades, exp_activation, graded_relu, homogeneous_norm
+from .graded_space import (
+    as_grades,
+    exp_activation,
+    graded_relu,
+    homogeneous_norm,
+    signed_power,
+)
 
 CE_CLAMP = 1e-12
 
@@ -31,9 +37,7 @@ def additive_neuron(w, grades, b: float, x) -> float:
         raise DimensionMismatch("additive_neuron: w, q, x lengths differ")
     if _fractional(q) and np.any(w[q != np.round(q)] <= 0):
         raise NegativeWeightFractionalGrade("w_i must be > 0 under fractional q_i")
-    powed = np.sign(w) ** np.round(q).astype(np.int64) * np.abs(w) ** q if np.any(w < 0) \
-        else np.float_power(w, q)
-    return float(np.sum(powed * x) + b)
+    return float(np.sum(signed_power(w, q) * x) + b)
 
 
 def multiplicative_neuron(w, grades, b: float, x) -> float:
@@ -92,10 +96,7 @@ class GradedLayerParams:
 
     def effective_weights(self) -> np.ndarray:
         base = _softplus(self.weights) if self.positive_reparam else self.weights
-        if np.any(base < 0):
-            q_int = np.round(self.grades).astype(np.int64)
-            return np.sign(base) ** q_int * np.abs(base) ** self.grades
-        return np.float_power(base, self.grades)
+        return signed_power(base, self.grades)
 
 
 def graded_layer_forward(params: GradedLayerParams, x) -> np.ndarray:

@@ -163,8 +163,8 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
 
 
 def grade_rows(x, w, normalize: bool) -> ad.Node:
-    """The input stage: scale the columns of x by w, then optionally scale
-    each row to unit norm."""
+    """The input and FFN grading stage: scale the columns of x by w, then
+    optionally scale each row to unit norm."""
     x = ad.scale_cols(x, w)
     return ad.normalize_rows(x) if normalize else x
 
@@ -219,16 +219,11 @@ class AttentionGrading:
     def graded_ffn(self, ff):
         if self.ffn_weights is None:
             return ff
-        out = ad.scale_cols(ff, self.ffn_weights)
-        if self.normalize_ffn:
-            out = ad.normalize_rows(out)
-        return out
+        return grade_rows(ff, self.ffn_weights, self.normalize_ffn)
 
 
 def _holds_ids(inputs) -> bool:
     """Integer token ids; a ragged batch counts, so check_tokens reports it."""
-    if isinstance(inputs, ad.Node):
-        return False
     try:
         return np.asarray(inputs).dtype.kind in "iu"
     except ValueError:
@@ -241,8 +236,8 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     """Graded forward pass on the active tape.
 
     inputs: token ids, (n,) or a batch (B, n), for vocab models; an (n, d)
-    or (B, n, d) array, or an (n, d) Node, otherwise.  The B sequences run
-    as one (B n)-row block; attention stays within each sequence.
+    or (B, n, d) array otherwise.  The B sequences run as one (B n)-row
+    block; attention stays within each sequence.
     weights is weight_nodes' (model, heads) pair, such as one made from
     learnable grades; by default the config's fixed tuples.
     Returns (encoder representations, output logits), each B n rows.
@@ -256,7 +251,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
         n = ids.shape[-1]
         x = ad.embedding_rows(p["embed"], ids.reshape(-1) - 1)
     else:
-        batch = not isinstance(inputs, ad.Node) and np.ndim(inputs) == 3
+        batch = np.ndim(inputs) == 3
         x = ad.wrap(np.reshape(inputs, (-1, np.shape(inputs)[-1])) if batch else inputs)
         n = np.shape(inputs)[1] if batch else x.shape[0]
 
@@ -298,7 +293,7 @@ def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
     collect = [[] for _ in range(gcfg.model.n_layers)] if collect_attention else None
     tape = ad.Tape()
     with ad.recording(tape):
-        p = tf.as_nodes(params, tape, trainable=False, stage="encoder")
+        p = tf.as_nodes(params, tape, trainable=False)
         z, logits = forward_nodes(p, gcfg, inputs, lam=lam, collect=collect)
     return (z.value, logits.value, collect) if collect_attention else (z.value, logits.value)
 
@@ -345,9 +340,8 @@ def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
     """M * Fnn(x) for one row vector, optionally normalized."""
     p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
     ff = tf.feed_forward(p, "ffn", _row(x))
-    grading = AttentionGrading("none", None, gcfg.spec(lam).node(_row(gcfg.grades)),
-                               gcfg.normalize_ffn)
-    return grading.graded_ffn(ff).value[0]
+    w = gcfg.spec(lam).node(_row(gcfg.grades))
+    return grade_rows(ff, w, gcfg.normalize_ffn).value[0]
 
 
 def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
@@ -355,7 +349,7 @@ def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
     """Logits z = W_out (M h) + b_out followed by softmax."""
     w = gcfg.spec(lam).node(_row(gcfg.grades))
     z = ad.add_rowvec(ad.matmul(ad.scale_cols(_row(h), w), w_out), _row(b_out))
-    return ad.softmax_rows(z).value[0]
+    return tensor.softmax_rows(z.value)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -384,5 +378,5 @@ def construct_attention_target(a0: np.ndarray, delta: float,
     q = np.sqrt(n) * np.log(smoothed)
     k = np.eye(n)
     v = np.eye(n)
-    achieved = float(np.linalg.norm(tensor.softmax_rows(q @ k.T / np.sqrt(n)) @ v - a0))
+    achieved = float(np.linalg.norm(graded_attention(q, k, v, np.ones(n), "none")[0] - a0))
     return q, k, v, achieved

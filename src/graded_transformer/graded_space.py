@@ -111,11 +111,16 @@ def star_action(lam: float, grades, x) -> np.ndarray:
         raise NegativeBaseFractionalGrade(
             f"base {lam} with fractional grades is undefined"
         )
-    if lam < 0:
-        factors = np.sign(lam) ** np.round(q).astype(np.int64) * np.abs(lam) ** q
-    else:
-        factors = np.float_power(lam, q)
-    return factors * x
+    return signed_power(lam, q) * x
+
+
+def signed_power(base, q) -> np.ndarray:
+    """base**q elementwise, broadcast: float_power when no base is negative,
+    else sign(base)**round(q) * |base|**q, which needs integral q wherever
+    the base is negative (callers check)."""
+    if np.any(base < 0):
+        return np.sign(base) ** np.round(q).astype(np.int64) * np.abs(base) ** q
+    return np.float_power(base, q)
 
 
 def grading_matrix(grades, spec: GradingSpec) -> np.ndarray:

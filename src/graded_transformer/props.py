@@ -96,7 +96,7 @@ def _spec_diag(seed):
 
 
 PRIMITIVE_CASES = (
-    "matmul", "softmax", "layer_norm", "layer_norm_residual", "feed_forward", "scale_cols",
+    "matmul", "attention", "layer_norm", "layer_norm_residual", "feed_forward", "scale_cols",
     "normalize_rows", "add_rowvec", "hstack", "embedding", "loss_squared", "loss_sigmoid_ce",
     "regularizer", "transpose", "vstack",
 )
@@ -116,8 +116,16 @@ def primitive_case(case: str, g: np.random.Generator):
         y0 = g.normal(0.0, 1.0, (4, 3))
         upm = g.uniform(0.5, 1.5, (3, 3))
         return lambda p: summed(ad.matmul(p["x"], p["y"]), upm), {"x": x0, "y": y0}
-    if case == "softmax":
-        return lambda p: summed(ad.softmax_rows(p["x"])), {"x": x0}
+    if case == "attention":  # 2 sequences of 3 rows and 2 heads, unmasked and causal
+        qkv = {name: g.normal(0.0, 1.0, (6, 4)) for name in "qkv"}
+        ups = g.uniform(0.5, 1.5, (2, 6, 4))
+
+        def attended(p):
+            outs = [ad.attention_rows(p["q"], p["k"], p["v"], 3, 3, mask, None, 2)
+                    for mask in (None, tf.causal_mask(3))]
+            return ad.add(summed(outs[0], ups[0]), summed(outs[1], ups[1]))
+
+        return attended, qkv
     if case == "layer_norm":  # LN(x + 0)
         gam = g.uniform(0.8, 1.2, (1, 4))
         bet = g.normal(0.0, 0.1, (1, 4))
@@ -195,15 +203,20 @@ def _prim_grads(seed):
 
 
 def softmax_jacobian_error(g: np.random.Generator, draws: int = 10) -> float:
-    """Max |tape VJP - brute-force row-Jacobian contraction| of softmax_rows
-    over `draws` random 3x3 inputs and upstream gradients."""
+    """Max |tape VJP - brute-force row-Jacobian contraction| of the model's
+    softmax over `draws` random 3x3 inputs and upstream gradients.
+
+    The softmax is the one inside ad.attention_rows: with q = sqrt(3) x and
+    k = v = I, the attention of 3 rows is softmax_rows(x)."""
     worst = 0.0
+    eye = np.eye(3)
     for _ in range(draws):
         x = g.normal(0.0, 1.0, (3, 3))
         up = g.normal(0.0, 1.0, (3, 3))
         tape = ad.Tape()
         with ad.recording(tape):
-            root = ad.sum_all(ad.mul(ad.softmax_rows(tape.param("x", x)), up))
+            q = ad.scale(tape.param("x", x), np.sqrt(3.0))
+            root = ad.sum_all(ad.mul(ad.attention_rows(q, eye, eye, 3, 3), up))
         got = tape.backward(root)["x"]
         p = tensor.softmax_rows(x)
         want = np.stack([(np.diag(p[i]) - np.outer(p[i], p[i])) @ up[i] for i in range(3)])

@@ -299,10 +299,7 @@ def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarra
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=True)
-        if cfg.learn_grades:
-            grade_nodes = {k: tape.param(k, v) for k, v in grade_arrays.items()}
-        else:
-            grade_nodes = {k: tape.constant(v) for k, v in grade_arrays.items()}
+        grade_nodes = tf.as_nodes(grade_arrays, tape, trainable=cfg.learn_grades)
         lam = lam if gcfg.mode == EXPONENTIAL else None
         weights = graded.weight_nodes(gcfg, lam, grade_nodes)
         _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, weights=weights)

@@ -109,18 +109,9 @@ def init_params(cfg: ModelConfig, rng: Rng, decoder: bool = True) -> dict[str, n
     return p
 
 
-def as_nodes(params: dict[str, np.ndarray], tape: ad.Tape, trainable: bool,
-             stage: str | None = None) -> dict[str, ad.Node]:
-    """Parameters as tape leaves (trainable) or constants.
-
-    stage "encoder" wraps only the arrays the embedding, encoder and output
-    head read, "decoder" only the embedding table and the decoder layers;
-    None wraps every array.
-    """
-    if stage is not None:
-        decoder = stage == "decoder"
-        params = {k: v for k, v in params.items()
-                  if k.startswith("dec") == decoder or k == "embed"}
+def as_nodes(params: dict[str, np.ndarray], tape: ad.Tape, trainable: bool
+             ) -> dict[str, ad.Node]:
+    """Every array of params as a tape leaf (trainable) or a constant."""
     if trainable:
         return {k: tape.param(k, v) for k, v in params.items()}
     return {k: tape.constant(v) for k, v in params.items()}
@@ -243,15 +234,16 @@ def _layer_names(stack: str, l: int) -> tuple[str, str, str, str]:
 
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
                mask: np.ndarray | None = None, grading=None,
-               collect: list | None = None, kv=None, cross: bool = False,
+               collect: list | None = None, kv=None,
                seq_len: int | None = None, cache: dict | None = None) -> ad.Node:
     """Concat(head_1..head_h) W_O, with the heads' projections folded into
     one (d, h d_k) matrix each for Q, K and V; optional graded scaling.
 
     `grading` is None or an object whose `apply` scales the folded q, k, v
-    (see graded.AttentionGrading).  `kv` supplies separate key/value
-    source for cross-attention.  x may stack sequences of seq_len rows;
-    attention stays within each sequence.
+    (see graded.AttentionGrading).  `kv`, when given, is the key/value
+    source of a cross-attention, which reads the `{prefix}.c*`
+    projections; self-attention reads `{prefix}.w*`.  x may stack
+    sequences of seq_len rows; attention stays within each sequence.
 
     `cache` (incremental decoding of one sequence) is a dict kept across
     the calls of one request.  Cross-attention projects K/V from kv on the
@@ -262,6 +254,7 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     earlier rows are never rewritten, and a copy of the dict shares its
     buffers.
     """
+    cross = kv is not None
     name, wq, wk, wv, wo = _attention_names(prefix, cross)
     kv = x if kv is None else kv
     q = ad.matmul(x, p[wq])
@@ -323,7 +316,7 @@ def decoder_layer(p, l: int, y, z, cfg: ModelConfig, cache: dict | None = None) 
     mask = causal_mask(y.shape[0]) if cache is None else None
     sa = multi_head(p, pre, y, cfg, mask=mask, cache=cache)
     y1 = layer_norm(p, ln1, y, sa, cfg.eps)
-    ca = multi_head(p, pre, y1, cfg, kv=z, cross=True, cache=cache)
+    ca = multi_head(p, pre, y1, cfg, kv=z, cache=cache)
     y2 = layer_norm(p, ln2, y1, ca, cfg.eps)
     return layer_norm(p, ln3, y2, feed_forward(p, pre, y2), cfg.eps)
 
@@ -351,7 +344,7 @@ def encode(params: dict[str, np.ndarray], cfg: ModelConfig, x: np.ndarray) -> np
     """Run the encoder on an already-embedded n x d matrix."""
     tape = ad.Tape()
     with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False, stage="encoder")
+        p = as_nodes(params, tape, trainable=False)
         out = encoder(p, tape.constant(x), cfg)
     return out.value
 
@@ -365,15 +358,6 @@ def generate(params: dict[str, np.ndarray], cfg: ModelConfig, tokens,
         p = as_nodes(params, tape, trainable=False)
         z = encoder(p, embed_tokens(p, cfg, tokens), cfg)
         return decode_nodes(p, z, cfg, cfg.m_max if m_max is None else m_max, eos)
-
-
-def greedy_decode(params: dict[str, np.ndarray], z: np.ndarray, cfg: ModelConfig,
-                  m_max: int, eos: int = EOS_TOKEN) -> list[int]:
-    """decode_nodes against the encoder output z, on a fresh tape."""
-    tape = ad.Tape()
-    with ad.recording(tape):
-        p = as_nodes(params, tape, trainable=False, stage="decoder")
-        return decode_nodes(p, tape.constant(z), cfg, m_max, eos)
 
 
 def decode_nodes(p: dict[str, ad.Node], z: ad.Node, cfg: ModelConfig, m_max: int,

@@ -52,6 +52,16 @@ def assert_peak_close(a, b, rel, msg=""):
     assert dev <= rel * peak, f"{msg} max dev {dev:.3e} > {rel:.0e} x peak {peak:.3e}"
 
 
+def run_nodes(params, builder):
+    """builder(p, tape) on a fresh tape with the parameters as constants:
+    a node's value, any other result (such as decode_nodes' tokens) as is."""
+    tape = ad.Tape()
+    with ad.recording(tape):
+        p = tf.as_nodes(params, tape, trainable=False)
+        out = builder(p, tape)
+    return out.value if isinstance(out, ad.Node) else out
+
+
 def same_bits(a, b) -> bool:
     """Equal shapes and bytes: -0.0 differs from 0.0, a NaN equals itself."""
     a, b = np.asarray(a), np.asarray(b)

@@ -1,0 +1,58 @@
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import graded_transformer
+from graded_transformer import props
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(graded_transformer.__file__).resolve().parent
+ALIASES = {"ad": "autodiff", "tf": "transformer", "gs": "graded_space"}
+MODULES = {m.name for m in pkgutil.iter_modules([str(PACKAGE)])}
+
+
+def backticked(text: str) -> list[str]:
+    """The contents of the fenced blocks and of the inline code spans."""
+    parts = text.split("```")
+    spans = parts[1::2]
+    for prose in parts[::2]:
+        spans += re.findall(r"`([^`]+)`", prose)
+    return spans
+
+
+def dotted_names(text: str) -> set[str]:
+    """Every `head.attr[.attr…]` whose head is a package module or an alias."""
+    names = set()
+    for span in backticked(text):
+        for m in re.finditer(r"(?<![\w./])([A-Za-z_]\w*)((?:\.\w+)+)", span):
+            if m.group(1) in MODULES or m.group(1) in ALIASES:
+                names.add(m.group(0))
+    return names
+
+
+def resolves(name: str) -> bool:
+    """An attribute path of its module, a registered prop or an existing file."""
+    head, *attrs = name.split(".")
+    obj = importlib.import_module(f"graded_transformer.{ALIASES.get(head, head)}")
+    for attr in attrs:
+        if not hasattr(obj, attr):
+            break
+        obj = getattr(obj, attr)
+    else:
+        return True
+    return name in {entry[0] for entry in props.REGISTRY} or \
+        (ROOT / name).is_file() or (PACKAGE / name).is_file()
+
+
+def test_readme_names_resolve():
+    names = dotted_names((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert "transformer.decode_nodes" in names and "autodiff.py" in names
+    stale = sorted(name for name in names if not resolves(name))
+    assert not stale, f"README names that resolve to nothing: {stale}"
+
+
+def test_stale_name_is_reported():
+    names = dotted_names("Decoding: `tf.retired_decode`, and ```\nad.retired_node(x)\n```.")
+    assert names == {"tf.retired_decode", "ad.retired_node"}
+    assert not any(resolves(name) for name in names)

@@ -18,7 +18,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, unnormalized_softmax
+from conftest import assert_close, run_nodes, unnormalized_softmax
 
 
 def make_gcfg(toy_model, **kw):
@@ -318,17 +318,17 @@ class TestForward:
                                         positional="exp_decay", alpha=0.1)
         real, wrapped = tf.as_nodes, []
 
-        def recording(params, tape, trainable, stage=None):
-            nodes = real(params, tape, trainable, stage)
+        def recording(params, tape, trainable):
+            nodes = real(params, tape, trainable)
             wrapped.append(list(nodes))
             return nodes
 
         prompts = [list(Rng(s).generator.integers(3, cfg.vocab_size + 1, size=5))
                    for s in range(6)]
-        # reference: the encoder and the decoder on their own tapes, each
-        # wrapping the arrays of its stage
-        want = [tf.greedy_decode(params, graded.forward(params, gcfg, np.asarray(toks))[0],
-                                 cfg, cfg.m_max) for toks in prompts]
+        # reference: the encoder and the decoder on their own tapes
+        encoded = [graded.forward(params, gcfg, np.asarray(toks))[0] for toks in prompts]
+        want = [run_nodes(params, lambda p, t: tf.decode_nodes(p, t.constant(z), cfg, cfg.m_max))
+                for z in encoded]
         monkeypatch.setattr(tf, "as_nodes", recording)
         for toks, tokens in zip(prompts, want):
             wrapped.clear()

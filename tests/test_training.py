@@ -28,6 +28,7 @@ from conftest import (
     ref_clip_gradient,
     recorded,
     ref_train,
+    run_nodes,
     same_bits,
     unfused_feed_forward,
     unfused_layer_norm,
@@ -531,9 +532,12 @@ class TestValuesOnlyInference:
             self.assert_same(tf.encode, params, cfg, z)
             if cfg.vocab_size:
                 full = tf.init_params(cfg, Rng(0), decoder=True)
-                want, want_rows = decoder_rows(monkeypatch, recorded, tf.greedy_decode,
-                                               full, z, cfg, cfg.m_max)
-                got, rows = decoder_rows(monkeypatch, tf.greedy_decode, full, z, cfg, cfg.m_max)
+
+                def decode(p, t):
+                    return tf.decode_nodes(p, t.constant(z), cfg, cfg.m_max)
+
+                want, want_rows = decoder_rows(monkeypatch, recorded, run_nodes, full, decode)
+                got, rows = decoder_rows(monkeypatch, run_nodes, full, decode)
                 assert got == want[0] and len(rows) == len(want_rows) == len(got)
                 assert all(np.array_equal(a, b) for a, b in zip(rows, want_rows))
 
@@ -704,18 +708,19 @@ class TestFusedSublayers:
 
     def test_cached_decoder_step_bitwise(self, monkeypatch):
         # the wide model's decoder: a first row fills the cache, a second row
-        # is one cached step; every parameter is a leaf
+        # is one cached step; the embedding and every decoder array are leaves
         *_, (_, gcfg, _, _) = workload_setups()
         cfg = gcfg.model
         g = Rng(9).generator
         params = self.perturbed(tf.init_params(cfg, Rng(0), decoder=True), g)
+        params = {k: v for k, v in params.items() if k.startswith("dec") or k == "embed"}
         z, up = g.normal(0.0, 1.0, (cfg.n_max, cfg.d_model)), g.normal(0.0, 1.0, (1, cfg.d_model))
         positions = tf.positional_matrix(2, cfg.d_model)
 
         def build():
             tape = ad.Tape()
             with ad.recording(tape):
-                p = tf.as_nodes(params, tape, trainable=True, stage="decoder")
+                p = tf.as_nodes(params, tape, trainable=True)
                 cache = {}
                 for t, token in enumerate([tf.START_TOKEN, 7]):
                     row = ad.add(ad.embedding_rows(p["embed"], [token - 1]), positions[t:t + 1])

@@ -16,15 +16,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, per_head_init_params
-
-
-def run_nodes(params, builder):
-    tape = ad.Tape()
-    with ad.recording(tape):
-        p = tf.as_nodes(params, tape, trainable=False)
-        out = builder(p, tape)
-    return out.value
+from conftest import assert_close, per_head_init_params, run_nodes
 
 
 class TestConfig:
@@ -224,7 +216,7 @@ class TestCrossAttention:
         y = Rng(2).generator.normal(size=(3, cfg.d_model))
         z = Rng(3).generator.normal(size=(1, cfg.d_model))
         out = run_nodes(params, lambda p, t: tf.multi_head(
-            p, "dec0", t.constant(y), cfg, kv=t.constant(z), cross=True))
+            p, "dec0", t.constant(y), cfg, kv=t.constant(z)))
         # softmax over one key is 1, so every row is the same projected value
         assert np.abs(out - out[0]).max() <= 1e-12
 
@@ -238,7 +230,7 @@ class TestCrossAttention:
         shared["dec0.co"] = shared["dec0.wo"]
         y = Rng(4).generator.normal(size=(4, cfg.d_model))
         cross = run_nodes(shared, lambda p, t: tf.multi_head(
-            p, "dec0", t.constant(y), cfg, kv=t.constant(y), cross=True))
+            p, "dec0", t.constant(y), cfg, kv=t.constant(y)))
         self_attn = run_nodes(shared, lambda p, t: tf.multi_head(
             p, "dec0", t.constant(y), cfg))
         assert_close(cross, self_attn, tol=1e-15)
@@ -249,7 +241,7 @@ class TestCrossAttention:
             y = Rng(t_len).generator.normal(size=(t_len, cfg.d_model))
             z = Rng(n + 10).generator.normal(size=(n, cfg.d_model))
             out = run_nodes(params, lambda p, t: tf.multi_head(
-                p, "dec0", t.constant(y), cfg, kv=t.constant(z), cross=True))
+                p, "dec0", t.constant(y), cfg, kv=t.constant(z)))
             assert out.shape == (t_len, cfg.d_model)
 
 
@@ -302,12 +294,12 @@ class TestEncoderDecoderGenerate:
         params["embed"][tf.EOS_TOKEN - 1] = 50.0
         assert tf.generate(params, cfg, [3]) == [tf.EOS_TOKEN]
 
-    def test_generate_is_encoder_then_greedy_decode(self, token_model):
+    def test_generate_is_encoder_then_decode_nodes(self, token_model):
         cfg, params = token_model
         toks = [3, 7, 9]
         z = run_nodes(params, lambda p, t: tf.encoder(p, tf.embed_tokens(p, cfg, toks), cfg))
         assert tf.generate(params, cfg, toks, m_max=4) == \
-            tf.greedy_decode(params, z, cfg, 4)
+            run_nodes(params, lambda p, t: tf.decode_nodes(p, t.constant(z), cfg, 4))
 
     def test_generate_deterministic(self, token_model):
         cfg, params = token_model
@@ -393,7 +385,8 @@ class TestCachedDecode:
             z = Rng(seed).generator.normal(size=(int(3 + seed), cfg.d_model))
             want_tokens, want_rows = full_prefix_decode(params, z, cfg, cfg.m_max, eos)
             rows = recording_decoder(monkeypatch)
-            assert tf.greedy_decode(params, z, cfg, cfg.m_max, eos) == want_tokens
+            assert run_nodes(params, lambda p, t: tf.decode_nodes(
+                p, t.constant(z), cfg, cfg.m_max, eos)) == want_tokens
             assert len(rows) == len(want_rows)
             if model == "long_token_model" and eos == 0:
                 assert len(rows) > 2 * ad.RowBuffer.FIRST_ROWS
@@ -409,7 +402,7 @@ class TestCachedDecode:
             full_prefix_decode(params, z, cfg, m_max, 0)
         rows = recording_decoder(monkeypatch)
         with pytest.raises(SequenceTooLong):
-            tf.greedy_decode(params, z, cfg, m_max, 0)
+            run_nodes(params, lambda p, t: tf.decode_nodes(p, t.constant(z), cfg, m_max, 0))
         assert len(rows) == cfg.m_max + 1
 
     def test_cross_kv_projected_once_per_request(self, deep_token_model):
