@@ -59,7 +59,8 @@ def main(argv=None) -> int:
         from . import tasks
 
         try:
-            ds = tasks.generate(args.task, args.size, args.seq_len, args.seed)
+            task = {"poly": "poly_degree", "hiercopy": "hier_copy"}[args.task]
+            ds = tasks.generate(task, args.size, args.seq_len, args.seed)
             tasks.save_dataset(args.out, ds)
         except (ValueError, OSError) as exc:  # OSError: unwritable --out
             sys.stderr.write(f"config error: {exc}\n")

@@ -115,17 +115,9 @@ class GradedModelConfig:
 
 
 def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
-    """Ungraded twin: all-unit weights, every graded feature off."""
-    return GradedModelConfig(
-        model=model,
-        mode=LINEAR,
-        grades=np.zeros(model.d_model),
-        weight_map=WeightMap("plus_one"),
-        attention_variant="none",
-        positional="off",
-        grade_inputs=True,
-        normalize_inputs=False,
-    )
+    """Ungraded twin: the defaults above (linear, zero grades under plus_one,
+    so all-unit weights, every graded feature off), unnormalised inputs."""
+    return GradedModelConfig(model=model, normalize_inputs=False)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +214,6 @@ class AttentionGrading:
         return grade_rows(ff, self.ffn_weights, self.normalize_ffn)
 
 
-def _holds_ids(inputs) -> bool:
-    """Integer token ids; a ragged batch counts, so check_tokens reports it."""
-    try:
-        return np.asarray(inputs).dtype.kind in "iu"
-    except ValueError:
-        return True
-
-
 def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
                   lam: float | None = None, weights: tuple | None = None,
                   collect: list | None = None) -> tuple[ad.Node, ad.Node]:
@@ -245,8 +229,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     cfg = gcfg.model
     w_model, w_heads = weight_nodes(gcfg, lam, None) if weights is None else weights
 
-    token_path = cfg.vocab_size > 0 and _holds_ids(inputs)
-    if token_path:
+    if cfg.vocab_size:
         ids = tf.check_tokens(inputs, cfg)
         n = ids.shape[-1]
         x = ad.embedding_rows(p["embed"], ids.reshape(-1) - 1)
@@ -257,7 +240,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
 
     if gcfg.grade_inputs:
         x = grade_rows(x, w_model, gcfg.normalize_inputs)
-    if token_path or gcfg.add_positional:
+    if cfg.vocab_size or gcfg.add_positional:
         positions = graded_positional_matrix(n, gcfg, lam)
         x = ad.add(x, np.tile(positions, (x.shape[0] // n, 1)))
 
@@ -306,7 +289,7 @@ def graded_generate(params, gcfg: GradedModelConfig, tokens,
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=False)
-        z, _ = forward_nodes(p, gcfg, np.asarray(tokens, dtype=np.int64), lam=lam)
+        z, _ = forward_nodes(p, gcfg, tokens, lam=lam)
         return tf.decode_nodes(p, z, gcfg.model, cap, tf.EOS_TOKEN)
 
 

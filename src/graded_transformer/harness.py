@@ -100,45 +100,14 @@ def _check_keys(raw: dict, cls, section: str = "", exclude=()) -> None:
                 f"a JSON {kind}, not {type(value).__name__}")
 
 
-def default_model_config(task: str, overrides: dict) -> tf.ModelConfig:
-    if task == "poly_degree":
-        base = dict(vocab_size=0, d_model=4, n_heads=2, n_layers=2, d_ff=32,
-                    n_max=16, m_max=16, out_dim=4)
-    elif task == "hier_copy":
-        base = dict(vocab_size=16, d_model=16, n_heads=2, n_layers=2, d_ff=32,
-                    n_max=16, m_max=16)
-    else:
-        raise ConfigError(f"unknown task {task!r}")
-    base.update(overrides)
+MODEL_DEFAULTS = dict(n_heads=2, n_layers=2, d_ff=32, n_max=16, m_max=16)  # no widths
+
+
+def _build(make, defaults: dict, section: dict):
+    """make(**{**defaults, **section}), a bad value raising ConfigError."""
     try:
-        return tf.ModelConfig(**base)
-    except (TypeError, ValueError) as exc:  # ValueError: DimensionMismatch
-        raise ConfigError(str(exc)) from exc
-
-
-def build_graded_config(cfg: ExperimentConfig, model: tf.ModelConfig,
-                        grades: np.ndarray | None) -> graded.GradedModelConfig:
-    """The task's grading defaults, overridden by the config's grading section."""
-    defaults = dict(attention_variant="scores")
-    if cfg.task == "hier_copy":
-        defaults = dict(attention_variant="none", positional="exp_decay", alpha=0.25,
-                        grade_inputs=False)
-    try:
-        return graded.GradedModelConfig.from_dict(
-            model, {"mode": cfg.mode, "grades": grades, **defaults, **cfg.grading})
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_train_config(cfg: ExperimentConfig) -> training.TrainConfig:
-    base = dict(steps=2000, seed=42)
-    if cfg.task == "hier_copy":
-        base["base_loss"] = "sigmoid_ce"
-        base["lr"] = 2e-3
-    base.update(cfg.train)
-    try:
-        return training.TrainConfig(**base)
-    except (TypeError, ValueError) as exc:  # ValueError: StepOutOfRange, InvalidLambda
+        return make(**{**defaults, **section})
+    except (TypeError, ValueError) as exc:  # ValueError: DimensionMismatch, InvalidSpec, ...
         raise ConfigError(str(exc)) from exc
 
 
@@ -169,15 +138,23 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     (loss fields null when none completed), then re-raises; later runs
     do not start.
     """
-    model = default_model_config(cfg.task, cfg.model)
-    tcfg = build_train_config(cfg)
+    if cfg.task not in tasks.TASKS:
+        raise ConfigError(f"unknown task {cfg.task!r}; known: {sorted(tasks.TASKS)}")
+    task = tasks.TASKS[cfg.task]
+    tcfg = _build(training.TrainConfig, task.train, cfg.train)
     try:
-        ds = tasks.generate(cfg.task, cfg.dataset_size, cfg.seq_len, seed=tcfg.seed)
+        ds = task.generate(cfg.dataset_size, cfg.seq_len, tcfg.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    grades = ds.grades[:model.d_model] if ds.grades.size >= model.d_model else None
-    gcfg = build_graded_config(cfg, model, grades)
+    widths = training.data_widths(ds.x, ds.y)
+    fixed = [f"model.{k}" for k in widths if k in cfg.model]
+    if fixed:
+        raise ConfigError(f"config keys {fixed} are fixed by the task's data "
+                          f"({widths}); remove them")
+    model = _build(tf.ModelConfig, {**MODEL_DEFAULTS, **widths}, cfg.model)
+    gcfg = _build(lambda **raw: graded.GradedModelConfig.from_dict(model, raw),
+                  {"mode": cfg.mode, "grades": ds.grades, **task.grading}, cfg.grading)
     n = ds.x.shape[1]
     if n > model.n_max and (model.vocab_size or gcfg.add_positional):
         # token ids and positional encodings exist only for positions 1..n_max
@@ -211,19 +188,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         lam = result.metrics[-1]["lambda"] if rcfg.mode == EXPONENTIAL else None
         final_cfg = replace(rcfg, grades=result.grades, head_grades=result.head_grades)
         errs, attn_mass = _final_eval(result.params, final_cfg, ds, 64, lam)
-        final_weights = final_cfg.weights(lam=lam)[: errs.size] \
-            if errs.size <= final_cfg.grades.size else np.ones(errs.size)
         training.write_metrics_csv(out / f"{name}_metrics.csv", result.metrics)
         tf.save_checkpoint(out / f"{name}_final.gtc", result.params, model,
                            extra={**final_cfg.to_dict(), "lambda": lam, "task": cfg.task})
         summary["runs"][name] = {
             **_loss_fields(result.metrics),
             "per_dim_error": errs.tolist(),
-            "grade_weighted_error": float(np.sum(final_weights * errs)),
-            "high_grade_error": float(np.mean(errs[list(tasks.POLY_SIGNAL_DIMS)]))
-            if cfg.task == "poly_degree" else None,
-            "low_grade_error": float(np.mean(errs[list(tasks.POLY_NOISE_DIMS)]))
-            if cfg.task == "poly_degree" else None,
+            "grade_weighted_error": float(np.sum(final_cfg.weights(lam=lam) * errs)),
+            "high_grade_error": float(np.mean(errs[list(task.signal_dims)]))
+            if task.signal_dims else None,
+            "low_grade_error": float(np.mean(errs[list(task.noise_dims)]))
+            if task.noise_dims else None,
             "attention_mass_by_position": attn_mass.tolist(),
             "effective_dimension": final_cfg.effective_dim(),
             "grade_norm": float(np.linalg.norm(result.grades)),

@@ -18,6 +18,7 @@ from . import autodiff as ad
 from . import gnn
 from . import graded
 from . import graded_space as gs
+from . import harness
 from . import tasks
 from . import tensor
 from . import training
@@ -821,13 +822,12 @@ def training_smoke_run(mode: str, steps: int = 2000, seed: int = 42):
     key = f"{mode}:{steps}:{seed}"
     if key in _SMOKE_CACHE:
         return _SMOKE_CACHE[key]
-    cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=2, d_ff=32,
-                         n_max=16, out_dim=4)
+    task = tasks.TASKS["poly_degree"]
+    ds = task.generate(256, 8, seed)
+    cfg = tf.ModelConfig(**harness.MODEL_DEFAULTS, **training.data_widths(ds.x, ds.y))
     params = tf.init_params(cfg, Rng(0))
-    ds = tasks.gen_poly_degree(256, 8, seed)
-    gcfg = graded.GradedModelConfig(model=cfg, mode=mode, grades=ds.grades,
-                                    attention_variant="scores")
-    tc = training.TrainConfig(steps=steps, seed=seed, batch_size=16)
+    gcfg = graded.GradedModelConfig(model=cfg, mode=mode, grades=ds.grades, **task.grading)
+    tc = training.TrainConfig(**{**task.train, "steps": steps, "seed": seed})
     res = training.train(params, gcfg, ds.x, ds.y, tc)
     _SMOKE_CACHE[key] = (res, gcfg, ds)
     return _SMOKE_CACHE[key]

@@ -9,11 +9,15 @@ trained model's error concentrates there.  Default grading (0, 0.5, 1, 2).
 hier_copy: token copy task whose first token selects the output
 transformation (plain copy vs. shifted copy), making position 1 carry the
 information every other position needs.
+
+TASKS holds every per-task fact: generator, grading and training defaults,
+signal and noise output dimensions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -77,15 +81,31 @@ def gen_hier_copy(size: int, seq_len: int, seed: int, vocab: int = 16) -> Datase
     rows = np.arange(size)[:, None]
     cols = np.arange(seq_len)[None, :]
     y[rows, cols, targets - 1] = 1.0
-    return Dataset("hier_copy", tokens, y, np.zeros(16))
+    return Dataset("hier_copy", tokens, y, np.zeros(vocab))
+
+
+@dataclass(frozen=True)
+class Task:
+    generate: Callable[[int, int, int], Dataset]  # (size, seq_len, seed)
+    grading: dict = field(default_factory=dict)   # GradedModelConfig defaults
+    train: dict = field(default_factory=dict)     # TrainConfig defaults
+    signal_dims: tuple = ()  # learnable output dimensions; () = no split
+    noise_dims: tuple = ()   # output dimensions without signal
+
+
+TASKS = {
+    "poly_degree": Task(gen_poly_degree, grading=dict(attention_variant="scores"),
+                        signal_dims=POLY_SIGNAL_DIMS, noise_dims=POLY_NOISE_DIMS),
+    "hier_copy": Task(gen_hier_copy,
+                      grading=dict(positional="exp_decay", alpha=0.25, grade_inputs=False),
+                      train=dict(base_loss="sigmoid_ce", lr=2e-3)),
+}
 
 
 def generate(task: str, size: int, seq_len: int, seed: int) -> Dataset:
-    if task in ("poly", "poly_degree"):
-        return gen_poly_degree(size, seq_len, seed)
-    if task in ("hiercopy", "hier_copy"):
-        return gen_hier_copy(size, seq_len, seed)
-    raise ValueError(f"unknown task {task!r}")
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; known: {sorted(TASKS)}")
+    return TASKS[task].generate(size, seq_len, seed)
 
 
 def save_dataset(path, ds: Dataset) -> None:

@@ -82,12 +82,12 @@ def softmax_rows(m, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray
     """Softmax along `axis`, -1 (rows) or -2 (columns), stabilized by max
     subtraction.
 
-    The one softmax of the package; the tape's softmax and attention nodes
-    call it too (attention on key-major scores, along -2, normalised in
-    place: out is the score buffer itself).  One buffer, out or a new
-    array, holds shift, exponential and normalisation; the max is a ufunc
-    reduction, the normaliser `row_sums` or `col_sums`.  m is modified only
-    when it is out.
+    The one softmax of the package; the tape's attention node
+    (`autodiff.attention_rows`) calls it too, on key-major scores, along
+    -2, normalised in place: out is the score buffer itself.  One buffer,
+    out or a new array, holds shift, exponential and normalisation; the
+    max is a ufunc reduction, the normaliser `row_sums` or `col_sums`.
+    m is modified only when it is out.
     """
     if axis not in (-1, -2):
         raise ValueError(f"softmax_rows normalises along axis -1 or -2, not {axis}")

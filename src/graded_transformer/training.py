@@ -287,6 +287,18 @@ def write_metrics_csv(path, metrics: list[dict]) -> None:
             writer.writerow({k: row[k] for k in METRIC_FIELDS})
 
 
+def data_widths(x: np.ndarray, y: np.ndarray) -> dict[str, int]:
+    """The vocab_size, d_model and out_dim of the one model that fits x and y.
+    The loss weighs output k by the model tuple's weight k, so d_model, the
+    output width and a matrix input's width are all the targets' width."""
+    width = np.shape(y)[-1]
+    if np.ndim(x) == 2:
+        return {"vocab_size": width, "d_model": width, "out_dim": 0}
+    if np.shape(x)[-1] != width:
+        raise DimensionMismatch(f"inputs {np.shape(x)} vs targets {np.shape(y)}: widths differ")
+    return {"vocab_size": 0, "d_model": width, "out_dim": width}
+
+
 def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarray],
                 gcfg: graded.GradedModelConfig, x: np.ndarray, y: np.ndarray,
                 lam: float, cfg: TrainConfig):
@@ -338,6 +350,11 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     num = data_x.shape[0]
     if data_y.shape[0] != num:
         raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
+    m, want = gcfg.model, data_widths(data_x, data_y)
+    if want != {"vocab_size": m.vocab_size, "d_model": m.d_model,
+                "out_dim": 0 if m.vocab_size else m.output_dim}:
+        raise DimensionMismatch(f"inputs {data_x.shape} and targets {data_y.shape} "
+                                f"need a model with {want}, not {m}")
 
     grade_arrays = {"q": gcfg.grades.reshape(1, -1)}
     for i, qh in enumerate(gcfg.head_grades):

@@ -12,7 +12,7 @@ start token and id 2 is EOS.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -45,6 +45,10 @@ class ModelConfig:
     out_dim: int = 0  # 0 = d_model; used by matrix-input output head
 
     def __post_init__(self):
+        for f in fields(self):  # a float or bool here fails only deep in init_params
+            v = getattr(self, f.name)
+            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                raise DimensionMismatch(f"{f.name} must be an integer, not {v!r}")
         if self.d_model % self.n_heads != 0:
             raise DimensionMismatch(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -160,15 +164,15 @@ def check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     """Validated ids: one sequence (n,) or a batch (B, n) of equal-length
     sequences.  The length cap n_max applies to each sequence."""
     try:
-        ids = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
+        ids = np.atleast_1d(np.asarray(tokens))
     except ValueError as exc:  # ragged batch
         if any(len(row) > cfg.n_max for row in tokens):
             raise SequenceTooLong(f"a sequence of the batch exceeds {cfg.n_max}") from exc
         raise DimensionMismatch("batched sequences must share one length") from exc
     if ids.ndim > 2:
         raise DimensionMismatch(f"token ids must be (n,) or (B, n), got {ids.ndim}-D")
-    if np.any(ids < 1) or np.any(ids > cfg.vocab_size):
-        raise TokenOutOfRange(f"token ids must lie in [1, {cfg.vocab_size}]")
+    if ids.dtype.kind not in "iu" or np.any(ids < 1) or np.any(ids > cfg.vocab_size):
+        raise TokenOutOfRange(f"token ids must be integers in [1, {cfg.vocab_size}]")
     if ids.shape[-1] > cfg.n_max:
         raise SequenceTooLong(f"sequence of length {ids.shape[-1]} exceeds {cfg.n_max}")
     return ids

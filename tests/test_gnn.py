@@ -9,6 +9,7 @@ from graded_transformer import graded_space as gs
 from graded_transformer import props
 from graded_transformer import training
 from graded_transformer.errors import (
+    DimensionMismatch,
     DomainError,
     NegativeWeightFractionalGrade,
     NonPositiveGrade,
@@ -54,9 +55,16 @@ class TestMultiplicativeNeuron:
         right = lam ** np.sum(np.square(q)) * gnn.multiplicative_neuron(w, q, 0.0, x)
         assert abs(left - right) <= 1e-8 * max(1.0, abs(right))
 
+    def test_negative_factor_integer_grades(self):
+        # (-2)**1 * 3**2 = -18, through the sign branch
+        got = gnn.multiplicative_neuron([-2.0, 3.0], [1.0, 2.0], 0.25, [1.0, 1.0])
+        assert got == pytest.approx(-18.0 + 0.25, rel=1e-14)
+
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gnn.multiplicative_neuron([1.0, 1.0], [0.5, 1.5], 0.0, [-1.0, 1.0])
+        with pytest.raises(DomainError):  # the negative factor sits under the fractional grade
+            gnn.multiplicative_neuron([1.0, -1.0], [2.0, 0.5], 0.0, [1.0, 1.0])
 
 
 class TestGradedLayer:
@@ -91,6 +99,19 @@ class TestGradedLayer:
         with pytest.raises(NegativeWeightFractionalGrade):
             gnn.GradedLayerParams(np.ones((2, 2)), np.zeros(2), [0.5, 1.0],
                                   positive_reparam=False)
+
+    def test_positive_reparam_is_softplus_power(self):
+        w = np.array([[-30.0, -1.0, 0.0], [0.5, 2.0, 40.0]])
+        q = np.array([0.5, 1.0, 1.5])
+        params = gnn.GradedLayerParams(w, np.zeros(2), q)
+        assert params.positive_reparam
+        assert_close(params.effective_weights(), np.log1p(np.exp(w)) ** q, tol=1e-12)
+
+    def test_layer_shapes_must_agree(self):
+        with pytest.raises(DimensionMismatch):
+            gnn.GradedLayerParams(np.ones((2, 3)), np.zeros(2), [1.0, 2.0])
+        with pytest.raises(DimensionMismatch):
+            gnn.GradedLayerParams(np.ones((2, 2)), np.zeros(3), [1.0, 2.0])
 
     def test_graded_relu_activation_dispatch(self):
         q = [2.0, 2.0]

@@ -14,6 +14,7 @@ from graded_transformer.errors import (
     NotRowStochastic,
     PositionOutOfRange,
     SequenceTooLong,
+    TokenOutOfRange,
     ZeroAfterGrading,
 )
 from graded_transformer.tensor import Rng
@@ -385,6 +386,17 @@ class TestBatchedForward:
             self.logits(params, gcfg, [[3] * 4, [3] * (cfg.n_max + 1)])
         with pytest.raises(DimensionMismatch):
             self.logits(params, gcfg, [[3] * 4, [3] * 5])
+
+    def test_vocab_model_takes_only_integer_ids(self, token_model):
+        cfg, params = token_model
+        gcfg = graded.unit_config(cfg)
+        for inputs in ([3.7, 4.9], np.ones((4, cfg.d_model))):  # float ids, embedded rows
+            with pytest.raises(TokenOutOfRange):
+                self.logits(params, gcfg, inputs)
+        with pytest.raises(TokenOutOfRange):
+            graded.graded_generate(params, gcfg, [3.7, 4.9])
+        assert graded.graded_generate(params, gcfg, [3, 4]) == \
+            graded.graded_generate(params, gcfg, np.array([3, 4], dtype=np.int32))
 
     def test_matrix_batch_matches_per_sequence(self, toy_model):
         cfg, params = toy_model

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,16 @@ class TestDatasets:
         span = 16 - tasks.HIER_BODY_MIN + 1
         want = tasks.HIER_BODY_MIN + (ds.x[shift_rows, 1:] - tasks.HIER_BODY_MIN + 1) % span
         assert np.array_equal(targets[shift_rows, 1:], want)
+
+    def test_generate_takes_only_table_names(self):
+        for name, task in tasks.TASKS.items():
+            ds = tasks.generate(name, 3, 4, seed=1)
+            assert ds.task == name and ds.grades.size == ds.y.shape[-1]
+            assert set(task.signal_dims).isdisjoint(task.noise_dims)
+        for alias in ("poly", "hiercopy"):  # the CLI's spellings, mapped there
+            with pytest.raises(ValueError, match="known"):
+                tasks.generate(alias, 3, 4, seed=1)
+        assert tasks.gen_hier_copy(2, 3, 1, vocab=9).grades.size == 9
 
     def test_round_trip(self, tmp_path):
         ds = tasks.gen_hier_copy(10, 5, 7)
@@ -186,6 +198,14 @@ class TestCheckpointArrays:
         assert code == 2
         msg = err.getvalue()
         assert path.name in msg and "w_out" in msg and "Traceback" not in msg
+
+
+    @pytest.mark.parametrize("key, value", [("d_model", 4.0), ("n_layers", 1.0),
+                                            ("n_heads", True), ("n_layers", "2")])
+    def test_non_integer_model_dimension_exit_two(self, stored, key, value):
+        raw, data, path = stored
+        path.write_bytes(_rewrite_header(raw, lambda h: h["meta"]["config"].update({key: value})))
+        _assert_rejected(path, data, key)
 
 
 class TestCorruptContainer:
@@ -491,11 +511,10 @@ class TestFinalEval:
     @pytest.mark.parametrize("task,n_eval", [("poly_degree", 64), ("poly_degree", 7),
                                              ("hier_copy", 64)])
     def test_stacked_matches_per_sequence(self, task, n_eval):
-        model = harness.default_model_config(task, {})
         ds = tasks.generate(task, 24, 6, seed=3)
-        grades = ds.grades[:model.d_model] if task == "poly_degree" else np.zeros(16)
-        cfg = ExperimentConfig(task=task, mode="exponential")
-        gcfg = harness.build_graded_config(cfg, model, grades)
+        model = tf.ModelConfig(**harness.MODEL_DEFAULTS, **training.data_widths(ds.x, ds.y))
+        gcfg = graded.GradedModelConfig(model=model, mode="exponential", grades=ds.grades,
+                                        **tasks.TASKS[task].grading)
         params = tf.init_params(model, Rng(1), decoder=False)
         errs, mass = harness._final_eval(params, gcfg, ds, n_eval, 1.7)
         want_errs, want_mass = per_sequence_eval(params, gcfg, ds, n_eval, 1.7)
@@ -716,6 +735,18 @@ class TestCli:
             assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("task, model", [
+        ("hier_copy", {"d_model": 32}), ("hier_copy", {"vocab_size": 20}),
+        ("poly_degree", {"d_model": 8}), ("poly_degree", {"out_dim": 3}),
+    ])
+    def test_width_fixed_by_data_exit_two(self, tmp_path, task, model):
+        out = tmp_path / "run"
+        key = f"model.{next(iter(model))}"
+        self.assert_config_error(tmp_path, {"task": task, "dataset_size": 16, "seq_len": 4,
+                                            "model": model, "out_dir": str(out)},
+                                 f"config keys [{key!r}] are fixed by the task's data")
+        assert not out.exists()
+
     def test_seq_len_above_n_max_exit_two(self, tmp_path):
         # hier_copy's default model has n_max 16
         self.assert_config_error(tmp_path, {"task": "hier_copy", "seq_len": 40,
@@ -753,3 +784,20 @@ class TestCli:
         assert cli.main(["eval", "--checkpoint", str(tmp_path / "run" / "graded_final.gtc"),
                          "--data", str(data)]) == 0
         assert "per_dim_error" in capsys.readouterr().out
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+
+
+def test_configs_are_shipped():
+    assert len(SHIPPED_CONFIGS) >= 3
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(path, tmp_path):
+    cfg = ExperimentConfig.from_file(path)
+    cfg = replace(cfg, dataset_size=8, out_dir=str(tmp_path),
+                  train={**cfg.train, "steps": 2})
+    summary = run_experiment(cfg)
+    for run in summary["runs"].values():
+        assert np.isfinite(run["final_loss"]) and run["steps"] == 2

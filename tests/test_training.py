@@ -350,6 +350,30 @@ class TestTrainLoop:
             training.train(params, gcfg, ds.x, ds.y[:-1], tc)
 
 
+class TestDataWidths:
+    def test_widths_of_each_task(self):
+        poly, hier = tasks.gen_poly_degree(4, 3, 1), tasks.gen_hier_copy(4, 3, 1, vocab=10)
+        assert training.data_widths(poly.x, poly.y) == \
+            {"vocab_size": 0, "d_model": 4, "out_dim": 4}
+        assert training.data_widths(hier.x, hier.y) == \
+            {"vocab_size": 10, "d_model": 10, "out_dim": 0}
+
+    def test_matrix_input_width_must_match_targets(self):
+        with pytest.raises(DimensionMismatch, match=r"\(2, 3, 5\).*\(2, 3, 4\)"):
+            training.data_widths(np.zeros((2, 3, 5)), np.zeros((2, 3, 4)))
+
+    @pytest.mark.parametrize("widths", [{"d_model": 8, "out_dim": 8},
+                                        {"out_dim": 2}, {"vocab_size": 4}])
+    def test_train_rejects_model_before_first_step(self, monkeypatch, widths):
+        cfg, _, _, ds = tiny_setup()
+        model = replace(cfg, **widths)
+        gcfg = graded.GradedModelConfig(model=model, attention_variant="scores")
+        monkeypatch.setattr(training, "record_step", None)  # a step would call it
+        with pytest.raises(DimensionMismatch, match=r"\(32, 4, 4\)"):
+            training.train(tf.init_params(model, Rng(0), decoder=False), gcfg, ds.x, ds.y,
+                           training.TrainConfig(steps=1))
+
+
 def smoke_setup(mode):
     """The c15 smoke config: d=4, 2 heads, 2 layers, d_ff 32, poly_degree n=8."""
     cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=2, d_ff=32,

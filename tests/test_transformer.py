@@ -28,6 +28,14 @@ class TestConfig:
         cfg = tf.ModelConfig(vocab_size=4, d_model=8, n_heads=2, n_layers=1, d_ff=8)
         assert tf.ModelConfig(**cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("key, value", [("d_model", 4.0), ("n_layers", 1.0),
+                                            ("n_heads", True), ("out_dim", 4.0)])
+    def test_integer_field_takes_no_float_or_bool(self, key, value):
+        kw = {"vocab_size": 0, "d_model": 4, "n_heads": 2, "n_layers": 1, "d_ff": 8}
+        with pytest.raises(DimensionMismatch, match=key):
+            tf.ModelConfig(**{**kw, key: value})
+        assert tf.ModelConfig(**{**kw, "d_model": np.int64(4)}).d_k == 2  # numpy ints are ints
+
 
 class TestInitParams:
     @pytest.mark.parametrize("vocab,d,h,layers", [(0, 4, 2, 2), (12, 8, 2, 1), (16, 16, 4, 2)])
@@ -142,6 +150,16 @@ class TestCheckTokens:
             batch[2, 1] = bad
             with pytest.raises(TokenOutOfRange):
                 tf.check_tokens(batch, cfg)
+
+    @pytest.mark.parametrize("ids", [[3.7, 4.2], [3.0, 4.0], [True, False]])
+    def test_non_integer_ids_rejected(self, cfg, ids):
+        with pytest.raises(TokenOutOfRange, match="integers"):
+            tf.check_tokens(np.array(ids), cfg)
+
+    def test_generate_rejects_float_ids(self, token_model):
+        cfg, params = token_model
+        with pytest.raises(TokenOutOfRange):
+            tf.generate(params, cfg, [3.7, 4.9])
 
     def test_rejects_three_axes(self, cfg):
         with pytest.raises(DimensionMismatch):
