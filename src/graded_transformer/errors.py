@@ -33,14 +33,6 @@ class NonPositiveGrade(GradedTransformerError, ValueError):
     """Operation requires strictly positive grades."""
 
 
-class NegativeWeightFractionalGrade(GradedTransformerError, ValueError):
-    """Neuron weights must be positive when raised to fractional grades."""
-
-
-class DomainError(GradedTransformerError, ValueError):
-    """A multiplicative factor left the valid domain."""
-
-
 class ProbabilityDomain(GradedTransformerError, ValueError):
     """Predicted values must form probabilities in (0, 1]."""
 

@@ -3,7 +3,7 @@
 Grading enters at up to four places, each independently switchable:
 inputs (diagonal scaling, optionally followed by row normalization),
 positional encodings (linear 1 - alpha*t or exponential base**(-alpha*t)
-decay), attention (four variants of diagonal scaling inside each head),
+decay), attention (three variants of diagonal scaling inside each head),
 and the feed-forward/output projections.
 
 With unit weights (linear mode, identity-like map, or zero grades in
@@ -35,7 +35,7 @@ from .graded_space import (
     effective_dimension,
 )
 
-VARIANTS = ("none", "scores", "queries_keys", "multi_head", "values")
+VARIANTS = ("none", "scores", "queries_keys", "values")
 POSITIONAL_MODES = ("off", "linear_decay", "exp_decay")
 
 
@@ -202,7 +202,7 @@ class AttentionGrading:
         w = self.head_weights
         if self.variant == "scores":
             return ad.scale_cols(q, w), k, v
-        if self.variant in ("queries_keys", "multi_head"):
+        if self.variant == "queries_keys":
             return ad.scale_cols(q, w), ad.scale_cols(k, w), v
         if self.variant == "values":
             return q, k, ad.scale_cols(v, w)

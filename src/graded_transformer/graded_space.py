@@ -1,5 +1,5 @@
-"""Graded vector-space algebra: star action, grading matrices, graded norms,
-graded activations, and homogeneity checking.
+"""Graded vector-space algebra: star action, grading matrices, the
+homogeneous norm and the graded ReLU.
 
 A grading tuple assigns a non-negative grade q_i to each feature dimension.
 Linear grading scales dimension i by f(q_i) for a positive weight map f;
@@ -90,12 +90,12 @@ class GradingSpec:
         return w.copy()
 
 
-def as_grades(grades, allow_negative: bool = False) -> np.ndarray:
+def as_grades(grades) -> np.ndarray:
     """Validate and return a grading tuple as a 1-D float64 array."""
     q = np.asarray(grades, dtype=np.float64).reshape(-1)
     if not np.all(np.isfinite(q)):
         raise InvalidSpec("grades must be finite")
-    if not allow_negative and np.any(q < 0):
+    if np.any(q < 0):
         raise InvalidSpec("grades must be non-negative")
     return q
 
@@ -111,32 +111,14 @@ def star_action(lam: float, grades, x) -> np.ndarray:
         raise NegativeBaseFractionalGrade(
             f"base {lam} with fractional grades is undefined"
         )
-    return signed_power(lam, q) * x
-
-
-def signed_power(base, q) -> np.ndarray:
-    """base**q elementwise, broadcast: float_power when no base is negative,
-    else sign(base)**round(q) * |base|**q, which needs integral q wherever
-    the base is negative (callers check)."""
-    if np.any(base < 0):
-        return np.sign(base) ** np.round(q).astype(np.int64) * np.abs(base) ** q
-    return np.float_power(base, q)
+    if lam < 0:  # integral grades: sign(lam)**q_i * |lam|**q_i
+        return np.sign(lam) ** np.round(q).astype(np.int64) * np.abs(lam) ** q * x
+    return np.float_power(lam, q) * x
 
 
 def grading_matrix(grades, spec: GradingSpec) -> np.ndarray:
     """Diagonal d x d matrix of grading weights."""
     return np.diag(spec.weights(grades))
-
-
-def graded_norm(grades, x) -> float:
-    """sqrt(sum_i q_i * x_i**2); requires strictly positive grades."""
-    q = as_grades(grades)
-    if np.any(q <= 0):
-        raise NonPositiveGrade("graded_norm requires q_i > 0")
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.size != q.size:
-        raise DimensionMismatch(f"graded_norm: {x.size} vs {q.size}")
-    return float(np.sqrt(np.sum(q * x * x)))
 
 
 def homogeneous_norm(grades, x) -> float:
@@ -157,9 +139,8 @@ def homogeneous_norm(grades, x) -> float:
     return float(total ** (1.0 / r))
 
 
-def graded_relu(grades, x, sign_preserving: bool = False) -> np.ndarray:
-    """Componentwise max{0, |x_i|**(1/q_i)}; the sign-preserving variant
-    multiplies by sgn(x_i) before thresholding."""
+def graded_relu(grades, x) -> np.ndarray:
+    """Componentwise max{0, |x_i|**(1/q_i)}."""
     q = as_grades(grades)
     if np.any(q <= 0):
         raise NonPositiveGrade("graded_relu requires q_i > 0")
@@ -167,42 +148,7 @@ def graded_relu(grades, x, sign_preserving: bool = False) -> np.ndarray:
     ax = np.abs(x)
     nonzero = ax > 0
     safe = np.where(nonzero, ax, 1.0)
-    powed = np.where(nonzero, safe ** (1.0 / q), 0.0)
-    if sign_preserving:
-        return np.where(x > 0, powed, 0.0)
-    return powed
-
-
-def exp_activation(grades, x) -> np.ndarray:
-    """Componentwise exp(x_i / q_i) - 1."""
-    q = as_grades(grades)
-    if np.any(q <= 0):
-        raise NonPositiveGrade("exp_activation requires q_i > 0")
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(x / q) - 1.0
-
-
-def homogeneity_degree(a, q_in, q_out, tol: float = 1e-9) -> float | None:
-    """Degree d such that every nonzero entry a_ij satisfies
-    r_i = q_j + d; None when no common degree exists.
-
-    Grade-preserving maps are exactly those with degree 0.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    q_in = as_grades(q_in, allow_negative=True)
-    q_out = as_grades(q_out, allow_negative=True)
-    if a.shape != (q_out.size, q_in.size):
-        raise DimensionMismatch(
-            f"homogeneity_degree: matrix {a.shape} vs out {q_out.size}, in {q_in.size}"
-        )
-    rows, cols = np.nonzero(np.abs(a) > tol)
-    if rows.size == 0:
-        return 0.0  # zero map is homogeneous of every degree; report 0
-    degrees = q_out[rows] - q_in[cols]
-    d = degrees[0]
-    if np.any(np.abs(degrees - d) > tol):
-        return None
-    return float(d)
+    return np.where(nonzero, safe ** (1.0 / q), 0.0)
 
 
 def effective_dimension(grades, delta: float) -> int:

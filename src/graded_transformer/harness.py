@@ -233,6 +233,10 @@ def evaluate_checkpoint(checkpoint_path, data_path) -> dict:
     if task != ds.task:
         raise ConfigError(f"{checkpoint_path}: a {task!r} checkpoint cannot evaluate "
                           f"{data_path}, a {ds.task!r} dataset")
+    try:
+        training.check_widths(ds.x, ds.y, model)
+    except ValueError as exc:
+        raise ConfigError(f"{checkpoint_path} cannot evaluate {data_path}: {exc}") from exc
     stored = {f.name: extra[f.name] for f in fields(graded.GradedModelConfig)
               if f.name in extra and f.name != "model"}
     try:

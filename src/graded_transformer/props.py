@@ -362,7 +362,7 @@ def _grading_lip(seed):
 
 
 # ---------------------------------------------------------------------------
-# graded neurons and losses
+# graded losses
 
 
 @prop("gnn.loss_nonnegative_zero_iff_equal",
@@ -441,10 +441,10 @@ def _unit_reduce(seed):
 
 
 def attention_row_sum_error(g: np.random.Generator, calls: int = 1000) -> tuple[float, int]:
-    """Graded attention maps over `calls` random draws, cycling the five
-    variants and alternating plus_one and 4**q weights: the max |row sum - 1|
+    """Graded attention maps over `calls` random draws, cycling
+    graded.VARIANTS and alternating plus_one and 4**q weights: the max |row sum - 1|
     and the number of maps with a negative entry."""
-    variants = ("none", "scores", "queries_keys", "multi_head", "values")
+    variants = graded.VARIANTS
     weights = (_PLUS_ONE_AND_EXP2[0], gs.GradingSpec(gs.EXPONENTIAL, base=4.0))
     worst, negative = 0.0, 0
     for trial in range(calls):

@@ -299,6 +299,15 @@ def data_widths(x: np.ndarray, y: np.ndarray) -> dict[str, int]:
     return {"vocab_size": 0, "d_model": width, "out_dim": width}
 
 
+def check_widths(x: np.ndarray, y: np.ndarray, m: tf.ModelConfig) -> None:
+    """Raise DimensionMismatch unless m has the widths data_widths(x, y) gives."""
+    want = data_widths(x, y)
+    if want != {"vocab_size": m.vocab_size, "d_model": m.d_model,
+                "out_dim": 0 if m.vocab_size else m.output_dim}:
+        raise DimensionMismatch(f"inputs {np.shape(x)} and targets {np.shape(y)} "
+                                f"need a model with {want}, not {m}")
+
+
 def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarray],
                 gcfg: graded.GradedModelConfig, x: np.ndarray, y: np.ndarray,
                 lam: float, cfg: TrainConfig):
@@ -350,11 +359,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     num = data_x.shape[0]
     if data_y.shape[0] != num:
         raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
-    m, want = gcfg.model, data_widths(data_x, data_y)
-    if want != {"vocab_size": m.vocab_size, "d_model": m.d_model,
-                "out_dim": 0 if m.vocab_size else m.output_dim}:
-        raise DimensionMismatch(f"inputs {data_x.shape} and targets {data_y.shape} "
-                                f"need a model with {want}, not {m}")
+    check_widths(data_x, data_y, gcfg.model)
 
     grade_arrays = {"q": gcfg.grades.reshape(1, -1)}
     for i, qh in enumerate(gcfg.head_grades):

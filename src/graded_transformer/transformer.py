@@ -11,7 +11,6 @@ start token and id 2 is EOS.
 
 from __future__ import annotations
 
-import re
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
@@ -166,7 +165,7 @@ def check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
     try:
         ids = np.atleast_1d(np.asarray(tokens))
     except ValueError as exc:  # ragged batch
-        if any(len(row) > cfg.n_max for row in tokens):
+        if any(len(row) > cfg.n_max for row in tokens if hasattr(row, "__len__")):
             raise SequenceTooLong(f"a sequence of the batch exceeds {cfg.n_max}") from exc
         raise DimensionMismatch("batched sequences must share one length") from exc
     if ids.ndim > 2:
@@ -405,25 +404,12 @@ def save_checkpoint(path, params: dict[str, np.ndarray], cfg: ModelConfig,
     container.save_arrays(path, params, meta)
 
 
-def _fold_heads(path, arrays: dict[str, np.ndarray], cfg: ModelConfig) -> None:
-    """Fold the old layout's per-head `{prefix}.wq0` .. `wq{h-1}` (d, d_k)
-    arrays into one `{prefix}.wq`, in place; likewise wk, wv, cq, ck, cv."""
-    for first in [k for k in arrays if re.fullmatch(r".+\.[wc][qkv]0", k)]:
-        name = first[:-1]
-        parts = [f"{name}{i}" for i in range(cfg.n_heads)]
-        for part in parts:
-            if np.shape(arrays.get(part)) != (cfg.d_model, cfg.d_k):
-                raise ValueError(f"{path}: old-layout array {part!r} missing or not "
-                                 f"({cfg.d_model}, {cfg.d_k})")
-        arrays[name] = np.hstack([arrays.pop(part) for part in parts])
-
-
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
     """Parameters, config and extra metadata of a checkpoint.
 
     The arrays must follow init_params' layout for the config: every
     encoder array with its name and shape, and the decoder arrays all
-    present or all absent.  Old-layout per-head projections are folded.
+    present or all absent.
     """
     arrays, meta = container.load_arrays(path)
     if meta.get("kind") != CHECKPOINT_KIND:
@@ -432,7 +418,6 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
         cfg = ModelConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: missing or invalid model config: {exc!r}") from exc
-    _fold_heads(path, arrays, cfg)
     # shapes from a throwaway init, so the check cannot drift from the layout
     layout = {k: v.shape for k, v in init_params(cfg, Rng(0)).items()}
     if not any(k in arrays for k in layout if k.startswith("dec")):

@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(graded_transformer.__file__).resolve().parent
 ALIASES = {"ad": "autodiff", "tf": "transformer", "gs": "graded_space"}
 MODULES = {m.name for m in pkgutil.iter_modules([str(PACKAGE)])}
+REPO_DIRS = ("configs", "perfbench", "scripts", "src", "tests")
 
 
 def backticked(text: str) -> list[str]:
@@ -29,6 +30,19 @@ def dotted_names(text: str) -> set[str]:
             if m.group(1) in MODULES or m.group(1) in ALIASES:
                 names.add(m.group(0))
     return names
+
+
+def repo_paths(text: str) -> set[str]:
+    """Every path under a top-level repository directory in the backticked
+    text, commands in fenced blocks included; a glob such as `configs/*.json`
+    counts as one path."""
+    pattern = rf"(?<![\w./])(?:{'|'.join(REPO_DIRS)})/[\w.*/-]*"
+    return {m.group(0) for span in backticked(text) for m in re.finditer(pattern, span)}
+
+
+def exists(path: str) -> bool:
+    """A file or directory of the repository, or a glob matching one."""
+    return any(ROOT.glob(path.rstrip("/")))
 
 
 def resolves(name: str) -> bool:
@@ -56,3 +70,16 @@ def test_stale_name_is_reported():
     names = dotted_names("Decoding: `tf.retired_decode`, and ```\nad.retired_node(x)\n```.")
     assert names == {"tf.retired_decode", "ad.retired_node"}
     assert not any(resolves(name) for name in names)
+
+
+def test_readme_paths_exist():
+    paths = repo_paths((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert {"scripts/compare_outputs.py", "configs/*.json", "tests/"} <= paths
+    missing = sorted(path for path in paths if not exists(path))
+    assert not missing, f"README paths that do not exist: {missing}"
+
+
+def test_stale_path_is_reported():
+    text = "Run `tests/` and ```\npython scripts/retired_run.py --seed 1\n```."
+    assert repo_paths(text) == {"tests/", "scripts/retired_run.py"}
+    assert not exists("scripts/retired_run.py") and exists("tests/")

@@ -8,117 +8,9 @@ from graded_transformer import gnn
 from graded_transformer import graded_space as gs
 from graded_transformer import props
 from graded_transformer import training
-from graded_transformer.errors import (
-    DimensionMismatch,
-    DomainError,
-    NegativeWeightFractionalGrade,
-    NonPositiveGrade,
-    ProbabilityDomain,
-)
+from graded_transformer.errors import NonPositiveGrade, ProbabilityDomain
 
 from conftest import assert_close
-
-
-class TestAdditiveNeuron:
-    def test_unit_grades_is_affine(self):
-        w, x = [0.5, -1.0, 2.0], [1.0, 2.0, 3.0]
-        got = gnn.additive_neuron(w, [1.0, 1.0, 1.0], 0.25, x)
-        assert abs(got - (np.dot(w, x) + 0.25)) <= 1e-12
-
-    def test_fractional_grade_case(self):
-        assert gnn.additive_neuron([4.0], [0.5], 1.0, [3.0]) == pytest.approx(7.0)
-
-    def test_zero_input_gives_bias(self):
-        assert gnn.additive_neuron([2.0, 3.0], [1.0, 2.0], -0.5, [0.0, 0.0]) == -0.5
-
-    def test_fractional_negative_weight_raises(self):
-        with pytest.raises(NegativeWeightFractionalGrade):
-            gnn.additive_neuron([-1.0], [0.5], 0.0, [1.0])
-
-
-class TestMultiplicativeNeuron:
-    def test_zero_grades(self):
-        assert gnn.multiplicative_neuron([2.0, 5.0], [0.0, 0.0], 0.5, [1.0, 9.0]) == 1.5
-
-    def test_hand_case(self):
-        got = gnn.multiplicative_neuron([2.0, 3.0], [1.0, 2.0], 0.0, [1.0, 1.0])
-        assert got == pytest.approx(18.0)
-
-    @given(st.floats(0.5, 2.0),
-           st.lists(st.floats(0.25, 2.0), min_size=3, max_size=3),
-           st.lists(st.floats(0.2, 2.0), min_size=3, max_size=3))
-    def test_scaling_law(self, lam, q, x):
-        # beta(lam * x) = lam**(sum q_i^2) * beta(x) for zero bias
-        w = [1.3, 0.7, 1.1]
-        scaled = gs.star_action(lam, q, np.array(x))
-        left = gnn.multiplicative_neuron(w, q, 0.0, scaled)
-        right = lam ** np.sum(np.square(q)) * gnn.multiplicative_neuron(w, q, 0.0, x)
-        assert abs(left - right) <= 1e-8 * max(1.0, abs(right))
-
-    def test_negative_factor_integer_grades(self):
-        # (-2)**1 * 3**2 = -18, through the sign branch
-        got = gnn.multiplicative_neuron([-2.0, 3.0], [1.0, 2.0], 0.25, [1.0, 1.0])
-        assert got == pytest.approx(-18.0 + 0.25, rel=1e-14)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            gnn.multiplicative_neuron([1.0, 1.0], [0.5, 1.5], 0.0, [-1.0, 1.0])
-        with pytest.raises(DomainError):  # the negative factor sits under the fractional grade
-            gnn.multiplicative_neuron([1.0, -1.0], [2.0, 0.5], 0.0, [1.0, 1.0])
-
-
-class TestGradedLayer:
-    def test_identity_activation_unit_grades(self):
-        w = np.array([[1.0, 2.0], [3.0, 4.0]])
-        params = gnn.GradedLayerParams(w, [0.1, -0.2], [1.0, 1.0])
-        assert_close(gnn.graded_layer_forward(params, [1.0, 1.0]),
-                     w @ [1.0, 1.0] + [0.1, -0.2])
-
-    def test_single_neuron_matches_additive(self):
-        w = np.array([[2.0, 3.0]])
-        q = [1.0, 2.0]
-        # layer grading applies per input column, like the standalone neuron
-        got = gnn.graded_layer_forward(
-            gnn.GradedLayerParams(w, [0.5], q), np.array([1.0, 1.5]))[0]
-        want = gnn.additive_neuron(w[0], q, 0.5, [1.0, 1.5])
-        assert abs(got - want) <= 1e-12
-
-    def test_two_layer_composition(self):
-        g = np.random.default_rng(0)
-        q = [1.0, 2.0]
-        l1 = gnn.GradedLayerParams(g.uniform(0.5, 1.5, (2, 2)), g.normal(size=2), q,
-                                   activation="exp_graded")
-        l2 = gnn.GradedLayerParams(g.uniform(0.5, 1.5, (2, 2)), g.normal(size=2), q)
-        x = np.array([0.3, -0.4])
-        composed = gnn.graded_layer_forward(l2, gnn.graded_layer_forward(l1, x))
-        hidden = gs.exp_activation(q, l1.effective_weights() @ x + l1.bias)
-        want = l2.effective_weights() @ hidden + l2.bias
-        assert_close(composed, want, tol=1e-12)
-
-    def test_fractional_grades_need_reparam(self):
-        with pytest.raises(NegativeWeightFractionalGrade):
-            gnn.GradedLayerParams(np.ones((2, 2)), np.zeros(2), [0.5, 1.0],
-                                  positive_reparam=False)
-
-    def test_positive_reparam_is_softplus_power(self):
-        w = np.array([[-30.0, -1.0, 0.0], [0.5, 2.0, 40.0]])
-        q = np.array([0.5, 1.0, 1.5])
-        params = gnn.GradedLayerParams(w, np.zeros(2), q)
-        assert params.positive_reparam
-        assert_close(params.effective_weights(), np.log1p(np.exp(w)) ** q, tol=1e-12)
-
-    def test_layer_shapes_must_agree(self):
-        with pytest.raises(DimensionMismatch):
-            gnn.GradedLayerParams(np.ones((2, 3)), np.zeros(2), [1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            gnn.GradedLayerParams(np.ones((2, 2)), np.zeros(3), [1.0, 2.0])
-
-    def test_graded_relu_activation_dispatch(self):
-        q = [2.0, 2.0]
-        params = gnn.GradedLayerParams(np.eye(2), np.zeros(2), q,
-                                       activation="graded_relu")
-        out = gnn.graded_layer_forward(params, [4.0, -9.0])
-        assert_close(out, gs.graded_relu(q, [4.0, -9.0]))
 
 
 class TestGradedLosses:

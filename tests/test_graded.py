@@ -167,7 +167,7 @@ class TestGradedAttention:
         v = tensor.randn_matrix(rng, 4, 3)
         ones = np.ones(3)
         base, attn_base = graded.graded_attention(q, k, v, ones, "none")
-        for variant in ("scores", "queries_keys", "multi_head", "values"):
+        for variant in ("scores", "queries_keys", "values"):
             out, attn = graded.graded_attention(q, k, v, ones, variant)
             assert np.array_equal(out, base)
             assert np.array_equal(attn, attn_base)

@@ -83,18 +83,12 @@ class TestNorms:
         assert abs(gs.homogeneous_norm(q, x) - want) <= 1e-12
 
     def test_zero_vector(self):
-        assert gs.graded_norm([1.0, 2.0], [0.0, 0.0]) == 0.0
         assert gs.homogeneous_norm([1.0, 2.0], [0.0, 0.0]) == 0.0
 
     def test_unit_grades(self):
         x = np.array([3.0, 4.0])
-        assert abs(gs.graded_norm([1.0, 1.0], x) - 5.0) <= 1e-12
         # r = 1: (||x||^2)^(1/1)
         assert abs(gs.homogeneous_norm([1.0, 1.0], x) - 25.0) <= 1e-12
-
-    def test_graded_norm_requires_positive(self):
-        with pytest.raises(NonPositiveGrade):
-            gs.graded_norm([0.0, 1.0], [1.0, 1.0])
 
 
 class TestGradedRelu:
@@ -118,48 +112,9 @@ class TestGradedRelu:
         scaled = gs.star_action(lam, q, x)
         assert_close(gs.graded_relu(q, scaled), abs(lam) * gs.graded_relu(q, x), tol=1e-10)
 
-    def test_sign_preserving_thresholds(self):
-        out = gs.graded_relu([2.0, 2.0], [4.0, -4.0], sign_preserving=True)
-        assert_close(out, [2.0, 0.0])
-
     def test_requires_positive_grades(self):
         with pytest.raises(NonPositiveGrade):
             gs.graded_relu([0.0], [1.0])
-
-
-class TestExpActivation:
-    def test_zero(self):
-        assert_close(gs.exp_activation([1.0, 2.0], [0.0, 0.0]), [0.0, 0.0])
-
-    def test_hand_value(self):
-        assert abs(gs.exp_activation([2.0], [2.0])[0] - (np.e - 1.0)) <= 1e-12
-
-    def test_scaled_input_identity(self):
-        # exp_i(lam**q_i x_i) = exp(lam**q_i x_i / q_i) - 1, by direct evaluation
-        q = np.array([0.5, 1.0, 2.0])
-        x = np.array([0.3, -0.2, 0.9])
-        lam = 1.7
-        scaled = gs.star_action(lam, q, x)
-        assert_close(gs.exp_activation(q, scaled),
-                     np.exp(lam**q * x / q) - 1.0, tol=1e-12)
-
-
-class TestHomogeneityDegree:
-    def test_identity_is_grade_preserving(self):
-        q = [0.5, 1.0, 2.0]
-        assert gs.homogeneity_degree(np.eye(3), q, q) == 0.0
-
-    def test_single_entry_degree(self):
-        a = np.zeros((2, 2))
-        a[1, 0] = 0.7
-        assert gs.homogeneity_degree(a, [1.0, 5.0], [0.0, 3.0]) == 2.0
-
-    def test_dense_random_not_homogeneous(self):
-        g = np.random.default_rng(3)
-        a = g.normal(size=(3, 3))
-        q_in = [0.0, 1.0, 2.5]
-        q_out = [0.3, 1.7, 2.9]
-        assert gs.homogeneity_degree(a, q_in, q_out) is None
 
 
 def test_effective_dimension():

@@ -172,17 +172,22 @@ def _assert_rejected(path, data, key=None):
 
 
 class TestCheckpointArrays:
-    def test_old_layout_evaluates_bitwise_equal(self, stored, tmp_path):
+    def test_old_layout_exit_two(self, stored, tmp_path):
+        # per-head arrays ({prefix}.wq0 ..) from before the folded layout are not loaded
         _, data, _ = stored
-        cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=2, d_ff=8,
+        cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=1, d_ff=8,
                              n_max=8, out_dim=4)
-        extra = {"grades": [0.0, 0.5, 1.0, 2.0]}
-        paths = {}
-        for layout, init in (("old", per_head_init_params), ("folded", tf.init_params)):
-            paths[layout] = tmp_path / f"{layout}.gtc"
-            tf.save_checkpoint(paths[layout], init(cfg, Rng(0), decoder=False), cfg, extra)
-        old, folded = (evaluate_checkpoint(paths[k], data) for k in ("old", "folded"))
-        assert old["per_dim_error"] == folded["per_dim_error"]
+        path = tmp_path / "old.gtc"
+        tf.save_checkpoint(path, per_head_init_params(cfg, Rng(0), decoder=False), cfg)
+        _assert_rejected(path, data, "enc0.wq")
+
+    def test_other_widths_without_task_exit_two(self, stored, tmp_path):
+        # the stored checkpoint is poly_degree-shaped (d_model 4) and names no task
+        raw, _, path = stored
+        path.write_bytes(raw)
+        data = tmp_path / "hier.gtc"
+        tasks.save_dataset(data, tasks.gen_hier_copy(4, 4, 1))
+        _assert_rejected(path, data, data.name)
 
     def test_missing_array_exit_two(self, stored, tmp_path):
         _, data, _ = stored
@@ -752,6 +757,14 @@ class TestCli:
         self.assert_config_error(tmp_path, {"task": "hier_copy", "seq_len": 40,
                                             "out_dir": str(tmp_path / "run")},
                                  "seq_len 40 exceeds the model's n_max 16")
+
+    def test_retired_variant_exit_two(self, tmp_path):
+        out = tmp_path / "run"
+        self.assert_config_error(tmp_path, {"task": "poly_degree", "dataset_size": 16,
+                                            "seq_len": 4, "out_dir": str(out),
+                                            "grading": {"attention_variant": "multi_head"}},
+                                 "unknown attention variant 'multi_head'")
+        assert not out.exists()
 
     @staticmethod
     def assert_config_error(tmp_path, raw, message):

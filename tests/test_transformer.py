@@ -143,6 +143,8 @@ class TestCheckTokens:
             tf.check_tokens([[3] * 8, [3] * 17], cfg)  # one over-length row
         with pytest.raises(DimensionMismatch):
             tf.check_tokens([[3] * 8, [3] * 7], cfg)
+        with pytest.raises(DimensionMismatch):
+            tf.check_tokens([[1, 2], 3], cfg)  # a row that is no sequence
 
     def test_ids_out_of_range_in_batch(self, cfg):
         for bad in (0, cfg.vocab_size + 1):
@@ -493,15 +495,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="model.gtc"):
             tf.load_checkpoint(path)
 
-    def test_old_layout_is_folded(self, tmp_path, deep_token_model):
+    def test_old_layout_is_rejected(self, tmp_path, deep_token_model):
         cfg, _ = deep_token_model
         path = tmp_path / "old.gtc"
         tf.save_checkpoint(path, per_head_init_params(cfg, Rng(4)), cfg)
-        loaded, _, _ = tf.load_checkpoint(path)
-        want = tf.init_params(cfg, Rng(4))
-        assert set(loaded) == set(want)
-        for name in want:
-            assert np.array_equal(loaded[name], want[name]), name
+        with pytest.raises(ValueError, match="old.gtc.*'enc0.wq'"):
+            tf.load_checkpoint(path)
 
     def test_decoder_arrays_may_be_absent(self, tmp_path, token_model):
         cfg, _ = token_model
@@ -516,13 +515,11 @@ class TestCheckpoint:
         ("enc0.ln1.g", "reshape"),     # wrong shape
         ("enc0.wk", "reshape"),
         ("dec0.w1", "drop"),           # decoder arrays only partly present
-        ("enc0.wv1", "old_drop"),      # old layout with a head missing
-        ("enc0.wq0", "old_reshape"),
     ])
     def test_missing_or_misshapen_array(self, tmp_path, token_model, name, edit):
         cfg, params = token_model
-        arrays = per_head_init_params(cfg, Rng(0)) if edit.startswith("old") else dict(params)
-        if edit.endswith("drop"):
+        arrays = dict(params)
+        if edit == "drop":
             del arrays[name]
         else:
             arrays[name] = arrays[name][:, :-1]
