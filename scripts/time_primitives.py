@@ -16,6 +16,17 @@ d_ff = 128):
   (512 rows) with every input a parameter leaf: the forward call, which
   records its node, and then each of its VJPs once.
 
+A third section, `forward`, times the values-only work of one eval
+forward at each benchmark model (the generation model and prompts that
+`perfbench/adapter.py` builds at seed 1, with the config's own base): the
+whole forward as the benchmark's eval makes it (`adapter.forward`: a new
+tape, the parameter wrap and `graded.forward_nodes`), and the parts of it
+that depend on the grading or on the prompt alone, namely
+`graded.weight_nodes`, `graded.graded_positional_matrix`,
+`transformer.check_tokens` and `transformer.as_nodes` (the one
+parameter wrap each forward or request makes).  Each row gives
+microseconds per call and that as a share of the forward.
+
 Beside each primitive runs its bare numpy body: the same arithmetic on
 plain arrays, with no nodes, checks or closures.  The ratio is the
 primitive's cost over its body.  Every timing is the fastest of
@@ -46,6 +57,8 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from graded_transformer import autodiff as ad  # noqa: E402
+from graded_transformer import graded  # noqa: E402
+from graded_transformer import transformer as tf  # noqa: E402
 
 D, HEADS, D_FF, EPS = 32, 4, 128, 1e-5
 KEYS = 8  # cached rows a decode-step query attends to
@@ -209,24 +222,52 @@ def cases(rng):
     return out
 
 
+def forward_cases():
+    """name -> call, the forward and its parts at each benchmark model."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import adapter
+
+    out = {}
+    for name in adapter.WORKLOADS:
+        wl = adapter.build(name, 1)
+        params, gcfg, prompt = wl.gen_params, wl.gen_cfg, wl.prompts[0]
+        n = len(prompt)
+        tape = ad.Tape()
+        out[f"{name} forward"] = lambda p=params, g=gcfg, x=prompt: adapter.forward(p, g, x, None)
+        out[f"{name} weight_nodes"] = lambda g=gcfg: graded.weight_nodes(g, None, None)
+        out[f"{name} graded_positional_matrix"] = \
+            lambda g=gcfg, n=n: graded.graded_positional_matrix(n, g, None)
+        out[f"{name} check_tokens"] = lambda g=gcfg, x=prompt: tf.check_tokens(x, g.model)
+        out[f"{name} as_nodes"] = lambda p=params, t=tape: tf.as_nodes(p, t, trainable=False)
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=40)
     parser.add_argument("--number", type=int, default=200)
     args = parser.parse_args()
     table = cases(np.random.default_rng(0))
-    best = {(name, side): math.inf for name in table for side in (0, 1)}
+    per_forward = forward_cases()
+    timed = {**{(name, side): fn for name, (op, body, _) in table.items()
+                for side, fn in ((0, op), (1, body))},
+             **{(name, 0): fn for name, fn in per_forward.items()}}
+    best = dict.fromkeys(timed, math.inf)
     for _ in range(args.repeats):
-        for name, (op, body, _) in table.items():
-            for side, fn in ((0, op), (1, body)):
-                t0 = perf_counter()
-                for _ in range(args.number):
-                    fn()
-                best[name, side] = min(best[name, side], perf_counter() - t0)
+        for key, fn in timed.items():
+            t0 = perf_counter()
+            for _ in range(args.number):
+                fn()
+            best[key] = min(best[key], perf_counter() - t0)
     print(f"{'case':28s} {'primitive us':>13s} {'numpy us':>9s} {'ratio':>6s}")
     for name, (_, _, per) in table.items():
         prim, body = (best[name, side] / args.number / per * 1e6 for side in (0, 1))
         print(f"{name:28s} {prim:13.2f} {body:9.2f} {prim / body:6.2f}")
+    print(f"\n{'forward part':40s} {'us':>9s} {'share':>6s}")
+    for name in per_forward:
+        us = best[name, 0] / args.number * 1e6
+        whole = best[f"{name.split()[0]} forward", 0] / args.number * 1e6
+        print(f"{name:40s} {us:9.2f} {us / whole:6.1%}")
     print(f"numpy {np.__version__}, {os.cpu_count()} cores, fastest of {args.repeats} "
           f"interleaved rounds of {args.number} calls")
     return 0

@@ -14,6 +14,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
     PositionOutOfRange,
 )
 from .graded_space import (
+    EXPONENTIAL,
     LINEAR,
     GradingSpec,
     WeightMap,
@@ -137,9 +139,18 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
     weight map, so head i's weights fill columns i d_k .. (i + 1) d_k.
     grade_nodes may carry learnable leaves under keys "q" and "q_head_{i}";
     anything missing falls back to the config's fixed tuples (wrapped as
-    constants on the active tape).
+    constants on the active tape).  Without grade_nodes (evaluation and
+    generation) both rows are constants, read-only and shared by every
+    call with the same grading (see _fixed_weight_rows).
     """
-    grade_nodes = grade_nodes or {}
+    if grade_nodes is None:
+        w_model, w_heads = _fixed_weight_rows(
+            gcfg.mode, gcfg.weight_map,
+            (gcfg.base if lam is None else lam) if gcfg.mode == EXPONENTIAL else None,
+            _grade_bytes(gcfg.grades),
+            None if gcfg.attention_variant == "none"
+            else b"".join(map(_grade_bytes, gcfg.head_grades)))
+        return ad.wrap(w_model), None if w_heads is None else ad.wrap(w_heads)
     spec = gcfg.spec(lam)
 
     def grades_for(q_value, key):
@@ -154,6 +165,31 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
     return w_model, spec.node(ad.hstack(q_heads))
 
 
+def _grade_bytes(q) -> bytes:
+    return np.asarray(q, dtype=np.float64).tobytes()
+
+
+@lru_cache(maxsize=16)
+def _fixed_weight_rows(mode: str, weight_map: WeightMap, base: float | None,
+                       grades: bytes, head_grades: bytes | None):
+    """The (model, heads) weight rows of fixed grade tuples, as read-only
+    (1, d) and (1, h d_k) arrays (heads None when ungraded).
+
+    The key is the grading's content: the grade tuples as float64 bytes
+    (the head tuples concatenated, which is their stacked row), and the
+    base only in exponential mode.  A tuple rewritten in place, as
+    training.train rewrites its views of the flat buffer, is a new key.
+    """
+    spec = GradingSpec(mode, weight_map, base)  # linear mode reads no base
+    rows = []
+    for q in (grades, head_grades):
+        if q is not None:
+            q = spec.node(np.frombuffer(q).reshape(1, -1)).value
+            q.flags.writeable = False
+        rows.append(q)
+    return tuple(rows)
+
+
 def grade_rows(x, w, normalize: bool) -> ad.Node:
     """The input and FFN grading stage: scale the columns of x by w, then
     optionally scale each row to unit norm."""
@@ -161,27 +197,49 @@ def grade_rows(x, w, normalize: bool) -> ad.Node:
     return ad.normalize_rows(x) if normalize else x
 
 
-def _decay(t: np.ndarray, gcfg: GradedModelConfig, lam: float | None) -> np.ndarray:
+def _decay(t: np.ndarray, positional: str, alpha: float, base: float) -> np.ndarray:
     """Decay factors of the 1-based positions t, one numpy expression: the
     one formula behind positional_scale and graded_positional_matrix."""
-    if gcfg.positional == "off":
+    if positional == "off":
         return np.ones(t.shape)
-    if gcfg.positional == "linear_decay":
-        return 1.0 - gcfg.alpha * t
-    return np.power(gcfg.base if lam is None else lam, -gcfg.alpha * t)
+    if positional == "linear_decay":
+        return 1.0 - alpha * t
+    return np.power(base, -alpha * t)
+
+
+def _decay_base(gcfg: GradedModelConfig, lam: float | None) -> float | None:
+    """The base exp_decay raises: lam if given, else the config's base;
+    None under the other positional modes, which have none."""
+    if gcfg.positional != "exp_decay":
+        return None
+    return gcfg.base if lam is None else lam
 
 
 def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) -> float:
     """Decay factor applied to the positional encoding of 1-based position t."""
     if t < 1 or t > gcfg.model.n_max:
         raise PositionOutOfRange(f"position {t} outside [1, {gcfg.model.n_max}]")
-    return float(_decay(np.array([float(t)]), gcfg, lam)[0])
+    return float(_decay(np.array([float(t)]), gcfg.positional, gcfg.alpha,
+                        _decay_base(gcfg, lam))[0])
 
 
 def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
-    """Decayed encodings of positions 1..n: row t is positional_scale(t) * PE(t)."""
-    table = tf.positional_matrix(n, gcfg.model.d_model, gcfg.model.n_max)
-    return _decay(np.arange(1.0, n + 1), gcfg, lam)[:, None] * table
+    """Decayed encodings of positions 1..n: row t is positional_scale(t) * PE(t),
+    a read-only table shared by every call with the same arguments."""
+    m = gcfg.model
+    if n > m.n_max:
+        raise PositionOutOfRange(f"position {n} outside [1, {m.n_max}]")
+    return _decayed_table(n, m.d_model, m.n_max, gcfg.positional, gcfg.alpha,
+                          _decay_base(gcfg, lam))
+
+
+@lru_cache(maxsize=16)
+def _decayed_table(n: int, d: int, n_max: int, positional: str, alpha: float,
+                   base: float | None) -> np.ndarray:
+    table = _decay(np.arange(1.0, n + 1), positional, alpha, base)[:, None] \
+        * tf.positional_matrix(n, d, n_max)
+    table.flags.writeable = False
+    return table
 
 
 class AttentionGrading:
@@ -237,12 +295,15 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
         batch = np.ndim(inputs) == 3
         x = ad.wrap(np.reshape(inputs, (-1, np.shape(inputs)[-1])) if batch else inputs)
         n = np.shape(inputs)[1] if batch else x.shape[0]
+        if n == 0:
+            raise DimensionMismatch(f"sequences must not be empty, got shape {np.shape(inputs)}")
 
     if gcfg.grade_inputs:
         x = grade_rows(x, w_model, gcfg.normalize_inputs)
     if cfg.vocab_size or gcfg.add_positional:
         positions = graded_positional_matrix(n, gcfg, lam)
-        x = ad.add(x, np.tile(positions, (x.shape[0] // n, 1)))
+        sequences = x.shape[0] // n
+        x = ad.add(x, positions if sequences == 1 else np.tile(positions, (sequences, 1)))
 
     grading = None
     if gcfg.attention_variant != "none" or gcfg.grade_ffn:
@@ -289,7 +350,7 @@ def graded_generate(params, gcfg: GradedModelConfig, tokens,
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=False)
-        z, _ = forward_nodes(p, gcfg, tokens, lam=lam)
+        z, _ = forward_nodes(p, gcfg, tf.check_prompt(tokens, gcfg.model), lam=lam)
         return tf.decode_nodes(p, z, gcfg.model, cap, tf.EOS_TOKEN)
 
 

@@ -160,8 +160,8 @@ def causal_mask(n: int) -> np.ndarray:
 
 
 def check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
-    """Validated ids: one sequence (n,) or a batch (B, n) of equal-length
-    sequences.  The length cap n_max applies to each sequence."""
+    """Validated ids: one sequence (n,) or a batch (B, n) of equal-length,
+    non-empty sequences.  The length cap n_max applies to each sequence."""
     try:
         ids = np.atleast_1d(np.asarray(tokens))
     except ValueError as exc:  # ragged batch
@@ -170,10 +170,20 @@ def check_tokens(tokens, cfg: ModelConfig) -> np.ndarray:
         raise DimensionMismatch("batched sequences must share one length") from exc
     if ids.ndim > 2:
         raise DimensionMismatch(f"token ids must be (n,) or (B, n), got {ids.ndim}-D")
-    if ids.dtype.kind not in "iu" or np.any(ids < 1) or np.any(ids > cfg.vocab_size):
+    if ids.size == 0:
+        raise DimensionMismatch(f"token ids must not be empty, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu" or ids.min() < 1 or ids.max() > cfg.vocab_size:
         raise TokenOutOfRange(f"token ids must be integers in [1, {cfg.vocab_size}]")
     if ids.shape[-1] > cfg.n_max:
         raise SequenceTooLong(f"sequence of length {ids.shape[-1]} exceeds {cfg.n_max}")
+    return ids
+
+
+def check_prompt(tokens, cfg: ModelConfig) -> np.ndarray:
+    """Validated ids of one prompt (n,): generation decodes one sequence."""
+    ids = check_tokens(tokens, cfg)
+    if ids.ndim != 1:
+        raise DimensionMismatch(f"generation takes one prompt (n,), got shape {ids.shape}")
     return ids
 
 
@@ -359,7 +369,7 @@ def generate(params: dict[str, np.ndarray], cfg: ModelConfig, tokens,
     tape = ad.Tape()
     with ad.recording(tape):
         p = as_nodes(params, tape, trainable=False)
-        z = encoder(p, embed_tokens(p, cfg, tokens), cfg)
+        z = encoder(p, embed_tokens(p, cfg, check_prompt(tokens, cfg)), cfg)
         return decode_nodes(p, z, cfg, cfg.m_max if m_max is None else m_max, eos)
 
 

@@ -145,14 +145,17 @@ class TestGradedPositional:
         assert np.array_equal(pe, tf.positional_encoding(3, 4, 16))
 
     def test_matrix_rows_are_scaled_encodings(self, toy_model):
-        for kw in ({"positional": "linear_decay", "alpha": 0.05},
+        for kw in ({"positional": "off"},
+                   {"positional": "linear_decay", "alpha": 0.05},
                    {"positional": "exp_decay", "alpha": 0.3, "mode": gs.EXPONENTIAL}):
             gcfg = make_gcfg(toy_model, **kw)
-            want = np.stack([graded.positional_scale(t, gcfg, 1.7)
-                             * tf.positional_encoding(t, 4, 16) for t in range(1, 17)])
-            assert np.array_equal(graded.graded_positional_matrix(16, gcfg, 1.7), want)
-        with pytest.raises(PositionOutOfRange):
-            graded.graded_positional_matrix(17, gcfg)
+            for lam in (None, 1.7):
+                want = np.stack([graded.positional_scale(t, gcfg, lam)
+                                 * tf.positional_encoding(t, 4, 16) for t in range(1, 17)])
+                for _ in range(2):  # the second call reads the cached table
+                    assert np.array_equal(graded.graded_positional_matrix(16, gcfg, lam), want)
+            with pytest.raises(PositionOutOfRange):  # after a warm call too
+                graded.graded_positional_matrix(17, gcfg)
 
     def test_position_range(self, toy_model):
         gcfg = make_gcfg(toy_model)
@@ -339,6 +342,37 @@ class TestForward:
             tf.generate(params, cfg, toks)
             assert len(wrapped) == 1 and sorted(wrapped[0]) == sorted(params)
 
+    @pytest.mark.parametrize("mode", [gs.LINEAR, gs.EXPONENTIAL])
+    def test_grades_written_in_place_reach_the_next_forward(self, toy_model, mode):
+        # training.train rewrites the grade arrays in place: a cached weight
+        # row must not outlive the values it was made from
+        cfg, params = toy_model
+        gcfg = make_gcfg(toy_model, mode=mode, attention_variant="queries_keys",
+                         grade_ffn=True, grade_output=True)
+        x = Rng(72).generator.normal(size=(5, 4))
+        before = graded.forward(params, gcfg, x, lam=1.5)[1]
+        new = Rng(73).generator.uniform(0.0, 2.0, 4)
+        gcfg.grades[:] = new
+        for i, q in enumerate(gcfg.head_grades):
+            q[:] = new[::-1][2 * i:2 * i + 2]
+        fresh = make_gcfg(toy_model, mode=mode, attention_variant="queries_keys",
+                          grade_ffn=True, grade_output=True, grades=new.copy(),
+                          head_grades=[new[::-1][:2].copy(), new[::-1][2:].copy()])
+        got = graded.forward(params, gcfg, x, lam=1.5)[1]
+        assert np.array_equal(got, graded.forward(params, fresh, x, lam=1.5)[1])
+        assert not np.array_equal(got, before)
+
+    def test_cached_constants_are_read_only(self, toy_model):
+        gcfg = make_gcfg(toy_model, attention_variant="scores", positional="linear_decay",
+                         alpha=0.05)
+        w_model, w_heads = graded.weight_nodes(gcfg, None, None)
+        table = graded.graded_positional_matrix(6, gcfg)
+        for cached in (w_model.value, w_heads.value, table):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+        assert np.array_equal(graded.weight_nodes(gcfg, None, None)[0].value,
+                              gcfg.weights()[None])
+
     def test_exponential_base_must_exceed_one(self, toy_model):
         cfg, params = toy_model
         ecfg = make_gcfg(toy_model, mode=gs.EXPONENTIAL)
@@ -386,6 +420,9 @@ class TestBatchedForward:
             self.logits(params, gcfg, [[3] * 4, [3] * (cfg.n_max + 1)])
         with pytest.raises(DimensionMismatch):
             self.logits(params, gcfg, [[3] * 4, [3] * 5])
+        for empty in ([], np.zeros(0, dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+            with pytest.raises(DimensionMismatch, match="empty"):
+                self.logits(params, gcfg, empty)
 
     def test_vocab_model_takes_only_integer_ids(self, token_model):
         cfg, params = token_model
@@ -398,6 +435,16 @@ class TestBatchedForward:
         assert graded.graded_generate(params, gcfg, [3, 4]) == \
             graded.graded_generate(params, gcfg, np.array([3, 4], dtype=np.int32))
 
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 3)])
+    def test_generate_takes_one_prompt(self, token_model, shape):
+        # a batch would decode one sequence against the rows of every prompt
+        cfg, params = token_model
+        prompts = np.arange(3, 3 + np.prod(shape)).reshape(shape)
+        with pytest.raises(DimensionMismatch, match="one prompt"):
+            graded.graded_generate(params, graded.unit_config(cfg), prompts)
+        with pytest.raises(DimensionMismatch, match="one prompt"):
+            tf.generate(params, cfg, prompts)
+
     def test_matrix_batch_matches_per_sequence(self, toy_model):
         cfg, params = toy_model
         gcfg = make_gcfg(toy_model, attention_variant="scores", add_positional=True,
@@ -406,6 +453,9 @@ class TestBatchedForward:
         got = self.logits(params, gcfg, x)
         want = np.vstack([self.logits(params, gcfg, seq) for seq in x])
         assert_close(got, want, tol=1e-12)
+        for empty in (np.zeros((0, 4)), np.zeros((2, 0, 4))):
+            with pytest.raises(DimensionMismatch, match="empty"):
+                self.logits(params, gcfg, empty)
 
 
 class TestConstructAttentionTarget:

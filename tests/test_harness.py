@@ -549,6 +549,21 @@ class TestCli:
         ds = tasks.load_dataset(data)
         assert ds.size == 8
 
+    def test_eval_of_empty_sequences_exit_two(self, tmp_path, capsys):
+        cfg = tf.ModelConfig(vocab_size=16, d_model=16, n_heads=2, n_layers=1, d_ff=8,
+                             n_max=8)
+        ckpt = tmp_path / "model.gtc"
+        tf.save_checkpoint(ckpt, tf.init_params(cfg, Rng(0), decoder=False), cfg,
+                           extra={"task": "hier_copy"})
+        data = tmp_path / "empty.gtc"  # four hier_copy sequences of no tokens
+        container.save_arrays(data, {"x": np.zeros((4, 0), dtype=np.int64),
+                                     "y": np.zeros((4, 0, 16)), "grades": np.zeros(16)},
+                              meta={"kind": "dataset", "task": "hier_copy"})
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "empty" in err
+        assert "Traceback" not in err
+
     def test_gen_unwritable_out_exit_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "ds.gtc"
         assert cli.main(["gen", "--task", "poly", "--size", "4", "--len", "8",

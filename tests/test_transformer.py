@@ -163,6 +163,13 @@ class TestCheckTokens:
         with pytest.raises(TokenOutOfRange):
             tf.generate(params, cfg, [3.7, 4.9])
 
+    @pytest.mark.parametrize("ids", [[], np.zeros(0, dtype=np.int64),
+                                     np.zeros((2, 0), dtype=np.int64),
+                                     np.zeros((0, 4), dtype=np.int64)])
+    def test_empty_rejected(self, cfg, ids):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            tf.check_tokens(ids, cfg)
+
     def test_rejects_three_axes(self, cfg):
         with pytest.raises(DimensionMismatch):
             tf.check_tokens(np.ones((2, 2, 2), dtype=np.int64), cfg)
