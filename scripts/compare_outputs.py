@@ -9,15 +9,20 @@ Usage, from the root of a checkout:
 `dump` builds every workload of this tree's `perfbench/adapter.py` at
 seed S, trains each of its jobs, and saves the training losses, the final
 parameters, the eval logits of the first 32 dataset sequences under each
-trained model and the greedy tokens of every generation prompt.  Run it
-with BLAS held to one thread (it sets OPENBLAS_NUM_THREADS and friends
-before numpy loads, as perfbench/run.py does) in each tree to compare.
+trained model and the greedy tokens of every generation prompt.  It also
+saves the tree's two text outputs: the `graded-transformer demo` output
+and the `graded-transformer props --seed 0` report.  Run it with BLAS
+held to one thread (it sets OPENBLAS_NUM_THREADS and friends before numpy
+loads, as perfbench/run.py does) in each tree to compare; to compare
+with a tree whose script predates the text outputs, copy this script
+into that tree first.
 
 `diff` prints, per workload, the largest relative difference of the
 losses, the parameters and the logits, each array's largest |a - b| over
-its largest |b|, and whether the tokens match.  It exits 1 when the
-dumps hold different arrays or shapes, a token differs, or a relative
-difference exceeds 1e-13.
+its largest |b|, and whether the tokens match; then whether each text
+output is identical.  It exits 1 when the dumps hold different arrays or
+shapes, a token or a text output differs, or a relative difference
+exceeds 1e-13.
 """
 
 import os
@@ -34,6 +39,7 @@ import numpy as np  # noqa: E402
 TOLERANCE = 1e-13
 EVAL_SEQUENCES = 32
 KINDS = ("losses", "params", "logits")
+TEXTS = {"demo": "demo", "props": "props --seed 0"}  # key: the CLI command it records
 
 
 def dump(out: str, seed: int) -> None:
@@ -54,6 +60,10 @@ def dump(out: str, seed: int) -> None:
         for i, prompt in enumerate(wl.prompts):
             tokens = adapter.generate(wl.gen_params, wl.gen_cfg, prompt, wl.m_max)
             arrays[f"{name}/tokens/{i}"] = np.asarray(tokens, dtype=np.int64)
+    from graded_transformer import demo, props  # from this tree's src, as adapter loads it
+
+    arrays["text/demo"] = np.asarray(demo.run_demo())
+    arrays["text/props"] = np.asarray(props.run_props(None, 0)[1])
     np.savez(out, **arrays)
 
 
@@ -65,8 +75,11 @@ def diff(path_a: str, path_b: str) -> int:
         return 1
     worst: dict = {}
     tokens_equal: dict = {}
-    for key in sorted(a.files):  # workload/kind/...
+    texts_equal = {name: str(a[f"text/{name}"]) == str(b[f"text/{name}"]) for name in TEXTS}
+    for key in sorted(a.files):  # workload/kind/..., or text/name
         workload, kind = key.split("/")[:2]
+        if workload == "text":
+            continue
         if kind == "tokens":
             tokens_equal[workload] = tokens_equal.get(workload, True) and \
                 np.array_equal(a[key], b[key])
@@ -88,8 +101,11 @@ def diff(path_a: str, path_b: str) -> int:
         failed |= not same or any(r > TOLERANCE for r in rels.values())
         print(f"{workload:14s} " + " ".join(f"{rels[k]:10.2e}" for k in KINDS)
               + f"  {'identical' if same else 'DIFFER'}")
+    for name, command in TEXTS.items():
+        failed |= not texts_equal[name]
+        print(f"graded-transformer {command}: {'identical' if texts_equal[name] else 'DIFFER'}")
     print(f"{'FAIL' if failed else 'PASS'} (tolerance {TOLERANCE:.0e} relative to each "
-          "array's peak; tokens must match)")
+          "array's peak; tokens and text outputs must match)")
     return int(failed)
 
 

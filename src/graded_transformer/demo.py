@@ -72,7 +72,7 @@ def layer_norm_rows() -> list[str]:
 
 
 def positional_rows() -> list[str]:
-    pe1 = tf.positional_encoding(1, 4)
+    pe1 = tf.positional_matrix(1, 4)[0]
     return [
         f"positional encoding t=1, d=4  computed {np.round(pe1, 4).tolist()}  "
         f"(dim 0 equals sin(1) = {np.sin(1):.4f})",

@@ -19,7 +19,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from . import tensor
 from . import transformer as tf
 from .errors import (
     DimensionMismatch,
@@ -34,7 +33,6 @@ from .graded_space import (
     WeightMap,
     affine_map,
     as_grades,
-    effective_dimension,
 )
 
 VARIANTS = ("none", "scores", "queries_keys", "values")
@@ -77,6 +75,8 @@ class GradedModelConfig:
             raise InvalidSpec(f"unknown attention variant {self.attention_variant!r}")
         if self.positional not in POSITIONAL_MODES:
             raise InvalidSpec(f"unknown positional mode {self.positional!r}")
+        if not self.alpha >= 0:
+            raise InvalidSpec(f"positional decay alpha must be >= 0, not {self.alpha!r}")
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
         self.max_weight()  # weights() rejects a bad mode, base or weight map
@@ -112,9 +112,6 @@ class GradedModelConfig:
         tuples = [self.grades, *self.head_grades]
         return max(float(self.weights(q, lam).max()) for q in tuples)
 
-    def effective_dim(self, delta: float = 0.5) -> int:
-        return effective_dimension(self.grades, delta)
-
 
 def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
     """Ungraded twin: the defaults above (linear, zero grades under plus_one,
@@ -137,11 +134,11 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
 
     The head tuples are stacked into one (1, h d_k) grade row before the
     weight map, so head i's weights fill columns i d_k .. (i + 1) d_k.
-    grade_nodes may carry learnable leaves under keys "q" and "q_head_{i}";
-    anything missing falls back to the config's fixed tuples (wrapped as
-    constants on the active tape).  Without grade_nodes (evaluation and
-    generation) both rows are constants, read-only and shared by every
-    call with the same grading (see _fixed_weight_rows).
+    grade_nodes holds a (1, d) grade node under "q" and, for graded
+    attention, a (1, d_k) one under each "q_head_{i}", learnable or
+    constant.  Without grade_nodes (evaluation and generation) both rows
+    are constants, read-only and shared by every call with the same
+    grading (see _fixed_weight_rows).
     """
     if grade_nodes is None:
         w_model, w_heads = _fixed_weight_rows(
@@ -152,16 +149,10 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
             else b"".join(map(_grade_bytes, gcfg.head_grades)))
         return ad.wrap(w_model), None if w_heads is None else ad.wrap(w_heads)
     spec = gcfg.spec(lam)
-
-    def grades_for(q_value, key):
-        q = grade_nodes.get(key)
-        return _row(q_value) if q is None else q
-
-    w_model = spec.node(grades_for(gcfg.grades, "q"))
+    w_model = spec.node(grade_nodes["q"])
     if gcfg.attention_variant == "none":
         return w_model, None
-    q_heads = [grades_for(gcfg.head_grades[i], f"q_head_{i}")
-               for i in range(gcfg.model.n_heads)]
+    q_heads = [grade_nodes[f"q_head_{i}"] for i in range(gcfg.model.n_heads)]
     return w_model, spec.node(ad.hstack(q_heads))
 
 
@@ -377,23 +368,6 @@ def graded_attention(q, k, v, head_weights, variant: str,
     q, k, v = AttentionGrading(variant, w).apply(ad.wrap(q), ad.wrap(k), ad.wrap(v))
     out = tf.attention_head(q, k, v, w.size, mask, collect).value
     return out, collect[0][0]
-
-
-def graded_ffn_vector(x, w1, b1, w2, b2, gcfg: GradedModelConfig,
-                      lam: float | None = None) -> np.ndarray:
-    """M * Fnn(x) for one row vector, optionally normalized."""
-    p = {"ffn.w1": w1, "ffn.b1": _row(b1), "ffn.w2": w2, "ffn.b2": _row(b2)}
-    ff = tf.feed_forward(p, "ffn", _row(x))
-    w = gcfg.spec(lam).node(_row(gcfg.grades))
-    return grade_rows(ff, w, gcfg.normalize_ffn).value[0]
-
-
-def graded_output_vector(h, w_out, b_out, gcfg: GradedModelConfig,
-                         lam: float | None = None) -> np.ndarray:
-    """Logits z = W_out (M h) + b_out followed by softmax."""
-    w = gcfg.spec(lam).node(_row(gcfg.grades))
-    z = ad.add_rowvec(ad.matmul(ad.scale_cols(_row(h), w), w_out), _row(b_out))
-    return tensor.softmax_rows(z.value)[0]
 
 
 # ---------------------------------------------------------------------------

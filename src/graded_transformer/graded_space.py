@@ -85,7 +85,7 @@ class GradingSpec:
         """Diagonal scale factors for the given grades, as a new 1-D array
         (the identity map's node is the grade row itself)."""
         w = self.node(as_grades(grades).reshape(1, -1)).value[0]
-        if np.any(w <= 0):
+        if not np.all(w > 0):  # a NaN weight fails too
             raise InvalidSpec("linear grading weights must be positive")
         return w.copy()
 

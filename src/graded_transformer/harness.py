@@ -6,6 +6,7 @@ step checkpoints go to a subdirectory named after the run."""
 from __future__ import annotations
 
 import json
+import math
 import time
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -19,7 +20,7 @@ from . import tensor
 from . import training
 from . import transformer as tf
 from .errors import ConfigError, DivergenceDetected
-from .graded_space import EXPONENTIAL, LINEAR, WeightMap
+from .graded_space import EXPONENTIAL, LINEAR, WeightMap, effective_dimension
 from .tensor import Rng
 
 
@@ -58,15 +59,21 @@ _JSON_KINDS = {int: "integer", float: "number", bool: "boolean", str: "string",
                dict: "object", type(None): "null"}
 
 
+def _number(value) -> bool:
+    """An int or a finite float: no bool, NaN or Infinity (json reads both)."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
 def _numbers(value) -> bool:
-    """A JSON array of numbers; a boolean is no number."""
-    return type(value) is list and all(type(v) in (int, float) for v in value)
+    """A JSON array of numbers."""
+    return type(value) is list and all(map(_number, value))
 
 
 def _expected_kind(value, hint) -> str | None:
     """The JSON kind a config value annotated `hint` must have, or None when
     it has it.  Types match exactly (an int field takes no bool), except
-    that a float field also takes an integer and `X | None` also takes null."""
+    that a float field also takes an integer and `X | None` also takes null;
+    no number is NaN or Infinity."""
     if hint is np.ndarray:  # a grade tuple
         return None if _numbers(value) else "array of numbers"
     if hint is WeightMap:
@@ -78,7 +85,8 @@ def _expected_kind(value, hint) -> str | None:
     if list in options:  # per-head grade tuples
         ok = value is None or (type(value) is list and all(map(_numbers, value)))
         return None if ok else "array of number arrays or null"
-    ok = type(value) in options or (float in options and type(value) is int)
+    ok = _number(value) if float in options and type(value) in (int, float) \
+        else type(value) in options
     return None if ok else " or ".join(_JSON_KINDS[t] for t in options)
 
 
@@ -95,9 +103,11 @@ def _check_keys(raw: dict, cls, section: str = "", exclude=()) -> None:
         kind = _expected_kind(value, hints[name])
         if kind:
             key = f"{section}.{name}" if section else name
+            got = json.dumps(value) if type(value) is float and not _number(value) \
+                else type(value).__name__  # NaN and Infinity by their JSON names
             raise ConfigError(
                 f"config {'section' if hints[name] is dict else 'key'} {key!r} must be "
-                f"a JSON {kind}, not {type(value).__name__}")
+                f"a JSON {kind}, not {got}")
 
 
 MODEL_DEFAULTS = dict(n_heads=2, n_layers=2, d_ff=32, n_max=16, m_max=16)  # no widths
@@ -200,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "low_grade_error": float(np.mean(errs[list(task.noise_dims)]))
             if task.noise_dims else None,
             "attention_mass_by_position": attn_mass.tolist(),
-            "effective_dimension": final_cfg.effective_dim(),
+            "effective_dimension": effective_dimension(final_cfg.grades, 0.5),
             "grade_norm": float(np.linalg.norm(result.grades)),
             "wall_time_s": wall,
             "steps": len(result.metrics),

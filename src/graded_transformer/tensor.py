@@ -1,4 +1,4 @@
-"""Dense linear-algebra and randomness substrate.
+"""Numeric substrate: seeded randomness, BLAS sums, softmax, spectral norm.
 
 All numeric state is carried by 2-D float64 numpy arrays.  Operations here
 are pure; randomness is always drawn from an explicitly seeded `Rng`, never
@@ -24,31 +24,12 @@ Matrix = np.ndarray  # 2-D float64, row-major
 _F64 = np.dtype(np.float64)
 
 
-def as_matrix(data) -> Matrix:
-    """Coerce input to a 2-D float64 array (1-D input becomes a row)."""
-    m = np.asarray(data, dtype=np.float64)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise DimensionMismatch(f"expected 2-D data, got ndim={m.ndim}")
-    return m
-
-
 class Rng:
     """Deterministic random stream, fully specified by its seed (PCG64)."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self.generator = np.random.default_rng(self.seed)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product; raises DimensionMismatch on bad inner dims."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"matmul: {a.shape} x {b.shape}")
-    return a @ b
 
 
 @lru_cache(maxsize=256)
@@ -103,9 +84,12 @@ def spectral_norm(m: Matrix, iters: int = 200, seed: int = 0) -> float:
     """Largest singular value via power iteration on m^T m.
 
     Accurate to ~1e-6 relative error on well-separated spectra for
-    iters >= 200; raises ZeroMatrix for an all-zero input.
+    iters >= 200; raises DimensionMismatch unless m is 2-D and ZeroMatrix
+    for an all-zero input.
     """
-    m = as_matrix(m)
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionMismatch(f"spectral_norm needs a 2-D matrix, got ndim={m.ndim}")
     if not np.any(m):
         raise ZeroMatrix("spectral_norm of a zero matrix")
     rng = np.random.default_rng(seed)
@@ -128,7 +112,3 @@ def randn_matrix(rng: Rng, rows: int, cols: int) -> Matrix:
     if rows < 1 or cols < 1:
         raise DimensionMismatch(f"randn_matrix: rows={rows}, cols={cols}")
     return rng.generator.standard_normal((rows, cols))
-
-
-def frobenius(m: Matrix) -> float:
-    return float(np.linalg.norm(np.asarray(m)))

@@ -268,9 +268,6 @@ class TrainResult:
     diverged: bool = False
     wall_time: float = 0.0
 
-    def metric_column(self, key: str) -> list:
-        return [row[key] for row in self.metrics]
-
 
 METRIC_FIELDS = [
     "step", "lambda", "loss", "loss_main", "loss_reg",

@@ -132,13 +132,6 @@ def _sinusoids(positions: np.ndarray, d: int) -> np.ndarray:
     return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
 
 
-def positional_encoding(i: int, d: int, n_max: int | None = None) -> np.ndarray:
-    """Sinusoidal encoding of 1-based position i in dimension d."""
-    if i < 1 or (n_max is not None and i > n_max):
-        raise PositionOutOfRange(f"position {i} outside [1, {n_max}]")
-    return _sinusoids(np.array([float(i)]), d)[0]
-
-
 def positional_matrix(n: int, d: int, n_max: int | None = None) -> np.ndarray:
     """Encodings of positions 1..n, one row each: a read-only table shared
     by every call with the same (n, d)."""

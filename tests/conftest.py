@@ -62,6 +62,14 @@ def run_nodes(params, builder):
     return out.value if isinstance(out, ad.Node) else out
 
 
+def sinusoid(i, d):
+    """Reference: the sinusoidal encoding of 1-based position i in dimension
+    d, one position at a time."""
+    k = np.arange(d, dtype=np.float64)
+    angle = i / np.power(10000.0, np.where(k % 2 == 0, k, k - 1) / d)
+    return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
+
+
 def same_bits(a, b) -> bool:
     """Equal shapes and bytes: -0.0 differs from 0.0, a NaN equals itself."""
     a, b = np.asarray(a), np.asarray(b)

@@ -19,7 +19,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, run_nodes, unnormalized_softmax
+from conftest import assert_close, run_nodes, sinusoid, unnormalized_softmax
 
 
 def make_gcfg(toy_model, **kw):
@@ -54,7 +54,11 @@ class TestConfig:
         lambda: dict(weight_map=gs.WeightMap("identity"), grades=np.ones(4),
                      head_grades=[np.ones(2), np.array([0.0, 1.0])]),
         lambda: dict(mode="cubic"),
-    ], ids=["bogus", "affine", "identity", "identity_head", "mode"])
+        lambda: dict(weight_map=gs.affine_map(np.nan, 1.0)),  # NaN weights
+        lambda: dict(positional="exp_decay", alpha=-3.0),  # decay would be growth
+        lambda: dict(alpha=np.nan),
+    ], ids=["bogus", "affine", "identity", "identity_head", "mode", "affine_nan",
+            "alpha_negative", "alpha_nan"])
     def test_bad_grading_rejected(self, toy_model, bad):
         with pytest.raises(InvalidSpec):
             make_gcfg(toy_model, **bad())
@@ -142,7 +146,7 @@ class TestGradedPositional:
     def test_off_is_standard(self, toy_model):
         gcfg = make_gcfg(toy_model)
         pe = graded.graded_positional_matrix(3, gcfg)[2]
-        assert np.array_equal(pe, tf.positional_encoding(3, 4, 16))
+        assert np.array_equal(pe, sinusoid(3, 4))
 
     def test_matrix_rows_are_scaled_encodings(self, toy_model):
         for kw in ({"positional": "off"},
@@ -151,7 +155,7 @@ class TestGradedPositional:
             gcfg = make_gcfg(toy_model, **kw)
             for lam in (None, 1.7):
                 want = np.stack([graded.positional_scale(t, gcfg, lam)
-                                 * tf.positional_encoding(t, 4, 16) for t in range(1, 17)])
+                                 * sinusoid(t, 4) for t in range(1, 17)])
                 for _ in range(2):  # the second call reads the cached table
                     assert np.array_equal(graded.graded_positional_matrix(16, gcfg, lam), want)
             with pytest.raises(PositionOutOfRange):  # after a warm call too
@@ -219,23 +223,29 @@ class TestGradedAttention:
         assert all(a < b for a, b in zip(shares, shares[1:]))
 
 
+def graded_ffn(p, gcfg, x):
+    """The encoder's FFN grading stage on rows x: tf.feed_forward, then
+    grade_rows with the model tuple's weights."""
+    w_model, _ = graded.weight_nodes(gcfg, None, None)
+    return graded.grade_rows(tf.feed_forward(p, "enc0", x), w_model, gcfg.normalize_ffn).value
+
+
 class TestGradedFfnOutput:
     def test_identity_weights(self, toy_model):
         cfg, params = toy_model
         gcfg = make_gcfg(toy_model, grades=np.zeros(4), normalize_ffn=False)
         x = Rng(2).generator.normal(size=4)
-        out = graded.graded_ffn_vector(x, params["enc0.w1"], params["enc0.b1"],
-                                       params["enc0.w2"], params["enc0.b2"], gcfg)
+        out = graded_ffn(params, gcfg, x[None])[0]
         hidden = np.maximum(x @ params["enc0.w1"] + params["enc0.b1"].ravel(), 0)
         want = hidden @ params["enc0.w2"] + params["enc0.b2"].ravel()
         assert np.array_equal(out, want)
 
     def test_zero_weights_give_scaled_bias(self, toy_model):
-        cfg, _ = toy_model
         gcfg = make_gcfg(toy_model, normalize_ffn=True)
         b2 = np.array([1.0, 0.5, -0.5, 2.0])
-        out = graded.graded_ffn_vector(
-            np.ones(4), np.zeros((4, 8)), np.zeros(8), np.zeros((8, 4)), b2, gcfg)
+        p = {"enc0.w1": np.zeros((4, 8)), "enc0.b1": np.zeros((1, 8)),
+             "enc0.w2": np.zeros((8, 4)), "enc0.b2": b2[None]}
+        out = graded_ffn(p, gcfg, np.ones((1, 4)))[0]
         scaled = b2 * gcfg.weights()
         assert_close(out, scaled / np.linalg.norm(scaled), tol=1e-12)
 
@@ -247,19 +257,10 @@ class TestGradedFfnOutput:
         bound = gcfg.max_weight() * lip
         g = Rng(3).generator
         for _ in range(50):
-            x, y = g.normal(size=4), g.normal(size=4)
-            fx = graded.graded_ffn_vector(x, w1, params["enc0.b1"], w2, params["enc0.b2"], gcfg)
-            fy = graded.graded_ffn_vector(y, w1, params["enc0.b1"], w2, params["enc0.b2"], gcfg)
+            x, y = g.normal(size=(1, 4)), g.normal(size=(1, 4))
+            fx, fy = graded_ffn(params, gcfg, x), graded_ffn(params, gcfg, y)
             ratio = np.linalg.norm(fx - fy) / np.linalg.norm(x - y)
             assert ratio <= bound * (1 + 1e-6)
-
-    def test_graded_output_softmax(self, toy_model):
-        gcfg = make_gcfg(toy_model)
-        g = Rng(4).generator
-        probs = graded.graded_output_vector(g.normal(size=4), g.normal(size=(4, 5)),
-                                            g.normal(size=5), gcfg)
-        assert probs.shape == (5,)
-        assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 class TestForward:

@@ -625,10 +625,12 @@ class TestCli:
     @pytest.mark.parametrize("grading", [{"weight_map": "identity"},
                                          {"attention_variant": "bogus"},
                                          {"weight_map": "bogus"},
-                                         {"weight_map": {"affine": [1.0, -1.0]}}])
+                                         {"weight_map": {"affine": [1.0, -1.0]}},
+                                         {"positional": "exp_decay", "alpha": -3.0}])
     def test_invalid_grading_exit_two(self, tmp_path, capsys, grading):
         # poly grades (0, .5, 1, 2): the identity map weighs grade 0 by 0 and
-        # the affine map 1 - q weighs grade 2 by -1; weights must be positive
+        # the affine map 1 - q weighs grade 2 by -1; weights must be positive.
+        # A negative alpha would turn positional decay into growth.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
                                         "seq_len": 4, "out_dir": str(tmp_path / "run"),
@@ -732,6 +734,26 @@ class TestCli:
          "key 'grading.weight_map' must be a JSON string naming a weight map"),
         ({"grading": {"head_grades": [["a"]]}},
          "key 'grading.head_grades' must be a JSON array of number arrays or null"),
+        # Python's json reads NaN and Infinity; no config number may be either
+        ({"mode": "exponential", "train": {"lambda_max": np.inf}},
+         "key 'train.lambda_max' must be a JSON number, not Infinity"),
+        ({"train": {"clip_threshold": np.nan}},
+         "key 'train.clip_threshold' must be a JSON number, not NaN"),
+        ({"train": {"gamma": np.nan}}, "key 'train.gamma' must be a JSON number, not NaN"),
+        ({"train": {"gamma_coord": np.inf}},
+         "key 'train.gamma_coord' must be a JSON number, not Infinity"),
+        ({"train": {"lr": -np.inf}}, "key 'train.lr' must be a JSON number, not -Infinity"),
+        ({"grading": {"weight_map": {"affine": [np.nan, 1.0]}}},
+         "key 'grading.weight_map' must be a JSON string naming a weight map"),
+        ({"task": "hier_copy", "grading": {"positional": "linear_decay", "alpha": np.nan}},
+         "key 'grading.alpha' must be a JSON number, not NaN"),
+        ({"task": "hier_copy", "mode": "exponential",
+          "grading": {"positional": "exp_decay", "alpha": np.inf}},
+         "key 'grading.alpha' must be a JSON number, not Infinity"),
+        ({"mode": "exponential", "grading": {"base": np.inf}},
+         "key 'grading.base' must be a JSON number, not Infinity"),
+        ({"grading": {"grades": [0.0, np.nan, 1.0, 2.0]}},
+         "key 'grading.grades' must be a JSON array of numbers, not list"),
     ])
     def test_config_key_of_wrong_type_exit_two(self, tmp_path, raw, message):
         out = tmp_path / "run"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from graded_transformer import autodiff as ad
 from graded_transformer import tensor
 from graded_transformer.errors import DimensionMismatch, ZeroMatrix
 from graded_transformer.tensor import Rng
@@ -11,31 +12,34 @@ from conftest import assert_close, assert_peak_close, blas_softmax, out_of_place
 
 
 class TestMatmul:
+    """The package's one matrix product, ad.matmul: its values and shape
+    check (tests/test_autodiff.py covers its gradients)."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert_close(tensor.matmul(np.eye(2), a), a)
+        assert_close(ad.matmul(np.eye(2), a).value, a)
 
     def test_hand_product(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         b = np.array([[0.0], [1.0]])
-        assert_close(tensor.matmul(a, b), [[2.0], [4.0]])
+        assert_close(ad.matmul(a, b).value, [[2.0], [4.0]])
 
     def test_ones_inner(self):
         k = 7
-        out = tensor.matmul(np.ones((1, k)), np.ones((k, 1)))
+        out = ad.matmul(np.ones((1, k)), np.ones((k, 1))).value
         assert_close(out, [[float(k)]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            tensor.matmul(np.ones((2, 3)), np.ones((2, 3)))
+            ad.matmul(np.ones((2, 3)), np.ones((2, 3)))
 
     def test_associativity_random(self, rng):
         for _ in range(30):
             a = tensor.randn_matrix(rng, 4, 5)
             b = tensor.randn_matrix(rng, 5, 3)
             c = tensor.randn_matrix(rng, 3, 6)
-            left = tensor.matmul(tensor.matmul(a, b), c)
-            right = tensor.matmul(a, tensor.matmul(b, c))
+            left = ad.matmul(ad.matmul(a, b), c).value
+            right = ad.matmul(a, ad.matmul(b, c)).value
             rel = np.linalg.norm(left - right) / np.linalg.norm(right)
             assert rel <= 1e-9
 
@@ -124,6 +128,11 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         with pytest.raises(ZeroMatrix):
             tensor.spectral_norm(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 3)])
+    def test_needs_a_matrix(self, shape):
+        with pytest.raises(DimensionMismatch):
+            tensor.spectral_norm(np.ones(shape))
 
     def test_against_svd_oracle(self, rng):
         for i in range(20):

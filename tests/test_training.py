@@ -329,7 +329,7 @@ class TestTrainLoop:
         tc = training.TrainConfig(steps=15, seed=9, batch_size=4)
         r1 = training.train(params, gcfg, ds.x, ds.y, tc)
         r2 = training.train(params, gcfg, ds.x, ds.y, tc)
-        assert r1.metric_column("loss") == r2.metric_column("loss")
+        assert [m["loss"] for m in r1.metrics] == [m["loss"] for m in r2.metrics]
         for k in r1.params:
             assert np.array_equal(r1.params[k], r2.params[k])
 
@@ -852,5 +852,5 @@ class TestFlatState:
                 assert got.shape == want.shape, name
                 dev = np.abs(got - want).max()
                 assert dev <= 1e-12 * np.abs(want).max(), f"{name}: {dev:.3e}"
-            for got, want in zip(res.metric_column("loss"), ref_losses):
+            for got, want in zip([m["loss"] for m in res.metrics], ref_losses):
                 assert abs(got - want) <= 1e-12 * abs(want)

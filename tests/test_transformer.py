@@ -16,7 +16,7 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, per_head_init_params, run_nodes
+from conftest import assert_close, per_head_init_params, run_nodes, sinusoid
 
 
 class TestConfig:
@@ -57,37 +57,28 @@ class TestInitParams:
 
 class TestPositionalEncoding:
     def test_first_dim_is_sin(self):
+        pe = tf.positional_matrix(5, 6)
         for i in (1, 2, 5):
-            pe = tf.positional_encoding(i, 6)
-            assert pe[0] == pytest.approx(np.sin(i))
-            assert pe[1] == pytest.approx(np.cos(i))
+            assert pe[i - 1, 0] == pytest.approx(np.sin(i))
+            assert pe[i - 1, 1] == pytest.approx(np.cos(i))
 
     def test_bounded(self):
-        for i in range(1, 30):
-            assert np.abs(tf.positional_encoding(i, 10)).max() <= 1.0
+        assert np.abs(tf.positional_matrix(29, 10)).max() <= 1.0
 
     def test_deterministic(self):
-        assert np.array_equal(tf.positional_encoding(3, 8), tf.positional_encoding(3, 8))
+        first = tf.positional_matrix(3, 8).copy()
+        tf._sinusoid_table.cache_clear()  # recompute, not re-read
+        assert np.array_equal(tf.positional_matrix(3, 8), first)
 
     def test_out_of_range(self):
-        with pytest.raises(PositionOutOfRange):
-            tf.positional_encoding(0, 4)
-        with pytest.raises(PositionOutOfRange):
-            tf.positional_encoding(9, 4, n_max=8)
         with pytest.raises(PositionOutOfRange):
             tf.positional_matrix(9, 4, n_max=8)
 
     def test_matrix_equals_per_position_stack(self):
-        def one_position(i, d):
-            k = np.arange(d, dtype=np.float64)
-            angle = i / np.power(10000.0, np.where(k % 2 == 0, k, k - 1) / d)
-            return np.where(k % 2 == 0, np.sin(angle), np.cos(angle))
-
         for d in (4, 8, 16, 32, 64):
             for n in range(1, 65):
-                want = np.stack([one_position(i, d) for i in range(1, n + 1)])
+                want = np.stack([sinusoid(i, d) for i in range(1, n + 1)])
                 assert np.array_equal(tf.positional_matrix(n, d), want), (n, d)
-            assert np.array_equal(tf.positional_encoding(64, d), want[-1])
 
     def test_matrix_is_one_read_only_table(self):
         table = tf.positional_matrix(8, 4)
@@ -102,13 +93,13 @@ class TestEmbedding:
     def test_lookup_matches_table_row(self, token_model):
         cfg, params = token_model
         x = run_nodes(params, lambda p, t: tf.embed_tokens(p, cfg, [4]))
-        want = params["embed"][3] + tf.positional_encoding(1, cfg.d_model)
+        want = params["embed"][3] + sinusoid(1, cfg.d_model)
         assert_close(x[0], want)
 
     def test_same_token_differs_by_positions(self, token_model):
         cfg, params = token_model
         x = run_nodes(params, lambda p, t: tf.embed_tokens(p, cfg, [5, 5]))
-        pe_diff = tf.positional_encoding(1, cfg.d_model) - tf.positional_encoding(2, cfg.d_model)
+        pe_diff = sinusoid(1, cfg.d_model) - sinusoid(2, cfg.d_model)
         assert_close(x[0] - x[1], pe_diff, tol=1e-15)
 
     def test_length_boundary(self, token_model):
