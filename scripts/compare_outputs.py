@@ -8,19 +8,22 @@ Usage, from the root of a checkout:
 
 `dump` builds every workload of this tree's `perfbench/adapter.py` at
 seed S, trains each of its jobs, and saves the training losses, the final
-parameters, the eval logits of the first 32 dataset sequences under each
-trained model and the greedy tokens of every generation prompt.  It also
+parameters, the final model and head grades (as arrays, so a tree that
+keeps the head grades as a list of per-head tuples and one that keeps
+them as one (h, d_k) array compare alike), the eval logits of the first
+32 dataset sequences under each trained model and the greedy tokens of
+every generation prompt.  It also
 saves the tree's two text outputs: the `graded-transformer demo` output
 and the `graded-transformer props --seed 0` report.  Run it with BLAS
 held to one thread (it sets OPENBLAS_NUM_THREADS and friends before numpy
 loads, as perfbench/run.py does) in each tree to compare; to compare
-with a tree whose script predates the text outputs, copy this script
-into that tree first.
+with a tree whose script predates the text outputs or the grades, copy
+this script into that tree first.
 
 `diff` prints, per workload, the largest relative difference of the
-losses, the parameters and the logits, each array's largest |a - b| over
-its largest |b|, and whether the tokens match; then whether each text
-output is identical.  It exits 1 when the dumps hold different arrays or
+losses, the parameters, the logits and the grades, each array's largest
+|a - b| over its largest |b|, and whether the tokens match; then whether
+each text output is identical.  It exits 1 when the dumps hold different arrays or
 shapes, a token or a text output differs, or a relative difference
 exceeds 1e-13.
 """
@@ -38,7 +41,7 @@ import numpy as np  # noqa: E402
 
 TOLERANCE = 1e-13
 EVAL_SEQUENCES = 32
-KINDS = ("losses", "params", "logits")
+KINDS = ("losses", "params", "logits", "grades")
 TEXTS = {"demo": "demo", "props": "props --seed 0"}  # key: the CLI command it records
 
 
@@ -54,6 +57,8 @@ def dump(out: str, seed: int) -> None:
             arrays[f"{name}/losses/{job.label}"] = np.asarray(res.losses)
             for pname, value in res.params.items():
                 arrays[f"{name}/params/{job.label}/{pname}"] = value
+            arrays[f"{name}/grades/{job.label}/model"] = np.asarray(res.eval_cfg.grades)
+            arrays[f"{name}/grades/{job.label}/heads"] = np.asarray(res.eval_cfg.head_grades)
             arrays[f"{name}/logits/{job.label}"] = np.stack([
                 adapter.forward(res.params, res.eval_cfg, x, res.lam)
                 for x in wl.data.x[:EVAL_SEQUENCES]])
@@ -94,7 +99,7 @@ def diff(path_a: str, path_b: str) -> int:
         worst.setdefault(workload, dict.fromkeys(KINDS, 0.0))
         worst[workload][kind] = max(worst[workload][kind], rel)
     failed = False
-    print(f"{'workload':14s} {'losses':>10s} {'params':>10s} {'logits':>10s}  tokens")
+    print(f"{'workload':14s} " + " ".join(f"{k:>10s}" for k in KINDS) + "  tokens")
     for workload in sorted(set(worst) | set(tokens_equal)):
         rels = worst.get(workload, dict.fromkeys(KINDS, 0.0))
         same = tokens_equal.get(workload, True)

@@ -506,15 +506,9 @@ def embedding_rows(table, ids: Sequence[int]) -> Node:
     return record(table.value[idx], (table,), (vjp,))
 
 
-def hstack(parts: Sequence[Node]) -> Node:
-    """Parts side by side; each VJP is its part's column slice."""
-    parts = [wrap(p) for p in parts]
-    return _stack(np.concatenate([p.value for p in parts], axis=1), parts, 1)
-
-
-def _stack(out: np.ndarray, parts: Sequence[Node], axis: int) -> Node:
-    """out, the parts' values joined along axis 0 or 1, as a node; each VJP
-    is its part's slice."""
+def _stack(out: np.ndarray, parts: Sequence[Node]) -> Node:
+    """out, the parts' values stacked row-wise, as a node; each VJP is its
+    part's row slice."""
     for p in parts:
         if p.live:
             break
@@ -522,9 +516,8 @@ def _stack(out: np.ndarray, parts: Sequence[Node], axis: int) -> Node:
         return Node(out)
     vjps, start = [], 0
     for p in parts:
-        stop = start + p.value.shape[axis]
-        cut = (slice(None),) * axis + (slice(start, stop),)
-        vjps.append(lambda g, cut=cut: g[cut])
+        stop = start + p.value.shape[0]
+        vjps.append(lambda g, start=start, stop=stop: g[start:stop])
         start = stop
     return record(out, tuple(parts), tuple(vjps))
 
@@ -565,7 +558,7 @@ class RowBuffer:
             grown[:n] = data[:n]
             data = self.data = grown
         data[n:m] = rows
-        self.node = _stack(data[:m], (new,) if prev is None else (prev, new), 0)
+        self.node = _stack(data[:m], (new,) if prev is None else (prev, new))
         return self.node
 
 

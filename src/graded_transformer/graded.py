@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import transformer as tf
 from .errors import (
     DimensionMismatch,
+    InvalidLambda,
     InvalidSpec,
     NotRowStochastic,
     PositionOutOfRange,
@@ -44,7 +45,7 @@ class GradedModelConfig:
     model: tf.ModelConfig
     mode: str = LINEAR
     grades: np.ndarray = None
-    head_grades: list | None = None  # per head, length d_k; default: slices of grades
+    head_grades: np.ndarray | None = None  # (h, d_k), row i head i's; default: grades split
     weight_map: WeightMap = field(default_factory=WeightMap)
     base: float = 2.0  # exponential base; training anneals it per step
     attention_variant: str = "none"
@@ -62,15 +63,16 @@ class GradedModelConfig:
         self.grades = as_grades(self.grades if self.grades is not None else np.zeros(d))
         if self.grades.size != d:
             raise InvalidSpec(f"model grades length {self.grades.size} != d {d}")
+        shape = (self.model.n_heads, self.model.d_k)
         if self.head_grades is None:
-            dk = self.model.d_k
-            self.head_grades = [self.grades[i * dk:(i + 1) * dk].copy()
-                                for i in range(self.model.n_heads)]
-        self.head_grades = [as_grades(q) for q in self.head_grades]
-        if len(self.head_grades) != self.model.n_heads or any(
-            q.size != self.model.d_k for q in self.head_grades
-        ):
+            self.head_grades = self.grades.reshape(shape).copy()
+        try:
+            ragged = np.shape(self.head_grades) != shape
+        except ValueError:  # rows of unequal lengths
+            ragged = True
+        if ragged:
             raise InvalidSpec("head_grades: need one grade tuple of length d_k per head")
+        self.head_grades = as_grades(self.head_grades).reshape(shape)
         if self.attention_variant not in VARIANTS:
             raise InvalidSpec(f"unknown attention variant {self.attention_variant!r}")
         if self.positional not in POSITIONAL_MODES:
@@ -79,6 +81,8 @@ class GradedModelConfig:
             raise InvalidSpec(f"positional decay alpha must be >= 0, not {self.alpha!r}")
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
+        if (self.mode == EXPONENTIAL or self.positional == "exp_decay") and not self.base > 1:
+            raise InvalidSpec(f"base must exceed 1, not {self.base!r}")
         self.max_weight()  # weights() rejects a bad mode, base or weight map
 
     def to_dict(self) -> dict:
@@ -87,7 +91,7 @@ class GradedModelConfig:
         wm = self.weight_map
         return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"},
                 "grades": self.grades.tolist(),
-                "head_grades": [q.tolist() for q in self.head_grades],
+                "head_grades": self.head_grades.tolist(),
                 "weight_map": {"affine": [wm.a, wm.b]} if wm.name == "affine" else wm.name}
 
     @classmethod
@@ -109,8 +113,7 @@ class GradedModelConfig:
 
     def max_weight(self, lam: float | None = None) -> float:
         """Largest diagonal factor over the model and all head tuples."""
-        tuples = [self.grades, *self.head_grades]
-        return max(float(self.weights(q, lam).max()) for q in tuples)
+        return max(float(self.weights(q, lam).max()) for q in (self.grades, self.head_grades))
 
 
 def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
@@ -132,28 +135,26 @@ def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
     """Weight rows for the model tuple and for all head tuples (None when
     attention is ungraded).
 
-    The head tuples are stacked into one (1, h d_k) grade row before the
-    weight map, so head i's weights fill columns i d_k .. (i + 1) d_k.
+    The head tuples are one (1, h d_k) grade row, the (h, d_k) head_grades
+    read row by row, so head i's weights fill columns i d_k .. (i + 1) d_k.
     grade_nodes holds a (1, d) grade node under "q" and, for graded
-    attention, a (1, d_k) one under each "q_head_{i}", learnable or
-    constant.  Without grade_nodes (evaluation and generation) both rows
-    are constants, read-only and shared by every call with the same
-    grading (see _fixed_weight_rows).
+    attention, that (1, h d_k) one under "q_heads", learnable or constant.
+    Without grade_nodes (evaluation and generation) both rows are
+    constants, read-only and shared by every call with the same grading
+    (see _fixed_weight_rows).
     """
     if grade_nodes is None:
         w_model, w_heads = _fixed_weight_rows(
             gcfg.mode, gcfg.weight_map,
             (gcfg.base if lam is None else lam) if gcfg.mode == EXPONENTIAL else None,
             _grade_bytes(gcfg.grades),
-            None if gcfg.attention_variant == "none"
-            else b"".join(map(_grade_bytes, gcfg.head_grades)))
+            None if gcfg.attention_variant == "none" else _grade_bytes(gcfg.head_grades))
         return ad.wrap(w_model), None if w_heads is None else ad.wrap(w_heads)
     spec = gcfg.spec(lam)
     w_model = spec.node(grade_nodes["q"])
     if gcfg.attention_variant == "none":
         return w_model, None
-    q_heads = [grade_nodes[f"q_head_{i}"] for i in range(gcfg.model.n_heads)]
-    return w_model, spec.node(ad.hstack(q_heads))
+    return w_model, spec.node(grade_nodes["q_heads"])
 
 
 def _grade_bytes(q) -> bytes:
@@ -167,8 +168,8 @@ def _fixed_weight_rows(mode: str, weight_map: WeightMap, base: float | None,
     (1, d) and (1, h d_k) arrays (heads None when ungraded).
 
     The key is the grading's content: the grade tuples as float64 bytes
-    (the head tuples concatenated, which is their stacked row), and the
-    base only in exponential mode.  A tuple rewritten in place, as
+    (the (h, d_k) head tuples in row order, which is their one row), and
+    the base only in exponential mode.  A tuple rewritten in place, as
     training.train rewrites its views of the flat buffer, is a new key.
     """
     spec = GradingSpec(mode, weight_map, base)  # linear mode reads no base
@@ -200,10 +201,15 @@ def _decay(t: np.ndarray, positional: str, alpha: float, base: float) -> np.ndar
 
 def _decay_base(gcfg: GradedModelConfig, lam: float | None) -> float | None:
     """The base exp_decay raises: lam if given, else the config's base;
-    None under the other positional modes, which have none."""
+    None under the other positional modes, which have none.  A base <= 1
+    would turn the decay into growth."""
     if gcfg.positional != "exp_decay":
         return None
-    return gcfg.base if lam is None else lam
+    if lam is None:
+        return gcfg.base
+    if not lam > 1.0:
+        raise InvalidLambda(f"exp_decay base lam must exceed 1, not {lam!r}")
+    return lam
 
 
 def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) -> float:
@@ -354,8 +360,7 @@ def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.nda
     return out[0] if x.ndim == 1 else out
 
 
-def graded_attention(q, k, v, head_weights, variant: str,
-                     mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def graded_attention(q, k, v, head_weights, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """One attention head with grading weights placed per the variant.
 
     Returns (output, attention matrix).  Weights are the diagonal factors
@@ -366,7 +371,7 @@ def graded_attention(q, k, v, head_weights, variant: str,
         raise DimensionMismatch("graded_attention: weight length must equal d_k")
     collect: list = []
     q, k, v = AttentionGrading(variant, w).apply(ad.wrap(q), ad.wrap(k), ad.wrap(v))
-    out = tf.attention_head(q, k, v, w.size, mask, collect).value
+    out = tf.attention_head(q, k, v, w.size, collect=collect).value
     return out, collect[0][0]
 
 

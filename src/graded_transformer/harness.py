@@ -82,7 +82,7 @@ def _expected_kind(value, hint) -> str | None:
         return None if type(value) is str or affine else \
             'string naming a weight map or {"affine": [a, b]}'
     options = typing.get_args(hint) or (hint,)
-    if list in options:  # per-head grade tuples
+    if np.ndarray in options:  # per-head grade tuples, one array each
         ok = value is None or (type(value) is list and all(map(_numbers, value)))
         return None if ok else "array of number arrays or null"
     ok = _number(value) if float in options and type(value) in (int, float) \

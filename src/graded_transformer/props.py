@@ -80,16 +80,15 @@ def _softmax_sums(seed):
     return worst <= 1e-12, f"max row-sum dev {worst:.3e}", "<= 1e-12"
 
 
-@prop("tensor.spectral_norm_diagonal", "power iteration on diag(v) returns max |v_i|")
+@prop("tensor.spectral_norm_diagonal", "the spectral norm of diag(v) is max |v_i|")
 def _spec_diag(seed):
     r = Rng(seed)
     worst = 0.0
-    for i in range(25):
+    for _ in range(25):
         v = r.generator.uniform(0.1, 1.0, 6)
-        v[int(r.generator.integers(0, 6))] = 1.5  # keep the top value separated
-        est = tensor.spectral_norm(np.diag(v), iters=300, seed=i)
+        est = tensor.spectral_norm(np.diag(v))
         worst = max(worst, abs(est - v.max()) / v.max())
-    return worst <= 1e-6, f"max rel err {worst:.3e}", "<= 1e-6"
+    return worst <= 1e-12, f"max rel err {worst:.3e}", "<= 1e-12"
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,7 @@ def _spec_diag(seed):
 
 PRIMITIVE_CASES = (
     "matmul", "attention", "layer_norm", "layer_norm_residual", "feed_forward", "scale_cols",
-    "normalize_rows", "add_rowvec", "hstack", "embedding", "loss_squared", "loss_sigmoid_ce",
+    "normalize_rows", "add_rowvec", "embedding", "loss_squared", "loss_sigmoid_ce",
     "regularizer", "transpose", "vstack",
 )
 
@@ -158,10 +157,6 @@ def primitive_case(case: str, g: np.random.Generator):
     if case == "add_rowvec":
         b0 = g.normal(0.0, 1.0, (1, 4))
         return lambda p: summed(ad.add_rowvec(p["x"], p["b"])), {"x": x0, "b": b0}
-    if case == "hstack":
-        y0 = g.normal(0.0, 1.0, (3, 2))
-        up6 = g.uniform(0.5, 1.5, (3, 6))
-        return lambda p: summed(ad.hstack([p["x"], p["y"]]), up6), {"x": x0, "y": y0}
     if case == "vstack":  # rows appended to a buffer, as in the decoder's K/V cache
         y0 = g.normal(0.0, 1.0, (2, 4))
         up5 = g.uniform(0.5, 1.5, (5, 4))
@@ -182,7 +177,7 @@ def primitive_case(case: str, g: np.random.Generator):
                                  up[:1, :1]), {"x": x0, "w": w0})
     if case == "regularizer":  # the model row and 3 head rows, every gamma > 0
         cfg = training.TrainConfig(gamma=0.7, gamma_heads=0.3, gamma_coord=1.3)
-        rows = {"q": x0[:1], **{f"q_head_{i}": x0[i, :2] for i in range(3)}}
+        rows = {"q": x0[:1], "q_heads": x0[:, :2].reshape(1, -1)}
         return lambda p: summed(training.regularizer_node(p, cfg, 3), up[:1, :1]), rows
     if case == "transpose":
         up_t = g.uniform(0.5, 1.5, (4, 3))
@@ -663,13 +658,11 @@ def _score_lip(seed):
 def _jac_norm(seed):
     g = Rng(seed).generator
     worst = 0.0
-    for i in range(50):
-        grades = g.uniform(0.0, 2.0, 6)
-        w = _PLUS_ONE_AND_EXP2[0].weights(grades)
-        w[int(g.integers(0, 6))] = w.max() * 1.2  # separate the top weight
-        est = tensor.spectral_norm(np.diag(w), iters=300, seed=i)
+    for _ in range(50):
+        w = _PLUS_ONE_AND_EXP2[0].weights(g.uniform(0.0, 2.0, 6))
+        est = tensor.spectral_norm(np.diag(w))
         worst = max(worst, abs(est - w.max()) / w.max())
-    return worst <= 1e-6, f"max rel err {worst:.3e}", "<= 1e-6"
+    return worst <= 1e-12, f"max rel err {worst:.3e}", "<= 1e-12"
 
 
 @prop("graded.runtime_parity", "graded attention costs at most 1.5x standard attention")

@@ -216,43 +216,42 @@ def sequence_loss_node(logits: ad.Node, targets: np.ndarray, weights: ad.Node,
 
 def regularizer_node(grade_nodes: dict, cfg: TrainConfig, n_heads: int) -> ad.Node:
     """gamma ||q||^2 + gamma' sum_i ||q_i||^2 + gamma_coord sum_i ||q_i - mean_j q_j||^2
-    as one node; a term whose gamma is 0 is left out, the last also below two
-    head tuples.  Value and VJPs take the steps of the elementwise chain, in
-    its order, so they equal its bit for bit.  Fixed grades record nothing."""
-    heads = [grade_nodes[f"q_head_{i}"] for i in range(n_heads) if f"q_head_{i}" in grade_nodes]
-    gamma_q = cfg.gamma if "q" in grade_nodes else 0.0
-    gamma_h = cfg.gamma_heads if heads else 0.0
-    gamma_c = cfg.gamma_coord if len(heads) > 1 else 0.0
-    parents = ([grade_nodes["q"]] if gamma_q else []) + (heads if gamma_h or gamma_c else [])
-    qv, hv = grade_nodes["q"].value if gamma_q else None, [h.value for h in heads]
+    as one node, with q_i the rows of the (1, h d_k) head row "q_heads" read
+    as an (h, d_k) array; a term whose gamma is 0 is left out, the last also
+    below two heads.  Value and VJPs take the steps of the elementwise chain
+    on one leaf per head, in its order, so they equal it bit for bit: sums
+    over heads fold row by row, where numpy would sum 8 or more pairwise.
+    Fixed grades record nothing."""
+    q, heads = grade_nodes.get("q"), grade_nodes.get("q_heads")
+    gamma_q = cfg.gamma if q is not None else 0.0
+    gamma_h = cfg.gamma_heads if heads is not None else 0.0
+    gamma_c = cfg.gamma_coord if heads is not None and n_heads > 1 else 0.0
+    qv = q.value if gamma_q else None
+    hv = heads.value.reshape(n_heads, -1) if gamma_h or gamma_c else None
     total = (qv * qv).sum() * gamma_q if gamma_q else 0.0
     if gamma_h:
-        total += sum((h * h).sum() for h in hv) * gamma_h
+        total += reduce(np.add, (hv * hv).sum(axis=1)) * gamma_h
     if gamma_c:
-        mean = sum(hv[1:], hv[0]) * (1.0 / len(hv))
-        dev = [h - mean for h in hv]
-        total += sum((d * d).sum() for d in dev) * gamma_c
+        dev = hv - reduce(np.add, hv) * (1.0 / n_heads)
+        total += reduce(np.add, (dev * dev).sum(axis=1)) * gamma_c
     out = np.array([[total]])
+    parents = ((q,) if gamma_q else ()) + ((heads,) if hv is not None else ())
     if not any(p.live for p in parents):
         return ad.Node(out)
-    memo: dict = {}
 
-    def adjoints(g):  # per parent, summed in the order the chain's backward sums
-        if memo.get("g") is not g:
-            g0, head_adj = g[0, 0], [None] * len(hv)
-            if gamma_c:
-                e = [2 * (g0 * gamma_c * d) for d in dev]
-                g_mean = reduce(np.subtract, e[-2::-1], -e[-1]) * (1.0 / len(hv))
-                head_adj = [b + g_mean for b in e]
-            if gamma_h:
-                a = [g0 * gamma_h * h for h in hv]
-                head_adj = [2 * x if s is None else s + x + x for s, x in zip(head_adj, a)]
-            adj = [2 * (g0 * gamma_q * qv)] if gamma_q else []
-            memo.update(g=g, adj=adj + head_adj if gamma_h or gamma_c else adj)
-        return memo["adj"]
+    def heads_adjoint(g):  # summed in the order the chain's backward sums
+        g0, adj = g[0, 0], None
+        if gamma_c:
+            e = 2 * (g0 * gamma_c * dev)
+            adj = e + reduce(np.subtract, e[-2::-1], -e[-1]) * (1.0 / n_heads)
+        if gamma_h:
+            a = g0 * gamma_h * hv
+            adj = 2 * a if adj is None else adj + a + a
+        return adj.reshape(1, -1)
 
-    return ad.record(out, tuple(parents),
-                     tuple(lambda g, i=i: adjoints(g)[i] for i in range(len(parents))))
+    vjps = ((lambda g: 2 * (g[0, 0] * gamma_q * qv),) if gamma_q else ()) \
+        + ((heads_adjoint,) if hv is not None else ())
+    return ad.record(out, parents, vjps)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def regularizer_node(grade_nodes: dict, cfg: TrainConfig, n_heads: int) -> ad.No
 class TrainResult:
     params: dict[str, np.ndarray]
     grades: np.ndarray
-    head_grades: list[np.ndarray]
+    head_grades: np.ndarray  # (h, d_k)
     metrics: list[dict]
     diverged: bool = False
     wall_time: float = 0.0
@@ -358,17 +357,14 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
     check_widths(data_x, data_y, gcfg.model)
 
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1)}
-    for i, qh in enumerate(gcfg.head_grades):
-        grade_arrays[f"q_head_{i}"] = qh.reshape(1, -1)
+    grade_arrays = {"q": gcfg.grades.reshape(1, -1), "q_heads": gcfg.head_grades.reshape(1, -1)}
     layout = FlatLayout({**params, **grade_arrays})
     flat = layout.pack({**params, **grade_arrays})
     views = layout.views(flat)
     params = {k: views[k] for k in params}
     grade_arrays = {k: views[k] for k in grade_arrays}
     gcfg.grades = grade_arrays["q"].reshape(-1)
-    gcfg.head_grades = [grade_arrays[f"q_head_{i}"].reshape(-1)
-                        for i in range(gcfg.model.n_heads)]
+    gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
     n_theta = int(layout.offsets[len(params)])
     theta, grades = flat[:n_theta], flat[n_theta:]
     grad = np.zeros(layout.size)
@@ -433,7 +429,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             "grad_norm_post": post,
             "clipped": int(fired),
             "grade_norm": float(np.linalg.norm(grade_arrays["q"])),
-            "head_grade_norm": float(np.linalg.norm(grades[gcfg.grades.size:])),
+            "head_grade_norm": float(np.linalg.norm(grade_arrays["q_heads"])),
             "eta_q": eta_q,
             "eta_q_bound": bound,
         })

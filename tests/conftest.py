@@ -247,17 +247,36 @@ def chain_sequence_loss(logits, targets, weights, base_loss):
     return ad.sum_all(ad.scale_cols(cell, weights))
 
 
+def chain_columns(a, parts):
+    """Reference: a (1, parts * w) node as `parts` column blocks of width w,
+    each a node whose VJP places its adjoint in zeros of a's shape."""
+    a = ad.wrap(a)
+    w = a.shape[1] // parts
+
+    def block(cols):
+        def vjp(g):
+            full = np.zeros(a.shape)
+            full[:, cols] = g
+            return full
+        return chain_op(a.value[:, cols], (a,), (vjp,))
+
+    return [block(slice(i * w, (i + 1) * w)) for i in range(parts)]
+
+
 def chain_regularizer(grade_nodes, cfg, n_heads):
     """Reference: training.regularizer_node as a chain of elementwise nodes
-    from a constant zero, one squared norm per grade tuple and deviation."""
+    from a constant zero, one squared norm per grade tuple and deviation.
+    grade_nodes["q_heads"] is a list of one (1, d_k) node per head, or the
+    (1, h d_k) row training records, which the chain splits by columns."""
     def sq_norm(node):
         return ad.sum_all(ad.mul(node, node))
 
     total = ad.wrap(np.zeros((1, 1)))
     if "q" in grade_nodes and cfg.gamma > 0:
         total = ad.add(total, ad.scale(sq_norm(grade_nodes["q"]), cfg.gamma))
-    heads = [grade_nodes[f"q_head_{i}"] for i in range(n_heads)
-             if f"q_head_{i}" in grade_nodes]
+    heads = grade_nodes.get("q_heads", [])
+    if isinstance(heads, ad.Node):
+        heads = chain_columns(heads, n_heads)
     if heads and cfg.gamma_heads > 0:
         acc = sq_norm(heads[0])
         for h in heads[1:]:
@@ -431,9 +450,8 @@ def ref_train(params, gcfg, data_x, data_y, cfg):
     params = {k: v.copy() for k, v in params.items()}
     gcfg = replace(gcfg)
     rng = Rng(cfg.seed)
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy()}
-    for i, qh in enumerate(gcfg.head_grades):
-        grade_arrays[f"q_head_{i}"] = qh.reshape(1, -1).copy()
+    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy(),
+                    "q_heads": gcfg.head_grades.reshape(1, -1).copy()}
     theta_state = RefAdamState(params)
     grade_state = RefAdamState(grade_arrays)
     num = data_x.shape[0]
@@ -463,13 +481,11 @@ def ref_train(params, gcfg, data_x, data_y, cfg):
             for v in grade_arrays.values():
                 np.maximum(v, 0.0, out=v)
             gcfg.grades = grade_arrays["q"].reshape(-1)
-            gcfg.head_grades = [grade_arrays[f"q_head_{i}"].reshape(-1)
-                                for i in range(gcfg.model.n_heads)]
+            gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
         if any(not np.all(np.isfinite(v)) for v in params.values()):
             diverged, params = True, last_good
             break
         last_good = {k: v.copy() for k, v in params.items()}
         losses.append(loss)
     return (params, grade_arrays["q"].reshape(-1),
-            [grade_arrays[f"q_head_{i}"].reshape(-1) for i in range(gcfg.model.n_heads)],
-            losses, diverged)
+            grade_arrays["q_heads"].reshape(gcfg.head_grades.shape), losses, diverged)

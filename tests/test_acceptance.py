@@ -160,8 +160,7 @@ def _full_model_gradcheck(mode: str, seed: int) -> float:
     y = rng.generator.normal(0.0, 0.8, (3, 4))
     point = dict(params)
     point["q"] = q.reshape(1, -1)
-    for i, qh in enumerate(gcfg.head_grades):
-        point[f"q_head_{i}"] = qh.reshape(1, -1)
+    point["q_heads"] = gcfg.head_grades.reshape(1, -1)
 
     def f(nodes):
         theta = {k: v for k, v in nodes.items() if not k.startswith("q")}

@@ -6,6 +6,8 @@ from pathlib import Path
 import graded_transformer
 from graded_transformer import props
 
+from test_training import step_node_counts
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path(graded_transformer.__file__).resolve().parent
 ALIASES = {"ad": "autodiff", "tf": "transformer", "gs": "graded_space"}
@@ -83,3 +85,15 @@ def test_stale_path_is_reported():
     text = "Run `tests/` and ```\npython scripts/retired_run.py --seed 1\n```."
     assert repo_paths(text) == {"tests/", "scripts/retired_run.py"}
     assert not exists("scripts/retired_run.py") and exists("tests/")
+
+
+def test_readme_node_counts_are_measured():
+    # the opening paragraph's per-step tape-node counts, in workload_setups()
+    # order: smoke linear, smoke exponential, EGT hier_copy, wide LGT
+    opening = " ".join((ROOT / "README.md").read_text(encoding="utf-8")
+                       .split("## Layout")[0].split())
+    m = re.search(r"a training step records (\d+) tape nodes at the c15 smoke config "
+                  r"\([^;]*; (\d+) in exponential mode\), (\d+) on the EGT `hier_copy` "
+                  r"benchmark model and (\d+) on the wide LGT one", opening)
+    assert m, "README opening no longer states the per-step node counts"
+    assert [int(n) for n in m.groups()] == step_node_counts()

@@ -10,6 +10,7 @@ from graded_transformer import tensor
 from graded_transformer import transformer as tf
 from graded_transformer.errors import (
     DimensionMismatch,
+    InvalidLambda,
     InvalidSpec,
     NotRowStochastic,
     PositionOutOfRange,
@@ -57,8 +58,14 @@ class TestConfig:
         lambda: dict(weight_map=gs.affine_map(np.nan, 1.0)),  # NaN weights
         lambda: dict(positional="exp_decay", alpha=-3.0),  # decay would be growth
         lambda: dict(alpha=np.nan),
+        lambda: dict(positional="exp_decay", alpha=0.25, base=-2.0),  # linear mode reads it
+        lambda: dict(positional="exp_decay", alpha=0.25, base=0.5),  # decay would be growth
+        lambda: dict(head_grades=np.zeros(4)),  # flat
+        lambda: dict(head_grades=[[0.0], [1.0, 2.0]]),  # ragged
+        lambda: dict(head_grades=np.zeros((2, 3))),  # rows of the wrong length
     ], ids=["bogus", "affine", "identity", "identity_head", "mode", "affine_nan",
-            "alpha_negative", "alpha_nan"])
+            "alpha_negative", "alpha_nan", "exp_decay_base_negative", "exp_decay_base_half",
+            "head_flat", "head_ragged", "head_size"])
     def test_bad_grading_rejected(self, toy_model, bad):
         with pytest.raises(InvalidSpec):
             make_gcfg(toy_model, **bad())
@@ -166,6 +173,14 @@ class TestGradedPositional:
         with pytest.raises(PositionOutOfRange):
             graded.positional_scale(17, gcfg)
 
+    @pytest.mark.parametrize("lam", [1.0, 0.5, -2.0, np.nan])
+    def test_exp_decay_base_override_must_exceed_one(self, toy_model, lam):
+        gcfg = make_gcfg(toy_model, positional="exp_decay", alpha=0.25)
+        with pytest.raises(InvalidLambda):
+            graded.positional_scale(1, gcfg, lam)
+        with pytest.raises(InvalidLambda):
+            graded.graded_positional_matrix(4, gcfg, lam)
+
 
 class TestGradedAttention:
     def test_identity_weights_match_standard(self, rng):
@@ -253,7 +268,7 @@ class TestGradedFfnOutput:
         cfg, params = toy_model
         gcfg = make_gcfg(toy_model, normalize_ffn=False)
         w1, w2 = params["enc0.w1"], params["enc0.w2"]
-        lip = tensor.spectral_norm(w1, 300, 0) * tensor.spectral_norm(w2, 300, 1)
+        lip = tensor.spectral_norm(w1) * tensor.spectral_norm(w2)
         bound = gcfg.max_weight() * lip
         g = Rng(3).generator
         for _ in range(50):
@@ -354,11 +369,10 @@ class TestForward:
         before = graded.forward(params, gcfg, x, lam=1.5)[1]
         new = Rng(73).generator.uniform(0.0, 2.0, 4)
         gcfg.grades[:] = new
-        for i, q in enumerate(gcfg.head_grades):
-            q[:] = new[::-1][2 * i:2 * i + 2]
+        gcfg.head_grades[:] = new[::-1].reshape(2, 2)
         fresh = make_gcfg(toy_model, mode=mode, attention_variant="queries_keys",
                           grade_ffn=True, grade_output=True, grades=new.copy(),
-                          head_grades=[new[::-1][:2].copy(), new[::-1][2:].copy()])
+                          head_grades=new[::-1].reshape(2, 2).copy())
         got = graded.forward(params, gcfg, x, lam=1.5)[1]
         assert np.array_equal(got, graded.forward(params, fresh, x, lam=1.5)[1])
         assert not np.array_equal(got, before)

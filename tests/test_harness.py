@@ -280,6 +280,8 @@ class TestStoredGrading:
         ("base", {"mode": "exponential", "base": 1.0}),
         ("base", {"mode": "exponential", "base": 0.5}),
         ("mode", {"mode": 3}),
+        ("head_grades", {"head_grades": [[0.0], [1.0, 2.0]]}),
+        ("base", {"positional": "exp_decay", "alpha": 0.25, "base": 0.5}),
     ])
     def test_malformed_grading_exit_two(self, stored, key, grading):
         raw, data, path = stored
@@ -626,11 +628,19 @@ class TestCli:
                                          {"attention_variant": "bogus"},
                                          {"weight_map": "bogus"},
                                          {"weight_map": {"affine": [1.0, -1.0]}},
-                                         {"positional": "exp_decay", "alpha": -3.0}])
+                                         {"positional": "exp_decay", "alpha": -3.0},
+                                         {"positional": "exp_decay", "alpha": 0.25,
+                                          "base": -2.0},
+                                         {"positional": "exp_decay", "alpha": 0.25,
+                                          "base": 0.5},
+                                         {"head_grades": [[0.0], [1.0, 2.0]]},
+                                         {"head_grades": [[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]}])
     def test_invalid_grading_exit_two(self, tmp_path, capsys, grading):
         # poly grades (0, .5, 1, 2): the identity map weighs grade 0 by 0 and
         # the affine map 1 - q weighs grade 2 by -1; weights must be positive.
-        # A negative alpha would turn positional decay into growth.
+        # A negative alpha, or a base <= 1 under exp_decay (which linear mode
+        # reads too), would turn positional decay into growth.  Head tuples
+        # need length d_k = 2 each.
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"task": "poly_degree", "dataset_size": 16,
                                         "seq_len": 4, "out_dir": str(tmp_path / "run"),

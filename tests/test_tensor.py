@@ -135,11 +135,16 @@ class TestSpectralNorm:
             tensor.spectral_norm(np.ones(shape))
 
     def test_against_svd_oracle(self, rng):
-        for i in range(20):
+        # the largest eigenvalue of m^T m is sigma_max^2, and no unit vector
+        # v has |m v| above sigma_max: the norm is no underestimate
+        g = rng.generator
+        for _ in range(20):
             m = tensor.randn_matrix(rng, 5, 4)
-            est = tensor.spectral_norm(m, iters=300, seed=i)
-            want = float(np.linalg.norm(m, 2))
-            assert abs(est - want) / want <= 1e-6
+            est = tensor.spectral_norm(m)
+            assert abs(est - np.sqrt(np.linalg.eigvalsh(m.T @ m)[-1])) <= 1e-12 * est
+            v = g.normal(size=(4, 100))
+            assert np.all(np.linalg.norm(m @ (v / np.linalg.norm(v, axis=0)), axis=0)
+                          <= est * (1 + 1e-12))
 
 
 class TestRandn:

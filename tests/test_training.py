@@ -59,8 +59,7 @@ class TestCompositeLoss:
         tape = ad.Tape()
         cfg = training.TrainConfig(gamma=0.0, gamma_coord=1.0)
         with ad.recording(tape):
-            nodes = {f"q_head_{i}": tape.param(f"q_head_{i}", np.array([[1.0, 2.0]]))
-                     for i in range(3)}
+            nodes = {"q_heads": tape.param("q_heads", np.array([[1.0, 2.0] * 3]))}
             reg = training.regularizer_node(nodes, cfg, n_heads=3)
         assert reg.value[0, 0] == 0.0
 
@@ -69,10 +68,7 @@ class TestCompositeLoss:
         tape = ad.Tape()
         cfg = training.TrainConfig(gamma=0.0, gamma_coord=1.0)
         with ad.recording(tape):
-            nodes = {
-                "q_head_0": tape.param("q_head_0", np.array([[1.0, 0.0]])),
-                "q_head_1": tape.param("q_head_1", np.array([[0.0, 1.0]])),
-            }
+            nodes = {"q_heads": tape.param("q_heads", np.array([[1.0, 0.0, 0.0, 1.0]]))}
             reg = training.regularizer_node(nodes, cfg, n_heads=2)
         assert reg.value[0, 0] == pytest.approx(1.0)
 
@@ -82,7 +78,7 @@ class TestCompositeLoss:
         with ad.recording(tape):
             nodes = {
                 "q": tape.param("q", np.array([[2.0]])),
-                "q_head_0": tape.param("q_head_0", np.array([[3.0]])),
+                "q_heads": tape.param("q_heads", np.array([[3.0]])),
             }
             reg = training.regularizer_node(nodes, cfg, n_heads=1)
         assert reg.value[0, 0] == pytest.approx(0.5 * 4 + 2.0 * 9)
@@ -235,7 +231,7 @@ class TestTrainLoop:
         tc = training.TrainConfig(steps=60, lr_grades=0.05, seed=3, batch_size=4)
         res = training.train(params, gcfg, ds.x, ds.y, tc)
         assert np.all(res.grades >= 0)
-        assert all(np.all(h >= 0) for h in res.head_grades)
+        assert np.all(res.head_grades >= 0)
 
     def test_fixed_grades_unchanged(self):
         cfg, params, gcfg, ds = tiny_setup()
@@ -257,7 +253,7 @@ class TestTrainLoop:
             "non-finite loss at step 1 (first non-finite array 'w_out'); "
             "parameters and grades restored to step 0")
         assert np.array_equal(result.grades, gcfg.grades)
-        assert all(np.array_equal(a, b) for a, b in zip(result.head_grades, gcfg.head_grades))
+        assert np.array_equal(result.head_grades, gcfg.head_grades)
 
     def diverge_at_step_3(self, monkeypatch, target, poison):
         """Train 5 steps with `poison` applied to the output of `target` at
@@ -280,19 +276,18 @@ class TestTrainLoop:
         result = exc_info.value.result
         assert result.diverged and len(result.metrics) == 2
         assert np.array_equal(result.grades, clean.grades)
-        for a, b in zip(result.head_grades, clean.head_grades):
-            assert np.array_equal(a, b)
+        assert np.array_equal(result.head_grades, clean.head_grades)
         for k in clean.params:
             assert np.array_equal(result.params[k], clean.params[k]), k
         return str(exc_info.value)
 
     def test_divergence_in_grade_gradient_rolls_back_grades(self, monkeypatch):
         def poison(args, out):
-            args[0][-1] = np.nan  # last entry of the flat gradient: q_head_1
+            args[0][-1] = np.nan  # last entry of the flat gradient: q_heads
 
         message = self.diverge_at_step_3(monkeypatch, "clip_gradient", poison)
         assert message == ("non-finite parameter or grade after the update at step 3 "
-                           "(first non-finite array 'q_head_1'); "
+                           "(first non-finite array 'q_heads'); "
                            "parameters and grades restored to step 2")
 
     def test_divergence_in_loss(self, monkeypatch):
@@ -314,13 +309,13 @@ class TestTrainLoop:
         with pytest.raises(DivergenceDetected) as exc_info:
             training.train(params, gcfg, ds.x, ds.y, tc)
         assert str(exc_info.value) == (
-            "grading weight <= 0 in 'q_head_1' after the update at step 9; "
+            "grading weight <= 0 in 'q_heads' after the update at step 9; "
             "parameters and grades restored to step 8")
         result = exc_info.value.result
         assert result.diverged and result.metrics == clean.metrics
         assert np.array_equal(result.grades, clean.grades)
-        for a, b in zip(result.head_grades, clean.head_grades):
-            assert np.array_equal(a, b) and np.all(a > 0)
+        assert np.array_equal(result.head_grades, clean.head_grades)
+        assert np.all(result.head_grades > 0)
         for k in clean.params:
             assert np.array_equal(result.params[k], clean.params[k]), k
 
@@ -398,10 +393,7 @@ def hier_copy_setup():
 
 
 def grade_arrays_of(gcfg):
-    arrays = {"q": gcfg.grades.reshape(1, -1)}
-    for i, qh in enumerate(gcfg.head_grades):
-        arrays[f"q_head_{i}"] = qh.reshape(1, -1)
-    return arrays
+    return {"q": gcfg.grades.reshape(1, -1), "q_heads": gcfg.head_grades.reshape(1, -1)}
 
 
 def per_sample_step(params, grade_arrays, gcfg, x, y, lam, cfg):
@@ -466,33 +458,28 @@ class TestStackedStep:
         # chains would record 6 more nodes per layer.  The graded loss and
         # the grade penalty are one node each, where the elementwise chains
         # (conftest.chain_sequence_loss, conftest.chain_regularizer) would
-        # record 19 / 19 / 12 / 37 nodes.  Constants (inputs, targets, fixed
+        # record 21 / 21 / 12 / 41 nodes.  Constants (inputs, targets, fixed
         # grades) are not recorded, nor are ops with no live parent: in
         # hier_copy, with fixed grades, the grade-weight chain and the
         # penalty.  The loss reuses the model tuple's weight node, so with
         # learned grades the weight map records once: 1 node (q + 1) fewer
-        # in linear mode, 2 (scale, exp) in exponential mode.
-        counts = []
-        for params, gcfg, ds, tc in workload_setups():
-            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
-            tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
-                                            ds.x[:16], ds.y[:16], lam, tc)
-            counts.append(len(tape.nodes))
-        assert counts == [58, 60, 48, 105]
+        # in linear mode, 2 (scale, exp) in exponential mode.  The head
+        # tuples are one leaf, weighted as it is, with no stacking node.
+        assert step_node_counts() == [56, 58, 48, 101]
 
     @pytest.mark.parametrize("mode", [gs.LINEAR, gs.EXPONENTIAL])
     def test_one_weight_map_per_grade_row(self, mode, monkeypatch):
         # learned grades on the smoke config: one GradingSpec.node call for
         # the model tuple (shared by the encoder and the loss), one for the
-        # stacked head tuples
+        # head tuples, on their leaves themselves: no node stacks the heads
         params, gcfg, ds, tc = smoke_setup(mode)
         calls = []
         node = gs.GradingSpec.node
         monkeypatch.setattr(gs.GradingSpec, "node",
-                            lambda spec, q: calls.append(q.live) or node(spec, q))
-        training.record_step(params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16],
-                             1.5, tc)
-        assert calls == [True, True]
+                            lambda spec, q: calls.append(q) or node(spec, q))
+        tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg, ds.x[:16],
+                                        ds.y[:16], 1.5, tc)
+        assert calls == [tape.params["q"], tape.params["q_heads"]]
 
 
 def workload_setups():
@@ -517,6 +504,17 @@ def workload_setups():
     yield (tf.init_params(cfg, Rng(0), decoder=False), gcfg,
            tasks.gen_hier_copy(32, 32, 1, vocab=32),
            training.TrainConfig(base_loss="sigmoid_ce"))
+
+
+def step_node_counts():
+    """Tape nodes of one training step on 16 sequences, per workload_setups() model."""
+    counts = []
+    for params, gcfg, ds, tc in workload_setups():
+        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
+        tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
+                                        ds.x[:16], ds.y[:16], lam, tc)
+        counts.append(len(tape.nodes))
+    return counts
 
 
 def decoder_rows(monkeypatch, fn, *args):
@@ -810,12 +808,46 @@ class TestOneNodeObjective:
             # one node each, on the logits, the live weight row and the grade leaves
             learned = setup[3].learn_grades
             assert len(loss.parents) == 1 + learned
-            assert len(reg.parents) == learned * (1 + setup[1].model.n_heads)
+            assert len(reg.parents) == learned * 2  # q and q_heads
             saved.append(want[2] - nodes)
-        # nodes the chains record beyond the one-node versions; gamma_heads > 0
-        # adds 3 h + 1 chain nodes: a product and a sum per head tuple, h - 1
-        # adds, a scale and the add into the total
-        assert saved == [17, 24, 17, 24, 11, 35, 48]
+        # nodes the chains record beyond the one-node versions, among them
+        # the h column blocks the penalty chain splits the head row into;
+        # gamma_heads > 0 adds 3 h + 1 chain nodes: a product and a sum per
+        # head tuple, h - 1 adds, a scale and the add into the total
+        assert saved == [19, 26, 19, 26, 11, 39, 52]
+
+    @pytest.mark.parametrize("n_heads", [1, 2, 3, 4, 9])
+    def test_penalty_equals_per_head_chain(self, n_heads):
+        # one (1, h d_k) head leaf against the chain on one leaf per head, at
+        # head counts where numpy would sum 8 or more rows pairwise; small
+        # integer grades make equal heads and exact cancellations
+        g = Rng(n_heads).generator
+        for draw in range(60):
+            d_k = int(g.integers(1, 12))
+            gammas = g.uniform(0.1, 2.0, 3) * (g.uniform(size=3) < 0.8)
+            cfg = training.TrainConfig(gamma=gammas[0], gamma_heads=gammas[1],
+                                       gamma_coord=gammas[2])
+            q = g.uniform(0.0, 2.0, (1, 3))
+            heads = g.integers(0, 3, (n_heads, d_k)) * 1.0 if draw % 3 == 0 \
+                else g.uniform(0.0, 2.0, (n_heads, d_k))
+            up = g.uniform(-2.0, 2.0)
+            values, grads = [], []
+            for reg, head_leaves in (
+                    (training.regularizer_node,
+                     lambda tape: tape.param("q_heads", heads.reshape(1, -1))),
+                    (chain_regularizer,
+                     lambda tape: [tape.param(f"h{i}", heads[i:i + 1]) for i in range(n_heads)])):
+                tape = ad.Tape()
+                with ad.recording(tape):
+                    nodes = {"q": tape.param("q", q), "q_heads": head_leaves(tape)}
+                    root = ad.scale(reg(nodes, cfg, n_heads), up)
+                values.append(root.value)
+                grads.append(tape.backward(root))
+            got, want = grads
+            assert same_bits(values[0], values[1]), draw
+            assert same_bits(got["q"], want["q"]), draw
+            want_heads = np.hstack([want[f"h{i}"] for i in range(n_heads)])
+            assert same_bits(got["q_heads"], want_heads), draw
 
     def test_clamped_sigmoid_ce_passes_no_gradient(self):
         # sigmoid(40) rounds to 1, so 1 - p clamps; sigmoid(-40) < 1e-12, so
@@ -844,9 +876,7 @@ class TestFlatState:
             ref_params, ref_q, ref_heads, ref_losses, _ = ref_train(params, gcfg, ds.x, ds.y, tc)
             assert len(res.metrics) == len(ref_losses) == 6
             pairs = [(k, res.params[k], ref_params[k]) for k in ref_params]
-            pairs += [("q", res.grades, ref_q)]
-            pairs += [(f"q_head_{i}", a, b) for i, (a, b) in
-                      enumerate(zip(res.head_grades, ref_heads))]
+            pairs += [("q", res.grades, ref_q), ("q_heads", res.head_grades, ref_heads)]
             assert set(res.params) == set(ref_params)
             for name, got, want in pairs:
                 assert got.shape == want.shape, name
