@@ -41,6 +41,9 @@ def main(argv=None) -> int:
     p_eval.add_argument("--data", required=True)
 
     args = parser.parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # props and gen
+        sys.stderr.write(f"config error: --seed must be >= 0, not {args.seed}\n")
+        return 2
 
     if args.command == "props":
         from .props import run_props

@@ -48,13 +48,13 @@ def homogeneous_loss_row() -> str:
             f"direct (e2^4 + e3^2)^0.5 = {direct:.6f}")
 
 
-def annealing_rows(lambda_max: float = 2.0, total: int = 100) -> list[str]:
-    start = anneal_lambda(0, total, lambda_max)
-    mid = anneal_lambda(total // 2, total, lambda_max)
-    end = anneal_lambda(total, total, lambda_max)
+def annealing_rows(base: float = 2.0, total: int = 100) -> list[str]:
+    start = anneal_lambda(0, total, base)
+    mid = anneal_lambda(total // 2, total, base)
+    end = anneal_lambda(total, total, base)
     return [
-        f"annealing endpoints       computed ({start:g}, {end:g})  reference (1, {lambda_max:g})",
-        f"annealing midpoint        computed {mid:g}  reference {1 + (lambda_max - 1) / 2:g}",
+        f"annealing endpoints       computed ({start:g}, {end:g})  reference (1, {base:g})",
+        f"annealing midpoint        computed {mid:g}  reference {1 + (base - 1) / 2:g}",
     ]
 
 

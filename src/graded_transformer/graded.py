@@ -104,16 +104,17 @@ class GradedModelConfig:
         return cls(model=model, **raw)
 
     def spec(self, lam: float | None = None) -> GradingSpec:
-        """The grading spec; lam overrides the exponential base (annealing)."""
+        """The grading spec; lam, a training step's annealed base, overrides base."""
         return GradingSpec(self.mode, self.weight_map, self.base if lam is None else lam)
 
-    def weights(self, grades=None, lam: float | None = None) -> np.ndarray:
+    def weights(self, grades=None) -> np.ndarray:
         """Diagonal scale factors for a grade tuple under this config."""
-        return self.spec(lam).weights(self.grades if grades is None else grades)
+        return self.spec().weights(self.grades if grades is None else grades)
 
-    def max_weight(self, lam: float | None = None) -> float:
-        """Largest diagonal factor over the model and all head tuples."""
-        return max(float(self.weights(q, lam).max()) for q in (self.grades, self.head_grades))
+    def max_weight(self) -> float:
+        """Largest diagonal factor over the model tuple and any head tuple attention reads."""
+        heads = () if self.attention_variant == "none" else (self.head_grades,)
+        return max(float(self.weights(q).max()) for q in (self.grades, *heads))
 
 
 def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
@@ -199,35 +200,26 @@ def _decay(t: np.ndarray, positional: str, alpha: float, base: float) -> np.ndar
     return np.power(base, -alpha * t)
 
 
-def _decay_base(gcfg: GradedModelConfig, lam: float | None) -> float | None:
-    """The base exp_decay raises: lam if given, else the config's base;
-    None under the other positional modes, which have none.  A base <= 1
-    would turn the decay into growth."""
-    if gcfg.positional != "exp_decay":
-        return None
-    if lam is None:
-        return gcfg.base
-    if not lam > 1.0:
-        raise InvalidLambda(f"exp_decay base lam must exceed 1, not {lam!r}")
-    return lam
-
-
-def positional_scale(t: int, gcfg: GradedModelConfig, lam: float | None = None) -> float:
+def positional_scale(t: int, gcfg: GradedModelConfig) -> float:
     """Decay factor applied to the positional encoding of 1-based position t."""
     if t < 1 or t > gcfg.model.n_max:
         raise PositionOutOfRange(f"position {t} outside [1, {gcfg.model.n_max}]")
-    return float(_decay(np.array([float(t)]), gcfg.positional, gcfg.alpha,
-                        _decay_base(gcfg, lam))[0])
+    return float(_decay(np.array([float(t)]), gcfg.positional, gcfg.alpha, gcfg.base)[0])
 
 
 def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
     """Decayed encodings of positions 1..n: row t is positional_scale(t) * PE(t),
-    a read-only table shared by every call with the same arguments."""
+    with lam for the base under exp_decay when given, as a read-only table
+    shared by every call with the same arguments."""
     m = gcfg.model
     if n > m.n_max:
         raise PositionOutOfRange(f"position {n} outside [1, {m.n_max}]")
-    return _decayed_table(n, m.d_model, m.n_max, gcfg.positional, gcfg.alpha,
-                          _decay_base(gcfg, lam))
+    base = None  # off and linear_decay read no base
+    if gcfg.positional == "exp_decay":
+        base = gcfg.base if lam is None else lam
+        if not base > 1.0:  # the decay would be growth
+            raise InvalidLambda(f"exp_decay base lam must exceed 1, not {lam!r}")
+    return _decayed_table(n, m.d_model, m.n_max, gcfg.positional, gcfg.alpha, base)
 
 
 @lru_cache(maxsize=16)
@@ -277,6 +269,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     inputs: token ids, (n,) or a batch (B, n), for vocab models; an (n, d)
     or (B, n, d) array otherwise.  The B sequences run as one (B n)-row
     block; attention stays within each sequence.
+    lam, a training step's annealed base, overrides the config's base.
     weights is weight_nodes' (model, heads) pair, such as one made from
     learnable grades; by default the config's fixed tuples.
     Returns (encoder representations, output logits), each B n rows.
@@ -324,9 +317,8 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
 # plain (numpy) surface: the stages above on constant nodes
 
 
-def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
-            collect_attention: bool = False):
-    """Forward pass in either mode; lam overrides the exponential base.
+def forward(params, gcfg: GradedModelConfig, inputs, collect_attention: bool = False):
+    """Forward pass in either mode, at the config's grading.
 
     Returns (representations, logits), plus the per-layer attention lists
     when collect_attention is set.
@@ -335,27 +327,27 @@ def forward(params, gcfg: GradedModelConfig, inputs, lam: float | None = None,
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=False)
-        z, logits = forward_nodes(p, gcfg, inputs, lam=lam, collect=collect)
+        z, logits = forward_nodes(p, gcfg, inputs, collect=collect)
     return (z.value, logits.value, collect) if collect_attention else (z.value, logits.value)
 
 
 def graded_generate(params, gcfg: GradedModelConfig, tokens,
-                    m_max: int | None = None, lam: float | None = None) -> list[int]:
+                    m_max: int | None = None) -> list[int]:
     """Greedy generation with the graded encoder and the standard decoder,
     every array wrapped once for both."""
     cap = gcfg.model.m_max if m_max is None else m_max
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=False)
-        z, _ = forward_nodes(p, gcfg, tf.check_prompt(tokens, gcfg.model), lam=lam)
+        z, _ = forward_nodes(p, gcfg, tf.check_prompt(tokens, gcfg.model))
         return tf.decode_nodes(p, z, gcfg.model, cap, tf.EOS_TOKEN)
 
 
-def graded_input(x, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
+def graded_input(x, gcfg: GradedModelConfig) -> np.ndarray:
     """Scale features by the grading weights; optionally normalize each
     vector (row) to unit norm afterwards."""
     x = np.asarray(x, dtype=np.float64)
-    w = gcfg.spec(lam).node(_row(gcfg.grades))
+    w = gcfg.spec().node(_row(gcfg.grades))
     out = grade_rows(_row(x) if x.ndim == 1 else x, w, gcfg.normalize_inputs).value
     return out[0] if x.ndim == 1 else out
 

@@ -55,8 +55,7 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-_JSON_KINDS = {int: "integer", float: "number", bool: "boolean", str: "string",
-               dict: "object", type(None): "null"}
+_JSON_KINDS = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
 
 
 def _number(value) -> bool:
@@ -72,8 +71,8 @@ def _numbers(value) -> bool:
 def _expected_kind(value, hint) -> str | None:
     """The JSON kind a config value annotated `hint` must have, or None when
     it has it.  Types match exactly (an int field takes no bool), except
-    that a float field also takes an integer and `X | None` also takes null;
-    no number is NaN or Infinity."""
+    that a float field also takes an integer; no number is NaN or Infinity.
+    Only head_grades, optional, takes null."""
     if hint is np.ndarray:  # a grade tuple
         return None if _numbers(value) else "array of numbers"
     if hint is WeightMap:
@@ -81,13 +80,11 @@ def _expected_kind(value, hint) -> str | None:
                   and _numbers(value["affine"]) and len(value["affine"]) == 2)
         return None if type(value) is str or affine else \
             'string naming a weight map or {"affine": [a, b]}'
-    options = typing.get_args(hint) or (hint,)
-    if np.ndarray in options:  # per-head grade tuples, one array each
+    if np.ndarray in typing.get_args(hint):  # per-head grade tuples, one array each
         ok = value is None or (type(value) is list and all(map(_numbers, value)))
         return None if ok else "array of number arrays or null"
-    ok = _number(value) if float in options and type(value) in (int, float) \
-        else type(value) in options
-    return None if ok else " or ".join(_JSON_KINDS[t] for t in options)
+    ok = _number(value) if hint is float and type(value) in (int, float) else type(value) is hint
+    return None if ok else _JSON_KINDS[hint]
 
 
 def _check_keys(raw: dict, cls, section: str = "", exclude=()) -> None:
@@ -121,7 +118,7 @@ def _build(make, defaults: dict, section: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _final_eval(params, gcfg, ds, n_eval: int, lam: float | None):
+def _final_eval(params, gcfg, ds, n_eval: int):
     """Per-dimension error and final-layer attention mass by key position.
 
     The first n_eval sequences run as one stacked forward; the error and
@@ -130,7 +127,7 @@ def _final_eval(params, gcfg, ds, n_eval: int, lam: float | None):
     """
     m = min(n_eval, ds.size)
     x, y = ds.x[:m], ds.y[:m]
-    _, pred, collect = graded.forward(params, gcfg, x, lam=lam, collect_attention=True)
+    _, pred, collect = graded.forward(params, gcfg, x, collect_attention=True)
     if gcfg.model.vocab_size:
         pred = tensor.softmax_rows(pred)
     errs = tasks.per_dim_error(pred.reshape(y.shape), y)
@@ -151,6 +148,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.task not in tasks.TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; known: {sorted(tasks.TASKS)}")
     task = tasks.TASKS[cfg.task]
+    if cfg.init_seed < 0:
+        raise ConfigError(f"init_seed must be >= 0, not {cfg.init_seed}")
     tcfg = _build(training.TrainConfig, task.train, cfg.train)
     try:
         ds = task.generate(cfg.dataset_size, cfg.seq_len, tcfg.seed)
@@ -195,16 +194,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             _write_summary(out, summary)
             raise
         wall = time.perf_counter() - start
-        lam = result.metrics[-1]["lambda"] if rcfg.mode == EXPONENTIAL else None
-        final_cfg = replace(rcfg, grades=result.grades, head_grades=result.head_grades)
-        errs, attn_mass = _final_eval(result.params, final_cfg, ds, 64, lam)
+        final_cfg = training.annealed_grading(
+            replace(rcfg, grades=result.grades, head_grades=result.head_grades),
+            result.metrics[-1]["lambda"])
+        errs, attn_mass = _final_eval(result.params, final_cfg, ds, 64)
         training.write_metrics_csv(out / f"{name}_metrics.csv", result.metrics)
         tf.save_checkpoint(out / f"{name}_final.gtc", result.params, model,
-                           extra={**final_cfg.to_dict(), "lambda": lam, "task": cfg.task})
+                           extra={**final_cfg.to_dict(), "task": cfg.task})
         summary["runs"][name] = {
             **_loss_fields(result.metrics),
             "per_dim_error": errs.tolist(),
-            "grade_weighted_error": float(np.sum(final_cfg.weights(lam=lam) * errs)),
+            "grade_weighted_error": float(np.sum(final_cfg.weights() * errs)),
             "high_grade_error": float(np.mean(errs[list(task.signal_dims)]))
             if task.signal_dims else None,
             "low_grade_error": float(np.mean(errs[list(task.noise_dims)]))
@@ -235,8 +235,10 @@ def _write_summary(out: Path, summary: dict) -> None:
 
 def evaluate_checkpoint(checkpoint_path, data_path) -> dict:
     """Per-dimension error of a checkpoint, rebuilt from its stored grading
-    and lambda, on a dataset of its task.  Unstored grading fields take their
-    defaults; attention_variant takes "scores", as old checkpoints ran."""
+    alone, on a dataset of its task.  Unstored grading fields take their
+    defaults; attention_variant takes "scores", as old checkpoints ran.  An
+    older file in exponential mode may store the base its parameters ran
+    at as a separate "lambda"; a non-null one is read as the base."""
     params, model, extra = tf.load_checkpoint(checkpoint_path)
     ds = tasks.load_dataset(data_path)
     task = extra.get("task", ds.task)
@@ -256,13 +258,13 @@ def evaluate_checkpoint(checkpoint_path, data_path) -> dict:
         lam = extra.get("lambda") if gcfg.mode == EXPONENTIAL else None
         if lam is not None and not (type(lam) in (int, float) and 1 < lam < np.inf):
             raise ValueError(f"extra.lambda must be a finite number > 1 or null, got {lam!r}")
+        gcfg = gcfg if lam is None else replace(gcfg, base=lam)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{checkpoint_path}: {exc}") from exc
-    errs, _ = _final_eval(params, gcfg, ds, 64, lam)
+    errs, _ = _final_eval(params, gcfg, ds, 64)
     return {
         "per_dim_error": errs.tolist(),
         "mean_error": float(errs.mean()),
         "size_evaluated": int(min(64, ds.size)),
         "grading": gcfg.to_dict(),
-        "lambda": lam,
     }

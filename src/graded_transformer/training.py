@@ -2,8 +2,8 @@
 global-norm gradient clipping, base annealing, grade learning-rate bounds,
 Adam, and one training loop for both grading modes.
 
-In exponential mode the loop re-anneals the base every step, recomputes the
-maximum grade over the model and head tuples, and caps the grade learning
+In exponential mode the loop anneals the base from 1 to the grading's base,
+recomputes the maximum learned grade every step, and caps the grade learning
 rate at 0.9x the stability bound before updating.  Learned grades are
 projected back to >= 0 after each step.  Parameters and grades share one
 flat buffer, so clipping, Adam, the finiteness check and the rollback each
@@ -43,14 +43,12 @@ class TrainConfig:
     gamma_heads: float = 0.0     # penalty on sum_i ||q_i||^2
     gamma_coord: float = 1e-3    # penalty on head-tuple variance
     clip_threshold: float = 5.0
-    lambda_max: float = 2.0
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
     seed: int = 42
     batch_size: int = 16
     learn_grades: bool = True
-    grade_init_scale: float | None = None  # q_k = c*k when set
     base_loss: str = "squared"   # squared | sigmoid_ce
     checkpoint_every: int = 0    # 0 = final checkpoint only
 
@@ -61,6 +59,9 @@ class TrainConfig:
             raise ValueError("clip threshold must be positive")
         if min(self.gamma, self.gamma_heads, self.gamma_coord) < 0:
             raise ValueError("regularization weights must be >= 0")
+        for key in ("seed", "checkpoint_every"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, not {getattr(self, key)!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, not {self.batch_size!r}")
         if not self.lr > 0:
@@ -72,23 +73,22 @@ class TrainConfig:
                 raise ValueError(f"{key} must lie in [0, 1), not {getattr(self, key)!r}")
         if not self.eps_adam > 0:
             raise ValueError(f"eps_adam must be > 0, not {self.eps_adam!r}")
-        if not self.lambda_max > 1.0:
-            raise InvalidLambda("lambda_max must exceed 1")
         if self.base_loss not in ("squared", "sigmoid_ce"):
             raise ValueError(
                 f"base_loss must be 'squared' or 'sigmoid_ce', not {self.base_loss!r}")
 
 
-def grade_init(rule_scale: float, d: int) -> np.ndarray:
-    """Warm-start rule q_k = c * k for k = 0..d-1."""
-    return rule_scale * np.arange(d, dtype=np.float64)
-
-
-def anneal_lambda(t: int, total: int, lambda_max: float) -> float:
-    """Linear schedule from 1 at t=0 to lambda_max at t=total."""
+def anneal_lambda(t: int, total: int, base: float) -> float:
+    """Linear schedule from 1 at t=0 to base at t=total."""
     if t < 0 or t > total:
         raise StepOutOfRange(f"step {t} outside [0, {total}]")
-    return 1.0 + (lambda_max - 1.0) * t / total
+    return 1.0 + (base - 1.0) * t / total
+
+
+def annealed_grading(gcfg: graded.GradedModelConfig, lam: float) -> graded.GradedModelConfig:
+    """The grading a step ran at: in exponential mode, gcfg with the step's
+    annealed base lam as its base; linear mode anneals nothing."""
+    return replace(gcfg, base=lam) if gcfg.mode == EXPONENTIAL else gcfg
 
 
 def grade_lr_bound(mode: str, lam: float, q_max: float) -> float:
@@ -347,24 +347,24 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     array, with the restored result attached.
     """
     exponential = gcfg.mode == EXPONENTIAL
-    if cfg.grade_init_scale is not None:
-        gcfg = replace(gcfg, grades=grade_init(cfg.grade_init_scale, gcfg.model.d_model),
-                       head_grades=None)
-    else:
-        gcfg = replace(gcfg)
+    gcfg = replace(gcfg, head_grades=gcfg.head_grades.copy())
     num = data_x.shape[0]
     if data_y.shape[0] != num:
         raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
     check_widths(data_x, data_y, gcfg.model)
 
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1), "q_heads": gcfg.head_grades.reshape(1, -1)}
+    # head tuples that no stage reads get no leaf and come back unchanged
+    grade_arrays = {"q": gcfg.grades.reshape(1, -1)}
+    if gcfg.attention_variant != "none":
+        grade_arrays["q_heads"] = gcfg.head_grades.reshape(1, -1)
     layout = FlatLayout({**params, **grade_arrays})
     flat = layout.pack({**params, **grade_arrays})
     views = layout.views(flat)
     params = {k: views[k] for k in params}
     grade_arrays = {k: views[k] for k in grade_arrays}
     gcfg.grades = grade_arrays["q"].reshape(-1)
-    gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
+    if "q_heads" in grade_arrays:
+        gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
     n_theta = int(layout.offsets[len(params)])
     theta, grades = flat[:n_theta], flat[n_theta:]
     grad = np.zeros(layout.size)
@@ -381,7 +381,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     start = time.perf_counter()
 
     for t in range(1, cfg.steps + 1):
-        lam_t = anneal_lambda(t, cfg.steps, cfg.lambda_max) if exponential else 1.0
+        lam_t = anneal_lambda(t, cfg.steps, gcfg.base) if exponential else 1.0
         batch_ids = rng.generator.integers(0, num, size=min(cfg.batch_size, num))
 
         tape, total, main, reg = record_step(
@@ -429,7 +429,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             "grad_norm_post": post,
             "clipped": int(fired),
             "grade_norm": float(np.linalg.norm(grade_arrays["q"])),
-            "head_grade_norm": float(np.linalg.norm(grade_arrays["q_heads"])),
+            "head_grade_norm": float(np.linalg.norm(gcfg.head_grades)),
             "eta_q": eta_q,
             "eta_q_bound": bound,
         })
@@ -438,7 +438,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             tf.save_checkpoint(
                 Path(checkpoint_dir) / f"step{t:06d}.gtc", params, gcfg.model,
-                extra={**gcfg.to_dict(), "step": t, "lambda": lam_t},
+                extra={**annealed_grading(gcfg, lam_t).to_dict(), "step": t},
             )
 
     if failure:

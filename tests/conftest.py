@@ -450,15 +450,16 @@ def ref_train(params, gcfg, data_x, data_y, cfg):
     params = {k: v.copy() for k, v in params.items()}
     gcfg = replace(gcfg)
     rng = Rng(cfg.seed)
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy(),
-                    "q_heads": gcfg.head_grades.reshape(1, -1).copy()}
+    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy()}
+    if gcfg.attention_variant != "none":  # no leaf for head tuples nothing reads
+        grade_arrays["q_heads"] = gcfg.head_grades.reshape(1, -1).copy()
     theta_state = RefAdamState(params)
     grade_state = RefAdamState(grade_arrays)
     num = data_x.shape[0]
     last_good = {k: v.copy() for k, v in params.items()}
     losses, diverged = [], False
     for t in range(1, cfg.steps + 1):
-        lam_t = training.anneal_lambda(t, cfg.steps, cfg.lambda_max) if exponential else 1.0
+        lam_t = training.anneal_lambda(t, cfg.steps, gcfg.base) if exponential else 1.0
         ids = rng.generator.integers(0, num, size=min(cfg.batch_size, num))
         tape, total, _, _ = training.record_step(params, grade_arrays, gcfg, data_x[ids],
                                                  data_y[ids], lam_t, cfg)
@@ -481,11 +482,12 @@ def ref_train(params, gcfg, data_x, data_y, cfg):
             for v in grade_arrays.values():
                 np.maximum(v, 0.0, out=v)
             gcfg.grades = grade_arrays["q"].reshape(-1)
-            gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
+            if "q_heads" in grade_arrays:
+                gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
         if any(not np.all(np.isfinite(v)) for v in params.values()):
             diverged, params = True, last_good
             break
         last_good = {k: v.copy() for k, v in params.items()}
         losses.append(loss)
     return (params, grade_arrays["q"].reshape(-1),
-            grade_arrays["q_heads"].reshape(gcfg.head_grades.shape), losses, diverged)
+            gcfg.head_grades.copy(), losses, diverged)

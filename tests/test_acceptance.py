@@ -210,7 +210,7 @@ def test_c12_annealing_bounds_clipping():
     tc = training.TrainConfig(steps=120, clip_threshold=1.0, lr_grades=5.0, seed=12,
                               batch_size=8)
     res = training.train(params, gcfg, ds.x, ds.y, tc)
-    schedule_ok = all(r["lambda"] == training.anneal_lambda(r["step"], 120, tc.lambda_max)
+    schedule_ok = all(r["lambda"] == training.anneal_lambda(r["step"], 120, gcfg.base)
                       for r in res.metrics)
     bound_ok = all(r["eta_q"] <= r["eta_q_bound"] for r in res.metrics)
     fired = [r for r in res.metrics if r["clipped"]]
@@ -265,10 +265,10 @@ def test_c15_end_to_end_smoke():
         res, gcfg, ds = props.training_smoke_run(mode, steps=2000, seed=42)
         first, last = res.metrics[0]["loss"], res.metrics[-1]["loss"]
         ratio = last / first
-        lam = res.metrics[-1]["lambda"] if mode == gs.EXPONENTIAL else None
-        eval_cfg = graded.GradedModelConfig(
-            **{**gcfg.__dict__, "grades": res.grades, "head_grades": res.head_grades})
-        _, logits = graded.forward(res.params, eval_cfg, ds.x[:64], lam=lam)
+        eval_cfg = training.annealed_grading(graded.GradedModelConfig(
+            **{**gcfg.__dict__, "grades": res.grades, "head_grades": res.head_grades}),
+            res.metrics[-1]["lambda"])
+        _, logits = graded.forward(res.params, eval_cfg, ds.x[:64])
         errs = tasks.per_dim_error(logits.reshape(ds.y[:64].shape), ds.y[:64])
         hi = float(errs[list(tasks.POLY_SIGNAL_DIMS)].mean())
         lo = float(errs[list(tasks.POLY_NOISE_DIMS)].mean())

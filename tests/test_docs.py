@@ -3,8 +3,12 @@ import pkgutil
 import re
 from pathlib import Path
 
+import pytest
+
 import graded_transformer
 from graded_transformer import props
+from graded_transformer.errors import ConfigError
+from graded_transformer.harness import ExperimentConfig
 
 from test_training import step_node_counts
 
@@ -85,6 +89,29 @@ def test_stale_path_is_reported():
     text = "Run `tests/` and ```\npython scripts/retired_run.py --seed 1\n```."
     assert repo_paths(text) == {"tests/", "scripts/retired_run.py"}
     assert not exists("scripts/retired_run.py") and exists("tests/")
+
+
+def json_blocks(text: str) -> list[str]:
+    """The contents of the fenced blocks tagged json."""
+    return re.findall(r"```json\n(.*?)```", text, flags=re.S)
+
+
+def test_readme_configs_load(tmp_path):
+    blocks = json_blocks((ROOT / "README.md").read_text(encoding="utf-8"))
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme{i}.json"
+        path.write_text(block)
+        ExperimentConfig.from_file(path)  # raises ConfigError on a stale key
+
+
+def test_stale_config_key_is_reported(tmp_path):
+    text = 'Run:\n```json\n{"task": "poly_degree", "train": {"lambda_max": 3.0}}\n```\n'
+    [block] = json_blocks(text)
+    path = tmp_path / "stale.json"
+    path.write_text(block)
+    with pytest.raises(ConfigError, match="lambda_max"):
+        ExperimentConfig.from_file(path)
 
 
 def test_readme_node_counts_are_measured():

@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from graded_transformer import autodiff as ad
 from graded_transformer import graded
 from graded_transformer import graded_space as gs
 from graded_transformer import props
@@ -53,7 +55,8 @@ class TestConfig:
         lambda: dict(weight_map=gs.affine_map(1.0, -1.0)),  # weights 1, .5, 0, -1
         lambda: dict(weight_map=gs.WeightMap("identity")),  # grade 0 weighs 0
         lambda: dict(weight_map=gs.WeightMap("identity"), grades=np.ones(4),
-                     head_grades=[np.ones(2), np.array([0.0, 1.0])]),
+                     head_grades=[np.ones(2), np.array([0.0, 1.0])],
+                     attention_variant="scores"),  # only graded attention reads them
         lambda: dict(mode="cubic"),
         lambda: dict(weight_map=gs.affine_map(np.nan, 1.0)),  # NaN weights
         lambda: dict(positional="exp_decay", alpha=-3.0),  # decay would be growth
@@ -110,7 +113,18 @@ class TestConfig:
         assert gcfg.max_weight() == 3.0
         ecfg = make_gcfg(toy_model, mode=gs.EXPONENTIAL, base=2.0)
         assert ecfg.max_weight() == pytest.approx(4.0)
-        assert ecfg.max_weight(lam=3.0) == pytest.approx(9.0)
+        assert replace(ecfg, base=3.0).max_weight() == pytest.approx(9.0)
+
+    def test_max_weight_reads_head_tuples_only_for_graded_attention(self, toy_model):
+        # identity weighs grade 0 by 0: a zero head grade is invalid only
+        # where attention reads the head tuples
+        heads = np.array([[0.0, 0.5], [1.0, 2.0]])
+        gcfg = make_gcfg(toy_model, weight_map=gs.WeightMap("identity"),
+                         grades=np.array([0.5, 1.0, 1.5, 2.0]), head_grades=heads)
+        assert gcfg.max_weight() == 2.0
+        for variant in ("scores", "queries_keys", "values"):
+            with pytest.raises(InvalidSpec, match="must be positive"):
+                replace(gcfg, attention_variant=variant)
 
 
 class TestGradedInput:
@@ -161,7 +175,8 @@ class TestGradedPositional:
                    {"positional": "exp_decay", "alpha": 0.3, "mode": gs.EXPONENTIAL}):
             gcfg = make_gcfg(toy_model, **kw)
             for lam in (None, 1.7):
-                want = np.stack([graded.positional_scale(t, gcfg, lam)
+                at_lam = gcfg if lam is None else replace(gcfg, base=lam)
+                want = np.stack([graded.positional_scale(t, at_lam)
                                  * sinusoid(t, 4) for t in range(1, 17)])
                 for _ in range(2):  # the second call reads the cached table
                     assert np.array_equal(graded.graded_positional_matrix(16, gcfg, lam), want)
@@ -176,8 +191,6 @@ class TestGradedPositional:
     @pytest.mark.parametrize("lam", [1.0, 0.5, -2.0, np.nan])
     def test_exp_decay_base_override_must_exceed_one(self, toy_model, lam):
         gcfg = make_gcfg(toy_model, positional="exp_decay", alpha=0.25)
-        with pytest.raises(InvalidLambda):
-            graded.positional_scale(1, gcfg, lam)
         with pytest.raises(InvalidLambda):
             graded.graded_positional_matrix(4, gcfg, lam)
 
@@ -363,18 +376,18 @@ class TestForward:
         # training.train rewrites the grade arrays in place: a cached weight
         # row must not outlive the values it was made from
         cfg, params = toy_model
-        gcfg = make_gcfg(toy_model, mode=mode, attention_variant="queries_keys",
+        gcfg = make_gcfg(toy_model, mode=mode, base=1.5, attention_variant="queries_keys",
                          grade_ffn=True, grade_output=True)
         x = Rng(72).generator.normal(size=(5, 4))
-        before = graded.forward(params, gcfg, x, lam=1.5)[1]
+        before = graded.forward(params, gcfg, x)[1]
         new = Rng(73).generator.uniform(0.0, 2.0, 4)
         gcfg.grades[:] = new
         gcfg.head_grades[:] = new[::-1].reshape(2, 2)
-        fresh = make_gcfg(toy_model, mode=mode, attention_variant="queries_keys",
+        fresh = make_gcfg(toy_model, mode=mode, base=1.5, attention_variant="queries_keys",
                           grade_ffn=True, grade_output=True, grades=new.copy(),
                           head_grades=new[::-1].reshape(2, 2).copy())
-        got = graded.forward(params, gcfg, x, lam=1.5)[1]
-        assert np.array_equal(got, graded.forward(params, fresh, x, lam=1.5)[1])
+        got = graded.forward(params, gcfg, x)[1]
+        assert np.array_equal(got, graded.forward(params, fresh, x)[1])
         assert not np.array_equal(got, before)
 
     def test_cached_constants_are_read_only(self, toy_model):
@@ -392,7 +405,11 @@ class TestForward:
         cfg, params = toy_model
         ecfg = make_gcfg(toy_model, mode=gs.EXPONENTIAL)
         with pytest.raises(InvalidSpec):
-            graded.forward(params, ecfg, np.ones((3, 4)), lam=1.0)
+            replace(ecfg, base=1.0)
+        tape = ad.Tape()  # a training step's annealed base overrides the config's
+        with ad.recording(tape), pytest.raises(InvalidSpec):
+            graded.forward_nodes(tf.as_nodes(params, tape, trainable=False), ecfg,
+                                 np.ones((3, 4)), lam=1.0)
 
     def test_model_softmax_is_tensor_softmax(self, toy_model, monkeypatch):
         # an injected softmax fault must reach the model's forward pass, so
@@ -410,22 +427,22 @@ class TestForward:
 
 class TestBatchedForward:
     @staticmethod
-    def logits(params, gcfg, inputs, lam=None):
-        return graded.forward(params, gcfg, inputs, lam=lam)[1]
+    def logits(params, gcfg, inputs):
+        return graded.forward(params, gcfg, inputs)[1]
 
     def test_token_batch_matches_per_sequence(self):
         # 16 x 8 ids at n_max 16: the cap holds per sequence, not for all 128 ids
         cfg = tf.ModelConfig(vocab_size=12, d_model=8, n_heads=2, n_layers=2, d_ff=16,
                              n_max=16)
         params = tf.init_params(cfg, Rng(2), decoder=False)
-        gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=1.8,
+        gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=1.6,
                                         grades=Rng(3).generator.uniform(0, 1, 8),
                                         attention_variant="queries_keys",
                                         positional="exp_decay", alpha=0.25,
                                         grade_inputs=False)
         batch = Rng(4).generator.integers(1, 13, size=(16, 8))
-        got = self.logits(params, gcfg, batch, lam=1.6)
-        want = np.vstack([self.logits(params, gcfg, row, lam=1.6) for row in batch])
+        got = self.logits(params, gcfg, batch)
+        want = np.vstack([self.logits(params, gcfg, row) for row in batch])
         assert_close(got, want, tol=1e-12)
 
     def test_ragged_token_batch_is_a_typed_error(self, token_model):

@@ -294,6 +294,22 @@ class TestStoredGrading:
         path.write_bytes(_rewrite_header(raw, _edit_extra(mode="exponential", **{"lambda": lam})))
         _assert_rejected(path, data, "extra.lambda")
 
+    def test_older_lambda_is_read_as_the_base(self, stored):
+        # older files store the base an exponential model ran at as "lambda"
+        raw, data, path = stored
+
+        def report(**extra):
+            path.write_bytes(_rewrite_header(raw, _edit_extra(**extra)))
+            return evaluate_checkpoint(path, data)
+
+        old = report(mode="exponential", base=2.0, **{"lambda": 3.0})
+        assert old == report(mode="exponential", base=3.0)
+        assert old["grading"]["base"] == 3.0 and "lambda" not in old
+        # a null lambda, or any lambda in linear mode, leaves the stored base
+        assert report(mode="exponential", base=2.0, **{"lambda": None}) \
+            == report(mode="exponential", base=2.0)
+        assert report(**{"lambda": 3.0}) == report()
+
     @pytest.mark.parametrize("missing", ["task", "y"])
     def test_dataset_missing_key_exit_two(self, stored, tmp_path, missing):
         # a dataset container with no task meta key, or with no y array
@@ -334,7 +350,7 @@ class TestStoredGrading:
         report = evaluate_checkpoint(path, data)
         want = [1.840668744130534, 0.8470320684444467, 2.3852958086435585, 1.5425988523504497]
         assert np.allclose(report["per_dim_error"], want, rtol=1e-12, atol=0)
-        assert report["lambda"] is None
+        assert "lambda" not in report
         assert report["grading"] == graded.GradedModelConfig(
             tf.load_checkpoint(path)[1], grades=np.array([0.0, 0.5, 1.0, 2.0]),
             attention_variant="scores").to_dict()
@@ -451,9 +467,9 @@ class TestExperiment:
 REPRODUCED = {
     # poly_degree's default grading learns head grades apart from the model tuple
     "poly_linear": dict(task="poly_degree", mode="linear", train={}),
-    # annealing takes lambda to 3, away from the base 2
-    "hier_exponential": dict(task="hier_copy", mode="exponential",
-                             train={"lambda_max": 3.0}),
+    # annealing takes lambda from 1 to the base 3, through the default base 2
+    "hier_exponential": dict(task="hier_copy", mode="exponential", train={},
+                             grading={"base": 3.0}),
 }
 
 
@@ -465,7 +481,8 @@ def reproduced(request, tmp_path_factory):
     cfg = ExperimentConfig(task=case["task"], mode=case["mode"], dataset_size=32, seq_len=6,
                            run_baseline=True, out_dir=str(out),
                            train={"steps": 60, "seed": 3, "checkpoint_every": 30,
-                                  **case["train"]})
+                                  **case["train"]},
+                           grading=case.get("grading", {}))
     summary = run_experiment(cfg)
     data = out / "data.gtc"
     tasks.save_dataset(data, tasks.generate(cfg.task, cfg.dataset_size, cfg.seq_len, seed=3))
@@ -486,12 +503,34 @@ class TestReproduction:
         report = evaluate_checkpoint(out / "graded_final.gtc", data)
         grading = report["grading"]
         assert grading == {k: v for k, v in tf.load_checkpoint(out / "graded_final.gtc")[2].items()
-                           if k not in ("lambda", "task")}
+                           if k != "task"}
+        assert "lambda" not in report
         if summary["mode"] == "linear":
-            assert report["lambda"] is None
             assert np.concatenate(grading["head_grades"]).tolist() != grading["grades"]
         else:
-            assert report["lambda"] == 3.0 and grading["base"] == 2.0
+            assert grading["base"] == 3.0
+
+    @pytest.mark.parametrize("run", ["graded", "baseline"])
+    @pytest.mark.parametrize("checkpoint, step", [("{run}/step000030.gtc", 30),
+                                                  ("{run}/step000060.gtc", 60),
+                                                  ("{run}_final.gtc", 60)])
+    def test_checkpoint_runs_at_its_step_lambda(self, reproduced, run, checkpoint, step):
+        # the stored grading alone rebuilds the model a step ran: its base is
+        # that step's annealed lambda, and eval matches a forward pass that
+        # takes lambda as an override of the run's own base
+        out, data, summary = reproduced
+        params, model, extra = tf.load_checkpoint(out / checkpoint.format(run=run))
+        stored = graded.GradedModelConfig.from_dict(
+            model, {k: v for k, v in extra.items() if k not in ("task", "step")})
+        lam = None
+        if stored.mode == "exponential":
+            lam = training.anneal_lambda(step, 60, 3.0)
+            assert stored.base == lam and "lambda" not in extra
+        ds = tasks.load_dataset(data)
+        want, _ = per_sequence_eval(params, replace(stored, base=3.0) if lam else stored,
+                                    ds, 64, lam)
+        report = evaluate_checkpoint(out / checkpoint.format(run=run), data)
+        assert np.abs(np.subtract(report["per_dim_error"], want)).max() <= 1e-12
 
 
 def per_sequence_eval(params, gcfg, ds, n_eval, lam):
@@ -520,10 +559,10 @@ class TestFinalEval:
     def test_stacked_matches_per_sequence(self, task, n_eval):
         ds = tasks.generate(task, 24, 6, seed=3)
         model = tf.ModelConfig(**harness.MODEL_DEFAULTS, **training.data_widths(ds.x, ds.y))
-        gcfg = graded.GradedModelConfig(model=model, mode="exponential", grades=ds.grades,
-                                        **tasks.TASKS[task].grading)
+        gcfg = graded.GradedModelConfig(model=model, mode="exponential", base=1.7,
+                                        grades=ds.grades, **tasks.TASKS[task].grading)
         params = tf.init_params(model, Rng(1), decoder=False)
-        errs, mass = harness._final_eval(params, gcfg, ds, n_eval, 1.7)
+        errs, mass = harness._final_eval(params, gcfg, ds, n_eval)
         want_errs, want_mass = per_sequence_eval(params, gcfg, ds, n_eval, 1.7)
         assert np.abs(errs - want_errs).max() <= 1e-12 * np.abs(want_errs).max()
         assert np.abs(mass - want_mass).max() <= 1e-12
@@ -603,12 +642,13 @@ class TestCli:
 
     @pytest.mark.parametrize("scale, steps", [(500, 0), (100, 1)])
     def test_diverged_run_writes_artifacts(self, tmp_path, scale, steps):
-        # grade_init_scale 500 overflows the loss at step 1; 100 at step 2
+        # grades (0, 1, 2, 3) * 500 overflow the loss at step 1; * 100 at step 2
         out = tmp_path / "run"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
             "task": "poly_degree", "mode": "exponential", "out_dir": str(out),
-            "train": {"steps": 10, "lambda_max": 60, "grade_init_scale": scale}}))
+            "train": {"steps": 10},
+            "grading": {"base": 60, "grades": [0, scale, 2 * scale, 3 * scale]}}))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), np.errstate(all="ignore"):
             assert cli.main(["train", "--config", str(cfg_path)]) == 3
@@ -745,8 +785,8 @@ class TestCli:
         ({"grading": {"head_grades": [["a"]]}},
          "key 'grading.head_grades' must be a JSON array of number arrays or null"),
         # Python's json reads NaN and Infinity; no config number may be either
-        ({"mode": "exponential", "train": {"lambda_max": np.inf}},
-         "key 'train.lambda_max' must be a JSON number, not Infinity"),
+        ({"mode": "exponential", "train": {"lr_grades": np.inf}},
+         "key 'train.lr_grades' must be a JSON number, not Infinity"),
         ({"train": {"clip_threshold": np.nan}},
          "key 'train.clip_threshold' must be a JSON number, not NaN"),
         ({"train": {"gamma": np.nan}}, "key 'train.gamma' must be a JSON number, not NaN"),
@@ -822,6 +862,41 @@ class TestCli:
             assert cli.main(["train", "--config", str(cfg_path)]) == 2
         assert err.getvalue().startswith("config error: ") and message in err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"train": {"lambda_max": 3.0}}, "unknown config keys in section 'train': ['lambda_max']"),
+        ({"train": {"grade_init_scale": 0.5}},
+         "unknown config keys in section 'train': ['grade_init_scale']"),
+        ({"train": {"checkpoint_every": -1}}, "checkpoint_every must be >= 0, not -1"),
+        ({"train": {"seed": -1}}, "seed must be >= 0, not -1"),
+        ({"init_seed": -1}, "init_seed must be >= 0, not -1"),
+    ])
+    def test_rejected_before_any_output(self, tmp_path, raw, message):
+        out = tmp_path / "run"
+        self.assert_config_error(tmp_path, {"task": "poly_degree", "dataset_size": 16,
+                                            "seq_len": 4, **raw, "out_dir": str(out)}, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["props"], ["gen", "--task", "poly", "--size", "4",
+                                                     "--len", "4", "--out", "never.gtc"]])
+    def test_negative_seed_exit_two(self, capsys, command):
+        assert cli.main([*command, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "config error: --seed must be >= 0, not -1\n"
+
+    def test_unread_head_grades_do_not_invalidate_config(self, tmp_path, capsys):
+        # identity weighs grade 0 by 0; ungraded attention reads no head tuple
+        grading = {"attention_variant": "none", "weight_map": "identity",
+                   "grades": [0.5, 1.0, 1.5, 2.0], "head_grades": [[0.0, 0.5], [1.0, 2.0]]}
+        raw = {"task": "poly_degree", "dataset_size": 16, "seq_len": 4,
+               "train": {"steps": 2, "batch_size": 4}, "out_dir": str(tmp_path / "run"),
+               "grading": grading}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert cli.main(["train", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        self.assert_config_error(
+            tmp_path, {**raw, "grading": {**grading, "attention_variant": "scores"}},
+            "linear grading weights must be positive")
 
     def test_unknown_config_key_exit_two(self, tmp_path):
         bad = tmp_path / "bad2.json"

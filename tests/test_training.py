@@ -196,15 +196,31 @@ class TestAdam:
 
 
 class TestTrainLoop:
-    def test_warm_start_rule(self):
-        assert_close(training.grade_init(0.5, 4), [0.0, 0.5, 1.0, 1.5])
-
     def test_lambda_schedule_replay(self):
         cfg, params, gcfg, ds = tiny_setup(mode=gs.EXPONENTIAL)
         tc = training.TrainConfig(steps=40, seed=5, batch_size=4)
         res = training.train(params, gcfg, ds.x, ds.y, tc)
         for row in res.metrics:
-            assert row["lambda"] == training.anneal_lambda(row["step"], 40, tc.lambda_max)
+            assert row["lambda"] == training.anneal_lambda(row["step"], 40, gcfg.base)
+
+    @pytest.mark.parametrize("mode", [gs.LINEAR, gs.EXPONENTIAL])
+    def test_ungraded_attention_leaves_head_grades_alone(self, mode):
+        # under variant "none" no stage reads the head tuples: they get no
+        # leaf, penalty, update or share of the grade rate bound, so the run
+        # is the same whatever they hold
+        _, params, gcfg, ds = tiny_setup(mode)
+        heads = np.array([[0.0, 0.5], [1.0, 3.0]])
+        gcfg = replace(gcfg, attention_variant="none", head_grades=heads.copy())
+        tc = training.TrainConfig(steps=30, seed=5, batch_size=4)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
+        assert np.array_equal(res.head_grades, heads)
+        assert not np.shares_memory(res.head_grades, gcfg.head_grades)
+        other = training.train(params, replace(gcfg, head_grades=None), ds.x, ds.y, tc)
+        assert [m["loss"] for m in res.metrics] == [m["loss"] for m in other.metrics]
+        assert [m["eta_q_bound"] for m in res.metrics] == \
+            [m["eta_q_bound"] for m in other.metrics]
+        assert np.array_equal(res.grades, other.grades)
+        assert all(np.array_equal(res.params[k], other.params[k]) for k in params)
 
     def test_linear_mode_keeps_lambda_one(self):
         cfg, params, gcfg, ds = tiny_setup()
@@ -548,8 +564,9 @@ class TestValuesOnlyInference:
     def test_workload_models_bitwise(self, monkeypatch):
         for params, gcfg, ds, _ in workload_setups():
             cfg = gcfg.model
-            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else None
-            z, _ = self.assert_same(graded.forward, params, gcfg, ds.x[:4], lam)
+            if gcfg.mode == gs.EXPONENTIAL:  # a base other than the default 2
+                gcfg = replace(gcfg, base=1.5)
+            z, _ = self.assert_same(graded.forward, params, gcfg, ds.x[:4])
             z = z[:ds.x.shape[1]]  # the first sequence's encoder rows
             self.assert_same(tf.encode, params, cfg, z)
             if cfg.vocab_size:
@@ -565,16 +582,15 @@ class TestValuesOnlyInference:
 
     def test_token_model_with_decoder_bitwise(self, token_model, monkeypatch):
         cfg, params = token_model
-        gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL,
+        gcfg = graded.GradedModelConfig(model=cfg, mode=gs.EXPONENTIAL, base=1.7,
                                         grades=Rng(3).generator.uniform(0.0, 1.0, 8),
                                         attention_variant="queries_keys",
                                         positional="exp_decay", alpha=0.25)
         prompt = [1, 5, 7, 3, 9]
         self.assert_same(tf.generate, params, cfg, prompt)
         want, want_rows = decoder_rows(monkeypatch, recorded, graded.graded_generate,
-                                       params, gcfg, prompt, None, 1.7)
-        got, rows = decoder_rows(monkeypatch, graded.graded_generate, params, gcfg, prompt,
-                                 None, 1.7)
+                                       params, gcfg, prompt)
+        got, rows = decoder_rows(monkeypatch, graded.graded_generate, params, gcfg, prompt)
         assert got == want[0] and len(rows) == len(want_rows) > 1
         assert all(np.array_equal(a, b) for a, b in zip(rows, want_rows))
 
