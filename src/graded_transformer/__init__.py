@@ -2,7 +2,7 @@
 grading of features, attention, and losses, with linear or exponential
 scaling, trained by grade-aware optimization."""
 
-from . import autodiff, gnn, graded, graded_space, tasks, tensor, training
+from . import autodiff, graded, graded_space, tasks, tensor, training
 from . import transformer
 from .graded import GradedModelConfig, forward
 from .graded_space import EXPONENTIAL, LINEAR, GradingSpec, WeightMap
@@ -13,7 +13,7 @@ from .transformer import ModelConfig
 __version__ = "0.1.0"
 
 __all__ = [
-    "autodiff", "gnn", "graded", "graded_space", "tasks", "tensor",
+    "autodiff", "graded", "graded_space", "tasks", "tensor",
     "training", "transformer",
     "GradedModelConfig", "GradingSpec", "WeightMap", "ModelConfig",
     "TrainConfig", "Matrix", "Rng",

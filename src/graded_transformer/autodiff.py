@@ -277,12 +277,14 @@ def exp(a) -> Node:
     return record(ev, (a,), (lambda g: g * ev,))
 
 
-def absolute(a) -> Node:
-    a = wrap(a)
-    if not a.live:
-        return Node(np.abs(a.value))
-    sgn = np.sign(a.value)
-    return record(np.abs(a.value), (a,), (lambda g: g * sgn,))
+def affine(x, a: float, b: float) -> Node:
+    """a + b*x elementwise, for scalars a and b, computed as x*b + a."""
+    x = wrap(x)
+    a, b = float(a), float(b)
+    out = x.value * b + a
+    if not x.live:
+        return Node(out)
+    return record(out, (x,), (lambda g: g * b,))
 
 
 def sum_all(a) -> Node:

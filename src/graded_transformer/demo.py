@@ -8,8 +8,7 @@ import numpy as np
 from . import autodiff as ad
 from . import graded
 from . import transformer as tf
-from .gnn import HOMOGENEOUS, graded_loss
-from .graded_space import EXPONENTIAL, LINEAR, GradingSpec, WeightMap, affine_map
+from .graded_space import EXPONENTIAL, LINEAR, GradingSpec, WeightMap, homogeneous_norm
 from .training import anneal_lambda
 
 
@@ -17,7 +16,7 @@ def photonic_rows() -> list[str]:
     x = np.array([1.0, 0.5, 0.1])
     model = tf.ModelConfig(vocab_size=0, d_model=3, n_heads=1, n_layers=0, d_ff=1)
     gcfg = graded.GradedModelConfig(model=model, grades=[0.0, 1.0, 2.0],
-                                    weight_map=affine_map(1.0, 0.1))
+                                    weight_map=WeightMap(1.0, 0.1))
     graded_vec = x * gcfg.weights()
     norm = float(np.linalg.norm(graded_vec))
     unit = graded.graded_input(x, gcfg)  # the model's input stage
@@ -30,7 +29,7 @@ def photonic_rows() -> list[str]:
 
 def loss_multiplier_rows() -> list[str]:
     q = np.array([0.0, 0.5, 1.0, 2.0])
-    lgt = GradingSpec(LINEAR, WeightMap("plus_one")).weights(q)
+    lgt = GradingSpec(LINEAR).weights(q)
     egt = GradingSpec(EXPONENTIAL, base=2.0).weights(q)
     return [
         f"linear loss multipliers   computed {np.round(lgt, 5).tolist()}  reference [1, 1.5, 2, 3]",
@@ -42,7 +41,7 @@ def homogeneous_loss_row() -> str:
     # two-grade space (2, 3): loss = (||e_2||^4 + ||e_3||^2)^(1/2)
     q = np.array([2.0, 3.0])
     e = np.array([0.3, 0.4])
-    computed = graded_loss(HOMOGENEOUS, q, e, np.zeros(2))
+    computed = homogeneous_norm(q, e)
     direct = float(np.sqrt(0.3**4 + 0.4**2))
     return (f"two-grade homogeneous loss computed {computed:.6f}  "
             f"direct (e2^4 + e3^2)^0.5 = {direct:.6f}")

@@ -33,10 +33,6 @@ class NonPositiveGrade(GradedTransformerError, ValueError):
     """Operation requires strictly positive grades."""
 
 
-class ProbabilityDomain(GradedTransformerError, ValueError):
-    """Predicted values must form probabilities in (0, 1]."""
-
-
 class TokenOutOfRange(GradedTransformerError, ValueError):
     """Token id outside the vocabulary."""
 

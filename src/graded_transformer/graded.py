@@ -6,8 +6,8 @@ positional encodings (linear 1 - alpha*t or exponential base**(-alpha*t)
 decay), attention (three variants of diagonal scaling inside each head),
 and the feed-forward/output projections.
 
-With unit weights (linear mode, identity-like map, or zero grades in
-exponential mode), every graded path reproduces the baseline transformer
+With unit weights (unit grades under the (0, 1) map in linear mode, or
+zero grades in exponential mode), every graded path reproduces the baseline transformer
 bit for bit.
 """
 
@@ -32,7 +32,6 @@ from .graded_space import (
     LINEAR,
     GradingSpec,
     WeightMap,
-    affine_map,
     as_grades,
 )
 
@@ -87,20 +86,19 @@ class GradedModelConfig:
 
     def to_dict(self) -> dict:
         """Every field but the model in the JSON form of a config's grading
-        section: grades as lists, the weight map as a name or {"affine": [a, b]}."""
+        section: grades as lists, the weight map as {"affine": [a, b]}."""
         wm = self.weight_map
         return {**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "model"},
-                "grades": self.grades.tolist(),
-                "head_grades": self.head_grades.tolist(),
-                "weight_map": {"affine": [wm.a, wm.b]} if wm.name == "affine" else wm.name}
+                "grades": self.grades.tolist(), "head_grades": self.head_grades.tolist(),
+                "weight_map": {"affine": [wm.a, wm.b]}}
 
     @classmethod
     def from_dict(cls, model: tf.ModelConfig, raw: dict) -> "GradedModelConfig":
-        """The config to_dict wrote; absent fields take the defaults above."""
+        """The config to_dict wrote; absent fields take the defaults above,
+        and a weight map may also be given by name (WeightMap.from_json)."""
         wm = raw.get("weight_map")
         if isinstance(wm, (str, dict)):
-            wm = affine_map(*wm["affine"]) if isinstance(wm, dict) else WeightMap(wm)
-            raw = {**raw, "weight_map": wm}
+            raw = {**raw, "weight_map": WeightMap.from_json(wm)}
         return cls(model=model, **raw)
 
     def spec(self, lam: float | None = None) -> GradingSpec:
@@ -118,7 +116,7 @@ class GradedModelConfig:
 
 
 def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
-    """Ungraded twin: the defaults above (linear, zero grades under plus_one,
+    """Ungraded twin: the defaults above (linear, zero grades under q + 1,
     so all-unit weights, every graded feature off), unnormalised inputs."""
     return GradedModelConfig(model=model, normalize_inputs=False)
 

@@ -2,7 +2,7 @@
 homogeneous norm and the graded ReLU.
 
 A grading tuple assigns a non-negative grade q_i to each feature dimension.
-Linear grading scales dimension i by f(q_i) for a positive weight map f;
+Linear grading scales dimension i by a + b*q_i, a positive weight;
 exponential grading scales it by base**q_i with base > 1.
 """
 
@@ -22,45 +22,39 @@ from .errors import (
 
 LINEAR = "linear"
 EXPONENTIAL = "exponential"
-WEIGHT_MAPS = ("plus_one", "abs_plus_one", "identity", "affine")
+# names a config may give a weight map, as aliases of (a, b); abs_plus_one,
+# |q| + 1, is plus_one on every grade as_grades admits (q >= 0)
+NAMED_MAPS = {"plus_one": (1.0, 1.0), "abs_plus_one": (1.0, 1.0), "identity": (0.0, 1.0)}
 
 
 @dataclass(frozen=True)
 class WeightMap:
-    """Named positive map q -> f(q) applied to grades in linear mode.
+    """The map q -> a + b*q applied to grades in linear mode; the default
+    (1, 1) is q + 1."""
 
-    Presets: plus_one f(q)=q+1, abs_plus_one f(q)=|q|+1, identity f(q)=q,
-    affine(a, b) f(q)=a+b*q.
-    """
-
-    name: str = "plus_one"
     a: float = 1.0
     b: float = 1.0
 
-    def __post_init__(self):
-        if self.name not in WEIGHT_MAPS:
-            raise InvalidSpec(f"unknown weight_map {self.name!r}, not one of {WEIGHT_MAPS}")
-
     def node(self, q: ad.Node) -> ad.Node:
         """The map applied to a (1, d) grade node."""
-        if self.name == "plus_one":
-            return ad.add(q, np.ones((1, q.shape[1])))
-        if self.name == "abs_plus_one":
-            return ad.add(ad.absolute(q), np.ones((1, q.shape[1])))
-        if self.name == "identity":
-            return q
-        return ad.add(ad.scale(q, self.b), np.full((1, q.shape[1]), self.a))
+        return ad.affine(q, self.a, self.b)
 
-
-def affine_map(a: float, b: float) -> WeightMap:
-    return WeightMap("affine", a=a, b=b)
+    @classmethod
+    def from_json(cls, raw) -> "WeightMap":
+        """A config's weight_map: {"affine": [a, b]} or a name of NAMED_MAPS."""
+        if isinstance(raw, dict):
+            return cls(*map(float, raw["affine"]))
+        if raw not in NAMED_MAPS:
+            raise InvalidSpec(f"unknown weight_map {raw!r}: not {{'affine': [a, b]}} "
+                              f"nor one of {tuple(NAMED_MAPS)}")
+        return cls(*NAMED_MAPS[raw])
 
 
 @dataclass(frozen=True)
 class GradingSpec:
     """How grades become diagonal scale factors.
 
-    mode "linear": weights f(q_i), requiring f(q_i) > 0.
+    mode "linear": weights a + b*q_i of the weight map, requiring them > 0.
     mode "exponential": weights base**q_i, requiring base > 1.
     """
 
@@ -82,12 +76,11 @@ class GradingSpec:
         return ad.exp(ad.scale(q, float(np.log(self.base))))
 
     def weights(self, grades) -> np.ndarray:
-        """Diagonal scale factors for the given grades, as a new 1-D array
-        (the identity map's node is the grade row itself)."""
+        """Diagonal scale factors for the given grades, as a new 1-D array."""
         w = self.node(as_grades(grades).reshape(1, -1)).value[0]
         if not np.all(w > 0):  # a NaN weight fails too
             raise InvalidSpec("linear grading weights must be positive")
-        return w.copy()
+        return w
 
 
 def as_grades(grades) -> np.ndarray:

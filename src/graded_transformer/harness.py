@@ -1,7 +1,8 @@
 """Experiment runner: trains a graded model (optionally next to an
-ungraded twin on identical data and seed) and writes step metrics (CSV),
-a summary (JSON) and a final checkpoint per run into the output directory;
-step checkpoints go to a subdirectory named after the run."""
+ungraded twin on identical data and seed) and writes the resolved config
+(config.json, which reruns the experiment), step metrics (CSV), a summary
+(JSON) and a final checkpoint per run into the output directory; step
+checkpoints go to a subdirectory named after the run."""
 
 from __future__ import annotations
 
@@ -140,6 +141,10 @@ def _final_eval(params, gcfg, ds, n_eval: int):
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Train per config; returns the summary dict (also written to disk).
 
+    Before the first step, config.json records the config as run: every
+    section complete with the task defaults, the starting grading, and no
+    data-fixed width, so `train --config` of it reruns the experiment.
+
     A diverged run writes its metrics CSV and a summary entry with
     "diverged": true, the divergence message and the completed steps
     (loss fields null when none completed), then re-raises; later runs
@@ -174,6 +179,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     out = Path(cfg.out_dir)  # made only once the whole config is valid
     out.mkdir(parents=True, exist_ok=True)
+    resolved = {**vars(cfg),
+                "model": {k: v for k, v in vars(model).items() if k not in widths},
+                "train": vars(tcfg),
+                "grading": {k: v for k, v in gcfg.to_dict().items() if k != "mode"}}
+    (out / "config.json").write_text(json.dumps(resolved, indent=2))
     summary = {"task": cfg.task, "mode": cfg.mode, "runs": {}}
     for name, rcfg in runs.items():
         params = tf.init_params(model, Rng(cfg.init_seed), decoder=False)

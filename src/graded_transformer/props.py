@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import gnn
 from . import graded
 from . import graded_space as gs
 from . import harness
@@ -98,7 +97,7 @@ def _spec_diag(seed):
 PRIMITIVE_CASES = (
     "matmul", "attention", "layer_norm", "layer_norm_residual", "feed_forward", "scale_cols",
     "normalize_rows", "add_rowvec", "embedding", "loss_squared", "loss_sigmoid_ce",
-    "regularizer", "transpose", "vstack",
+    "regularizer", "transpose", "vstack", "affine",
 )
 
 
@@ -179,6 +178,8 @@ def primitive_case(case: str, g: np.random.Generator):
         cfg = training.TrainConfig(gamma=0.7, gamma_heads=0.3, gamma_coord=1.3)
         rows = {"q": x0[:1], "q_heads": x0[:, :2].reshape(1, -1)}
         return lambda p: summed(training.regularizer_node(p, cfg, 3), up[:1, :1]), rows
+    if case == "affine":  # the linear weight map a + b*q
+        return lambda p: summed(gs.WeightMap(0.5, 1.3).node(p["x"])), {"x": x0}
     if case == "transpose":
         up_t = g.uniform(0.5, 1.5, (4, 3))
         return lambda p: summed(ad.transpose(p["x"]), up_t), {"x": x0}
@@ -231,7 +232,7 @@ def _softmax_jac(seed):
 
 
 # plus_one linear weights and 2**q exponential weights, alternated by draw
-_PLUS_ONE_AND_EXP2 = (gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one")),
+_PLUS_ONE_AND_EXP2 = (gs.GradingSpec(gs.LINEAR),
                      gs.GradingSpec(gs.EXPONENTIAL, base=2.0))
 
 
@@ -304,7 +305,7 @@ def _bilinear_pos(seed):
       "by exactly w_j / w_max")
 def _concentration(seed):
     g = Rng(seed).generator
-    spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
+    spec = gs.GradingSpec(gs.LINEAR)
     worst = 0.0
     for _ in range(200):
         q = np.sort(g.uniform(0.0, 3.0, 6))[::-1]
@@ -357,78 +358,91 @@ def _grading_lip(seed):
 
 
 # ---------------------------------------------------------------------------
-# graded losses
+# the graded loss that trains (training.sequence_loss_node)
 
 
-@prop("gnn.loss_nonnegative_zero_iff_equal",
-      "losses are >= 0 and vanish exactly at y_hat = y; weighted one-hot "
-      "cross-entropy is minimized at the target")
+def _loss(z, y, w, base_loss: str) -> float:
+    return float(training.sequence_loss_node(ad.wrap(z), y, ad.wrap(w), base_loss).value[0, 0])
+
+
+def _logits_targets(g: np.random.Generator):
+    """A random (3, 4) block of logits z and of targets y in [0, 1], and the
+    ungraded per-cell loss of each base loss: (z - y)^2 and the binary
+    cross-entropy of sigmoid(z)."""
+    z, y = g.normal(0.0, 2.0, (3, 4)), g.uniform(0.0, 1.0, (3, 4))
+    p = 1.0 / (1.0 + np.exp(-z))
+    return z, y, {"squared": (z - y) ** 2,
+                  "sigmoid_ce": -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))}
+
+
+def loss_sign_errors(g: np.random.Generator, draws: int = 100) -> tuple[int, int]:
+    """Over `draws` random blocks, under grade weights alternating plus_one
+    and 2**q: the count of negative losses under either base loss, and the
+    count of squared losses that are not 0 at z = y or not positive where
+    one cell of z differs from y (by 1e-6 to 1)."""
+    negative = misses = 0
+    for i in range(draws):
+        w = _PLUS_ONE_AND_EXP2[i % 2].weights(g.uniform(0.0, 3.0, 4)).reshape(1, -1)
+        z, y, _ = _logits_targets(g)
+        negative += sum(_loss(z, y, w, base) < 0.0 for base in ("squared", "sigmoid_ce"))
+        off = z.copy()
+        off.flat[g.integers(off.size)] += g.choice([-1.0, 1.0]) * 10.0 ** g.uniform(-6.0, 0.0)
+        misses += (_loss(z, z, w, "squared") != 0.0) + (_loss(off, z, w, "squared") <= 0.0)
+    return int(negative), int(misses)
+
+
+@prop("training.loss_nonnegative_zero_iff_equal",
+      "the training loss is >= 0 under both base losses; the squared one "
+      "vanishes exactly at z = y")
 def _loss_zero(seed):
-    g = Rng(seed).generator
-    ok = True
-    for _ in range(100):
-        q = g.uniform(0.2, 3.0, 4)
-        y = g.normal(0.0, 1.0, 4)
-        yh = y + g.normal(0.0, 0.5, 4)
-        for kind in (gnn.MSE, gnn.NORM, gnn.HOMOGENEOUS, gnn.MAX_GRADED):
-            ok &= gnn.graded_loss(kind, q, y, y) == 0.0
-            loss = gnn.graded_loss(kind, q, y, yh)
-            ok &= loss >= 0.0
-            if np.abs(y - yh).max() > 1e-9:
-                ok &= loss > 0.0
-    # gradient-descent oracle on the 3-simplex with a one-hot target
-    q = np.array([2.0, 1.0, 0.5])
-    y = np.array([0.0, 1.0, 0.0])
-    z = np.zeros(3)
-    for _ in range(3000):
-        p = tensor.softmax_rows(z)
-        grad_p = -q * y / np.clip(p, 1e-12, 1.0)
-        jac = np.diag(p) - np.outer(p, p)
-        z -= 0.5 * jac @ grad_p
-    p = tensor.softmax_rows(z)
-    dev = float(np.abs(p - y).max())
-    ok &= dev < 1e-3
-    return ok, f"simplex argmin dev {dev:.2e}", "losses >= 0, zero iff equal"
+    negative, misses = loss_sign_errors(Rng(seed).generator)
+    return negative == misses == 0, f"{negative} negative, {misses} zero-iff-equal misses", \
+        "0 and 0"
 
 
-@prop("gnn.max_dominated_by_norm", "max-graded loss never exceeds the norm loss")
-def _max_vs_norm(seed):
-    g = Rng(seed).generator
-    ok = True
-    for _ in range(300):
-        q = g.uniform(0.1, 3.0, 5)
-        y = g.normal(0.0, 1.0, 5)
-        yh = g.normal(0.0, 1.0, 5)
-        ok &= gnn.graded_loss(gnn.MAX_GRADED, q, y, yh) <= \
-            gnn.graded_loss(gnn.NORM, q, y, yh) * (1 + 1e-12)
-    return ok, "dominance held on 300 draws", "max <= sum"
-
-
-def unit_grade_reduction_error(g: np.random.Generator, draws: int = 100) -> float:
-    """Worst deviation of the MSE, norm, max-graded and cross-entropy losses
-    at unit grades from their ungraded forms, over `draws` random draws."""
+def unit_weight_loss_error(g: np.random.Generator, draws: int = 100) -> float:
+    """Worst |loss under a unit weight row - ungraded loss| over `draws`
+    random blocks and both base losses."""
     worst = 0.0
-    ones = np.ones(5)
+    ones = np.ones((1, 4))
     for _ in range(draws):
-        y = g.normal(0.0, 1.0, 5)
-        yh = g.normal(0.0, 1.0, 5)
-        worst = max(worst, abs(gnn.graded_loss(gnn.MSE, ones, y, yh) - np.mean((y - yh) ** 2)))
-        worst = max(worst, abs(gnn.graded_loss(gnn.NORM, ones, y, yh) - np.sum((y - yh) ** 2)))
-        worst = max(worst, abs(gnn.graded_loss(gnn.MAX_GRADED, ones, y, yh)
-                               - np.max(np.abs(y - yh)) ** 2))
-        p = np.abs(g.normal(0.0, 1.0, 5)) + 0.1
-        p /= p.sum()
-        t = np.abs(g.normal(0.0, 1.0, 5))
-        t /= t.sum()
-        worst = max(worst, abs(gnn.graded_loss(gnn.CROSS_ENTROPY, ones, t, p)
-                               - (-np.sum(t * np.log(p)))))
+        z, y, cells = _logits_targets(g)
+        for base, cell in cells.items():
+            worst = max(worst, abs(_loss(z, y, ones, base) - cell.sum()))
     return worst
 
 
-@prop("gnn.unit_grades_reduce", "unit grades give the ungraded losses back")
+@prop("training.loss_unit_weights_reduce", "a unit weight row gives the ungraded loss bit for bit")
 def _unit_reduce(seed):
-    worst = unit_grade_reduction_error(Rng(seed).generator)
-    return worst <= 1e-12, f"max dev {worst:.3e}", "<= 1e-12"
+    worst = unit_weight_loss_error(Rng(seed).generator)
+    return worst == 0.0, f"max dev {worst:.3e}", "== 0"
+
+
+def weight_adjoint_error(g: np.random.Generator, draws: int = 50) -> float:
+    """Worst deviation, relative to its peak, of the loss's VJP to a
+    learnable weight row from the column sums of the per-cell loss, over
+    `draws` random blocks and both base losses; for the squared loss those
+    sums are rows x tasks.per_dim_error(z, y)."""
+    worst = 0.0
+    for _ in range(draws):
+        z, y, cells = _logits_targets(g)
+        per_dim = {"squared": z.shape[0] * tasks.per_dim_error(z, y),
+                   "sigmoid_ce": cells["sigmoid_ce"].sum(axis=0)}
+        w = g.uniform(0.5, 3.0, (1, 4))
+        for base, want in per_dim.items():
+            tape = ad.Tape()
+            with ad.recording(tape):
+                root = training.sequence_loss_node(ad.wrap(z), y, tape.param("w", w), base)
+            got = tape.backward(root)["w"][0]
+            worst = max(worst, float(np.abs(got - want).max() / np.abs(want).max()))
+    return worst
+
+
+@prop("training.loss_weight_adjoint_is_per_dim_loss",
+      "the loss's weight-row VJP is the per-dimension loss (rows x per_dim_error when squared)")
+def _weight_adjoint(seed):
+    worst = weight_adjoint_error(Rng(seed).generator)
+    return worst <= 1e-12, f"max rel dev {worst:.3e}", "<= 1e-12"
 
 
 # ---------------------------------------------------------------------------

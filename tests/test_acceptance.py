@@ -29,7 +29,7 @@ def verdict(num: int, ok: bool, detail: str) -> bool:
 def test_c01_photonic_example():
     cfg = tf.ModelConfig(vocab_size=0, d_model=3, n_heads=1, n_layers=1, d_ff=4)
     gcfg = graded.GradedModelConfig(model=cfg, grades=np.array([0.0, 1.0, 2.0]),
-                                    weight_map=gs.affine_map(1.0, 0.1))
+                                    weight_map=gs.WeightMap(1.0, 0.1))
     x = np.array([1.0, 0.5, 0.1])
     scaled = x * gcfg.weights()
     norm = float(np.linalg.norm(scaled))

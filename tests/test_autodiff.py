@@ -141,13 +141,13 @@ class TestValuesOnly:
         tape = ad.Tape()
         with ad.recording(tape):
             c = tape.constant(self.a)
-            h = ad.absolute(ad.matmul(c, ad.transpose(c)))
+            h = ad.exp(ad.matmul(c, ad.transpose(c)))
             y = ad.layer_norm_rows(h, h, np.ones((1, 3)), np.zeros((1, 3)), 1e-5)
             s = ad.sum_all(vstack(y, ad.normalize_rows(y)))
         assert tape.nodes == [] and tape.params == {}
         for node in (c, h, y, s):
             assert node.parents == () and node.vjps == ()
-        assert np.array_equal(h.value, np.abs(self.a @ self.a.T))
+        assert np.array_equal(h.value, np.exp(self.a @ self.a.T))
 
     def test_late_param_gets_unchanged_gradients(self):
         a, up = self.a, self.up
@@ -175,7 +175,7 @@ class TestValuesOnly:
             w = outer.param("w", self.w0)
             inner = ad.Tape()
             with ad.recording(inner):
-                v = ad.absolute(inner.constant(self.a))
+                v = ad.affine(inner.constant(self.a), 0.5, 2.0)
             assert inner.nodes == [] and v.parents == ()
             root = ad.sum_all(ad.mul(ad.matmul(v, w), self.up))
         assert len(outer.nodes) == 4  # w, matmul, mul, sum_all; v and up are constants

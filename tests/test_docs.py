@@ -91,6 +91,35 @@ def test_stale_path_is_reported():
     assert not exists("scripts/retired_run.py") and exists("tests/")
 
 
+def layout_modules(text: str) -> set[str]:
+    """The *.py names that open an entry, indented two spaces, of the first
+    fenced block after "## Layout"."""
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    return {name for m in re.finditer(r"^  (\w+\.py(?:, \w+\.py)*)", block, flags=re.M)
+            for name in m.group(1).split(", ")}
+
+
+def package_modules() -> set[str]:
+    return {p.name for p in PACKAGE.glob("*.py") if not p.name.startswith("__")}
+
+
+def test_readme_layout_lists_the_package_modules():
+    listed = layout_modules((ROOT / "README.md").read_text(encoding="utf-8"))
+    modules = package_modules()
+    assert listed == modules, (f"README layout entries with no module: {sorted(listed - modules)}; "
+                               f"modules with no entry: {sorted(modules - listed)}")
+
+
+def test_stale_module_entry_is_reported():
+    text = ("## Layout\n\n```\nsrc/graded_transformer/\n  tensor.py        seeded RNG\n"
+            "  retired.py       removed\n                   see harness.py\n"
+            "  demo.py, cli.py  replays and the CLI\n```\n")
+    listed = layout_modules(text)
+    assert listed == {"tensor.py", "retired.py", "demo.py", "cli.py"}
+    assert listed - package_modules() == {"retired.py"}
+    assert "graded.py" in package_modules() - listed
+
+
 def json_blocks(text: str) -> list[str]:
     """The contents of the fenced blocks tagged json."""
     return re.findall(r"```json\n(.*?)```", text, flags=re.S)

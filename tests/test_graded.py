@@ -8,7 +8,9 @@ from graded_transformer import autodiff as ad
 from graded_transformer import graded
 from graded_transformer import graded_space as gs
 from graded_transformer import props
+from graded_transformer import tasks
 from graded_transformer import tensor
+from graded_transformer import training
 from graded_transformer import transformer as tf
 from graded_transformer.errors import (
     DimensionMismatch,
@@ -51,14 +53,14 @@ class TestConfig:
             make_gcfg(toy_model, grades=np.array([-1.0, 0.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("bad", [
-        lambda: dict(weight_map=gs.WeightMap("bogus")),
-        lambda: dict(weight_map=gs.affine_map(1.0, -1.0)),  # weights 1, .5, 0, -1
-        lambda: dict(weight_map=gs.WeightMap("identity")),  # grade 0 weighs 0
-        lambda: dict(weight_map=gs.WeightMap("identity"), grades=np.ones(4),
+        lambda: dict(weight_map=gs.WeightMap.from_json("bogus")),
+        lambda: dict(weight_map=gs.WeightMap(1.0, -1.0)),  # weights 1, .5, 0, -1
+        lambda: dict(weight_map=gs.WeightMap(0.0, 1.0)),  # identity: grade 0 weighs 0
+        lambda: dict(weight_map=gs.WeightMap(0.0, 1.0), grades=np.ones(4),
                      head_grades=[np.ones(2), np.array([0.0, 1.0])],
                      attention_variant="scores"),  # only graded attention reads them
         lambda: dict(mode="cubic"),
-        lambda: dict(weight_map=gs.affine_map(np.nan, 1.0)),  # NaN weights
+        lambda: dict(weight_map=gs.WeightMap(np.nan, 1.0)),  # NaN weights
         lambda: dict(positional="exp_decay", alpha=-3.0),  # decay would be growth
         lambda: dict(alpha=np.nan),
         lambda: dict(positional="exp_decay", alpha=0.25, base=-2.0),  # linear mode reads it
@@ -73,9 +75,9 @@ class TestConfig:
         with pytest.raises(InvalidSpec):
             make_gcfg(toy_model, **bad())
 
-    @pytest.mark.parametrize("weight_map", [*(gs.WeightMap(name) for name in gs.WEIGHT_MAPS
-                                              if name != "affine"),
-                                            gs.affine_map(1.0, 0.1)], ids=lambda m: m.name)
+    @pytest.mark.parametrize("weight_map", [*map(gs.WeightMap.from_json, gs.NAMED_MAPS),
+                                            gs.WeightMap(1.0, 0.1)],
+                             ids=[*gs.NAMED_MAPS, "affine"])
     @pytest.mark.parametrize("variant", graded.VARIANTS)
     @pytest.mark.parametrize("positional, alpha", [("off", 0.0), ("linear_decay", 0.05),
                                                    ("exp_decay", 0.25)])
@@ -100,10 +102,10 @@ class TestConfig:
             graded.GradedModelConfig(cfg).to_dict()
         raw = graded.GradedModelConfig.from_dict(cfg, {"grades": [0.0, 1.0, 2.0, 3.0]}).to_dict()
         assert raw["head_grades"] == [[0.0, 1.0], [2.0, 3.0]]
-        assert raw["weight_map"] == "plus_one" and raw["mode"] == gs.LINEAR
+        assert raw["weight_map"] == {"affine": [1.0, 1.0]} and raw["mode"] == gs.LINEAR
 
     def test_to_dict_is_the_grading_section_form(self, toy_model):
-        raw = make_gcfg(toy_model, weight_map=gs.affine_map(1.0, 0.1)).to_dict()
+        raw = make_gcfg(toy_model, weight_map=gs.WeightMap(1.0, 0.1)).to_dict()
         assert set(raw) == set(graded.GradedModelConfig.__dataclass_fields__) - {"model"}
         assert raw["grades"] == [0.0, 0.5, 1.0, 2.0]
         assert raw["weight_map"] == {"affine": [1.0, 0.1]}
@@ -119,7 +121,7 @@ class TestConfig:
         # identity weighs grade 0 by 0: a zero head grade is invalid only
         # where attention reads the head tuples
         heads = np.array([[0.0, 0.5], [1.0, 2.0]])
-        gcfg = make_gcfg(toy_model, weight_map=gs.WeightMap("identity"),
+        gcfg = make_gcfg(toy_model, weight_map=gs.WeightMap(0.0, 1.0),
                          grades=np.array([0.5, 1.0, 1.5, 2.0]), head_grades=heads)
         assert gcfg.max_weight() == 2.0
         for variant in ("scores", "queries_keys", "values"):
@@ -127,12 +129,45 @@ class TestConfig:
                 replace(gcfg, attention_variant=variant)
 
 
+class TestOneWeightMap:
+    """A config's weight map is the pair (a, b) whatever name it came by."""
+
+    ONES = ["plus_one", {"affine": [1, 1]}, "abs_plus_one"]
+
+    def test_aliases_load_to_one_map_and_one_cache_entry(self, toy_model):
+        cfg, _ = toy_model
+        gcfgs = [graded.GradedModelConfig.from_dict(
+            cfg, {"weight_map": wm, "grades": [0.0, 0.5, 1.0, 2.0]}) for wm in self.ONES]
+        assert {g.weight_map for g in gcfgs} == {gs.WeightMap(1.0, 1.0)}
+        graded._fixed_weight_rows.cache_clear()
+        rows = [graded.weight_nodes(g, None, None)[0].value for g in gcfgs]
+        info = graded._fixed_weight_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        assert rows[1] is rows[0] and rows[2] is rows[0]
+
+    def test_affine_one_one_trains_as_plus_one(self):
+        cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=1, d_ff=8,
+                             n_max=8, out_dim=4)
+        ds = tasks.gen_poly_degree(32, 4, 11)
+        tc = training.TrainConfig(steps=10, seed=1, batch_size=4)
+        runs = [training.train(tf.init_params(cfg, Rng(0), decoder=False),
+                               graded.GradedModelConfig.from_dict(
+                                   cfg, {"grades": ds.grades, "attention_variant": "scores",
+                                         "weight_map": wm}),
+                               ds.x, ds.y, tc) for wm in ("plus_one", {"affine": [1, 1]})]
+        assert runs[0].metrics == runs[1].metrics
+        assert np.array_equal(runs[0].grades, runs[1].grades)
+        assert np.array_equal(runs[0].head_grades, runs[1].head_grades)
+        for k, v in runs[0].params.items():
+            assert np.array_equal(v, runs[1].params[k]), k
+
+
 class TestGradedInput:
     def test_photonic(self):
         cfg = tf.ModelConfig(vocab_size=0, d_model=3, n_heads=1, n_layers=1, d_ff=4)
         gcfg = graded.GradedModelConfig(
             model=cfg, grades=np.array([0.0, 1.0, 2.0]),
-            weight_map=gs.affine_map(1.0, 0.1))
+            weight_map=gs.WeightMap(1.0, 0.1))
         out = graded.graded_input(np.array([1.0, 0.5, 0.1]), gcfg)
         assert_close(out, [0.871, 0.479, 0.105], tol=5e-4)
         assert abs(float(np.linalg.norm(out)) - 1.0) <= 1e-12

@@ -41,8 +41,16 @@ class TestStarAction:
 
 
 class TestGradingMatrix:
+    def test_multiplier_examples(self):
+        q = [0.0, 0.5, 1.0, 2.0]
+        lgt = gs.GradingSpec(gs.LINEAR).weights(q)
+        egt = gs.GradingSpec(gs.EXPONENTIAL, base=2.0).weights(q)
+        assert_close(lgt, [1.0, 1.5, 2.0, 3.0], tol=1e-12)
+        assert_close(egt, [1.0, np.sqrt(2.0), 2.0, 4.0], tol=1e-12)
+
     def test_abs_plus_one_example(self):
-        spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("abs_plus_one"))
+        # the name reads as q + 1, which is |q| + 1 on every admissible grade
+        spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap.from_json("abs_plus_one"))
         m = gs.grading_matrix([1.0, 0.5, 0.0, 0.0], spec)
         assert_close(m, np.diag([2.0, 1.5, 1.0, 1.0]))
 
@@ -58,18 +66,17 @@ class TestGradingMatrix:
         with pytest.raises(InvalidSpec):
             gs.GradingSpec(gs.EXPONENTIAL, base=1.0).weights([1.0])
         with pytest.raises(InvalidSpec):
-            gs.GradingSpec(gs.LINEAR, gs.WeightMap("identity")).weights([0.0, 1.0])
+            gs.GradingSpec(gs.LINEAR, gs.WeightMap(0.0, 1.0)).weights([0.0, 1.0])
         with pytest.raises(InvalidSpec):
-            gs.GradingSpec(gs.LINEAR, gs.affine_map(1.0, -1.0)).weights([0.5, 1.0])
+            gs.GradingSpec(gs.LINEAR, gs.WeightMap(1.0, -1.0)).weights([0.5, 1.0])
         with pytest.raises(InvalidSpec):
             gs.GradingSpec("cubic").weights([1.0])
-        with pytest.raises(InvalidSpec):
-            gs.WeightMap("bogus")
+        with pytest.raises(InvalidSpec, match="unknown weight_map 'bogus'"):
+            gs.WeightMap.from_json("bogus")
 
     @given(grades3, st.floats(0.2, 3.0), vec3)
     def test_grading_commutes_with_star(self, q, lam, x):
-        spec = gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one"))
-        m = gs.grading_matrix(q, spec)
+        m = gs.grading_matrix(q, gs.GradingSpec(gs.LINEAR))
         assert_close(m @ gs.star_action(lam, q, np.array(x)),
                      gs.star_action(lam, q, m @ np.array(x)), tol=1e-10)
 
@@ -124,38 +131,31 @@ def test_effective_dimension():
     assert gs.effective_dimension(q, 2.0) == 4
 
 
-ALL_SPECS = [gs.GradingSpec(gs.LINEAR, gs.WeightMap("plus_one")),
-             gs.GradingSpec(gs.LINEAR, gs.WeightMap("abs_plus_one")),
-             gs.GradingSpec(gs.LINEAR, gs.WeightMap("identity")),
-             gs.GradingSpec(gs.LINEAR, gs.affine_map(1.0, 0.1)),
-             gs.GradingSpec(gs.EXPONENTIAL, base=1.3),
-             gs.GradingSpec(gs.EXPONENTIAL, base=2.0),
-             gs.GradingSpec(gs.EXPONENTIAL, base=3.7)]
+# each spec with its weights in closed form
+ALL_SPECS = {
+    "plus_one": (gs.GradingSpec(gs.LINEAR, gs.WeightMap.from_json("plus_one")),
+                 lambda q: q + 1.0),
+    "abs_plus_one": (gs.GradingSpec(gs.LINEAR, gs.WeightMap.from_json("abs_plus_one")),
+                     lambda q: np.abs(q) + 1.0),
+    "identity": (gs.GradingSpec(gs.LINEAR, gs.WeightMap.from_json("identity")), lambda q: q),
+    "affine": (gs.GradingSpec(gs.LINEAR, gs.WeightMap(1.0, 0.1)), lambda q: 1.0 + 0.1 * q),
+    **{f"exp{base}": (gs.GradingSpec(gs.EXPONENTIAL, base=base),
+                      lambda q, base=base: np.exp(q * np.log(base)))
+       for base in (1.3, 2.0, 3.7)},
+}
 
 
-def spec_id(spec):
-    return spec.weight_map.name if spec.mode == gs.LINEAR else f"exp{spec.base}"
-
-
-def closed_form(spec, q):
-    if spec.mode == gs.EXPONENTIAL:
-        return np.exp(q * np.log(spec.base))
-    wm = spec.weight_map
-    return {"plus_one": q + 1.0, "abs_plus_one": np.abs(q) + 1.0, "identity": q,
-            "affine": wm.a + wm.b * q}[wm.name]
-
-
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
-def test_weights_match_closed_form(spec):
+@pytest.mark.parametrize("spec, closed_form", ALL_SPECS.values(), ids=ALL_SPECS)
+def test_weights_match_closed_form(spec, closed_form):
     q = np.array([0.25, 0.7, 1.5, 2.0, 3.25])  # positive, as identity needs
-    assert np.array_equal(spec.weights(q), closed_form(spec, q))
+    assert np.array_equal(spec.weights(q), closed_form(q))
     tape = ad.Tape()
     with ad.recording(tape):  # a learnable row gives the same values
         node = spec.node(tape.param("q", q.reshape(1, -1)))
-    assert np.array_equal(node.value[0], closed_form(spec, q))
+    assert np.array_equal(node.value[0], closed_form(q))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=spec_id)
+@pytest.mark.parametrize("spec", [spec for spec, _ in ALL_SPECS.values()], ids=ALL_SPECS)
 def test_weights_are_a_new_array(spec):
     q = np.array([0.5, 1.0, 2.0])
     w = spec.weights(q)

@@ -36,9 +36,9 @@ EXPECTED_PROPS = {
     "graded_space.bilinear_positive",
     "graded_space.feature_concentration",
     "graded_space.grading_lipschitz",
-    "gnn.loss_nonnegative_zero_iff_equal",
-    "gnn.max_dominated_by_norm",
-    "gnn.unit_grades_reduce",
+    "training.loss_nonnegative_zero_iff_equal",
+    "training.loss_unit_weights_reduce",
+    "training.loss_weight_adjoint_is_per_dim_loss",
     "transformer.row_stochastic",
     "transformer.scaling_variance",
     "transformer.symmetric_scores_psd",
@@ -531,6 +531,37 @@ class TestReproduction:
                                     ds, 64, lam)
         report = evaluate_checkpoint(out / checkpoint.format(run=run), data)
         assert np.abs(np.subtract(report["per_dim_error"], want)).max() <= 1e-12
+
+
+class TestRerun:
+    def test_output_directory_reruns_itself(self, tmp_path):
+        # the written config.json, run into a second directory, remakes the
+        # run: every checkpoint byte for byte, the summary but its wall times
+        first, second = tmp_path / "first", tmp_path / "second"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "task": "poly_degree", "dataset_size": 32, "seq_len": 4, "run_baseline": True,
+            "out_dir": str(first), "train": {"steps": 4, "checkpoint_every": 2}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["train", "--config", str(cfg_path)]) == 0
+            assert cli.main(["train", "--config", str(first / "config.json"),
+                             "--out", str(second)]) == 0
+        written = json.loads((first / "config.json").read_text())
+        assert set(written["train"]) == set(training.TrainConfig.__dataclass_fields__)
+        assert written["train"]["lr"] == training.TrainConfig.lr
+        assert not {"d_model", "out_dim", "vocab_size"} & set(written["model"])
+        assert written["grading"]["grades"] == list(tasks.POLY_GRADES)
+        assert written["grading"]["weight_map"] == {"affine": [1.0, 1.0]}
+        checkpoints = sorted(p.relative_to(first) for p in first.rglob("*.gtc"))
+        assert len(checkpoints) == 6  # per run: steps 2 and 4, and the final one
+        assert checkpoints == sorted(p.relative_to(second) for p in second.rglob("*.gtc"))
+        for rel in checkpoints:
+            assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
+        summaries = [json.loads((out / "summary.json").read_text()) for out in (first, second)]
+        for summary in summaries:
+            for run in summary["runs"].values():
+                del run["wall_time_s"]
+        assert summaries[0] == summaries[1]
 
 
 def per_sequence_eval(params, gcfg, ds, n_eval, lam):

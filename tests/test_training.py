@@ -6,6 +6,7 @@ import pytest
 from graded_transformer import autodiff as ad
 from graded_transformer import graded
 from graded_transformer import graded_space as gs
+from graded_transformer import props
 from graded_transformer import tasks
 from graded_transformer import training
 from graded_transformer import transformer as tf
@@ -82,6 +83,30 @@ class TestCompositeLoss:
             }
             reg = training.regularizer_node(nodes, cfg, n_heads=1)
         assert reg.value[0, 0] == pytest.approx(0.5 * 4 + 2.0 * 9)
+
+
+class TestGradedLoss:
+    """training.sequence_loss_node, the loss that trains; the props of the
+    same names run the same checks on more draws."""
+
+    def test_sequence_loss_binary_ce(self):
+        y = np.array([[1.0, 0.0]])
+        p = np.array([[0.8, 0.3]])
+        w = np.array([[1.0, 2.0]])  # plus_one weights of grades (0, 1)
+        with ad.recording(ad.Tape()):  # logits log(p / (1 - p)) give sigmoid p
+            got = training.sequence_loss_node(ad.wrap(np.log(p / (1 - p))), y, ad.wrap(w),
+                                              "sigmoid_ce").value[0, 0]
+        want = -np.log(0.8) * 1.0 + -np.log(0.7) * 2.0
+        assert abs(got - want) <= 1e-12
+
+    def test_zero_iff_equal(self):
+        assert props.loss_sign_errors(np.random.default_rng(9), 10) == (0, 0)
+
+    def test_unit_weight_reduction(self):
+        assert props.unit_weight_loss_error(np.random.default_rng(9), 5) == 0.0
+
+    def test_weight_adjoint_is_per_dim_loss(self):
+        assert props.weight_adjoint_error(np.random.default_rng(9), 5) <= 1e-12
 
 
 class TestClip:
@@ -318,7 +343,7 @@ class TestTrainLoop:
         # identity map: the update at step 9 takes head 1's second grade
         # from 0.0034 to 0, a weight of 0; the result is the 8-step run's
         cfg, params, gcfg, ds = tiny_setup()
-        gcfg = replace(gcfg, weight_map=gs.WeightMap("identity"),
+        gcfg = replace(gcfg, weight_map=gs.WeightMap(0.0, 1.0),
                        grades=np.array([0.5, 1.0, 1.0, 0.05]), head_grades=None)
         tc = training.TrainConfig(steps=10, seed=1, batch_size=4, lr_grades=0.01)
         clean = training.train(params, gcfg, ds.x, ds.y, replace(tc, steps=8))
