@@ -3,7 +3,8 @@
 Subcommands: props (property suite), demo (worked-example replays),
 gen (synthetic datasets), train (experiment from a JSON config),
 eval (checkpoint on a dataset).  Exit codes: 0 success, 1 property
-failure, 2 config error, 3 divergence.
+failure, 2 config error (also a props filter matching no property),
+3 divergence.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ def main(argv=None) -> int:
         from .props import run_props
 
         results, report = run_props(args.filter, args.seed)
+        if not results:
+            sys.stderr.write(f"config error: --filter {args.filter!r} matches no property\n")
+            return 2
         sys.stdout.write(report)
         return 0 if all(r.passed for r in results) else 1
 

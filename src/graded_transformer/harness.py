@@ -145,10 +145,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     section complete with the task defaults, the starting grading, and no
     data-fixed width, so `train --config` of it reruns the experiment.
 
-    A diverged run writes its metrics CSV and a summary entry with
-    "diverged": true, the divergence message and the completed steps
-    (loss fields null when none completed), then re-raises; later runs
-    do not start.
+    Every run writes its metrics CSV and a summary entry with the loss
+    fields (null when no step completed), wall time, completed steps and
+    divergence.  A diverged run then re-raises, and later runs do not
+    start; a finished run adds its final evaluation's fields.
     """
     if cfg.task not in tasks.TASKS:
         raise ConfigError(f"unknown task {cfg.task!r}; known: {sorted(tasks.TASKS)}")
@@ -188,31 +188,34 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     for name, rcfg in runs.items():
         params = tf.init_params(model, Rng(cfg.init_seed), decoder=False)
         start = time.perf_counter()
+        failure = None
         try:
             result = training.train(params, rcfg, ds.x, ds.y, tcfg,
                                     checkpoint_dir=str(out / name))
         except DivergenceDetected as exc:
-            metrics = exc.result.metrics
-            training.write_metrics_csv(out / f"{name}_metrics.csv", metrics)
-            summary["runs"][name] = {
-                **_loss_fields(metrics),
-                "wall_time_s": time.perf_counter() - start,
-                "steps": len(metrics),
-                "diverged": True,
-                "divergence": str(exc),
-            }
+            result, failure = exc.result, exc
+        metrics = result.metrics
+        first, final = (metrics[0]["loss"], metrics[-1]["loss"]) if metrics else (None, None)
+        run = summary["runs"][name] = {
+            "first_loss": first,
+            "final_loss": final,
+            "loss_ratio": final / first if metrics else None,
+            "wall_time_s": time.perf_counter() - start,
+            "steps": len(metrics),
+            "diverged": failure is not None,
+            "divergence": str(failure) if failure else None,
+        }
+        training.write_metrics_csv(out / f"{name}_metrics.csv", metrics)
+        if failure:
             _write_summary(out, summary)
-            raise
-        wall = time.perf_counter() - start
+            raise failure
         final_cfg = training.annealed_grading(
             replace(rcfg, grades=result.grades, head_grades=result.head_grades),
-            result.metrics[-1]["lambda"])
+            metrics[-1]["lambda"])
         errs, attn_mass = _final_eval(result.params, final_cfg, ds, 64)
-        training.write_metrics_csv(out / f"{name}_metrics.csv", result.metrics)
         tf.save_checkpoint(out / f"{name}_final.gtc", result.params, model,
                            extra={**final_cfg.to_dict(), "task": cfg.task})
-        summary["runs"][name] = {
-            **_loss_fields(result.metrics),
+        run.update({
             "per_dim_error": errs.tolist(),
             "grade_weighted_error": float(np.sum(final_cfg.weights() * errs)),
             "high_grade_error": float(np.mean(errs[list(task.signal_dims)]))
@@ -222,21 +225,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "attention_mass_by_position": attn_mass.tolist(),
             "effective_dimension": effective_dimension(final_cfg.grades, 0.5),
             "grade_norm": float(np.linalg.norm(result.grades)),
-            "wall_time_s": wall,
-            "steps": len(result.metrics),
-            "diverged": result.diverged,
-            "divergence": None,
-        }
+        })
     _write_summary(out, summary)
     return summary
-
-
-def _loss_fields(metrics: list[dict]) -> dict:
-    """First and final loss and their ratio; None when no step completed."""
-    if not metrics:
-        return {"first_loss": None, "final_loss": None, "loss_ratio": None}
-    first, final = metrics[0]["loss"], metrics[-1]["loss"]
-    return {"first_loss": first, "final_loss": final, "loss_ratio": final / first}
 
 
 def _write_summary(out: Path, summary: dict) -> None:

@@ -4,16 +4,16 @@ Adam, and one training loop for both grading modes.
 
 In exponential mode the loop anneals the base from 1 to the grading's base,
 recomputes the maximum learned grade every step, and caps the grade learning
-rate at 0.9x the stability bound before updating.  Learned grades are
-projected back to >= 0 after each step.  Parameters and grades share one
-flat buffer, so clipping, Adam, the finiteness check and the rollback each
-run over whole buffers, not array by array.
+rate at 0.9x the stability bound before updating.  Parameters and grades
+share one flat buffer, gradient and pair of Adam moments, so clipping, one
+Adam step (rate lr on parameters, the grade rate on learned grades, 0 on
+fixed ones), the finiteness check and the rollback each run once per step
+over the whole buffer.  Learned grades are then projected back to >= 0.
 """
 
 from __future__ import annotations
 
 import csv
-import time
 from functools import reduce
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -91,19 +91,20 @@ def annealed_grading(gcfg: graded.GradedModelConfig, lam: float) -> graded.Grade
     return replace(gcfg, base=lam) if gcfg.mode == EXPONENTIAL else gcfg
 
 
-def grade_lr_bound(mode: str, lam: float, q_max: float) -> float:
+def grade_lr_bound(mode: str, lam: float, largest: float) -> float:
     """Stability bound on the grade learning rate.
 
-    Linear: 1 / max-weight; exponential: 1 / (lam**q_max * ln lam).
+    Linear: 1 / w_max, with `largest` the largest weight w_max (lam unused);
+    exponential: 1 / (lam**q_max * ln lam), with `largest` the largest grade q_max.
     """
     if mode == LINEAR:
-        if q_max <= 0:
+        if largest <= 0:
             return np.inf
-        return 1.0 / q_max
+        return 1.0 / largest
     if mode == EXPONENTIAL:
         if lam <= 1.0:
             raise InvalidLambda(f"bound undefined for lam={lam}")
-        return float(1.0 / (lam**q_max * np.log(lam)))
+        return float(1.0 / (lam**largest * np.log(lam)))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -151,12 +152,14 @@ class AdamState:
         self.t = 0
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
+              lr: float | np.ndarray, beta1: float = 0.9, beta2: float = 0.999,
+              eps: float = 1e-8) -> None:
     """In-place Adam update of a flat buffer from its gradient.
 
     Elementwise m = b1 m + (1-b1) g, v = b2 v + ((1-b2) g) g and
-    params -= (lr mhat) / (sqrt(vhat) + eps), all into preallocated buffers.
+    params -= (lr mhat) / (sqrt(vhat) + eps), all into preallocated buffers;
+    lr is a scalar or per-entry row, and an entry at rate 0 keeps its bits.
     """
     state.t += 1
     bc1 = 1.0 - beta1**state.t
@@ -265,7 +268,6 @@ class TrainResult:
     head_grades: np.ndarray  # (h, d_k)
     metrics: list[dict]
     diverged: bool = False
-    wall_time: float = 0.0
 
 
 METRIC_FIELDS = [
@@ -366,11 +368,11 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     if "q_heads" in grade_arrays:
         gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
     n_theta = int(layout.offsets[len(params)])
-    theta, grades = flat[:n_theta], flat[n_theta:]
+    grades = flat[n_theta:]
     grad = np.zeros(layout.size)
     grad_views = layout.views(grad)
-    theta_state = AdamState(theta.size)
-    grade_state = AdamState(grades.size) if cfg.learn_grades else None
+    state = AdamState(layout.size)
+    rate = np.full(layout.size, cfg.lr)  # the grade part is set each step
 
     rng = Rng(cfg.seed)
     metrics: list[dict] = []
@@ -378,7 +380,6 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     failure = None
     # largest linear weight of the current grades; positive, as the config checked
     w_max = None if exponential else float(gcfg.weights(grades).max())
-    start = time.perf_counter()
 
     for t in range(1, cfg.steps + 1):
         lam_t = anneal_lambda(t, cfg.steps, gcfg.base) if exponential else 1.0
@@ -401,11 +402,9 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             bound = grade_lr_bound(LINEAR, 1.0, w_max)
         eta_q = min(cfg.lr_grades, 0.9 * bound)
 
-        adam_step(theta, grad[:n_theta], theta_state, cfg.lr,
-                  cfg.beta1, cfg.beta2, cfg.eps_adam)
-        if cfg.learn_grades:
-            adam_step(grades, grad[n_theta:], grade_state, eta_q,
-                      cfg.beta1, cfg.beta2, cfg.eps_adam)
+        rate[n_theta:] = eta_q if cfg.learn_grades else 0.0
+        adam_step(flat, grad, state, rate, cfg.beta1, cfg.beta2, cfg.eps_adam)
+        if cfg.learn_grades:  # not fixed grades: it would turn -0.0 into +0.0
             np.maximum(grades, 0.0, out=grades)
 
         if not np.isfinite(flat).all():
@@ -454,7 +453,6 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
         head_grades=gcfg.head_grades,
         metrics=metrics,
         diverged=failure is not None,
-        wall_time=time.perf_counter() - start,
     )
     if failure:
         exc = DivergenceDetected(message)

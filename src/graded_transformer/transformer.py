@@ -411,8 +411,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
     """Parameters, config and extra metadata of a checkpoint.
 
     The arrays must follow init_params' layout for the config: every
-    encoder array with its name and shape, and the decoder arrays all
-    present or all absent.
+    encoder array with its name and shape, the decoder arrays all present
+    or all absent, and no array the layout does not name.
     """
     arrays, meta = container.load_arrays(path)
     if meta.get("kind") != CHECKPOINT_KIND:
@@ -431,4 +431,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], ModelConfig, dict]:
         if arrays[name].shape != shape:
             raise ValueError(f"{path}: array {name!r} has shape {arrays[name].shape}, "
                              f"expected {shape}")
+    unknown = [name for name in arrays if name not in layout]
+    if unknown:
+        raise ValueError(f"{path}: unexpected array {unknown[0]!r}")
     return arrays, cfg, meta.get("extra", {})

@@ -204,6 +204,16 @@ class TestCheckpointArrays:
         msg = err.getvalue()
         assert path.name in msg and "w_out" in msg and "Traceback" not in msg
 
+    @pytest.mark.parametrize("unknown", [("enc7.wq", "junk"), ("junk",)])
+    def test_unknown_array_exit_two(self, stored, tmp_path, unknown):
+        # arrays that init_params' layout does not name: the first is named
+        _, data, _ = stored
+        cfg = tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=1, d_ff=8,
+                             n_max=8, out_dim=4)
+        params = tf.init_params(cfg, Rng(0), decoder=False)
+        path = tmp_path / "extra.gtc"
+        tf.save_checkpoint(path, {**params, **{k: np.zeros((4, 4)) for k in unknown}}, cfg)
+        _assert_rejected(path, data, unknown[0])
 
     @pytest.mark.parametrize("key, value", [("d_model", 4.0), ("n_layers", 1.0),
                                             ("n_heads", True), ("n_layers", "2")])
@@ -610,6 +620,11 @@ class TestCli:
         assert cli.main(["props", "--filter", "tensor.matmul", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_props_filter_matching_nothing_exit_two(self, capsys):
+        assert cli.main(["props", "--filter", "nosuchprop"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: ") and "nosuchprop" in err
+
     def test_props_reports_failure_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(tensor, "softmax_rows", unnormalized_softmax)
         assert cli.main(["props", "--filter", "transformer.row_stochastic", "--seed", "0"]) == 1
@@ -690,6 +705,8 @@ class TestCli:
         run = json.loads((out / "summary.json").read_text())["runs"]["graded"]
         assert run["diverged"] is True and run["steps"] == steps
         assert run["divergence"] == err.getvalue().removeprefix("divergence: ").strip()
+        assert sorted(run) == ["diverged", "divergence", "final_loss", "first_loss",
+                               "loss_ratio", "steps", "wall_time_s"]
         if steps:
             assert run["first_loss"] == run["final_loss"] and run["loss_ratio"] == 1.0
         else:

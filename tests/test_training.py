@@ -219,6 +219,26 @@ class TestAdam:
             for k in shapes:
                 assert np.array_equal(views[k], ref[k]), (step, k)
 
+    def test_rate_row_equals_scalar_rate_per_part(self):
+        # one pass at rates (lr, eta, 0) over parameters, learned grades and
+        # fixed grades equals a scalar-rate pass over each of the first two;
+        # the fixed part, whose gradient is 0, keeps its bits, -0.0 included
+        g = Rng(21).generator
+        flat = np.concatenate([g.normal(size=12), [-0.0, 0.0, 1.5, -0.0]])
+        fixed = flat[12:].copy()
+        parts = [flat[:7].copy(), flat[7:12].copy()]
+        state, states = training.AdamState(16), [training.AdamState(7), training.AdamState(5)]
+        rate, grads = np.zeros(16), np.zeros(16)
+        for step in range(30):
+            grads[:12] = g.normal(0.0, 10.0 ** g.integers(-6, 3), 12)
+            lr, eta = 10.0 ** g.uniform(-4, -1, size=2)
+            rate[:7], rate[7:12] = lr, eta
+            training.adam_step(flat, grads, state, rate)
+            training.adam_step(parts[0], grads[:7], states[0], lr)
+            training.adam_step(parts[1], grads[7:12], states[1], eta)
+            assert same_bits(flat[:7], parts[0]) and same_bits(flat[7:12], parts[1]), step
+            assert same_bits(flat[12:], fixed), step
+
 
 class TestTrainLoop:
     def test_lambda_schedule_replay(self):
@@ -275,10 +295,16 @@ class TestTrainLoop:
         assert np.all(res.head_grades >= 0)
 
     def test_fixed_grades_unchanged(self):
-        cfg, params, gcfg, ds = tiny_setup()
-        tc = training.TrainConfig(steps=10, learn_grades=False, seed=4, batch_size=4)
-        res = training.train(params, gcfg, ds.x, ds.y, tc)
-        assert_close(res.grades, gcfg.grades)
+        # bit for bit, -0.0 included: fixed grades take the Adam step at
+        # rate 0 and skip the >= 0 projection, which would turn -0.0 into 0.0
+        for mode in (gs.LINEAR, gs.EXPONENTIAL):
+            _, params, gcfg, ds = tiny_setup(mode)
+            gcfg = replace(gcfg, grades=np.array([-0.0, 0.5, 1.0, 2.0]),
+                           head_grades=np.array([[0.25, -0.0], [1.5, 0.75]]))
+            tc = training.TrainConfig(steps=10, learn_grades=False, seed=4, batch_size=4)
+            res = training.train(params, gcfg, ds.x, ds.y, tc)
+            assert same_bits(res.grades, gcfg.grades), mode
+            assert same_bits(res.head_grades, gcfg.head_grades), mode
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_divergence_detected(self):
