@@ -4,6 +4,7 @@
 Usage, from the root of a checkout:
 
     python3 scripts/time_primitives.py [--repeats 40] [--number 200]
+        [--section all|primitives|step]
 
 Two shapes, each at the `wide_lgt` benchmark model (d = 32, 4 heads,
 d_ff = 128):
@@ -34,6 +35,17 @@ primitive's cost over its body.  Every timing is the fastest of
 so a slow spell on a shared machine hits every case alike.  BLAS runs on
 one thread.
 
+A last section, `step`, times inside real training: it runs the
+training jobs that `perfbench/adapter.py` builds for every benchmark
+workload at seed 1, STEP_ROUNDS times each, with every tape primitive
+and the two training loss nodes wrapped in a clock, and so every VJP they
+hand to `ad.record`.  Per kind it prints the calls, forward and VJP
+milliseconds per training step and their share of the step, and then the
+rest of the step: tape set-up, the backward sweep's own loop, clipping and
+Adam.  Each figure is the fastest of the rounds; the step time includes
+the clocks' own cost, about a microsecond per call.  The header gives the
+step's minor page faults (`ru_minflt`).
+
 The `train` rows depend on the allocator's history as well as on the
 code: their temporaries are 128 KB and more, and one the C allocator
 serves from pages it has returned to the system costs a page fault per
@@ -47,6 +59,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import math  # noqa: E402
+import resource  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 from functools import lru_cache  # noqa: E402
@@ -57,12 +70,13 @@ import numpy as np  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from graded_transformer import autodiff as ad  # noqa: E402
-from graded_transformer import graded  # noqa: E402
+from graded_transformer import graded, training  # noqa: E402
 from graded_transformer import transformer as tf  # noqa: E402
 
 D, HEADS, D_FF, EPS = 32, 4, 128, 1e-5
 KEYS = 8  # cached rows a decode-step query attends to
 BATCH, SEQ = 16, 32  # the training shape: BATCH sequences of SEQ rows
+STEP_ROUNDS = 3  # training runs per workload in the step section
 
 
 @lru_cache(maxsize=None)
@@ -100,41 +114,57 @@ def ln_body_backward(x, r, g, b, col, up):
     return out, dz, dz.copy(), ones @ (up * z), ones @ up
 
 
+def rows_product(x, y, b, n):
+    """x @ y, (B, heads, n, w), as (B n, heads w) rows: written through a
+    view of the row array for B > 1, copied by a reshape for one sequence."""
+    heads, w = x.shape[1], y.shape[-1]
+    if b == 1:
+        return (x @ y).transpose(0, 2, 1, 3).reshape(n, heads * w)
+    out = np.empty((b * n, heads * w))
+    np.matmul(x, y, out=out.reshape(b, n, heads, w).transpose(0, 2, 1, 3))
+    return out
+
+
+def key_major(x, y, b, n_k, n_q):
+    """x @ y, (B, heads, n_k, n_q); for B > 1 in a buffer laid out keys
+    outermost, (n_k, B, heads, n_q), as the primitive's scores."""
+    if b == 1:
+        return x @ y
+    return np.matmul(x, y, out=np.empty((n_k, b, HEADS, n_q)).transpose(1, 2, 0, 3))
+
+
 def attention_body(q, k, v, n_q, n_k):
     b = q.shape[0] // n_q
     dk = q.shape[1] // HEADS
     qt = q.reshape(b, n_q, HEADS, dk).transpose(0, 2, 3, 1)
     kb = k.reshape(b, n_k, HEADS, dk).transpose(0, 2, 1, 3)
     vb = v.reshape(b, n_k, HEADS, dk).transpose(0, 2, 1, 3)
-    s = kb @ qt
+    s = key_major(kb, qt, b, n_k, n_q)
     s *= 1.0 / math.sqrt(dk)
     s -= np.maximum.reduce(s, axis=-2, keepdims=True)
     np.exp(s, out=s)
     s /= _ones_row(n_k) @ s
-    return (s.transpose(0, 1, 3, 2) @ vb).transpose(0, 2, 1, 3).reshape(q.shape[0], -1), s, qt, kb, vb
+    return rows_product(s.transpose(0, 1, 3, 2), vb, b, n_q), s, qt, kb, vb
 
 
 def attention_body_backward(q, k, v, n_q, n_k, up):
     out, p, qt, kb, vb = attention_body(q, k, v, n_q, n_k)
     b, dk = q.shape[0] // n_q, q.shape[1] // HEADS
     gt = up.reshape(b, n_q, HEADS, dk).transpose(0, 2, 3, 1)
-    ds = vb @ gt
+    ds = key_major(vb, gt, b, n_k, n_q)
     ds -= _ones_row(n_k) @ (ds * p)
     ds *= p
     ds *= 1.0 / math.sqrt(dk)
-
-    def merge(x, n):
-        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
-
-    return (out, merge(ds.transpose(0, 1, 3, 2) @ kb, n_q),
-            merge(ds @ qt.transpose(0, 1, 3, 2), n_k), merge(p @ gt.transpose(0, 1, 3, 2), n_k))
+    return (out, rows_product(ds.transpose(0, 1, 3, 2), kb, b, n_q),
+            rows_product(ds, qt.transpose(0, 1, 3, 2), b, n_k),
+            rows_product(p, gt.transpose(0, 1, 3, 2), b, n_k))
 
 
-def ffn_body(x, w1, b1, w2, b2):
-    h = x @ w1
+def ffn_body(x, w1, b1, w2, b2):  # one row, as a decode step: ndarray.dot
+    h = x.dot(w1)
     h += b1
     np.maximum(h, 0.0, out=h)
-    out = h @ w2
+    out = h.dot(w2)
     out += b2
     return out
 
@@ -187,7 +217,7 @@ def cases(rng):
     xn, rn, wn, kn, vn = (ad.Tape.constant(a) for a in (x, r, w, kc, vc))
     gn, bn = ad.Tape.constant(g), ad.Tape.constant(b)
     w1n, b1n, w2n, b2n = (ad.Tape.constant(a) for a in (w1, b1, w2, b2))
-    out["decode matmul"] = (lambda: ad.matmul(xn, wn), lambda: x @ w, 1)
+    out["decode matmul"] = (lambda: ad.matmul(xn, wn), lambda: x.dot(w), 1)
     out["decode layer_norm_rows"] = (lambda: ad.layer_norm_rows(xn, rn, gn, bn, EPS),
                                      lambda: ln_body(x, r, g, b, col), 1)
     out["decode attention_rows"] = (lambda: ad.attention_rows(xn, kn, vn, 1, KEYS, heads=HEADS),
@@ -242,35 +272,155 @@ def forward_cases():
     return out
 
 
+# ---------------------------------------------------------------------------
+# step: per-kind time inside real training steps
+
+# the tape primitives of a training step and the training loss nodes; none
+# calls another, so each forward time is the kind's own
+STEP_KINDS = [(ad, name) for name in (
+    "add", "mul", "scale", "add_rowvec", "scale_cols", "matmul", "transpose", "exp",
+    "affine", "sum_all", "attention_rows", "normalize_rows", "layer_norm_rows",
+    "feed_forward_rows", "embedding_rows")] + [
+    (training, "sequence_loss_node"), (training, "regularizer_node")]
+
+
+class StepTimer:
+    """Wraps each kind's function, and every VJP it hands to `ad.record`,
+    with a clock; a node recorded outside the wrapped kinds counts as
+    "other"."""
+
+    def __init__(self):
+        self.forward, self.vjps, self.calls = {}, {}, {}
+        self.current = []
+
+    def reset(self):
+        for table in (self.forward, self.vjps, self.calls):
+            table.clear()
+
+    def timed(self, kind, fn):
+        def call(*args, **kwargs):
+            self.current.append(kind)
+            t0 = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                self.forward[kind] = self.forward.get(kind, 0.0) + perf_counter() - t0
+                self.calls[kind] = self.calls.get(kind, 0) + 1
+                self.current.pop()
+        return call
+
+    def timed_vjp(self, kind, vjp):
+        def call(g):
+            t0 = perf_counter()
+            try:
+                return vjp(g)
+            finally:
+                self.vjps[kind] = self.vjps.get(kind, 0.0) + perf_counter() - t0
+        return call
+
+    def install(self):
+        """Patch the module attributes; returns the undo list."""
+        record = ad.record
+        undo = [(ad, "record", record)] + [(m, n, getattr(m, n)) for m, n in STEP_KINDS]
+
+        def timed_record(value, parents, vjps):
+            kind = self.current[-1] if self.current else "other"
+            return record(value, parents, tuple(self.timed_vjp(kind, f) for f in vjps))
+
+        ad.record = timed_record
+        for module, name in STEP_KINDS:
+            setattr(module, name, self.timed(name, getattr(module, name)))
+        return undo
+
+
+def step_tables():
+    """workload -> (step ms, minor faults per step, {kind: (calls, forward
+    ms, VJP ms)} per step), each training job of the workload, built at
+    seed 1, run STEP_ROUNDS times; per kind and for the step, the fastest
+    round."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import adapter
+
+    timer = StepTimer()
+    undo = timer.install()
+    out = {}
+    try:
+        for name in adapter.WORKLOADS:
+            wl = adapter.build(name, 1)
+            steps = sum(job.tcfg.steps for job in wl.train_jobs)
+            best_step, best_faults, kinds = math.inf, math.inf, {}
+            for _ in range(STEP_ROUNDS):
+                timer.reset()
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                t0 = perf_counter()
+                for job in wl.train_jobs:
+                    adapter.train(job, wl.data)
+                best_step = min(best_step, (perf_counter() - t0) / steps * 1e3)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+                best_faults = min(best_faults, faults / steps)
+                for kind in timer.calls.keys() | timer.vjps.keys():
+                    calls, fwd, back = kinds.get(kind, (0, math.inf, math.inf))
+                    kinds[kind] = (timer.calls.get(kind, 0) / steps,
+                                   min(fwd, timer.forward.get(kind, 0.0) / steps * 1e3),
+                                   min(back, timer.vjps.get(kind, 0.0) / steps * 1e3))
+            out[name] = (best_step, best_faults, kinds)
+    finally:
+        for module, name, fn in undo:
+            setattr(module, name, fn)
+    return out
+
+
+def print_step():
+    for name, (step, faults, kinds) in step_tables().items():
+        print(f"\nstep: {name}, seed 1: {step:.3f} ms per step (clocks included), "
+              f"{faults:.0f} minor faults per step; fastest of {STEP_ROUNDS} runs")
+        print(f"{'kind':20s} {'calls':>6s} {'forward ms':>11s} {'VJP ms':>8s} {'share':>6s}")
+        timed = 0.0
+        for kind, (calls, fwd, back) in sorted(kinds.items(), key=lambda kv: -sum(kv[1][1:])):
+            timed += fwd + back
+            print(f"{kind:20s} {calls:6.1f} {fwd:11.3f} {back:8.3f} {(fwd + back) / step:6.1%}")
+        rest = step - timed  # tape set-up, the backward sweep, clipping, Adam
+        print(f"{'rest of the step':20s} {'':6s} {rest:11.3f} {'':8s} {rest / step:6.1%}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--repeats", type=int, default=40)
     parser.add_argument("--number", type=int, default=200)
+    parser.add_argument("--section", choices=("all", "primitives", "step"), default="all",
+                        help="primitives: the decode, train and forward tables")
     args = parser.parse_args()
+    if args.section in ("all", "primitives"):
+        print_primitives(args.repeats, args.number)
+    if args.section in ("all", "step"):
+        print_step()
+    return 0
+
+
+def print_primitives(repeats, number):
     table = cases(np.random.default_rng(0))
     per_forward = forward_cases()
     timed = {**{(name, side): fn for name, (op, body, _) in table.items()
                 for side, fn in ((0, op), (1, body))},
              **{(name, 0): fn for name, fn in per_forward.items()}}
     best = dict.fromkeys(timed, math.inf)
-    for _ in range(args.repeats):
+    for _ in range(repeats):
         for key, fn in timed.items():
             t0 = perf_counter()
-            for _ in range(args.number):
+            for _ in range(number):
                 fn()
             best[key] = min(best[key], perf_counter() - t0)
     print(f"{'case':28s} {'primitive us':>13s} {'numpy us':>9s} {'ratio':>6s}")
     for name, (_, _, per) in table.items():
-        prim, body = (best[name, side] / args.number / per * 1e6 for side in (0, 1))
+        prim, body = (best[name, side] / number / per * 1e6 for side in (0, 1))
         print(f"{name:28s} {prim:13.2f} {body:9.2f} {prim / body:6.2f}")
     print(f"\n{'forward part':40s} {'us':>9s} {'share':>6s}")
     for name in per_forward:
-        us = best[name, 0] / args.number * 1e6
-        whole = best[f"{name.split()[0]} forward", 0] / args.number * 1e6
+        us = best[name, 0] / number * 1e6
+        whole = best[f"{name.split()[0]} forward", 0] / number * 1e6
         print(f"{name:40s} {us:9.2f} {us / whole:6.1%}")
-    print(f"numpy {np.__version__}, {os.cpu_count()} cores, fastest of {args.repeats} "
-          f"interleaved rounds of {args.number} calls")
-    return 0
+    print(f"numpy {np.__version__}, {os.cpu_count()} cores, fastest of {repeats} "
+          f"interleaved rounds of {number} calls")
 
 
 if __name__ == "__main__":

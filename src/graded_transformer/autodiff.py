@@ -18,7 +18,10 @@ and every LayerNorm mean (moments and adjoint) a product with a column of
 1/d, `tensor.mean_column`.  Attention scores are laid out key-major,
 (B, heads, n_k, n_q), so the softmax max reduces over a non-last axis; the
 softmax normalises the score buffer in place, and the output and VJPs read
-it through transposed views.
+it through transposed views.  For a stacked batch the score buffer and its
+adjoint are (n_k, B, heads, n_q) in memory, keys outermost, so the softmax
+passes run along contiguous rows of B heads n_q entries, and the output and
+the q, k, v adjoints are written straight into their row arrays.
 
 A node records only when one of its parents records.  Parameter leaves
 are live; constants (`Tape.constant`, `wrap`) are bare nodes no tape
@@ -255,11 +258,14 @@ def matmul(a, b) -> Node:
     if type(a) is not Node or type(b) is not Node:
         a, b = wrap(a), wrap(b)
     av, bv = a.value, b.value
-    if av.shape[1] != bv.shape[0]:
+    rows, inner = av.shape
+    if inner != bv.shape[0]:
         raise DimensionMismatch(f"matmul: {av.shape} x {bv.shape}")
+    # one row (a decode step): ndarray.dot, the same product with less fixed cost
+    out = av.dot(bv) if rows == 1 else av @ bv
     if not (a.live or b.live):
-        return Node(av @ bv)
-    return record(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
+        return Node(out)
+    return record(out, (a, b), (lambda g: g @ bv.T, lambda g: av.T @ g))
 
 
 def transpose(a) -> Node:
@@ -296,6 +302,24 @@ def sum_all(a) -> Node:
     return record(out, (a,), (lambda g: np.full(shape, g[0, 0]),))
 
 
+def _key_outer(b: int, heads: int, n_k: int, n_q: int) -> np.ndarray:
+    """A new (B, heads, n_k, n_q) array laid out in memory keys outermost,
+    as (n_k, B, heads, n_q)."""
+    return np.empty((n_k, b, heads, n_q)).transpose(1, 2, 0, 3)
+
+
+def _product_rows(x: np.ndarray, y: np.ndarray, b: int, n: int) -> np.ndarray:
+    """x @ y, of shape (B, heads, n, w), as (B n, heads w) rows; with B > 1
+    written through a view of a new row array, for one sequence copied by
+    a transpose-reshape."""
+    heads, w = x.shape[1], y.shape[-1]
+    if b == 1:
+        return (x @ y).transpose(0, 2, 1, 3).reshape(n, heads * w)
+    out = np.empty((b * n, heads * w))
+    np.matmul(x, y, out=out.reshape(b, n, heads, w).transpose(0, 2, 1, 3))
+    return out
+
+
 def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
                    collect: list | None = None, heads: int = 1) -> Node:
     """softmax(q k^T / sqrt(d_k) [+ mask]) v per head, within each stacked sequence.
@@ -306,9 +330,14 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     are formed per sequence and head with batched matmul over
     (B, heads, n, d_k) views, so the score work is B heads n_q n_k, not
     (B n_q)(B n_k).  They are key-major, k q^T of shape (B, heads, n_k,
-    n_q), and the softmax normalises along axis -2: its max then reduces
-    over a non-last axis, which numpy does several times faster.  The
-    output, the VJPs and `collect` read probabilities and score adjoint
+    n_q), and the softmax normalises along axis -2.  With B > 1 the score
+    buffer and the score adjoint are laid out keys outermost, (n_k, B,
+    heads, n_q) in memory: the softmax passes then run along contiguous
+    rows of B heads n_q entries, and the output and the q, k, v adjoints
+    are written straight into their (B n, heads w) row arrays.  One
+    sequence (evaluation, a prompt, a decode step) keeps the plain
+    (1, heads, n_k, n_q) buffer, which is cheaper per call at that size.
+    The output, the VJPs and `collect` read probabilities and score adjoint
     through transposed views, with no copy.  mask is an additive (n_q, n_k)
     array shared by all sequences and heads.  One node; its VJPs share the
     score adjoint, computed once per backward.  When `collect` is given,
@@ -336,7 +365,8 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     qt = qv.reshape(b, n_q, heads, d_k).transpose(0, 2, 3, 1)
     kb = kv.reshape(b, n_k, heads, d_k).transpose(0, 2, 1, 3)
     vb = vv.reshape(b, n_k, heads, d_v).transpose(0, 2, 1, 3)
-    scores = kb @ qt  # key-major: (B, heads, n_k, n_q)
+    # key-major; one sequence keeps the plain buffer, cheaper per call
+    scores = kb @ qt if b == 1 else np.matmul(kb, qt, out=_key_outer(b, heads, n_k, n_q))
     scores *= c
     if mask is not None:
         scores += mask.T
@@ -344,20 +374,19 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     pt = p.transpose(0, 1, 3, 2)
     if collect is not None:
         collect.extend(pt[:, i] for i in range(heads))
-    # (B, heads, n_q, d_v) -> (B n_q, heads d_v) rows
-    out = (pt @ vb).transpose(0, 2, 1, 3).reshape(rows, -1)
+    if b == 1:  # _product_rows inlined: a decode step's per-call cost
+        out = (pt @ vb).transpose(0, 2, 1, 3).reshape(rows, -1)
+    else:
+        out = _product_rows(pt, vb, b, n_q)
     if not (q.live or k.live or v.live):
         return Node(out)
-
-    def merge(x, n):  # (B, heads, n, w) -> (B n, heads w) rows
-        return x.transpose(0, 2, 1, 3).reshape(b * n, -1)
-
     memo: dict = {}
 
     def adjoints(g):  # g as (B, heads, d_v, n_q), and the key-major score adjoint
         if memo.get("g") is not g:
             gt = g.reshape(b, n_q, heads, d_v).transpose(0, 2, 3, 1)
-            ds = vb @ gt  # dp, key-major, turned into ds in place
+            # dp, laid out as the scores, turned into ds in place
+            ds = vb @ gt if b == 1 else np.matmul(vb, gt, out=_key_outer(b, heads, n_k, n_q))
             ds -= tensor.col_sums(ds * p)
             ds *= p
             ds *= c
@@ -368,9 +397,9 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
         out,
         (q, k, v),
         (
-            lambda g: merge(adjoints(g)[1].transpose(0, 1, 3, 2) @ kb, n_q),
-            lambda g: merge(adjoints(g)[1] @ qt.transpose(0, 1, 3, 2), n_k),
-            lambda g: merge(p @ adjoints(g)[0].transpose(0, 1, 3, 2), n_k),
+            lambda g: _product_rows(adjoints(g)[1].transpose(0, 1, 3, 2), kb, b, n_q),
+            lambda g: _product_rows(adjoints(g)[1], qt.transpose(0, 1, 3, 2), b, n_k),
+            lambda g: _product_rows(p, adjoints(g)[0].transpose(0, 1, 3, 2), b, n_k),
         ),
     )
 
@@ -456,16 +485,18 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
     if not (type(x) is type(w1) is type(b1) is type(w2) is type(b2) is Node):
         x, w1, b1, w2, b2 = wrap(x), wrap(w1), wrap(b1), wrap(w2), wrap(b2)
     xv, w1v, b1v, w2v, b2v = x.value, w1.value, b1.value, w2.value, b2.value
+    rows, width = xv.shape
     d, f = w1v.shape
-    if xv.shape[1] != d or b1v.shape != (1, f) or w2v.shape[0] != f \
+    if width != d or b1v.shape != (1, f) or w2v.shape[0] != f \
             or b2v.shape != (1, w2v.shape[1]):
         raise DimensionMismatch(
             f"feed_forward_rows: x {xv.shape}, w1 {w1v.shape}, b1 {b1v.shape}, "
             f"w2 {w2v.shape}, b2 {b2v.shape}")
-    hidden = xv @ w1v
+    # one row (a decode step): ndarray.dot, the same product with less fixed cost
+    hidden = xv.dot(w1v) if rows == 1 else xv @ w1v
     hidden += b1v
     np.maximum(hidden, 0.0, out=hidden)
-    out = hidden @ w2v
+    out = hidden.dot(w2v) if rows == 1 else hidden @ w2v
     out += b2v
     if not (x.live or w1.live or b1.live or w2.live or b2.live):
         return Node(out)

@@ -241,7 +241,9 @@ class AttentionGrading:
         self.normalize_ffn = normalize_ffn
 
     def apply(self, q, k, v):
-        """Scale the folded (rows, h d_k) q, k and v of all heads per the variant."""
+        """Scale the columns of the folded (d, h d_k) W_Q, W_K and W_V of all
+        heads per the variant: the same as scaling the projected q, k, v
+        rows, up to rounding, at d rows of work instead of one per row."""
         if self.variant == "none":
             return q, k, v
         w = self.head_weights

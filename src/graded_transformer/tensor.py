@@ -65,7 +65,11 @@ def softmax_rows(m, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray
 
     The one softmax of the package; the tape's attention node
     (`autodiff.attention_rows`) calls it too, on key-major scores, along
-    -2, normalised in place: out is the score buffer itself.  One buffer,
+    -2, normalised in place: out is the score buffer itself.  For a
+    stacked batch that buffer is a transposed view whose axis -2 is
+    outermost in memory, so each pass runs along contiguous rows of all
+    the other axes; the reduction and ufuncs follow the memory order
+    whatever the view's axis order.  One buffer,
     out or a new array, holds shift, exponential and normalisation; the
     max is a ufunc reduction, the normaliser `row_sums` or `col_sums`.
     m is modified only when it is out.

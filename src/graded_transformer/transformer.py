@@ -245,11 +245,14 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     """Concat(head_1..head_h) W_O, with the heads' projections folded into
     one (d, h d_k) matrix each for Q, K and V; optional graded scaling.
 
-    `grading` is None or an object whose `apply` scales the folded q, k, v
-    (see graded.AttentionGrading).  `kv`, when given, is the key/value
-    source of a cross-attention, which reads the `{prefix}.c*`
-    projections; self-attention reads `{prefix}.w*`.  x may stack
-    sequences of seq_len rows; attention stays within each sequence.
+    `grading` is None or an object whose `apply` scales the columns of the
+    folded W_Q, W_K, W_V (see graded.AttentionGrading): (x W) diag(w) is
+    x (W diag(w)), so the grading costs d h d_k products per projection
+    rather than one per row of x, and its weight gradient is a column sum
+    over d rows.  `kv`, when given, is the key/value source of a
+    cross-attention, which reads the `{prefix}.c*` projections;
+    self-attention reads `{prefix}.w*`.  x may stack sequences of seq_len
+    rows; attention stays within each sequence.
 
     `cache` (incremental decoding of one sequence) is a dict kept across
     the calls of one request.  Cross-attention projects K/V from kv on the
@@ -263,20 +266,22 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     cross = kv is not None
     name, wq, wk, wv, wo = _attention_names(prefix, cross)
     kv = x if kv is None else kv
-    q = ad.matmul(x, p[wq])
+    if grading is None:
+        w_q, w_k, w_v = p[wq], p[wk], p[wv]
+    else:
+        w_q, w_k, w_v = grading.apply(p[wq], p[wk], p[wv])
+    q = ad.matmul(x, w_q)
     if cross and cache is not None and name in cache:
         k, v = cache[name]
     else:
-        k = ad.matmul(kv, p[wk])
-        v = ad.matmul(kv, p[wv])
+        k = ad.matmul(kv, w_k)
+        v = ad.matmul(kv, w_v)
         if cross and cache is not None:
             cache[name] = (k, v)
         elif cache is not None:
             if name not in cache:
                 cache[name] = (ad.RowBuffer(), ad.RowBuffer())
             k, v = cache[name][0].append(k), cache[name][1].append(v)
-    if grading is not None:
-        q, k, v = grading.apply(q, k, v)
     heads = attention_head(q, k, v, cfg.d_k, mask, collect, seq_len)
     return ad.matmul(heads, p[wo])
 

@@ -322,7 +322,9 @@ def key_major_attention(q, k, v, n_q, n_k, heads, mask, g):
     """Reference: ad.attention_rows' value and q, k, v adjoints for the
     output adjoint g, on key-major (B, heads, n_k, n_q) scores as the node
     forms them, with a new array per step and the sums over keys products
-    with ones."""
+    with ones.  With B > 1 the scores, and so the probabilities and dp·p,
+    are laid out keys outermost, (n_k, B, heads, n_q) in memory, as in the
+    node: BLAS may round a sum over such a strided buffer differently."""
     b = q.shape[0] // n_q
     d_k, d_v = q.shape[1] // heads, v.shape[1] // heads
 
@@ -335,14 +337,21 @@ def key_major_attention(q, k, v, n_q, n_k, heads, mask, g):
     def t(x):
         return x.transpose(0, 1, 3, 2)
 
+    def node_layout(x):
+        if b == 1:
+            return x
+        out = np.empty((n_k, b, heads, n_q)).transpose(1, 2, 0, 3)
+        out[...] = x
+        return out
+
     c = 1.0 / np.sqrt(d_k)
     qb, kb, vb = split(q, n_q, d_k), split(k, n_k, d_k), split(v, n_k, d_v)
-    scores = (kb @ t(qb)) * c
+    scores = node_layout(kb @ t(qb)) * c
     if mask is not None:
         scores = scores + mask.T
     p = blas_softmax(scores, axis=-2)
     gb = split(g, n_q, d_v)
-    dp = vb @ t(gb)
+    dp = node_layout(vb @ t(gb))
     ds = p * (dp - ones_col_sums(dp * p)) * c
     return (merge(t(p) @ vb, n_q), merge(t(ds) @ kb, n_q), merge(ds @ qb, n_k),
             merge(p @ gb, n_k))

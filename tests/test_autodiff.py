@@ -282,6 +282,21 @@ class TestLiveness:
         assert not out.live and same_bits(out.value, np.exp(self.a @ self.b))
 
 
+class TestOneRowMatmul:
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_equals_the_matmul_operator_bitwise(self, d):
+        # a one-row product runs as ndarray.dot: value and VJPs equal @
+        g = np.random.default_rng(60 + d)
+        a, w, up = g.normal(size=(1, d)), g.normal(size=(d, d)), g.normal(size=(1, d))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            node = ad.matmul(tape.param("a", a), tape.param("w", w))
+        assert same_bits(node.value, a @ w)
+        assert same_bits(ad.matmul(a, w).value, a @ w)
+        assert same_bits(node.vjps[0](up), up @ w.T)
+        assert same_bits(node.vjps[1](up), a.T @ up)
+
+
 class TestStack:
     """vstack as rows appended part by part to an ad.RowBuffer, of parts of
     unequal heights, Nodes (even positions) mixed with plain arrays (odd
@@ -609,6 +624,28 @@ class TestAttentionRows:
                                                          30 + heads + n_k)
         want = key_major_attention(q, k, v, n_q, n_k, heads, mask, up)
         assert same_bits(out.value, want[0])
+        for vjp, want_adjoint in zip(out.vjps, want[1:]):
+            assert same_bits(vjp(up), want_adjoint)
+
+    @pytest.mark.parametrize("b,n_q,n_k,heads,d_k", [
+        (16, 8, 8, 2, 2),     # poly_smoke training batch
+        (16, 8, 8, 2, 8),     # hiercopy_egt training batch
+        (16, 32, 32, 4, 8),   # wide_lgt training batch
+        (1, 1, 8, 4, 8),      # one decode step
+    ])
+    def test_benchmark_shapes_bitwise(self, b, n_q, n_k, heads, d_k):
+        # the keys-outermost buffers of a stacked batch, and the plain ones
+        # of one sequence, equal the reference in the node's layout
+        g = np.random.default_rng(b + n_q + heads + d_k)
+        q, up = (g.normal(0.0, 1.0, (b * n_q, heads * d_k)) for _ in range(2))
+        k, v = (g.normal(0.0, 1.0, (b * n_k, heads * d_k)) for _ in range(2))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            out = ad.attention_rows(tape.param("q", q), tape.param("k", k),
+                                    tape.param("v", v), n_q, n_k, heads=heads)
+        want = key_major_attention(q, k, v, n_q, n_k, heads, None, up)
+        assert same_bits(out.value, want[0])
+        assert same_bits(ad.attention_rows(q, k, v, n_q, n_k, heads=heads).value, want[0])
         for vjp, want_adjoint in zip(out.vjps, want[1:]):
             assert same_bits(vjp(up), want_adjoint)
 

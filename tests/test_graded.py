@@ -24,7 +24,13 @@ from graded_transformer.errors import (
 )
 from graded_transformer.tensor import Rng
 
-from conftest import assert_close, run_nodes, sinusoid, unnormalized_softmax
+from conftest import (
+    assert_close,
+    assert_peak_close,
+    run_nodes,
+    sinusoid,
+    unnormalized_softmax,
+)
 
 
 def make_gcfg(toy_model, **kw):
@@ -272,6 +278,45 @@ class TestGradedAttention:
         _, attn_std = graded.graded_attention(q, k, v, np.ones(dk), "none")
         assert np.array_equal(attn, attn_std)
         assert_close(out, attn @ (v * w), tol=1e-15)
+
+    @pytest.mark.parametrize("variant", ["scores", "queries_keys", "values"])
+    def test_graded_projections_match_scaled_rows(self, variant):
+        # multi_head scales the columns of the (d, h d_k) projections; the
+        # reference scales the projected (B n, h d_k) rows instead.  On a
+        # stacked batch of 16 with learned head grades the value and every
+        # gradient agree to 1e-13 of the reference's peak
+        cfg = tf.ModelConfig(vocab_size=0, d_model=8, n_heads=2, n_layers=1, d_ff=16)
+        gcfg = graded.GradedModelConfig(model=cfg, attention_variant=variant)
+        g = Rng(41).generator
+        b, n = 16, 8
+        names = ("enc0.wq", "enc0.wk", "enc0.wv", "enc0.wo")
+        point = {name: g.normal(0.0, 0.5, (8, 8)) for name in names}
+        point["q_heads"] = g.uniform(0.0, 2.0, (1, 8))
+        x, up = g.normal(size=(b * n, 8)), g.normal(size=(b * n, 8))
+
+        def graded_projections(p, w):
+            return tf.multi_head(p, "enc0", x, cfg, grading=graded.AttentionGrading(variant, w),
+                                 seq_len=n)
+
+        def scaled_rows(p, w):
+            q, k, v = (ad.matmul(x, p[f"enc0.w{c}"]) for c in "qkv")
+            q, k, v = graded.AttentionGrading(variant, w).apply(q, k, v)
+            heads = tf.attention_head(q, k, v, cfg.d_k, seq_len=n)
+            return ad.matmul(heads, p["enc0.wo"])
+
+        def run(build):
+            tape = ad.Tape()
+            with ad.recording(tape):
+                p = {name: tape.param(name, a) for name, a in point.items()}
+                out = build(p, gcfg.spec(None).node(p["q_heads"]))
+                root = ad.sum_all(ad.mul(out, up))
+            return out.value, tape.backward(root)
+
+        out, grads = run(graded_projections)
+        want_out, want_grads = run(scaled_rows)
+        assert_peak_close(out, want_out, 1e-13, "value")
+        for name in point:
+            assert_peak_close(grads[name], want_grads[name], 1e-13, name)
 
     def test_egt_concentration_monotone(self):
         g = Rng(33).generator
