@@ -114,23 +114,12 @@ def ln_body_backward(x, r, g, b, col, up):
     return out, dz, dz.copy(), ones @ (up * z), ones @ up
 
 
-def rows_product(x, y, b, n):
-    """x @ y, (B, heads, n, w), as (B n, heads w) rows: written through a
-    view of the row array for B > 1, copied by a reshape for one sequence."""
-    heads, w = x.shape[1], y.shape[-1]
-    if b == 1:
-        return (x @ y).transpose(0, 2, 1, 3).reshape(n, heads * w)
-    out = np.empty((b * n, heads * w))
-    np.matmul(x, y, out=out.reshape(b, n, heads, w).transpose(0, 2, 1, 3))
-    return out
-
-
 def key_major(x, y, b, n_k, n_q):
-    """x @ y, (B, heads, n_k, n_q); for B > 1 in a buffer laid out keys
-    outermost, (n_k, B, heads, n_q), as the primitive's scores."""
+    """x @ y, (B, heads, n_k, n_q); for B > 1 in the primitive's own
+    keys-outermost score buffer (ad._key_outer)."""
     if b == 1:
         return x @ y
-    return np.matmul(x, y, out=np.empty((n_k, b, HEADS, n_q)).transpose(1, 2, 0, 3))
+    return np.matmul(x, y, out=ad._key_outer(b, x.shape[1], n_k, n_q))
 
 
 def attention_body(q, k, v, n_q, n_k):
@@ -144,7 +133,7 @@ def attention_body(q, k, v, n_q, n_k):
     s -= np.maximum.reduce(s, axis=-2, keepdims=True)
     np.exp(s, out=s)
     s /= _ones_row(n_k) @ s
-    return rows_product(s.transpose(0, 1, 3, 2), vb, b, n_q), s, qt, kb, vb
+    return ad._product_rows(s.transpose(0, 1, 3, 2), vb, b, n_q), s, qt, kb, vb
 
 
 def attention_body_backward(q, k, v, n_q, n_k, up):
@@ -155,9 +144,9 @@ def attention_body_backward(q, k, v, n_q, n_k, up):
     ds -= _ones_row(n_k) @ (ds * p)
     ds *= p
     ds *= 1.0 / math.sqrt(dk)
-    return (out, rows_product(ds.transpose(0, 1, 3, 2), kb, b, n_q),
-            rows_product(ds, qt.transpose(0, 1, 3, 2), b, n_k),
-            rows_product(p, gt.transpose(0, 1, 3, 2), b, n_k))
+    return (out, ad._product_rows(ds.transpose(0, 1, 3, 2), kb, b, n_q),
+            ad._product_rows(ds, qt.transpose(0, 1, 3, 2), b, n_k),
+            ad._product_rows(p, gt.transpose(0, 1, 3, 2), b, n_k))
 
 
 def ffn_body(x, w1, b1, w2, b2):  # one row, as a decode step: ndarray.dot

@@ -3,8 +3,10 @@
 Grading enters at up to four places, each independently switchable:
 inputs (diagonal scaling, optionally followed by row normalization),
 positional encodings (linear 1 - alpha*t or exponential base**(-alpha*t)
-decay), attention (three variants of diagonal scaling inside each head),
-and the feed-forward/output projections.
+decay), attention, and the feed-forward/output projections.  Attention
+grading is a transform of the encoder's parameters: each variant scales
+the columns of the folded projections GRADED_PROJECTIONS names by the
+head weights, and the plain transformer then runs on the graded copy.
 
 With unit weights (unit grades under the (0, 1) map in linear mode, or
 zero grades in exponential mode), every graded path reproduces the baseline transformer
@@ -14,7 +16,7 @@ bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -35,7 +37,11 @@ from .graded_space import (
     as_grades,
 )
 
-VARIANTS = ("none", "scores", "queries_keys", "values")
+# attention variant -> the projections (of q, k, v) whose columns it scales by
+# the head weights: (x W) diag(w) is x (W diag(w)), so grading W_Q alone
+# scales the scores and grading W_V scales the values
+GRADED_PROJECTIONS = {"none": "", "scores": "q", "queries_keys": "qk", "values": "v"}
+VARIANTS = tuple(GRADED_PROJECTIONS)
 POSITIONAL_MODES = ("off", "linear_decay", "exp_decay")
 
 
@@ -229,36 +235,10 @@ def _decayed_table(n: int, d: int, n_max: int, positional: str, alpha: float,
     return table
 
 
-class AttentionGrading:
-    """Carries the stacked head weight row (a node or an array) into the
-    encoder; head i's weights are columns i d_k .. (i + 1) d_k."""
-
-    def __init__(self, variant: str, head_weights, ffn_weights=None,
-                 normalize_ffn: bool = True):
-        self.variant = variant
-        self.head_weights = head_weights
-        self.ffn_weights = ffn_weights
-        self.normalize_ffn = normalize_ffn
-
-    def apply(self, q, k, v):
-        """Scale the columns of the folded (d, h d_k) W_Q, W_K and W_V of all
-        heads per the variant: the same as scaling the projected q, k, v
-        rows, up to rounding, at d rows of work instead of one per row."""
-        if self.variant == "none":
-            return q, k, v
-        w = self.head_weights
-        if self.variant == "scores":
-            return ad.scale_cols(q, w), k, v
-        if self.variant == "queries_keys":
-            return ad.scale_cols(q, w), ad.scale_cols(k, w), v
-        if self.variant == "values":
-            return q, k, ad.scale_cols(v, w)
-        raise InvalidSpec(f"unknown attention variant {self.variant!r}")
-
-    def graded_ffn(self, ff):
-        if self.ffn_weights is None:
-            return ff
-        return grade_rows(ff, self.ffn_weights, self.normalize_ffn)
+@lru_cache(maxsize=64)
+def _graded_names(variant: str, n_layers: int) -> tuple[str, ...]:
+    """The encoder projections the variant grades, layer by layer, q before k."""
+    return tuple(f"enc{l}.w{c}" for l in range(n_layers) for c in GRADED_PROJECTIONS[variant])
 
 
 def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
@@ -272,10 +252,18 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     lam, a training step's annealed base, overrides the config's base.
     weights is weight_nodes' (model, heads) pair, such as one made from
     learnable grades; by default the config's fixed tuples.
+    Graded attention runs the encoder on a copy of p whose projections
+    per GRADED_PROJECTIONS are scaled by the head weights; p itself is
+    left as it is.
     Returns (encoder representations, output logits), each B n rows.
     """
     cfg = gcfg.model
     w_model, w_heads = weight_nodes(gcfg, lam, None) if weights is None else weights
+    names = _graded_names(gcfg.attention_variant, cfg.n_layers)
+    if names:
+        p = p.copy()
+        for name in names:
+            p[name] = ad.scale_cols(p[name], w_heads)
 
     if cfg.vocab_size:
         ids = tf.check_tokens(inputs, cfg)
@@ -295,15 +283,8 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
         sequences = x.shape[0] // n
         x = ad.add(x, positions if sequences == 1 else np.tile(positions, (sequences, 1)))
 
-    grading = None
-    if gcfg.attention_variant != "none" or gcfg.grade_ffn:
-        grading = AttentionGrading(
-            gcfg.attention_variant,
-            w_heads,
-            ffn_weights=w_model if gcfg.grade_ffn else None,
-            normalize_ffn=gcfg.normalize_ffn,
-        )
-    z = tf.encoder(p, x, cfg, grading, collect, n)
+    ffn = partial(grade_rows, w=w_model, normalize=gcfg.normalize_ffn) if gcfg.grade_ffn else None
+    z = tf.encoder(p, x, cfg, ffn, collect, n)
 
     h = ad.scale_cols(z, w_model) if gcfg.grade_output else z
     if cfg.vocab_size:
@@ -361,8 +342,11 @@ def graded_attention(q, k, v, head_weights, variant: str) -> tuple[np.ndarray, n
     w = _row(head_weights)
     if np.shape(q)[1] != w.size or np.shape(k)[1] != w.size:
         raise DimensionMismatch("graded_attention: weight length must equal d_k")
+    if variant not in GRADED_PROJECTIONS:
+        raise InvalidSpec(f"unknown attention variant {variant!r}")
+    scaled = GRADED_PROJECTIONS[variant]
+    q, k, v = (ad.scale_cols(a, w) if c in scaled else a for c, a in zip("qkv", (q, k, v)))
     collect: list = []
-    q, k, v = AttentionGrading(variant, w).apply(ad.wrap(q), ad.wrap(k), ad.wrap(v))
     out = tf.attention_head(q, k, v, w.size, collect=collect).value
     return out, collect[0][0]
 

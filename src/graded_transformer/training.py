@@ -298,7 +298,12 @@ def data_widths(x: np.ndarray, y: np.ndarray) -> dict[str, int]:
 
 
 def check_widths(x: np.ndarray, y: np.ndarray, m: tf.ModelConfig) -> None:
-    """Raise DimensionMismatch unless m has the widths data_widths(x, y) gives."""
+    """Raise DimensionMismatch unless y holds one (n, width) target block per
+    input sequence of x, and m has the widths data_widths(x, y) gives."""
+    xs, ys = np.shape(x), np.shape(y)
+    if len(xs) not in (2, 3) or len(ys) != 3 or xs[:2] != ys[:2]:
+        raise DimensionMismatch(f"inputs {xs} and targets {ys} need the same number "
+                                "of sequences and positions, each target 3-D")
     want = data_widths(x, y)
     if want != {"vocab_size": m.vocab_size, "d_model": m.d_model,
                 "out_dim": 0 if m.vocab_size else m.output_dim}:
@@ -350,10 +355,8 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     """
     exponential = gcfg.mode == EXPONENTIAL
     gcfg = replace(gcfg, head_grades=gcfg.head_grades.copy())
-    num = data_x.shape[0]
-    if data_y.shape[0] != num:
-        raise DimensionMismatch(f"{num} input sequences but {data_y.shape[0]} targets")
     check_widths(data_x, data_y, gcfg.model)
+    num = data_x.shape[0]
 
     # head tuples that no stage reads get no leaf and come back unchanged
     grade_arrays = {"q": gcfg.grades.reshape(1, -1)}

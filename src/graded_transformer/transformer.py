@@ -239,20 +239,17 @@ def _layer_names(stack: str, l: int) -> tuple[str, str, str, str]:
 
 
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
-               mask: np.ndarray | None = None, grading=None,
+               mask: np.ndarray | None = None,
                collect: list | None = None, kv=None,
                seq_len: int | None = None, cache: dict | None = None) -> ad.Node:
     """Concat(head_1..head_h) W_O, with the heads' projections folded into
-    one (d, h d_k) matrix each for Q, K and V; optional graded scaling.
+    one (d, h d_k) matrix each for Q, K and V.
 
-    `grading` is None or an object whose `apply` scales the columns of the
-    folded W_Q, W_K, W_V (see graded.AttentionGrading): (x W) diag(w) is
-    x (W diag(w)), so the grading costs d h d_k products per projection
-    rather than one per row of x, and its weight gradient is a column sum
-    over d rows.  `kv`, when given, is the key/value source of a
-    cross-attention, which reads the `{prefix}.c*` projections;
-    self-attention reads `{prefix}.w*`.  x may stack sequences of seq_len
-    rows; attention stays within each sequence.
+    Graded attention reaches here only through p, whose projections the
+    graded model has scaled (see graded.GRADED_PROJECTIONS).  `kv`, when
+    given, is the key/value source of a cross-attention, which reads the
+    `{prefix}.c*` projections; self-attention reads `{prefix}.w*`.  x may
+    stack sequences of seq_len rows; attention stays within each sequence.
 
     `cache` (incremental decoding of one sequence) is a dict kept across
     the calls of one request.  Cross-attention projects K/V from kv on the
@@ -266,16 +263,12 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     cross = kv is not None
     name, wq, wk, wv, wo = _attention_names(prefix, cross)
     kv = x if kv is None else kv
-    if grading is None:
-        w_q, w_k, w_v = p[wq], p[wk], p[wv]
-    else:
-        w_q, w_k, w_v = grading.apply(p[wq], p[wk], p[wv])
-    q = ad.matmul(x, w_q)
+    q = ad.matmul(x, p[wq])
     if cross and cache is not None and name in cache:
         k, v = cache[name]
     else:
-        k = ad.matmul(kv, w_k)
-        v = ad.matmul(kv, w_v)
+        k = ad.matmul(kv, p[wk])
+        v = ad.matmul(kv, p[wv])
         if cross and cache is not None:
             cache[name] = (k, v)
         elif cache is not None:
@@ -299,25 +292,27 @@ def layer_norm(p: dict[str, ad.Node], site: str, x, r, eps: float) -> ad.Node:
     return ad.layer_norm_rows(x, r, p[g], p[b], eps)
 
 
-def encoder_layer(p, l: int, x, cfg: ModelConfig, grading=None,
+def encoder_layer(p, l: int, x, cfg: ModelConfig, ffn=None,
                   collect: list | None = None, seq_len: int | None = None) -> ad.Node:
     pre, ln1, ln2, _ = _layer_names("enc", l)
-    attn = multi_head(p, pre, x, cfg, grading=grading, collect=collect, seq_len=seq_len)
+    attn = multi_head(p, pre, x, cfg, collect=collect, seq_len=seq_len)
     x1 = layer_norm(p, ln1, x, attn, cfg.eps)
     ff = feed_forward(p, pre, x1)
-    if grading is not None:
-        ff = grading.graded_ffn(ff)
+    if ffn is not None:
+        ff = ffn(ff)
     return layer_norm(p, ln2, x1, ff, cfg.eps)
 
 
-def encoder(p, x, cfg: ModelConfig, grading=None, collect=None,
+def encoder(p, x, cfg: ModelConfig, ffn=None, collect=None,
             seq_len: int | None = None) -> ad.Node:
     """Stack of n_layers encoder layers (identity when n_layers = 0).
 
-    x may stack sequences of seq_len rows (default: x is one sequence).
+    ffn, when given, maps each layer's FFN output node to the node that
+    enters its residual (the graded FFN stage).  x may stack sequences of
+    seq_len rows (default: x is one sequence).
     """
     for l in range(cfg.n_layers):
-        x = encoder_layer(p, l, x, cfg, grading,
+        x = encoder_layer(p, l, x, cfg, ffn,
                           collect[l] if collect is not None else None, seq_len)
     return x
 

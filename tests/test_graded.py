@@ -279,14 +279,22 @@ class TestGradedAttention:
         assert np.array_equal(attn, attn_std)
         assert_close(out, attn @ (v * w), tol=1e-15)
 
-    @pytest.mark.parametrize("variant", ["scores", "queries_keys", "values"])
+    def test_unknown_variant_raises(self, rng):
+        q = tensor.randn_matrix(rng, 4, 3)
+        with pytest.raises(InvalidSpec, match="bogus"):
+            graded.graded_attention(q, q, q, np.ones(3), "bogus")
+
+    @pytest.mark.parametrize("variant", [v for v in graded.VARIANTS
+                                         if graded.GRADED_PROJECTIONS[v]])
     def test_graded_projections_match_scaled_rows(self, variant):
-        # multi_head scales the columns of the (d, h d_k) projections; the
-        # reference scales the projected (B n, h d_k) rows instead.  On a
-        # stacked batch of 16 with learned head grades the value and every
-        # gradient agree to 1e-13 of the reference's peak
+        # the graded model scales the columns of the (d, h d_k) projections
+        # GRADED_PROJECTIONS names; the reference scales the projected
+        # (B n, h d_k) rows of the same ones instead.  On a stacked batch of 16
+        # with learned head grades the value and every gradient agree to
+        # 1e-13 of the reference's peak
         cfg = tf.ModelConfig(vocab_size=0, d_model=8, n_heads=2, n_layers=1, d_ff=16)
         gcfg = graded.GradedModelConfig(model=cfg, attention_variant=variant)
+        scaled = graded.GRADED_PROJECTIONS[variant]
         g = Rng(41).generator
         b, n = 16, 8
         names = ("enc0.wq", "enc0.wk", "enc0.wv", "enc0.wo")
@@ -295,12 +303,13 @@ class TestGradedAttention:
         x, up = g.normal(size=(b * n, 8)), g.normal(size=(b * n, 8))
 
         def graded_projections(p, w):
-            return tf.multi_head(p, "enc0", x, cfg, grading=graded.AttentionGrading(variant, w),
-                                 seq_len=n)
+            p = {**p, **{f"enc0.w{c}": ad.scale_cols(p[f"enc0.w{c}"], w) for c in scaled}}
+            return tf.multi_head(p, "enc0", x, cfg, seq_len=n)
 
         def scaled_rows(p, w):
             q, k, v = (ad.matmul(x, p[f"enc0.w{c}"]) for c in "qkv")
-            q, k, v = graded.AttentionGrading(variant, w).apply(q, k, v)
+            q, k, v = (ad.scale_cols(a, w) if c in scaled else a
+                       for c, a in zip("qkv", (q, k, v)))
             heads = tf.attention_head(q, k, v, cfg.d_k, seq_len=n)
             return ad.matmul(heads, p["enc0.wo"])
 
@@ -395,6 +404,26 @@ class TestForward:
         z1, l1 = graded.forward(params, gcfg, x)
         z2, l2 = graded.forward(params, gcfg, x)
         assert np.array_equal(z1, z2) and np.array_equal(l1, l2)
+
+    @pytest.mark.parametrize("variant", ["scores", "queries_keys", "values"])
+    @pytest.mark.parametrize("trainable", [True, False])
+    def test_caller_parameters_stay_ungraded(self, toy_model, variant, trainable):
+        # forward_nodes grades a copy of the parameter dict: the caller's
+        # projections stay the nodes it passed in, so a second forward on
+        # the same dict equals the first
+        cfg, params = toy_model
+        gcfg = make_gcfg(toy_model, attention_variant=variant)
+        x = Rng(72).generator.normal(size=(3, 5, 4))
+        tape = ad.Tape()
+        with ad.recording(tape):
+            p = tf.as_nodes(params, tape, trainable=trainable)
+            before = dict(p)
+            logits = [graded.forward_nodes(p, gcfg, x)[1].value for _ in range(2)]
+        assert p.keys() == before.keys()
+        assert all(p[name] is before[name] for name in before)
+        assert all(np.array_equal(p[f"enc{l}.w{c}"].value, params[f"enc{l}.w{c}"])
+                   for l in range(cfg.n_layers) for c in "qkv")
+        assert np.array_equal(logits[0], logits[1])
 
     def test_egt_input_row_scaling(self, toy_model):
         cfg, params = toy_model

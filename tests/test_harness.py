@@ -651,6 +651,18 @@ class TestCli:
         assert err.startswith("config error: ") and "empty" in err
         assert "Traceback" not in err
 
+    def test_eval_of_mismatched_targets_exit_two(self, stored, tmp_path, capsys):
+        # a poly_degree dataset whose targets hold 4 positions against x's 6
+        ckpt = tmp_path / "model.gtc"
+        ckpt.write_bytes(stored[0])
+        ds = tasks.gen_poly_degree(8, 6, 1)
+        data = tmp_path / "short_targets.gtc"
+        tasks.save_dataset(data, replace(ds, y=ds.y[:, :4]))
+        assert cli.main(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert ckpt.name in err and data.name in err and "(8, 4, 4)" in err
+
     def test_gen_unwritable_out_exit_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "ds.gtc"
         assert cli.main(["gen", "--task", "poly", "--size", "4", "--len", "8",

@@ -435,6 +435,16 @@ class TestDataWidths:
             training.train(tf.init_params(model, Rng(0), decoder=False), gcfg, ds.x, ds.y,
                            training.TrainConfig(steps=1))
 
+    @pytest.mark.parametrize("cut", ["positions", "sequences", "target_axis"])
+    def test_train_rejects_targets_before_first_step(self, monkeypatch, cut):
+        # y must be (num, n, width) for x's num sequences of n positions
+        _, params, gcfg, ds = tiny_setup()
+        y = {"positions": ds.y[:, :3], "sequences": ds.y[:-1],
+             "target_axis": ds.y[..., 0]}[cut]
+        monkeypatch.setattr(training, "record_step", None)  # a step would call it
+        with pytest.raises(DimensionMismatch, match=r"\(32, 4, 4\)"):
+            training.train(params, gcfg, ds.x, y, training.TrainConfig(steps=1))
+
 
 def smoke_setup(mode):
     """The c15 smoke config: d=4, 2 heads, 2 layers, d_ff 32, poly_degree n=8."""
