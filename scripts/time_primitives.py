@@ -253,9 +253,9 @@ def forward_cases():
         n = len(prompt)
         tape = ad.Tape()
         out[f"{name} forward"] = lambda p=params, g=gcfg, x=prompt: adapter.forward(p, g, x, None)
-        out[f"{name} weight_nodes"] = lambda g=gcfg: graded.weight_nodes(g, None, None)
+        out[f"{name} weight_nodes"] = lambda g=gcfg: graded.weight_nodes(g)
         out[f"{name} graded_positional_matrix"] = \
-            lambda g=gcfg, n=n: graded.graded_positional_matrix(n, g, None)
+            lambda g=gcfg, n=n: graded.graded_positional_matrix(n, g)
         out[f"{name} check_tokens"] = lambda g=gcfg, x=prompt: tf.check_tokens(x, g.model)
         out[f"{name} as_nodes"] = lambda p=params, t=tape: tf.as_nodes(p, t, trainable=False)
     return out

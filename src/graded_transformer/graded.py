@@ -15,7 +15,7 @@ bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -24,7 +24,6 @@ from . import autodiff as ad
 from . import transformer as tf
 from .errors import (
     DimensionMismatch,
-    InvalidLambda,
     InvalidSpec,
     NotRowStochastic,
     PositionOutOfRange,
@@ -107,18 +106,26 @@ class GradedModelConfig:
             raw = {**raw, "weight_map": WeightMap.from_json(wm)}
         return cls(model=model, **raw)
 
-    def spec(self, lam: float | None = None) -> GradingSpec:
-        """The grading spec; lam, a training step's annealed base, overrides base."""
-        return GradingSpec(self.mode, self.weight_map, self.base if lam is None else lam)
+    def spec(self) -> GradingSpec:
+        """The spec of this config's mode, weight map and base."""
+        return GradingSpec(self.mode, self.weight_map, self.base)
+
+    def grade_arrays(self) -> dict[str, np.ndarray]:
+        """The grade rows the model reads, as views: the (1, d) model tuple
+        under "q" and, only when attention is graded, the (h, d_k) head
+        tuples read row by row as one (1, h d_k) row under "q_heads"."""
+        rows = {"q": self.grades.reshape(1, -1)}
+        if self.attention_variant != "none":
+            rows["q_heads"] = self.head_grades.reshape(1, -1)
+        return rows
 
     def weights(self, grades=None) -> np.ndarray:
         """Diagonal scale factors for a grade tuple under this config."""
         return self.spec().weights(self.grades if grades is None else grades)
 
     def max_weight(self) -> float:
-        """Largest diagonal factor over the model tuple and any head tuple attention reads."""
-        heads = () if self.attention_variant == "none" else (self.head_grades,)
-        return max(float(self.weights(q).max()) for q in (self.grades, *heads))
+        """Largest diagonal factor over the grade rows the model reads."""
+        return max(float(self.weights(q).max()) for q in self.grade_arrays().values())
 
 
 def unit_config(model: tf.ModelConfig) -> GradedModelConfig:
@@ -135,56 +142,41 @@ def _row(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).reshape(1, -1)
 
 
-def weight_nodes(gcfg: GradedModelConfig, lam: float | None,
-                 grade_nodes: dict | None):
+def weight_nodes(gcfg: GradedModelConfig, grade_nodes: dict | None = None):
     """Weight rows for the model tuple and for all head tuples (None when
     attention is ungraded).
 
-    The head tuples are one (1, h d_k) grade row, the (h, d_k) head_grades
-    read row by row, so head i's weights fill columns i d_k .. (i + 1) d_k.
-    grade_nodes holds a (1, d) grade node under "q" and, for graded
-    attention, that (1, h d_k) one under "q_heads", learnable or constant.
-    Without grade_nodes (evaluation and generation) both rows are
-    constants, read-only and shared by every call with the same grading
-    (see _fixed_weight_rows).
+    grade_nodes holds a node, learnable or constant, for each of
+    gcfg.grade_arrays()' rows under the same key; head i's weights fill
+    columns i d_k .. (i + 1) d_k of the head row.  Without grade_nodes
+    (evaluation and generation) the rows are constants, read-only and
+    shared by every call with the same grading (see _fixed_weight_rows).
     """
-    if grade_nodes is None:
-        w_model, w_heads = _fixed_weight_rows(
-            gcfg.mode, gcfg.weight_map,
-            (gcfg.base if lam is None else lam) if gcfg.mode == EXPONENTIAL else None,
-            _grade_bytes(gcfg.grades),
-            None if gcfg.attention_variant == "none" else _grade_bytes(gcfg.head_grades))
-        return ad.wrap(w_model), None if w_heads is None else ad.wrap(w_heads)
-    spec = gcfg.spec(lam)
-    w_model = spec.node(grade_nodes["q"])
-    if gcfg.attention_variant == "none":
-        return w_model, None
-    return w_model, spec.node(grade_nodes["q_heads"])
-
-
-def _grade_bytes(q) -> bytes:
-    return np.asarray(q, dtype=np.float64).tobytes()
+    rows = gcfg.grade_arrays()
+    if grade_nodes is None:  # float64 rows, as as_grades made them
+        w = _fixed_weight_rows(gcfg.mode, gcfg.weight_map,
+                               gcfg.base if gcfg.mode == EXPONENTIAL else None,
+                               *map(np.ndarray.tobytes, rows.values()))
+        return ad.wrap(w[0]), ad.wrap(w[1]) if len(w) > 1 else None
+    spec = gcfg.spec()
+    return (spec.node(grade_nodes["q"]),
+            spec.node(grade_nodes["q_heads"]) if "q_heads" in rows else None)
 
 
 @lru_cache(maxsize=16)
 def _fixed_weight_rows(mode: str, weight_map: WeightMap, base: float | None,
-                       grades: bytes, head_grades: bytes | None):
-    """The (model, heads) weight rows of fixed grade tuples, as read-only
-    (1, d) and (1, h d_k) arrays (heads None when ungraded).
+                       *rows: bytes) -> tuple[np.ndarray, ...]:
+    """The weight rows of fixed grade rows, as read-only arrays.
 
-    The key is the grading's content: the grade tuples as float64 bytes
-    (the (h, d_k) head tuples in row order, which is their one row), and
-    the base only in exponential mode.  A tuple rewritten in place, as
+    The key is the grading's content: the grade rows as float64 bytes, and
+    the base only in exponential mode.  A row rewritten in place, as
     training.train rewrites its views of the flat buffer, is a new key.
     """
     spec = GradingSpec(mode, weight_map, base)  # linear mode reads no base
-    rows = []
-    for q in (grades, head_grades):
-        if q is not None:
-            q = spec.node(np.frombuffer(q).reshape(1, -1)).value
-            q.flags.writeable = False
-        rows.append(q)
-    return tuple(rows)
+    weights = tuple(spec.node(np.frombuffer(q).reshape(1, -1)).value for q in rows)
+    for w in weights:
+        w.flags.writeable = False
+    return weights
 
 
 def grade_rows(x, w, normalize: bool) -> ad.Node:
@@ -211,18 +203,13 @@ def positional_scale(t: int, gcfg: GradedModelConfig) -> float:
     return float(_decay(np.array([float(t)]), gcfg.positional, gcfg.alpha, gcfg.base)[0])
 
 
-def graded_positional_matrix(n: int, gcfg: GradedModelConfig, lam: float | None = None) -> np.ndarray:
+def graded_positional_matrix(n: int, gcfg: GradedModelConfig) -> np.ndarray:
     """Decayed encodings of positions 1..n: row t is positional_scale(t) * PE(t),
-    with lam for the base under exp_decay when given, as a read-only table
-    shared by every call with the same arguments."""
+    as a read-only table shared by every call with the same arguments."""
     m = gcfg.model
     if n > m.n_max:
         raise PositionOutOfRange(f"position {n} outside [1, {m.n_max}]")
-    base = None  # off and linear_decay read no base
-    if gcfg.positional == "exp_decay":
-        base = gcfg.base if lam is None else lam
-        if not base > 1.0:  # the decay would be growth
-            raise InvalidLambda(f"exp_decay base lam must exceed 1, not {lam!r}")
+    base = gcfg.base if gcfg.positional == "exp_decay" else None  # the others read none
     return _decayed_table(n, m.d_model, m.n_max, gcfg.positional, gcfg.alpha, base)
 
 
@@ -249,7 +236,8 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     inputs: token ids, (n,) or a batch (B, n), for vocab models; an (n, d)
     or (B, n, d) array otherwise.  The B sequences run as one (B n)-row
     block; attention stays within each sequence.
-    lam, a training step's annealed base, overrides the config's base.
+    lam, when given, is a base to run at in place of the config's; one the
+    config would reject as its base raises InvalidSpec.
     weights is weight_nodes' (model, heads) pair, such as one made from
     learnable grades; by default the config's fixed tuples.
     Graded attention runs the encoder on a copy of p whose projections
@@ -257,8 +245,10 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     left as it is.
     Returns (encoder representations, output logits), each B n rows.
     """
+    if lam is not None and lam != gcfg.base:
+        gcfg = replace(gcfg, base=lam)
     cfg = gcfg.model
-    w_model, w_heads = weight_nodes(gcfg, lam, None) if weights is None else weights
+    w_model, w_heads = weight_nodes(gcfg) if weights is None else weights
     names = _graded_names(gcfg.attention_variant, cfg.n_layers)
     if names:
         p = p.copy()
@@ -279,7 +269,7 @@ def forward_nodes(p: dict[str, ad.Node], gcfg: GradedModelConfig, inputs,
     if gcfg.grade_inputs:
         x = grade_rows(x, w_model, gcfg.normalize_inputs)
     if cfg.vocab_size or gcfg.add_positional:
-        positions = graded_positional_matrix(n, gcfg, lam)
+        positions = graded_positional_matrix(n, gcfg)
         sequences = x.shape[0] // n
         x = ad.add(x, positions if sequences == 1 else np.tile(positions, (sequences, 1)))
 

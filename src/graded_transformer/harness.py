@@ -209,21 +209,18 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if failure:
             _write_summary(out, summary)
             raise failure
-        final_cfg = training.annealed_grading(
-            replace(rcfg, grades=result.grades, head_grades=result.head_grades),
-            metrics[-1]["lambda"])
-        errs, attn_mass = _final_eval(result.params, final_cfg, ds, 64)
+        errs, attn_mass = _final_eval(result.params, result.grading, ds, 64)
         tf.save_checkpoint(out / f"{name}_final.gtc", result.params, model,
-                           extra={**final_cfg.to_dict(), "task": cfg.task})
+                           extra={**result.grading.to_dict(), "task": cfg.task})
         run.update({
             "per_dim_error": errs.tolist(),
-            "grade_weighted_error": float(np.sum(final_cfg.weights() * errs)),
+            "grade_weighted_error": float(np.sum(result.grading.weights() * errs)),
             "high_grade_error": float(np.mean(errs[list(task.signal_dims)]))
             if task.signal_dims else None,
             "low_grade_error": float(np.mean(errs[list(task.noise_dims)]))
             if task.noise_dims else None,
             "attention_mass_by_position": attn_mass.tolist(),
-            "effective_dimension": effective_dimension(final_cfg.grades, 0.5),
+            "effective_dimension": effective_dimension(result.grades, 0.5),
             "grade_norm": float(np.linalg.norm(result.grades)),
         })
     _write_summary(out, summary)

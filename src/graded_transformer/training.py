@@ -2,9 +2,12 @@
 global-norm gradient clipping, base annealing, grade learning-rate bounds,
 Adam, and one training loop for both grading modes.
 
-In exponential mode the loop anneals the base from 1 to the grading's base,
-recomputes the maximum learned grade every step, and caps the grade learning
-rate at 0.9x the stability bound before updating.  Parameters and grades
+The loop runs on a private copy of the grading, whose grade tuples are
+views of its flat buffer.  In exponential mode it anneals that copy's base
+from 1 to the grading's base, one plain write per step, so the copy is the
+grading each step runs at; it recomputes the maximum learned grade every
+step and caps the grade learning rate at 0.9x the stability bound before
+updating.  The copy is returned as the trained grading.  Parameters and grades
 share one flat buffer, gradient and pair of Adam moments, so clipping, one
 Adam step (rate lr on parameters, the grade rate on learned grades, 0 on
 fixed ones), the finiteness check and the rollback each run once per step
@@ -53,12 +56,14 @@ class TrainConfig:
     checkpoint_every: int = 0    # 0 = final checkpoint only
 
     def __post_init__(self):
+        tf.check_integer_fields(self, ValueError)
         if self.steps < 1:
             raise StepOutOfRange("steps must be >= 1")
-        if self.clip_threshold <= 0:
-            raise ValueError("clip threshold must be positive")
-        if min(self.gamma, self.gamma_heads, self.gamma_coord) < 0:
-            raise ValueError("regularization weights must be >= 0")
+        if not 0 < self.clip_threshold < np.inf:
+            raise ValueError(f"clip_threshold must be finite and > 0, not {self.clip_threshold!r}")
+        for key in ("gamma", "gamma_heads", "gamma_coord"):
+            if not 0 <= getattr(self, key) < np.inf:
+                raise ValueError(f"{key} must be finite and >= 0, not {getattr(self, key)!r}")
         for key in ("seed", "checkpoint_every"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0, not {getattr(self, key)!r}")
@@ -83,12 +88,6 @@ def anneal_lambda(t: int, total: int, base: float) -> float:
     if t < 0 or t > total:
         raise StepOutOfRange(f"step {t} outside [0, {total}]")
     return 1.0 + (base - 1.0) * t / total
-
-
-def annealed_grading(gcfg: graded.GradedModelConfig, lam: float) -> graded.GradedModelConfig:
-    """The grading a step ran at: in exponential mode, gcfg with the step's
-    annealed base lam as its base; linear mode anneals nothing."""
-    return replace(gcfg, base=lam) if gcfg.mode == EXPONENTIAL else gcfg
 
 
 def grade_lr_bound(mode: str, lam: float, largest: float) -> float:
@@ -264,10 +263,17 @@ def regularizer_node(grade_nodes: dict, cfg: TrainConfig, n_heads: int) -> ad.No
 @dataclass
 class TrainResult:
     params: dict[str, np.ndarray]
-    grades: np.ndarray
-    head_grades: np.ndarray  # (h, d_k)
+    grading: graded.GradedModelConfig  # the grading the last completed step ran at
     metrics: list[dict]
     diverged: bool = False
+
+    @property
+    def grades(self) -> np.ndarray:
+        return self.grading.grades
+
+    @property
+    def head_grades(self) -> np.ndarray:  # (h, d_k)
+        return self.grading.head_grades
 
 
 METRIC_FIELDS = [
@@ -311,22 +317,21 @@ def check_widths(x: np.ndarray, y: np.ndarray, m: tf.ModelConfig) -> None:
                                 f"need a model with {want}, not {m}")
 
 
-def record_step(params: dict[str, np.ndarray], grade_arrays: dict[str, np.ndarray],
-                gcfg: graded.GradedModelConfig, x: np.ndarray, y: np.ndarray,
-                lam: float, cfg: TrainConfig):
-    """Record one step's loss on a fresh tape; returns (tape, total, main, reg).
+def record_step(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
+                x: np.ndarray, y: np.ndarray, cfg: TrainConfig):
+    """Record one step's loss at the grading gcfg on a fresh tape, with one
+    grade leaf per row of gcfg.grade_arrays(); returns (tape, total, main, reg).
 
     x: (B, n, d) float sequences or (B, n) token ids; y: (B, n, out_dim).
     The B sequences run as one stacked forward, and the main loss is the
-    per-sequence mean.  lam is the annealed base (exponential mode only).
+    per-sequence mean.
     """
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=True)
-        grade_nodes = tf.as_nodes(grade_arrays, tape, trainable=cfg.learn_grades)
-        lam = lam if gcfg.mode == EXPONENTIAL else None
-        weights = graded.weight_nodes(gcfg, lam, grade_nodes)
-        _, logits = graded.forward_nodes(p, gcfg, x, lam=lam, weights=weights)
+        grade_nodes = tf.as_nodes(gcfg.grade_arrays(), tape, trainable=cfg.learn_grades)
+        weights = graded.weight_nodes(gcfg, grade_nodes)
+        _, logits = graded.forward_nodes(p, gcfg, x, weights=weights)
         y_rows = np.reshape(y, (-1, np.shape(y)[-1]))
         # the model tuple's weights also weigh the loss's output dimensions
         main = ad.scale(sequence_loss_node(logits, y_rows, weights[0], cfg.base_loss),
@@ -348,28 +353,29 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     The parameters and then the grade tuples live in one flat buffer, and
     the gradient and both Adam moments in flat buffers of the same layout;
     the returned arrays keep their shapes and are views of that buffer.
+    The returned grading is a copy of gcfg, which is left as it is: its
+    grade tuples are those views, and its base, in exponential mode, is the
+    annealed base the last completed step ran at.
     A non-finite loss, parameter or grade, or in linear mode a grade whose
     weight the update took to <= 0, restores the state after the last good
     step and raises DivergenceDetected naming the step and the first such
     array, with the restored result attached.
     """
     exponential = gcfg.mode == EXPONENTIAL
+    base = gcfg.base
     gcfg = replace(gcfg, head_grades=gcfg.head_grades.copy())
     check_widths(data_x, data_y, gcfg.model)
     num = data_x.shape[0]
 
     # head tuples that no stage reads get no leaf and come back unchanged
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1)}
-    if gcfg.attention_variant != "none":
-        grade_arrays["q_heads"] = gcfg.head_grades.reshape(1, -1)
-    layout = FlatLayout({**params, **grade_arrays})
-    flat = layout.pack({**params, **grade_arrays})
+    arrays = {**params, **gcfg.grade_arrays()}
+    layout = FlatLayout(arrays)
+    flat = layout.pack(arrays)
     views = layout.views(flat)
     params = {k: views[k] for k in params}
-    grade_arrays = {k: views[k] for k in grade_arrays}
-    gcfg.grades = grade_arrays["q"].reshape(-1)
-    if "q_heads" in grade_arrays:
-        gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
+    gcfg.grades = views["q"].reshape(-1)
+    if "q_heads" in views:
+        gcfg.head_grades = views["q_heads"].reshape(gcfg.head_grades.shape)
     n_theta = int(layout.offsets[len(params)])
     grades = flat[n_theta:]
     grad = np.zeros(layout.size)
@@ -385,11 +391,13 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
     w_max = None if exponential else float(gcfg.weights(grades).max())
 
     for t in range(1, cfg.steps + 1):
-        lam_t = anneal_lambda(t, cfg.steps, gcfg.base) if exponential else 1.0
+        lam_t = anneal_lambda(t, cfg.steps, base) if exponential else 1.0
+        if exponential:
+            gcfg.base = lam_t  # the grading this step runs at
         batch_ids = rng.generator.integers(0, num, size=min(cfg.batch_size, num))
 
         tape, total, main, reg = record_step(
-            params, grade_arrays, gcfg, data_x[batch_ids], data_y[batch_ids], lam_t, cfg)
+            params, gcfg, data_x[batch_ids], data_y[batch_ids], cfg)
         loss_val = float(total.value[0, 0])
         if not np.isfinite(loss_val):
             failure = "loss"
@@ -430,7 +438,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             "grad_norm_pre": pre,
             "grad_norm_post": post,
             "clipped": int(fired),
-            "grade_norm": float(np.linalg.norm(grade_arrays["q"])),
+            "grade_norm": float(np.linalg.norm(gcfg.grades)),
             "head_grade_norm": float(np.linalg.norm(gcfg.head_grades)),
             "eta_q": eta_q,
             "eta_q_bound": bound,
@@ -440,7 +448,7 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             Path(checkpoint_dir).mkdir(parents=True, exist_ok=True)
             tf.save_checkpoint(
                 Path(checkpoint_dir) / f"step{t:06d}.gtc", params, gcfg.model,
-                extra={**annealed_grading(gcfg, lam_t).to_dict(), "step": t},
+                extra={**gcfg.to_dict(), "step": t},
             )
 
     if failure:
@@ -450,13 +458,9 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             bad = np.flatnonzero(~np.isfinite(flat))
         message = _divergence_message(t, failure, layout.name_at(bad[0]) if bad.size else None)
         np.copyto(flat, last_good)
-    result = TrainResult(
-        params=params,
-        grades=gcfg.grades,
-        head_grades=gcfg.head_grades,
-        metrics=metrics,
-        diverged=failure is not None,
-    )
+        if exponential:
+            gcfg.base = metrics[-1]["lambda"] if metrics else base
+    result = TrainResult(params, gcfg, metrics, diverged=failure is not None)
     if failure:
         exc = DivergenceDetected(message)
         exc.result = result

@@ -44,18 +44,15 @@ class ModelConfig:
     out_dim: int = 0  # 0 = d_model; used by matrix-input output head
 
     def __post_init__(self):
-        for f in fields(self):  # a float or bool here fails only deep in init_params
-            v = getattr(self, f.name)
-            if f.type == "int" and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-                raise DimensionMismatch(f"{f.name} must be an integer, not {v!r}")
+        check_integer_fields(self, DimensionMismatch)  # else init_params fails deep inside
         if self.d_model % self.n_heads != 0:
             raise DimensionMismatch(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
         if min(self.d_model, self.n_heads, self.d_ff, self.n_max, self.m_max) < 1:
             raise DimensionMismatch("all model dimensions must be >= 1")
-        if self.n_layers < 0 or self.eps <= 0:
-            raise DimensionMismatch("n_layers must be >= 0 and eps > 0")
+        if self.n_layers < 0 or not 0 < self.eps < np.inf:
+            raise DimensionMismatch("n_layers must be >= 0 and eps finite and > 0")
 
     @property
     def d_k(self) -> int:
@@ -67,6 +64,15 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def check_integer_fields(obj, error: type[Exception]) -> None:
+    """Raise error for the first int-annotated field of the dataclass obj
+    that holds a float, a bool or any other non-integer."""
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.type == "int" and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise error(f"{f.name} must be an integer, not {v!r}")
 
 
 def init_params(cfg: ModelConfig, rng: Rng, decoder: bool = True) -> dict[str, np.ndarray]:

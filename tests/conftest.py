@@ -456,22 +456,22 @@ def ref_train(params, gcfg, data_x, data_y, cfg):
     from graded_transformer import training
 
     exponential = gcfg.mode == gs.EXPONENTIAL
+    base = gcfg.base
     params = {k: v.copy() for k, v in params.items()}
-    gcfg = replace(gcfg)
+    gcfg = replace(gcfg, grades=gcfg.grades.copy(), head_grades=gcfg.head_grades.copy())
     rng = Rng(cfg.seed)
-    grade_arrays = {"q": gcfg.grades.reshape(1, -1).copy()}
-    if gcfg.attention_variant != "none":  # no leaf for head tuples nothing reads
-        grade_arrays["q_heads"] = gcfg.head_grades.reshape(1, -1).copy()
+    grade_arrays = gcfg.grade_arrays()  # views of the copies above
     theta_state = RefAdamState(params)
     grade_state = RefAdamState(grade_arrays)
     num = data_x.shape[0]
     last_good = {k: v.copy() for k, v in params.items()}
     losses, diverged = [], False
     for t in range(1, cfg.steps + 1):
-        lam_t = training.anneal_lambda(t, cfg.steps, gcfg.base) if exponential else 1.0
+        lam_t = training.anneal_lambda(t, cfg.steps, base) if exponential else 1.0
+        if exponential:
+            gcfg.base = lam_t
         ids = rng.generator.integers(0, num, size=min(cfg.batch_size, num))
-        tape, total, _, _ = training.record_step(params, grade_arrays, gcfg, data_x[ids],
-                                                 data_y[ids], lam_t, cfg)
+        tape, total, _, _ = training.record_step(params, gcfg, data_x[ids], data_y[ids], cfg)
         loss = float(total.value[0, 0])
         if not np.isfinite(loss):
             diverged, params = True, last_good
@@ -490,13 +490,9 @@ def ref_train(params, gcfg, data_x, data_y, cfg):
                           eta_q, cfg.beta1, cfg.beta2, cfg.eps_adam)
             for v in grade_arrays.values():
                 np.maximum(v, 0.0, out=v)
-            gcfg.grades = grade_arrays["q"].reshape(-1)
-            if "q_heads" in grade_arrays:
-                gcfg.head_grades = grade_arrays["q_heads"].reshape(gcfg.head_grades.shape)
         if any(not np.all(np.isfinite(v)) for v in params.values()):
             diverged, params = True, last_good
             break
         last_good = {k: v.copy() for k, v in params.items()}
         losses.append(loss)
-    return (params, grade_arrays["q"].reshape(-1),
-            gcfg.head_grades.copy(), losses, diverged)
+    return params, gcfg.grades, gcfg.head_grades, losses, diverged

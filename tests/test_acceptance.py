@@ -151,7 +151,6 @@ def _full_model_gradcheck(mode: str, seed: int) -> float:
                          n_max=8, out_dim=4)
     params = tf.init_params(cfg, rng, decoder=False)
     q = np.abs(rng.generator.normal(0.5, 0.3, 4)) + 0.1
-    lam = 1.7 if mode == gs.EXPONENTIAL else None
     gcfg = graded.GradedModelConfig(
         model=cfg, mode=mode, grades=q, attention_variant="queries_keys",
         base=1.7, normalize_inputs=True, grade_ffn=True, normalize_ffn=False,
@@ -165,9 +164,9 @@ def _full_model_gradcheck(mode: str, seed: int) -> float:
     def f(nodes):
         theta = {k: v for k, v in nodes.items() if not k.startswith("q")}
         grade_nodes = {k: v for k, v in nodes.items() if k.startswith("q")}
-        w = gcfg.spec(lam).node(grade_nodes["q"])
-        _, logits = graded.forward_nodes(theta, gcfg, x, lam=lam,
-                                         weights=graded.weight_nodes(gcfg, lam, grade_nodes))
+        w = gcfg.spec().node(grade_nodes["q"])
+        _, logits = graded.forward_nodes(theta, gcfg, x,
+                                         weights=graded.weight_nodes(gcfg, grade_nodes))
         loss = training.sequence_loss_node(logits, y, w, "squared")
         reg = ad.scale(ad.sum_all(ad.mul(grade_nodes["q"], grade_nodes["q"])), 0.01)
         return ad.scale(ad.add(loss, reg), 1.0 / 12)
@@ -265,10 +264,7 @@ def test_c15_end_to_end_smoke():
         res, gcfg, ds = props.training_smoke_run(mode, steps=2000, seed=42)
         first, last = res.metrics[0]["loss"], res.metrics[-1]["loss"]
         ratio = last / first
-        eval_cfg = training.annealed_grading(graded.GradedModelConfig(
-            **{**gcfg.__dict__, "grades": res.grades, "head_grades": res.head_grades}),
-            res.metrics[-1]["lambda"])
-        _, logits = graded.forward(res.params, eval_cfg, ds.x[:64])
+        _, logits = graded.forward(res.params, res.grading, ds.x[:64])
         errs = tasks.per_dim_error(logits.reshape(ds.y[:64].shape), ds.y[:64])
         hi = float(errs[list(tasks.POLY_SIGNAL_DIMS)].mean())
         lo = float(errs[list(tasks.POLY_NOISE_DIMS)].mean())

@@ -14,7 +14,6 @@ from graded_transformer import training
 from graded_transformer import transformer as tf
 from graded_transformer.errors import (
     DimensionMismatch,
-    InvalidLambda,
     InvalidSpec,
     NotRowStochastic,
     PositionOutOfRange,
@@ -146,7 +145,7 @@ class TestOneWeightMap:
             cfg, {"weight_map": wm, "grades": [0.0, 0.5, 1.0, 2.0]}) for wm in self.ONES]
         assert {g.weight_map for g in gcfgs} == {gs.WeightMap(1.0, 1.0)}
         graded._fixed_weight_rows.cache_clear()
-        rows = [graded.weight_nodes(g, None, None)[0].value for g in gcfgs]
+        rows = [graded.weight_nodes(g)[0].value for g in gcfgs]
         info = graded._fixed_weight_rows.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         assert rows[1] is rows[0] and rows[2] is rows[0]
@@ -220,7 +219,7 @@ class TestGradedPositional:
                 want = np.stack([graded.positional_scale(t, at_lam)
                                  * sinusoid(t, 4) for t in range(1, 17)])
                 for _ in range(2):  # the second call reads the cached table
-                    assert np.array_equal(graded.graded_positional_matrix(16, gcfg, lam), want)
+                    assert np.array_equal(graded.graded_positional_matrix(16, at_lam), want)
             with pytest.raises(PositionOutOfRange):  # after a warm call too
                 graded.graded_positional_matrix(17, gcfg)
 
@@ -231,9 +230,12 @@ class TestGradedPositional:
 
     @pytest.mark.parametrize("lam", [1.0, 0.5, -2.0, np.nan])
     def test_exp_decay_base_override_must_exceed_one(self, toy_model, lam):
-        gcfg = make_gcfg(toy_model, positional="exp_decay", alpha=0.25)
-        with pytest.raises(InvalidLambda):
-            graded.graded_positional_matrix(4, gcfg, lam)
+        _, params = toy_model
+        gcfg = make_gcfg(toy_model, positional="exp_decay", alpha=0.25, add_positional=True)
+        tape = ad.Tape()
+        with ad.recording(tape), pytest.raises(InvalidSpec):
+            graded.forward_nodes(tf.as_nodes(params, tape, trainable=False), gcfg,
+                                 np.ones((3, 4)), lam=lam)
 
 
 class TestGradedAttention:
@@ -317,7 +319,7 @@ class TestGradedAttention:
             tape = ad.Tape()
             with ad.recording(tape):
                 p = {name: tape.param(name, a) for name, a in point.items()}
-                out = build(p, gcfg.spec(None).node(p["q_heads"]))
+                out = build(p, gcfg.spec().node(p["q_heads"]))
                 root = ad.sum_all(ad.mul(out, up))
             return out.value, tape.backward(root)
 
@@ -343,7 +345,7 @@ class TestGradedAttention:
 def graded_ffn(p, gcfg, x):
     """The encoder's FFN grading stage on rows x: tf.feed_forward, then
     grade_rows with the model tuple's weights."""
-    w_model, _ = graded.weight_nodes(gcfg, None, None)
+    w_model, _ = graded.weight_nodes(gcfg)
     return graded.grade_rows(tf.feed_forward(p, "enc0", x), w_model, gcfg.normalize_ffn).value
 
 
@@ -502,12 +504,12 @@ class TestForward:
     def test_cached_constants_are_read_only(self, toy_model):
         gcfg = make_gcfg(toy_model, attention_variant="scores", positional="linear_decay",
                          alpha=0.05)
-        w_model, w_heads = graded.weight_nodes(gcfg, None, None)
+        w_model, w_heads = graded.weight_nodes(gcfg)
         table = graded.graded_positional_matrix(6, gcfg)
         for cached in (w_model.value, w_heads.value, table):
             with pytest.raises(ValueError, match="read-only"):
                 cached[0, 0] = 1.0
-        assert np.array_equal(graded.weight_nodes(gcfg, None, None)[0].value,
+        assert np.array_equal(graded.weight_nodes(gcfg)[0].value,
                               gcfg.weights()[None])
 
     def test_exponential_base_must_exceed_one(self, toy_model):
@@ -515,7 +517,7 @@ class TestForward:
         ecfg = make_gcfg(toy_model, mode=gs.EXPONENTIAL)
         with pytest.raises(InvalidSpec):
             replace(ecfg, base=1.0)
-        tape = ad.Tape()  # a training step's annealed base overrides the config's
+        tape = ad.Tape()  # an override of the base is checked as the base is
         with ad.recording(tape), pytest.raises(InvalidSpec):
             graded.forward_nodes(tf.as_nodes(params, tape, trainable=False), ecfg,
                                  np.ones((3, 4)), lam=1.0)

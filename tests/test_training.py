@@ -47,6 +47,22 @@ def tiny_setup(mode=gs.LINEAR, **gkw):
     return cfg, params, gcfg, ds
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("clip_threshold", np.nan), ("clip_threshold", np.inf),
+        ("gamma", np.nan), ("gamma", np.inf), ("gamma_heads", np.nan),
+        ("gamma_heads", np.inf), ("gamma_coord", np.nan), ("gamma_coord", np.inf),
+        ("steps", 2.5), ("steps", True), ("batch_size", 4.0), ("seed", 1.5),
+        ("checkpoint_every", 2.0),
+    ])
+    def test_non_finite_or_non_integer_rejected(self, key, value):
+        # the JSON path rejects these before here; through the API they
+        # used to surface as a divergence at step 1 or a TypeError in range()
+        with pytest.raises(ValueError, match=key):
+            training.TrainConfig(**{key: value})
+        assert training.TrainConfig(steps=np.int64(3)).steps == 3  # numpy ints are ints
+
+
 class TestCompositeLoss:
     def test_no_regularizers_is_main_loss(self):
         tape = ad.Tape()
@@ -267,6 +283,51 @@ class TestTrainLoop:
         assert np.array_equal(res.grades, other.grades)
         assert all(np.array_equal(res.params[k], other.params[k]) for k in params)
 
+    def test_train_anneals_a_copy_and_returns_it(self, monkeypatch):
+        # each step runs at its annealed base on train's own copy of the
+        # grading, which comes back as result.grading; the caller's config
+        # keeps its base and its grade bits throughout
+        _, params, gcfg, ds = tiny_setup(gs.EXPONENTIAL)
+        grades, heads = gcfg.grades.copy(), gcfg.head_grades.copy()
+        seen, real = [], training.record_step
+
+        def spy(params, step_cfg, *args):
+            seen.append((step_cfg.base, gcfg.base, step_cfg is gcfg))
+            return real(params, step_cfg, *args)
+
+        monkeypatch.setattr(training, "record_step", spy)
+        tc = training.TrainConfig(steps=10, lr_grades=0.05, seed=5, batch_size=4)
+        res = training.train(params, gcfg, ds.x, ds.y, tc)
+        assert seen == [(training.anneal_lambda(t, 10, 2.0), 2.0, False) for t in range(1, 11)]
+        assert res.grading.base == res.metrics[-1]["lambda"]
+        assert res.grades is res.grading.grades and res.head_grades is res.grading.head_grades
+        assert not np.array_equal(res.grades, grades)
+        assert not np.array_equal(res.head_grades, heads)
+        assert gcfg.base == 2.0 and same_bits(gcfg.grades, grades)
+        assert same_bits(gcfg.head_grades, heads)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_divergence_restores_the_base_with_the_parameters(self, monkeypatch, k):
+        # a loss gone non-finite at step k: the grading is the one step
+        # k - 1 ran at, or the configured one when no step completed
+        _, params, gcfg, ds = tiny_setup(gs.EXPONENTIAL, base=3.0)
+        real, calls = training.record_step, []
+
+        def poisoned(*args):
+            out = real(*args)
+            calls.append(None)
+            if len(calls) == k:
+                out[1].value[0, 0] = np.inf
+            return out
+
+        monkeypatch.setattr(training, "record_step", poisoned)
+        with pytest.raises(DivergenceDetected) as exc_info:
+            training.train(params, gcfg, ds.x, ds.y,
+                           training.TrainConfig(steps=5, seed=1, batch_size=4))
+        result = exc_info.value.result
+        want = training.anneal_lambda(k - 1, 5, 3.0) if k > 1 else 3.0
+        assert len(result.metrics) == k - 1 and result.grading.base == want
+
     def test_linear_mode_keeps_lambda_one(self):
         cfg, params, gcfg, ds = tiny_setup()
         tc = training.TrainConfig(steps=10, seed=5, batch_size=4)
@@ -469,26 +530,26 @@ def hier_copy_setup():
     return tf.init_params(cfg, Rng(0), decoder=False), gcfg, ds, tc
 
 
-def grade_arrays_of(gcfg):
-    return {"q": gcfg.grades.reshape(1, -1), "q_heads": gcfg.head_grades.reshape(1, -1)}
+def annealed(gcfg, lam=1.5):
+    """gcfg as a training step at the annealed base lam runs it: with lam
+    as its base in exponential mode, as it is in linear mode."""
+    return replace(gcfg, base=lam) if gcfg.mode == gs.EXPONENTIAL else gcfg
 
 
-def per_sample_step(params, grade_arrays, gcfg, x, y, lam, cfg):
+def per_sample_step(params, gcfg, x, y, cfg):
     """Reference: one forward and one loss term per sequence, summed, / B."""
-    exponential = gcfg.mode == gs.EXPONENTIAL
     tape = ad.Tape()
     with ad.recording(tape):
         p = tf.as_nodes(params, tape, trainable=True)
-        grade_nodes = {k: tape.param(k, v) for k, v in grade_arrays.items()}
-        if exponential:
-            loss_w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(lam))))
+        grade_nodes = {k: tape.param(k, v) for k, v in gcfg.grade_arrays().items()}
+        if gcfg.mode == gs.EXPONENTIAL:
+            loss_w = ad.exp(ad.scale(grade_nodes["q"], float(np.log(gcfg.base))))
         else:
             loss_w = gcfg.weight_map.node(grade_nodes["q"])
         main = None
         for xb, yb in zip(x, y):
-            lam_or_none = lam if exponential else None
-            weights = graded.weight_nodes(gcfg, lam_or_none, grade_nodes)
-            _, logits = graded.forward_nodes(p, gcfg, xb, lam=lam_or_none, weights=weights)
+            weights = graded.weight_nodes(gcfg, grade_nodes)
+            _, logits = graded.forward_nodes(p, gcfg, xb, weights=weights)
             term = training.sequence_loss_node(logits, yb, loss_w, cfg.base_loss)
             main = term if main is None else ad.add(main, term)
         main = ad.scale(main, 1.0 / len(x))
@@ -504,14 +565,11 @@ class TestStackedStep:
         else:
             params, gcfg, ds, tc = smoke_setup(
                 gs.LINEAR if case == "poly_linear" else gs.EXPONENTIAL)
-        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
-        grade_arrays = grade_arrays_of(gcfg)
+        gcfg = annealed(gcfg)
         ids = Rng(5).generator.integers(0, ds.size, size=tc.batch_size)  # repeats allowed
-        tape, total, _, _ = training.record_step(params, grade_arrays, gcfg, ds.x[ids],
-                                                 ds.y[ids], lam, tc)
+        tape, total, _, _ = training.record_step(params, gcfg, ds.x[ids], ds.y[ids], tc)
         grads = tape.backward(total)
-        want_loss, want_grads = per_sample_step(params, grade_arrays, gcfg, ds.x[ids],
-                                                ds.y[ids], lam, tc)
+        want_loss, want_grads = per_sample_step(params, gcfg, ds.x[ids], ds.y[ids], tc)
         assert abs(total.value[0, 0] - want_loss) <= 1e-12 * abs(want_loss)
         assert set(grads) == set(want_grads)
         for name, want in want_grads.items():
@@ -524,8 +582,7 @@ class TestStackedStep:
         params, gcfg, ds, tc = smoke_setup(gs.LINEAR)
         counts = []
         for b in (1, 16):
-            tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
-                                            ds.x[:b], ds.y[:b], 1.0, tc)
+            tape, *_ = training.record_step(params, annealed(gcfg), ds.x[:b], ds.y[:b], tc)
             counts.append(len(tape.nodes))
         assert counts[0] == counts[1]
 
@@ -550,12 +607,11 @@ class TestStackedStep:
         # the model tuple (shared by the encoder and the loss), one for the
         # head tuples, on their leaves themselves: no node stacks the heads
         params, gcfg, ds, tc = smoke_setup(mode)
-        calls = []
+        gcfg, calls = annealed(gcfg), []
         node = gs.GradingSpec.node
         monkeypatch.setattr(gs.GradingSpec, "node",
                             lambda spec, q: calls.append(q) or node(spec, q))
-        tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg, ds.x[:16],
-                                        ds.y[:16], 1.5, tc)
+        tape, *_ = training.record_step(params, gcfg, ds.x[:16], ds.y[:16], tc)
         assert calls == [tape.params["q"], tape.params["q_heads"]]
 
 
@@ -587,9 +643,7 @@ def step_node_counts():
     """Tape nodes of one training step on 16 sequences, per workload_setups() model."""
     counts = []
     for params, gcfg, ds, tc in workload_setups():
-        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
-        tape, *_ = training.record_step(params, grade_arrays_of(gcfg), gcfg,
-                                        ds.x[:16], ds.y[:16], lam, tc)
+        tape, *_ = training.record_step(params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
         counts.append(len(tape.nodes))
     return counts
 
@@ -662,13 +716,11 @@ class TestNodeLiveness:
 
     @staticmethod
     def step(params, gcfg, ds, tc):
-        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
-        return training.record_step(params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16],
-                                    lam, tc)
+        return training.record_step(params, gcfg, ds.x[:16], ds.y[:16], tc)
 
     def test_backward_calls_no_vjp_into_a_constant(self):
         for params, gcfg, ds, tc in workload_setups():
-            tape, total, _, _ = self.step(params, gcfg, ds, tc)
+            tape, total, _, _ = self.step(params, annealed(gcfg), ds, tc)
             reaching = set(map(id, tape.params.values()))  # nodes with a parameter ancestor
             for node in tape.nodes:
                 if any(id(p) in reaching for p in node.parents):
@@ -689,6 +741,7 @@ class TestNodeLiveness:
 
     def test_gradients_equal_full_recording(self):
         for params, gcfg, ds, tc in workload_setups():
+            gcfg = annealed(gcfg)  # made outside the patch, which replace() would run
             tape, total, _, _ = self.step(params, gcfg, ds, tc)
             got = tape.backward(total)
             with pytest.MonkeyPatch.context() as mp:
@@ -705,9 +758,8 @@ class TestNodeLiveness:
 class TestBackwardCopies:
     def test_gradients_equal_copying_backward(self):
         for params, gcfg, ds, tc in workload_setups():
-            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             tape, total, _, _ = training.record_step(
-                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+                params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
             grads = tape.backward(total)
             want = copying_backward(tape, total)
             assert set(grads) == set(want)
@@ -724,11 +776,10 @@ class TestBackwardCopies:
                 norms.append(real(*args))
                 return norms[-1]
 
-            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             with monkeypatch.context() as mp:
                 mp.setattr(tf, "layer_norm", spy)
                 tape, total, _, _ = training.record_step(
-                    params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+                    params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
             tape.backward(total)
             assert len(norms) == 2 * gcfg.model.n_layers
             for node in norms:
@@ -739,9 +790,8 @@ class TestBackwardCopies:
     def test_flat_out_equals_fresh_arrays(self):
         # gradients summed into zeroed views of one buffer, as train does
         for params, gcfg, ds, tc in workload_setups():
-            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             tape, total, _, _ = training.record_step(
-                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+                params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
             want = tape.backward(total)
             layout = training.FlatLayout(want)
             flat = np.zeros(layout.size)
@@ -801,9 +851,8 @@ class TestFusedSublayers:
         g = Rng(8).generator
         for params, gcfg, ds, tc in workload_setups():
             params = self.perturbed(params, g)
-            lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
             self.assert_fused_equals_unfused(monkeypatch, lambda: training.record_step(
-                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)[:2])
+                params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)[:2])
 
     def test_cached_decoder_step_bitwise(self, monkeypatch):
         # the wide model's decoder: a first row fills the cache, a second row
@@ -849,12 +898,11 @@ class TestOneNodeObjective:
                 return calls[-1][1]
             return wrapped
 
-        lam = 1.5 if gcfg.mode == gs.EXPONENTIAL else 1.0
         with monkeypatch.context() as mp:
             mp.setattr(training, "sequence_loss_node", spy(loss))
             mp.setattr(training, "regularizer_node", spy(reg))
             tape, total, main, penalty = training.record_step(
-                params, grade_arrays_of(gcfg), gcfg, ds.x[:16], ds.y[:16], lam, tc)
+                params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
         grads = tape.backward(total)
         (loss_args, loss_out), (reg_args, reg_out) = calls
         inputs = [loss_args[0], loss_args[2], *reg_args[0].values()]

@@ -36,6 +36,11 @@ class TestConfig:
             tf.ModelConfig(**{**kw, key: value})
         assert tf.ModelConfig(**{**kw, "d_model": np.int64(4)}).d_k == 2  # numpy ints are ints
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(DimensionMismatch, match="eps"):
+            tf.ModelConfig(vocab_size=0, d_model=4, n_heads=2, n_layers=1, d_ff=8, eps=eps)
+
 
 class TestInitParams:
     @pytest.mark.parametrize("vocab,d,h,layers", [(0, 4, 2, 2), (12, 8, 2, 1), (16, 16, 4, 2)])
