@@ -44,12 +44,16 @@ milliseconds per training step and their share of the step, and then the
 rest of the step: tape set-up, the backward sweep's own loop, clipping and
 Adam.  Each figure is the fastest of the rounds; the step time includes
 the clocks' own cost, about a microsecond per call.  The header gives the
-step's minor page faults (`ru_minflt`).
+step's minor page faults (`ru_minflt`) and the process's peak resident
+set so far (`ru_maxrss`), which grows over the workloads in their order.
 
-The `train` rows depend on the allocator's history as well as on the
-code: their temporaries are 128 KB and more, and one the C allocator
-serves from pages it has returned to the system costs a page fault per
-4 KB page on first touch.  Compare them between trees only with care.
+The `train` rows' temporaries are 128 KB and more.  Importing the
+package pins glibc's allocator to keep freed pages mapped (see the
+`autodiff` module docstring), so after the first round each temporary
+reuses pages already touched and costs no page fault.  Where the C
+library has no `mallopt`, a temporary served from pages returned to the
+system costs a fault per 4 KB page on first touch, and the rows depend
+on the allocator's history as well as on the code.
 """
 
 import os
@@ -312,9 +316,9 @@ class StepTimer:
         record = ad.record
         undo = [(ad, "record", record)] + [(m, n, getattr(m, n)) for m, n in STEP_KINDS]
 
-        def timed_record(value, parents, vjps):
+        def timed_record(value, parents, vjps, memo=None):
             kind = self.current[-1] if self.current else "other"
-            return record(value, parents, tuple(self.timed_vjp(kind, f) for f in vjps))
+            return record(value, parents, tuple(self.timed_vjp(kind, f) for f in vjps), memo)
 
         ad.record = timed_record
         for module, name in STEP_KINDS:
@@ -323,10 +327,10 @@ class StepTimer:
 
 
 def step_tables():
-    """workload -> (step ms, minor faults per step, {kind: (calls, forward
-    ms, VJP ms)} per step), each training job of the workload, built at
-    seed 1, run STEP_ROUNDS times; per kind and for the step, the fastest
-    round."""
+    """workload -> (step ms, minor faults per step, process peak RSS MB,
+    {kind: (calls, forward ms, VJP ms)} per step), each training job of the
+    workload, built at seed 1, run STEP_ROUNDS times; per kind and for the
+    step, the fastest round."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     import adapter
 
@@ -352,17 +356,26 @@ def step_tables():
                     kinds[kind] = (timer.calls.get(kind, 0) / steps,
                                    min(fwd, timer.forward.get(kind, 0.0) / steps * 1e3),
                                    min(back, timer.vjps.get(kind, 0.0) / steps * 1e3))
-            out[name] = (best_step, best_faults, kinds)
+            out[name] = (best_step, best_faults, peak_rss_mb(), kinds)
     finally:
         for module, name, fn in undo:
             setattr(module, name, fn)
     return out
 
 
+def peak_rss_mb():
+    """The process's peak resident set so far in MB of 2**20 bytes, as
+    `perfbench/run.py` reports it (ru_maxrss counts bytes on macOS, KB
+    elsewhere)."""
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit
+
+
 def print_step():
-    for name, (step, faults, kinds) in step_tables().items():
+    for name, (step, faults, rss, kinds) in step_tables().items():
         print(f"\nstep: {name}, seed 1: {step:.3f} ms per step (clocks included), "
-              f"{faults:.0f} minor faults per step; fastest of {STEP_ROUNDS} runs")
+              f"{faults:.1f} minor faults per step, process peak RSS {rss:.1f} MB; "
+              f"fastest of {STEP_ROUNDS} runs")
         print(f"{'kind':20s} {'calls':>6s} {'forward ms':>11s} {'VJP ms':>8s} {'share':>6s}")
         timed = 0.0
         for kind, (calls, fwd, back) in sorted(kinds.items(), key=lambda kv: -sum(kv[1][1:])):

@@ -9,8 +9,19 @@ Each transformer sublayer is one node: `feed_forward_rows` is
 relu(x w1 + b1) w2 + b2, `layer_norm_rows` is the residual step LN(x + r)
 and `attention_rows` is scaled dot-product attention for every head and
 sequence.  Such a node's VJPs share one inner adjoint (hidden, normalised
-or score), computed once per backward.  The training loss and grade penalty
-are one node each too (`training.sequence_loss_node`, `regularizer_node`).
+or score), computed once per backward and kept in the node's memo.  The
+training loss and grade penalty are one node each too
+(`training.sequence_loss_node`, `regularizer_node`).
+
+The backward sweep drops each interior node's adjoint, and clears its
+memo, as soon as the node's VJPs have run; only the leaves keep theirs.
+The freed buffers (a score adjoint at the `wide_lgt` training shape is
+512 KB) are reused by the next allocation of their size, so at import the
+C allocator, where it has `mallopt` (glibc), is pinned to keep freed
+pages mapped: mmap only above 32 MiB and trim only above 64 MiB, the
+ceilings of glibc's own dynamic rule.  Without the pin each such buffer
+would go back to the system when freed and be faulted in again, page by
+page, on its next use.
 
 Every keepdims sum (softmax normaliser and adjoint, the bias and scale
 VJPs) is a BLAS product with ones, `tensor.row_sums` or `tensor.col_sums`,
@@ -45,6 +56,7 @@ the append node's VJPs are the row slices of a vertical stack.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from typing import Callable, Sequence
 
@@ -56,17 +68,34 @@ from .errors import DimensionMismatch, NonFinite, NotScalarRoot, ZeroAfterGradin
 _F64 = np.dtype(np.float64)
 
 
+def _keep_freed_pages_mapped() -> None:
+    """Set glibc's M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1)
+    to 64 MiB; nothing where the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
+_keep_freed_pages_mapped()
+
+
 class Node:
     """One value; a live node also holds the VJPs to its live parents."""
 
-    __slots__ = ("value", "parents", "vjps", "grad", "live")
+    __slots__ = ("value", "parents", "vjps", "grad", "live", "memo")
 
-    def __init__(self, value: np.ndarray, parents=(), vjps=(), live: bool = False):
+    def __init__(self, value: np.ndarray, parents=(), vjps=(), live: bool = False,
+                 memo: dict | None = None):
         self.value = value
         self.parents = parents
         self.vjps = vjps
         self.grad = None
         self.live = live
+        self.memo = memo  # what the VJPs share within one backward; the sweep clears it
 
     @property
     def shape(self):
@@ -110,10 +139,12 @@ class Tape:
         """Gradients of a scalar root w.r.t. all registered leaves.
 
         Unused leaves get zero gradients, so every registered leaf has a
-        populated adjoint afterwards.  When `out` is given it maps every
-        leaf name to a zero-filled array of the leaf's shape, such as a
-        view of one flat buffer; each leaf's gradient is summed into its
-        array, and `out` is returned.
+        populated adjoint afterwards.  An interior node's adjoint, and the
+        memo its VJPs share, are dropped once its VJPs have run, so the
+        sweep holds only the adjoints still to be passed on.  When `out` is
+        given it maps every leaf name to a zero-filled array of the leaf's
+        shape, such as a view of one flat buffer; each leaf's gradient is
+        summed into its array, and `out` is returned.
         """
         if root.value.shape != (1, 1):
             raise NotScalarRoot(f"root has shape {root.value.shape}")
@@ -136,6 +167,10 @@ class Tape:
                     parent.grad = contrib.copy() if shared else contrib
                 else:
                     parent.grad += contrib
+            if node.parents:  # interior: its adjoint is spent
+                node.grad = None
+                if node.memo is not None:
+                    node.memo.clear()
         if out is not None:
             return out
         return {name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
@@ -182,14 +217,16 @@ def wrap(x) -> Node:
     return x if type(x) is Node else Tape.constant(x)
 
 
-def record(value, parents: tuple, vjps: tuple) -> Node:
+def record(value, parents: tuple, vjps: tuple, memo: dict | None = None) -> Node:
     """Record value on the active tape with its live parents and their VJPs;
-    callers return a bare Node(value), before any VJP, when no parent is live."""
+    callers return a bare Node(value), before any VJP, when no parent is live.
+    memo, a dict the VJPs share (one inner adjoint per backward), is cleared
+    by the backward sweep once the node's VJPs have run."""
     for p in parents:
         if not p.live:
             parents, vjps = zip(*[(p, f) for p, f in zip(parents, vjps) if p.live])
             break
-    return _tape().record(Node(value, parents, vjps, True))
+    return _tape().record(Node(value, parents, vjps, True, memo))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +438,7 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
             lambda g: _product_rows(adjoints(g)[1], qt.transpose(0, 1, 3, 2), b, n_k),
             lambda g: _product_rows(p, adjoints(g)[0].transpose(0, 1, 3, 2), b, n_k),
         ),
+        memo,
     )
 
 
@@ -471,6 +509,7 @@ def layer_norm_rows(x, r, gamma, beta, eps: float) -> Node:
             lambda g: tensor.col_sums(g * xhat),
             tensor.col_sums,
         ),
+        memo,
     )
 
 
@@ -519,6 +558,7 @@ def feed_forward_rows(x, w1, b1, w2, b2) -> Node:
             lambda g: hidden.T @ g,
             tensor.col_sums,
         ),
+        memo,
     )
 
 

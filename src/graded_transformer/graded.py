@@ -85,8 +85,9 @@ class GradedModelConfig:
             raise InvalidSpec(f"positional decay alpha must be >= 0, not {self.alpha!r}")
         if self.positional == "linear_decay" and self.alpha * self.model.n_max >= 1.0:
             raise InvalidSpec("linear decay needs alpha * n_max < 1")
-        if (self.mode == EXPONENTIAL or self.positional == "exp_decay") and not self.base > 1:
-            raise InvalidSpec(f"base must exceed 1, not {self.base!r}")
+        if (self.mode == EXPONENTIAL or self.positional == "exp_decay") \
+                and not 1 < self.base < np.inf:
+            raise InvalidSpec(f"base must be finite and exceed 1, not {self.base!r}")
         self.max_weight()  # weights() rejects a bad mode, base or weight map
 
     def to_dict(self) -> dict:

@@ -35,6 +35,11 @@ class WeightMap:
     a: float = 1.0
     b: float = 1.0
 
+    def __post_init__(self):
+        for name in ("a", "b"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"weight_map.{name} must be finite, not {getattr(self, name)!r}")
+
     def node(self, q: ad.Node) -> ad.Node:
         """The map applied to a (1, d) grade node."""
         return ad.affine(q, self.a, self.b)
@@ -55,7 +60,7 @@ class GradingSpec:
     """How grades become diagonal scale factors.
 
     mode "linear": weights a + b*q_i of the weight map, requiring them > 0.
-    mode "exponential": weights base**q_i, requiring base > 1.
+    mode "exponential": weights base**q_i, requiring a finite base > 1.
     """
 
     mode: str = LINEAR
@@ -71,8 +76,8 @@ class GradingSpec:
             return self.weight_map.node(q)
         if self.mode != EXPONENTIAL:
             raise InvalidSpec(f"unknown grading mode {self.mode!r}")
-        if not self.base > 1.0:
-            raise InvalidSpec(f"exponential base must exceed 1, got {self.base}")
+        if not 1.0 < self.base < np.inf:
+            raise InvalidSpec(f"exponential base must be finite and exceed 1, got {self.base}")
         return ad.exp(ad.scale(q, float(np.log(self.base))))
 
     def weights(self, grades) -> np.ndarray:

@@ -405,6 +405,8 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
 
         grad.fill(0.0)
         tape.backward(total, out=grad_views)
+        loss_main, loss_reg = float(main.value[0, 0]), float(reg.value[0, 0])
+        del tape, total, main, reg  # step t's nodes go before step t + 1 records
         pre, post, fired = clip_gradient(grad, cfg.clip_threshold)
 
         if exponential:
@@ -433,8 +435,8 @@ def train(params: dict[str, np.ndarray], gcfg: graded.GradedModelConfig,
             "step": t,
             "lambda": lam_t,
             "loss": loss_val,
-            "loss_main": float(main.value[0, 0]),
-            "loss_reg": float(reg.value[0, 0]),
+            "loss_main": loss_main,
+            "loss_reg": loss_reg,
             "grad_norm_pre": pre,
             "grad_norm_post": post,
             "clipped": int(fired),

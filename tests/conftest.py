@@ -126,6 +126,28 @@ def per_head_init_params(cfg, rng, decoder=True):
     return p
 
 
+def watch_adjoints(nodes):
+    """Catch each node's full adjoint as the backward sweep reaches it.
+
+    Tape.backward drops an interior node's adjoint once the node's VJPs
+    have run, so each interior node's first VJP is wrapped to copy the
+    adjoint it is handed.  Call before backward; the returned function,
+    called after it, lists the adjoints in the order of nodes: the copy
+    for an interior node (None if the sweep never reached it), `.grad`
+    for a leaf or a constant."""
+    caught = {}
+    for node in nodes:
+        if node.vjps and id(node) not in caught:
+            caught[id(node)] = None
+            first, *rest = node.vjps
+
+            def watched(g, key=id(node), first=first):
+                caught[key] = g.copy()
+                return first(g)
+            node.vjps = (watched, *rest)
+    return lambda: [caught[id(n)] if id(n) in caught else n.grad for n in nodes]
+
+
 def copying_backward(tape, root):
     """Reference: Tape.backward copying every first contribution."""
     for node in tape.nodes:

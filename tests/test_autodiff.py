@@ -1,12 +1,17 @@
+import ctypes
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from graded_transformer import autodiff as ad
+from graded_transformer import graded
 from graded_transformer import graded_space as gs
 from graded_transformer import props
+from graded_transformer import tasks
 from graded_transformer import tensor
+from graded_transformer import training
 from graded_transformer import transformer as tf
 from graded_transformer.errors import DimensionMismatch, NonFinite, NotScalarRoot
 
@@ -126,6 +131,63 @@ class TestGradientAliasing:
         ref = copying_backward(tape2, root2)
         for name in point:
             assert np.array_equal(grads[name], ref[name]), name
+
+
+def wide_lgt_setup(steps):
+    """The benchmark's `wide_lgt` training shape: d=32, 4 heads, 4 layers,
+    d_ff 128, 16 sequences of 32 tokens, learned grades on queries and keys."""
+    cfg = tf.ModelConfig(vocab_size=32, d_model=32, n_heads=4, n_layers=4, d_ff=128,
+                         n_max=32, m_max=16)
+    gcfg = graded.GradedModelConfig(model=cfg, mode=gs.LINEAR,
+                                    grades=tensor.Rng(2).generator.uniform(0.0, 1.0, 32),
+                                    attention_variant="queries_keys",
+                                    positional="exp_decay", alpha=0.25, grade_inputs=False)
+    return (tf.init_params(cfg, tensor.Rng(0), decoder=False), gcfg,
+            tasks.gen_hier_copy(128, 32, 1, vocab=32),
+            training.TrainConfig(steps=steps, seed=1, base_loss="sigmoid_ce", lr=2e-3))
+
+
+def has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestAdjointLifetime:
+    """The sweep drops each interior adjoint and clears each fused node's
+    memo once the node's VJPs have run; leaves keep their gradients."""
+
+    def test_sweep_keeps_only_leaf_adjoints(self):
+        params, gcfg, ds, tc = wide_lgt_setup(1)
+        tape, total, _, _ = training.record_step(params, gcfg, ds.x[:16], ds.y[:16], tc)
+        memos = [node.memo for node in tape.nodes if node.memo is not None]
+        assert len(memos) == 4 * gcfg.model.n_layers  # attention, FFN, two LayerNorms
+        want = copying_backward(tape, total)  # frees nothing
+        assert all(memos)
+        got = tape.backward(total)
+        leaves = {id(leaf) for leaf in tape.params.values()}
+        for node in tape.nodes:
+            assert (node.grad is not None) == (id(node) in leaves)
+        assert not any(memos)
+        again = tape.backward(total)
+        assert set(got) == set(again) == set(want)
+        for name in want:
+            assert same_bits(got[name], want[name]), name
+            assert same_bits(again[name], got[name]), name
+
+    @pytest.mark.skipif(not has_mallopt(), reason="no mallopt in the C library")
+    def test_warm_training_step_faults_in_no_pages(self):
+        # the allocator pin keeps the freed step buffers mapped, so a warm
+        # step reuses them instead of faulting fresh pages in
+        resource = pytest.importorskip("resource")
+        params, gcfg, ds, tc = wide_lgt_setup(3)
+        training.train(params, gcfg, ds.x, ds.y, tc)
+        steps = 20
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        training.train(params, gcfg, ds.x, ds.y, replace(tc, steps=steps))
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / steps < 5
 
 
 class TestValuesOnly:

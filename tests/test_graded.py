@@ -57,6 +57,19 @@ class TestConfig:
         with pytest.raises(InvalidSpec):
             make_gcfg(toy_model, grades=np.array([-1.0, 0.0, 0.0, 0.0]))
 
+    def test_exponential_base_must_be_finite(self, toy_model):
+        # inf ** 0 would be exp(0 * inf) = NaN, reported as a bad weight
+        for grades in ([0.5, 1.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0]):
+            with pytest.raises(InvalidSpec, match="^base must be finite") as info:
+                make_gcfg(toy_model, mode=gs.EXPONENTIAL, base=np.inf, grades=np.array(grades))
+            assert "weights" not in str(info.value)
+
+    @pytest.mark.parametrize("a,b,name", [(np.inf, 1.0, "a"), (np.nan, 1.0, "a"),
+                                          (1.0, -np.inf, "b")])
+    def test_weight_map_must_be_finite(self, a, b, name):
+        with pytest.raises(InvalidSpec, match=rf"^weight_map\.{name} must be finite"):
+            gs.WeightMap(a, b)
+
     @pytest.mark.parametrize("bad", [
         lambda: dict(weight_map=gs.WeightMap.from_json("bogus")),
         lambda: dict(weight_map=gs.WeightMap(1.0, -1.0)),  # weights 1, .5, 0, -1

@@ -18,3 +18,12 @@ def test_time_primitives_runs():
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "wide_lgt weight_nodes" in proc.stdout
+
+
+def test_time_primitives_step_section_runs():
+    # every benchmark workload's training jobs, with each recorded VJP clocked
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "time_primitives.py"), "--section", "step"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("minor faults per step, process peak RSS") == 3

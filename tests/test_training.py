@@ -33,6 +33,7 @@ from conftest import (
     same_bits,
     unfused_feed_forward,
     unfused_layer_norm,
+    watch_adjoints,
 )
 
 
@@ -767,25 +768,34 @@ class TestBackwardCopies:
                 assert np.array_equal(grads[name], want[name]), name
 
     def test_residual_layer_norm_inputs_get_unshared_gradients(self, monkeypatch):
-        # x and r of LN(x + r) get one adjoint; r's must be a copy
+        # x and r of LN(x + r) get one adjoint; r's must be a copy.  The sweep
+        # frees interior adjoints, so each is caught as the LN node's VJP
+        # hands it to x or r.
         real = tf.layer_norm
         for params, gcfg, ds, tc in workload_setups():
-            norms = []
+            norms, produced = [], []
 
             def spy(*args):
                 norms.append(real(*args))
                 return norms[-1]
 
+            def caught(vjp):
+                return lambda g: produced.append(vjp(g)) or produced[-1]
+
             with monkeypatch.context() as mp:
                 mp.setattr(tf, "layer_norm", spy)
                 tape, total, _, _ = training.record_step(
                     params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
-            tape.backward(total)
             assert len(norms) == 2 * gcfg.model.n_layers
             for node in norms:
                 x, r = node.parents[:2]
-                assert x is not r and x.grad is not None and r.grad is not None
-                assert not np.shares_memory(x.grad, r.grad)
+                assert x is not r
+                node.vjps = (caught(node.vjps[0]), caught(node.vjps[1]), *node.vjps[2:])
+            tape.backward(total)
+            assert len(produced) == 2 * len(norms)  # x's then r's, node by node
+            for x_adj, r_adj in zip(produced[::2], produced[1::2]):
+                assert x_adj is not None and r_adj is not None
+                assert not np.shares_memory(x_adj, r_adj)
 
     def test_flat_out_equals_fresh_arrays(self):
         # gradients summed into zeroed views of one buffer, as train does
@@ -825,8 +835,11 @@ class TestFusedSublayers:
             mp.setattr(tf, "feed_forward", spy(ffn, [2]))
             mp.setattr(tf, "layer_norm", spy(ln, [2, 3]))
             tape, root = build()
+        adjoints = watch_adjoints([x for xs, _ in calls for x in xs])
         grads = tape.backward(root)
-        return root.value, grads, [(out.value, [x.grad for x in xs]) for xs, out in calls]
+        caught = iter(adjoints())
+        return root.value, grads, [(out.value, [next(caught) for _ in xs])
+                                   for xs, out in calls]
 
     @staticmethod
     def perturbed(params, g):
@@ -846,6 +859,7 @@ class TestFusedSublayers:
             assert same_bits(out, want_out)
             assert len(input_grads) == len(want_grads)
             assert all(same_bits(a, b) for a, b in zip(input_grads, want_grads))
+        assert any(a is not None for _, input_grads in got[2] for a in input_grads)
 
     def test_training_step_bitwise(self, monkeypatch):
         g = Rng(8).generator
@@ -903,11 +917,12 @@ class TestOneNodeObjective:
             mp.setattr(training, "regularizer_node", spy(reg))
             tape, total, main, penalty = training.record_step(
                 params, annealed(gcfg), ds.x[:16], ds.y[:16], tc)
-        grads = tape.backward(total)
         (loss_args, loss_out), (reg_args, reg_out) = calls
         inputs = [loss_args[0], loss_args[2], *reg_args[0].values()]
+        adjoints = watch_adjoints(inputs)
+        grads = tape.backward(total)
         return ([total.value, main.value, penalty.value], grads, len(tape.nodes),
-                [loss_out, reg_out], [x.grad for x in inputs])
+                [loss_out, reg_out], adjoints())
 
     @staticmethod
     def setups():
