@@ -10,9 +10,11 @@ Two shapes, each at the `wide_lgt` benchmark model (d = 32, 4 heads,
 d_ff = 128):
 
 - `decode`: values-only calls on one row, as a greedy decode step makes
-  them (constants only, nothing records); attention has one query and 8
-  cached keys, and `RowBuffer.append` is timed as 8 one-row appends to a
-  new buffer, per append.
+  them (constants only, nothing records).  The step's self-attention is
+  `shared_kv_attention`, one query row of 4 heads over 8 shared d-wide
+  rows, and its cross-attention softmax is `softmax_groups` over 4
+  groups of 8 scores; `RowBuffer.append` is timed as 8 one-row appends
+  to a new buffer, per append.
 - `train`: live calls at the training shape, 16 sequences of 32 rows
   (512 rows) with every input a parameter leaf: the forward call, which
   records its node, and then each of its VJPs once.
@@ -153,6 +155,23 @@ def attention_body_backward(q, k, v, n_q, n_k, up):
             ad._product_rows(p, gt.transpose(0, 1, 3, 2), b, n_k))
 
 
+def row_softmax(s):
+    """softmax_rows along the rows of s, in place."""
+    s -= np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s @ _ones_row(s.shape[1]).T
+    return s
+
+
+def shared_kv_body(q, kv):
+    p = row_softmax(q.reshape(-1, kv.shape[1]).dot(kv.T))
+    return p.dot(kv).reshape(q.shape)
+
+
+def softmax_groups_body(x, groups):
+    return row_softmax(x.reshape(-1, x.shape[1] // groups).copy()).reshape(x.shape)
+
+
 def ffn_body(x, w1, b1, w2, b2):  # one row, as a decode step: ndarray.dot
     h = x.dot(w1)
     h += b1
@@ -206,15 +225,19 @@ def cases(rng):
 
     # decode: values-only, one row
     x, r = normal(1, D), normal(1, D)
-    kc, vc = normal(KEYS, D), normal(KEYS, D)
-    xn, rn, wn, kn, vn = (ad.Tape.constant(a) for a in (x, r, w, kc, vc))
+    kc = normal(KEYS, D)
+    xn, rn, wn, kn = (ad.Tape.constant(a) for a in (x, r, w, kc))
     gn, bn = ad.Tape.constant(g), ad.Tape.constant(b)
     w1n, b1n, w2n, b2n = (ad.Tape.constant(a) for a in (w1, b1, w2, b2))
     out["decode matmul"] = (lambda: ad.matmul(xn, wn), lambda: x.dot(w), 1)
     out["decode layer_norm_rows"] = (lambda: ad.layer_norm_rows(xn, rn, gn, bn, EPS),
                                      lambda: ln_body(x, r, g, b, col), 1)
-    out["decode attention_rows"] = (lambda: ad.attention_rows(xn, kn, vn, 1, KEYS, heads=HEADS),
-                                    lambda: attention_body(x, kc, vc, 1, KEYS), 1)
+    qs, ss = normal(1, HEADS * D), normal(1, HEADS * KEYS)
+    qsn, ssn = ad.Tape.constant(qs), ad.Tape.constant(ss)
+    out["decode shared_kv_attention"] = (lambda: ad.shared_kv_attention(qsn, kn, HEADS),
+                                         lambda: shared_kv_body(qs, kc), 1)
+    out["decode softmax_groups"] = (lambda: ad.softmax_groups(ssn, HEADS),
+                                    lambda: softmax_groups_body(ss, HEADS), 1)
     out["decode feed_forward_rows"] = (lambda: ad.feed_forward_rows(xn, w1n, b1n, w2n, b2n),
                                        lambda: ffn_body(x, w1, b1, w2, b2), 1)
     rows = [normal(1, D) for _ in range(KEYS)]

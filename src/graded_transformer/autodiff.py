@@ -48,10 +48,14 @@ work weighs as much as the arithmetic, so the values-only path does no
 more than the arithmetic needs: a 2-D float64 array becomes a constant
 with no copy or conversion, `wrap` is a type-identity test, shape checks
 read `value.shape` once, views and VJP helpers are built only when a
-parent is live, and LayerNorm applies gamma and beta in place.  The
-decoder's self-attention K/V rows grow in a `RowBuffer`: each step
-appends its row and gets a view of the rows so far, with no prefix copy;
-the append node's VJPs are the row slices of a vertical stack.
+parent is live, and LayerNorm applies gamma and beta in place.  A
+cached decode step attends through projections absorbed once per
+request (`transformer.DecodeLayer`): `head_products` builds the per-head
+products, `shared_kv_attention` lets every head attend over the same
+layer-input rows, and `softmax_groups` is the cross-attention's softmax.
+Those rows grow in a `RowBuffer`: each step appends its row and gets a
+view of the rows so far, with no prefix copy; the append node's VJPs are
+the row slices of a vertical stack.
 """
 
 from __future__ import annotations
@@ -442,6 +446,104 @@ def attention_rows(q, k, v, n_q: int, n_k: int, mask: np.ndarray | None = None,
     )
 
 
+def head_products(a, b, heads: int) -> Node:
+    """Per-head products a_h b_h^T side by side: a (r, heads k) and b
+    (s, heads k) give (r, heads s), whose h-th column block is the h-th
+    column block of a times the transpose of b's."""
+    a, b = wrap(a), wrap(b)
+    av, bv = a.value, b.value
+    (r, width), s = av.shape, bv.shape[0]
+    if heads < 1 or width % heads or bv.shape[1] != width:
+        raise DimensionMismatch(f"head_products: {av.shape}, {bv.shape} not in {heads} heads")
+    k = width // heads
+    ah = av.reshape(r, heads, k).transpose(1, 0, 2)  # (heads, r, k)
+    bh = bv.reshape(s, heads, k).transpose(1, 0, 2)  # (heads, s, k)
+    out = np.empty((r, heads, s))
+    np.matmul(ah, bh.transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+    out = out.reshape(r, heads * s)
+    if not (a.live or b.live):
+        return Node(out)
+
+    def blocks(gh, x):  # the heads' products gh_h x_h, (heads, n, k), as (n, heads k) rows
+        n = gh.shape[1]
+        res = np.empty((n, heads, k))
+        np.matmul(gh, x, out=res.transpose(1, 0, 2))
+        return res.reshape(n, width)
+
+    def heads_of(g):  # g's column blocks as (heads, r, s)
+        return g.reshape(r, heads, s).transpose(1, 0, 2)
+
+    return record(out, (a, b), (lambda g: blocks(heads_of(g), bh),
+                                lambda g: blocks(heads_of(g).transpose(0, 2, 1), ah)))
+
+
+def shared_kv_attention(q, kv, heads: int) -> Node:
+    """softmax(q_h kv^T) kv per head, every head over the same rows.
+
+    Head h owns the h-th of `heads` equal column blocks of the rows of q
+    (r, heads w) and attends over the rows of kv (t, w), which serve as
+    both its keys and its values; its output fills the h-th column block
+    of the (r, heads w) result.  q is taken as (r heads, w) rows, so the
+    scores are one (r heads, t) product, normalised in place along their
+    rows by tensor.softmax_rows; no scale is applied.  One node; its two
+    VJPs share the score adjoint, computed once per backward.
+    """
+    if type(q) is not Node or type(kv) is not Node:
+        q, kv = wrap(q), wrap(kv)
+    qv, kvv = q.value, kv.value
+    r, width = qv.shape
+    w = kvv.shape[1]
+    if heads < 1 or width != heads * w:
+        raise DimensionMismatch(
+            f"shared_kv_attention: q {qv.shape} is not {heads} heads of kv {kvv.shape}")
+    qh = qv.reshape(r * heads, w)
+    scores = qh.dot(kvv.T)
+    p = tensor.softmax_rows(scores, out=scores)
+    out = p.dot(kvv).reshape(r, width)
+    if not (q.live or kv.live):
+        return Node(out)
+    memo: dict = {}
+
+    def adjoints(g):  # g as (r heads, w) rows, and the score adjoint
+        if memo.get("g") is not g:
+            gh = g.reshape(r * heads, w)
+            ds = gh.dot(kvv.T)
+            ds -= tensor.row_sums(ds * p)
+            ds *= p
+            memo.update(g=g, gh=gh, ds=ds)
+        return memo["gh"], memo["ds"]
+
+    def vjp_kv(g):
+        gh, ds = adjoints(g)
+        dkv = ds.T.dot(qh)
+        dkv += p.T.dot(gh)
+        return dkv
+
+    return record(out, (q, kv), (lambda g: adjoints(g)[1].dot(kvv).reshape(r, width), vjp_kv),
+                  memo)
+
+
+def softmax_groups(x, groups: int) -> Node:
+    """A softmax over each of `groups` equal column blocks of every row of x."""
+    x = wrap(x)
+    xv = x.value
+    r, width = xv.shape
+    if groups < 1 or width % groups:
+        raise DimensionMismatch(f"softmax_groups: width {width} not in {groups} groups")
+    n = width // groups
+    p = tensor.softmax_rows(xv.reshape(r * groups, n))
+    out = p.reshape(r, width)
+    if not x.live:
+        return Node(out)
+
+    def vjp(g):
+        gp = g.reshape(r * groups, n) * p
+        gp -= p * tensor.row_sums(gp)
+        return gp.reshape(r, width)
+
+    return record(out, (x,), (vjp,))
+
+
 def normalize_rows(x) -> Node:
     """Scale each row to unit Euclidean norm; zero rows are an error."""
     x = wrap(x)
@@ -596,8 +698,8 @@ def _stack(out: np.ndarray, parts: Sequence[Node]) -> Node:
 
 
 class RowBuffer:
-    """Rows appended call by call, as the self-attention K or V of one
-    decoded sequence.
+    """Rows appended call by call, as the layer-input rows over which a
+    decode step's self-attention attends (see transformer.DecodeLayer).
 
     `append(new)` writes new's rows after the earlier ones into one array
     and returns a node whose value is a view of every row so far.  Its

@@ -97,7 +97,8 @@ def _spec_diag(seed):
 PRIMITIVE_CASES = (
     "matmul", "attention", "layer_norm", "layer_norm_residual", "feed_forward", "scale_cols",
     "normalize_rows", "add_rowvec", "embedding", "loss_squared", "loss_sigmoid_ce",
-    "regularizer", "transpose", "vstack", "affine",
+    "regularizer", "transpose", "vstack", "affine", "head_products", "shared_kv_attention",
+    "softmax_groups",
 )
 
 
@@ -156,7 +157,7 @@ def primitive_case(case: str, g: np.random.Generator):
     if case == "add_rowvec":
         b0 = g.normal(0.0, 1.0, (1, 4))
         return lambda p: summed(ad.add_rowvec(p["x"], p["b"])), {"x": x0, "b": b0}
-    if case == "vstack":  # rows appended to a buffer, as in the decoder's K/V cache
+    if case == "vstack":  # rows appended to a buffer, as in the decoder's row cache
         y0 = g.normal(0.0, 1.0, (2, 4))
         up5 = g.uniform(0.5, 1.5, (5, 4))
 
@@ -183,6 +184,18 @@ def primitive_case(case: str, g: np.random.Generator):
     if case == "transpose":
         up_t = g.uniform(0.5, 1.5, (4, 3))
         return lambda p: summed(ad.transpose(p["x"]), up_t), {"x": x0}
+    if case == "head_products":  # 2 heads of width 2: (3, 4) and (5, 4) -> (3, 2 x 5)
+        b0 = g.normal(0.0, 1.0, (5, 4))
+        up_h = g.uniform(0.5, 1.5, (3, 10))
+        return lambda p: summed(ad.head_products(p["a"], p["b"], 2), up_h), {"a": x0, "b": b0}
+    if case == "shared_kv_attention":  # 2 query rows of 2 heads over 3 shared rows
+        q0 = g.normal(0.0, 1.0, (2, 8))
+        kv0 = g.normal(0.0, 1.0, (3, 4))
+        up_q = g.uniform(0.5, 1.5, (2, 8))
+        return (lambda p: summed(ad.shared_kv_attention(p["q"], p["kv"], 2), up_q),
+                {"q": q0, "kv": kv0})
+    if case == "softmax_groups":  # 2 groups of 2 columns per row
+        return lambda p: summed(ad.softmax_groups(p["x"], 2)), {"x": x0}
     raise ValueError(f"unknown primitive case {case!r}")
 
 

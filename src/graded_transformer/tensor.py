@@ -63,9 +63,10 @@ def softmax_rows(m, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray
     """Softmax along `axis`, -1 (rows) or -2 (columns), stabilized by max
     subtraction.
 
-    The one softmax of the package; the tape's attention node
-    (`autodiff.attention_rows`) calls it too, on key-major scores, along
-    -2, normalised in place: out is the score buffer itself.  For a
+    The one softmax of the package; the tape's attention nodes call it
+    too: `autodiff.attention_rows` on key-major scores, along -2, and
+    `autodiff.shared_kv_attention` along -1, each normalised in place (out
+    is the score buffer itself), and `autodiff.softmax_groups`.  For a
     stacked batch that buffer is a transposed view whose axis -2 is
     outermost in memory, so each pass runs along contiguous rows of all
     the other axes; the reduction and ufuncs follow the memory order

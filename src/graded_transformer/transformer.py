@@ -221,10 +221,10 @@ def attention_head(q, k, v, d_k: int, mask: np.ndarray | None = None,
 
 
 @lru_cache(maxsize=256)
-def _attention_names(prefix: str, cross: bool) -> tuple[str, str, str, str, str]:
-    """The cache key and the W_Q, W_K, W_V and W_O names of one attention."""
+def _attention_names(prefix: str, cross: bool) -> tuple[str, str, str, str]:
+    """The W_Q, W_K, W_V and W_O names of one attention."""
     name = f"{prefix}.{'c' if cross else 'w'}"
-    return name, f"{name}q", f"{name}k", f"{name}v", f"{name}o"
+    return f"{name}q", f"{name}k", f"{name}v", f"{name}o"
 
 
 @lru_cache(maxsize=256)
@@ -247,7 +247,7 @@ def _layer_names(stack: str, l: int) -> tuple[str, str, str, str]:
 def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
                mask: np.ndarray | None = None,
                collect: list | None = None, kv=None,
-               seq_len: int | None = None, cache: dict | None = None) -> ad.Node:
+               seq_len: int | None = None) -> ad.Node:
     """Concat(head_1..head_h) W_O, with the heads' projections folded into
     one (d, h d_k) matrix each for Q, K and V.
 
@@ -256,31 +256,13 @@ def multi_head(p: dict[str, ad.Node], prefix: str, x, cfg: ModelConfig,
     given, is the key/value source of a cross-attention, which reads the
     `{prefix}.c*` projections; self-attention reads `{prefix}.w*`.  x may
     stack sequences of seq_len rows; attention stays within each sequence.
-
-    `cache` (incremental decoding of one sequence) is a dict kept across
-    the calls of one request.  Cross-attention projects K/V from kv on the
-    first call and reuses them afterwards; self-attention appends this
-    call's K/V rows to those of the earlier calls in a pair of
-    ad.RowBuffer, so x holds only the new rows and attends to every
-    earlier one.  A cache serves one request and one continuation: the
-    earlier rows are never rewritten, and a copy of the dict shares its
-    buffers.
+    A cached decode step attends through DecodeLayer instead.
     """
-    cross = kv is not None
-    name, wq, wk, wv, wo = _attention_names(prefix, cross)
+    wq, wk, wv, wo = _attention_names(prefix, kv is not None)
     kv = x if kv is None else kv
     q = ad.matmul(x, p[wq])
-    if cross and cache is not None and name in cache:
-        k, v = cache[name]
-    else:
-        k = ad.matmul(kv, p[wk])
-        v = ad.matmul(kv, p[wv])
-        if cross and cache is not None:
-            cache[name] = (k, v)
-        elif cache is not None:
-            if name not in cache:
-                cache[name] = (ad.RowBuffer(), ad.RowBuffer())
-            k, v = cache[name][0].append(k), cache[name][1].append(v)
+    k = ad.matmul(kv, p[wk])
+    v = ad.matmul(kv, p[wv])
     heads = attention_head(q, k, v, cfg.d_k, mask, collect, seq_len)
     return ad.matmul(heads, p[wo])
 
@@ -323,12 +305,71 @@ def encoder(p, x, cfg: ModelConfig, ffn=None, collect=None,
     return x
 
 
-def decoder_layer(p, l: int, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:
+@lru_cache(maxsize=256)
+def _decoder_names(l: int) -> tuple[str, ...]:
+    """Every array name of decoder layer l, in init_params' order."""
+    pre, *sites = _layer_names("dec", l)
+    return (*_attention_names(pre, False), *_attention_names(pre, True), *_ffn_names(pre),
+            *(name for site in sites for name in _norm_names(site)))
+
+
+class DecodeLayer:
+    """One decoder layer's two attentions for the cached decoding of one
+    sequence, through projections absorbed once per request.
+
+    Head h's self-attention score of the new row y against a layer-input
+    row x is y W_Q,h W_K,h^T x^T / sqrt(d_k), and its output reaches the
+    sublayer's result as p_h X W_V,h W_O,h.  So per layer the request
+    builds A = [W_Q,h W_K,h^T]_h / sqrt(d_k), (d, h d), and B = [W_V,h
+    W_O,h]_h stacked by rows, (h d, d); a step is then
+    ad.shared_kv_attention(y A, X) B, in which every head attends over the
+    same d-wide rows X, the layer's inputs so far, kept in a RowBuffer.
+    The cross-attention folds the encoder output z in as well:
+    M = [W_cQ,h (z W_cK,h)^T]_h / sqrt(d_k), (d, h m), and N = [z W_cV,h
+    W_cO,h]_h stacked by rows, (h m, d); a step is ad.softmax_groups(y M,
+    h) N.  This costs about h/2 times the multiply-adds of the projected
+    form, 2 h d^2 + 2 h t d against 4 d^2 + 2 t d for the self-attention
+    over t rows, and far fewer numpy calls.  Every product is a tape node,
+    so a live parameter gets its gradient through a cached step.
+    """
+
+    __slots__ = ("heads", "a", "b", "m", "n", "rows")
+
+    def __init__(self, p: dict[str, ad.Node], l: int, z, cfg: ModelConfig):
+        for name in _decoder_names(l):  # all the layer's steps read, before any runs
+            if name not in p:
+                raise ValueError(f"decoder: missing array {name!r}")
+        pre = _layer_names("dec", l)[0]
+        wq, wk, wv, wo = (p[name] for name in _attention_names(pre, False))
+        cq, ck, cv, co = (p[name] for name in _attention_names(pre, True))
+        h, c = cfg.n_heads, 1.0 / np.sqrt(cfg.d_k)
+        self.heads = h
+        self.a = ad.scale(ad.head_products(wq, wk, h), c)
+        self.b = ad.transpose(ad.head_products(ad.transpose(wo), wv, h))
+        self.m = ad.scale(ad.head_products(cq, ad.matmul(z, ck), h), c)
+        self.n = ad.transpose(ad.head_products(ad.transpose(co), ad.matmul(z, cv), h))
+        self.rows = ad.RowBuffer()
+
+    def self_attention(self, y) -> ad.Node:
+        """The new row y against every layer-input row so far, y included."""
+        q = ad.matmul(y, self.a)
+        return ad.matmul(ad.shared_kv_attention(q, self.rows.append(y), self.heads), self.b)
+
+    def cross_attention(self, y) -> ad.Node:
+        return ad.matmul(ad.softmax_groups(ad.matmul(y, self.m), self.heads), self.n)
+
+
+def decoder_layer(p, l: int, y, z, cfg: ModelConfig, step: DecodeLayer | None = None
+                  ) -> ad.Node:
+    """Layer l on the rows y under a causal mask, or, given the layer's
+    DecodeLayer, on the one new row y of a cached decode."""
     pre, ln1, ln2, ln3 = _layer_names("dec", l)
-    mask = causal_mask(y.shape[0]) if cache is None else None
-    sa = multi_head(p, pre, y, cfg, mask=mask, cache=cache)
+    if step is None:
+        sa = multi_head(p, pre, y, cfg, mask=causal_mask(y.shape[0]))
+    else:
+        sa = step.self_attention(y)
     y1 = layer_norm(p, ln1, y, sa, cfg.eps)
-    ca = multi_head(p, pre, y1, cfg, kv=z, cache=cache)
+    ca = multi_head(p, pre, y1, cfg, kv=z) if step is None else step.cross_attention(y1)
     y2 = layer_norm(p, ln2, y1, ca, cfg.eps)
     return layer_norm(p, ln3, y2, feed_forward(p, pre, y2), cfg.eps)
 
@@ -336,15 +377,27 @@ def decoder_layer(p, l: int, y, z, cfg: ModelConfig, cache: dict | None = None) 
 def decoder(p, y, z, cfg: ModelConfig, cache: dict | None = None) -> ad.Node:
     """Decoder stack on the rows y under a causal mask, attending to z.
 
-    With a cache (see multi_head), y is the one row after the rows of the
-    earlier calls, and no mask applies: the new row sees every earlier row.
-    Row t of this post-norm stack depends only on rows <= t, so decoding
-    row by row gives the rows of one masked pass over the whole prefix.
+    With a cache, a dict kept across the calls of one request, y is the
+    one row after the rows of the earlier calls, and no mask applies: the
+    new row sees every earlier row.  The first call builds a DecodeLayer
+    per layer, and with it raises ValueError for the first decoder array
+    p lacks; every call then attends through them.  Row t of this
+    post-norm stack depends only on rows <= t, so decoding row by row
+    gives the rows of one masked pass over the whole prefix, up to
+    rounding.  A cache serves one request and one continuation: the
+    earlier rows are never rewritten, and a copy of the dict shares its
+    buffers.
     """
-    if cache is not None and y.shape[0] != 1:
-        raise DimensionMismatch(f"cached decoding takes one row, got {y.shape[0]}")
-    for l in range(cfg.n_layers):
-        y = decoder_layer(p, l, y, z, cfg, cache)
+    if cache is None:
+        steps = [None] * cfg.n_layers
+    else:
+        if y.shape[0] != 1:
+            raise DimensionMismatch(f"cached decoding takes one row, got {y.shape[0]}")
+        if "layers" not in cache:  # every layer is built before any step runs
+            cache["layers"] = [DecodeLayer(p, l, z, cfg) for l in range(cfg.n_layers)]
+        steps = cache["layers"]
+    for l, step in enumerate(steps):
+        y = decoder_layer(p, l, y, z, cfg, step)
     return y
 
 
@@ -378,8 +431,9 @@ def decode_nodes(p: dict[str, ad.Node], z: ad.Node, cfg: ModelConfig, m_max: int
     argmax over softmax(W_e z_t); ties break to the lowest token id; stops
     at EOS or after m_max tokens.
 
-    Each token runs the decoder on its one new row, with the cross-attention
-    K/V of z and the earlier rows' self-attention K/V held in a cache.
+    Each token runs the decoder once, on its one new row, with a cache
+    (see decoder): per layer the absorbed attention products of the
+    request and the layer-input rows of the earlier tokens.
     """
     embed = p["embed"]
     positions = positional_matrix(min(m_max, cfg.m_max + 1), cfg.d_model, cfg.m_max + 1)

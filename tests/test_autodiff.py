@@ -747,3 +747,65 @@ class TestAttentionRows:
         with ad.recording(tape), pytest.raises(DimensionMismatch):
             ad.attention_rows(np.ones((q_rows, 2)), np.ones((k_rows, 2)),
                               np.ones((k_rows, 2)), n_q, n_k, mask)
+
+
+class TestAbsorbedDecodePrimitives:
+    """head_products, shared_kv_attention and softmax_groups, the arithmetic
+    of a cached decode step (transformer.DecodeLayer), against per-head
+    references."""
+
+    def test_head_products_match_per_head_products(self):
+        g = np.random.default_rng(21)
+        a, b = g.normal(0.0, 1.0, (3, 3 * 2)), g.normal(0.0, 1.0, (5, 3 * 2))
+        want = np.hstack([a[:, 2 * h:2 * h + 2] @ b[:, 2 * h:2 * h + 2].T for h in range(3)])
+        assert_peak_close(ad.head_products(a, b, 3).value, want, 1e-15)
+
+    @pytest.mark.parametrize("rows,heads", [(1, 4), (3, 2)])
+    def test_shared_kv_attention_is_attention_over_repeated_rows(self, rows, heads):
+        # attention_rows with k = v = kv repeated per head, q scaled by
+        # sqrt(w) to undo its 1/sqrt(d_k): the same value and gradients
+        g = np.random.default_rng(22 + heads)
+        w, t = 3, 5
+        point = {"q": g.normal(0.0, 1.0, (rows, heads * w)), "kv": g.normal(0.0, 1.0, (t, w))}
+        up = g.normal(0.0, 1.0, (rows, heads * w))
+        repeat = np.tile(np.eye(w), heads)
+
+        def shared(p):
+            return ad.sum_all(ad.mul(ad.shared_kv_attention(p["q"], p["kv"], heads), up))
+
+        def reference(p):
+            kv = ad.matmul(p["kv"], repeat)
+            out = ad.attention_rows(ad.scale(p["q"], np.sqrt(w)), kv, kv, rows, t, heads=heads)
+            return ad.sum_all(ad.mul(out, up))
+
+        (tape, root), (ref_tape, ref_root) = scalar(shared, point), scalar(reference, point)
+        assert_peak_close(root.value, ref_root.value, 1e-14)
+        got, want = tape.backward(root), ref_tape.backward(ref_root)
+        for name in point:
+            assert_peak_close(got[name], want[name], 1e-13, name)
+
+    def test_softmax_groups_is_a_softmax_per_block(self):
+        x = np.random.default_rng(23).normal(0.0, 3.0, (2, 4 * 5))
+        x0 = x.copy()
+        want = np.hstack([tensor.softmax_rows(x[:, 5 * i:5 * i + 5]) for i in range(4)])
+        assert_peak_close(ad.softmax_groups(x, 4).value, want, 1e-15)
+        assert np.array_equal(x, x0)  # the input is left as it is
+
+    def test_constants_record_nothing(self):
+        tape = ad.Tape()
+        with ad.recording(tape):
+            nodes = [ad.head_products(np.ones((2, 4)), np.ones((3, 4)), 2),
+                     ad.shared_kv_attention(np.ones((1, 4)), np.ones((3, 2)), 2),
+                     ad.softmax_groups(np.ones((1, 6)), 3)]
+        assert tape.nodes == [] and all(node.parents == () for node in nodes)
+
+    @pytest.mark.parametrize("call", [
+        lambda: ad.head_products(np.ones((2, 4)), np.ones((3, 6)), 2),  # widths differ
+        lambda: ad.head_products(np.ones((2, 6)), np.ones((3, 6)), 4),  # heads do not divide
+        lambda: ad.shared_kv_attention(np.ones((1, 6)), np.ones((3, 2)), 2),
+        lambda: ad.softmax_groups(np.ones((1, 6)), 4),
+    ])
+    def test_shape_errors(self, call):
+        tape = ad.Tape()
+        with ad.recording(tape), pytest.raises(DimensionMismatch):
+            call()

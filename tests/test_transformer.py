@@ -2,9 +2,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graded_transformer import autodiff as ad
 from graded_transformer import container
+from graded_transformer import graded
 from graded_transformer import props
 from graded_transformer import tensor
 from graded_transformer import transformer as tf
@@ -399,7 +402,7 @@ def deep_token_model():
 
 
 class TestCachedDecode:
-    # long_token_model decodes past the K/V buffers' first capacity
+    # long_token_model decodes past the row buffers' first capacity
     @pytest.mark.parametrize("model", ["token_model", "deep_token_model", "long_token_model"])
     @pytest.mark.parametrize("eos", [tf.EOS_TOKEN, 0])  # 0: never stops early
     def test_matches_full_prefix_decode(self, request, monkeypatch, model, eos):
@@ -417,6 +420,46 @@ class TestCachedDecode:
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             monkeypatch.undo()
 
+    @given(st.data())
+    def test_matches_full_prefix_decode_on_random_decoders(self, data):
+        d = data.draw(st.integers(4, 16), "d_model")
+        heads = data.draw(st.sampled_from([h for h in range(1, d + 1) if d % h == 0]), "heads")
+        cfg = tf.ModelConfig(vocab_size=10, d_model=d, n_heads=heads,
+                             n_layers=data.draw(st.integers(1, 3), "layers"), d_ff=2 * d,
+                             n_max=8, m_max=data.draw(st.integers(1, 10), "m_max"))
+        seed = data.draw(st.integers(0, 2**16), "seed")
+        eos = data.draw(st.sampled_from([tf.EOS_TOKEN, 0]), "eos")
+        params = tf.init_params(cfg, Rng(seed))
+        z = Rng(seed + 1).generator.normal(size=(data.draw(st.integers(1, 8), "rows"), d))
+        want_tokens, want_rows = full_prefix_decode(params, z, cfg, cfg.m_max, eos)
+        with pytest.MonkeyPatch.context() as mp:
+            rows = recording_decoder(mp)
+            assert run_nodes(params, lambda p, t: tf.decode_nodes(
+                p, t.constant(z), cfg, cfg.m_max, eos)) == want_tokens
+        assert len(rows) == len(want_rows)
+        for got, want in zip(rows, want_rows):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("missing", ["dec0.wq", "dec1.ln3.b"])
+    @pytest.mark.parametrize("entry", ["generate", "graded_generate"])
+    def test_missing_decoder_array_is_named_before_any_step(
+            self, deep_token_model, monkeypatch, entry, missing):
+        # the parameters training.train returns have no decoder arrays at all
+        cfg, params = deep_token_model
+        if missing == "dec0.wq":
+            params = {k: v for k, v in params.items() if not k.startswith("dec")}
+        else:
+            params = {k: v for k, v in params.items() if k != missing}
+        steps = []
+        real = tf.decoder_layer
+        monkeypatch.setattr(tf, "decoder_layer", lambda *a: steps.append(a) or real(*a))
+        with pytest.raises(ValueError, match=re.escape(f"missing array {missing!r}")):
+            if entry == "generate":
+                tf.generate(params, cfg, [3, 4, 5])
+            else:
+                graded.graded_generate(params, graded.unit_config(cfg), [3, 4, 5])
+        assert steps == []
+
     def test_past_model_m_max_raises_at_same_token(self, token_model, monkeypatch):
         cfg, params = token_model
         z = Rng(1).generator.normal(size=(4, cfg.d_model))
@@ -429,24 +472,35 @@ class TestCachedDecode:
         assert len(rows) == cfg.m_max + 1
 
     def test_cross_kv_projected_once_per_request(self, deep_token_model):
+        # z's K/V projections live inside each layer's absorbed products,
+        # which the first call builds and every later call reuses as they are
         cfg, params = deep_token_model
         z = Rng(2).generator.normal(size=(5, cfg.d_model))
+        d, h, m = cfg.d_model, cfg.n_heads, 5
         tape = ad.Tape()
         cache: dict = {}
         with ad.recording(tape):
             p = tf.as_nodes(params, tape, trainable=False)
             for t in range(3):
-                tf.decoder(p, Rng(t).generator.normal(size=(1, cfg.d_model)), z, cfg, cache)
-                for l in range(cfg.n_layers):
-                    assert cache[f"dec{l}.w"][0].node.shape == (t + 1, cfg.d_model)
-                    assert cache[f"dec{l}.c"][0].shape == (5, cfg.d_model)
-            cross_k = [cache[f"dec{l}.c"][0] for l in range(cfg.n_layers)]
-            tf.decoder(p, np.ones((1, cfg.d_model)), z, cfg, cache)
-        assert all(cache[f"dec{l}.c"][0] is k for l, k in enumerate(cross_k))
+                tf.decoder(p, Rng(t).generator.normal(size=(1, d)), z, cfg, cache)
+                layers = cache["layers"]
+                assert len(layers) == cfg.n_layers
+                for layer in layers:
+                    assert layer.rows.node.shape == (t + 1, d)
+                    assert [x.shape for x in (layer.a, layer.b, layer.m, layer.n)] == \
+                        [(d, h * d), (h * d, d), (d, h * m), (h * m, d)]
+                if t == 0:
+                    built = [(layer.a, layer.b, layer.m, layer.n, layer.rows) for layer in layers]
+            tf.decoder(p, np.ones((1, d)), z, cfg, cache)
+        assert cache["layers"] is layers
+        for layer, products in zip(layers, built):
+            assert all(a is b for a, b in zip(
+                (layer.a, layer.b, layer.m, layer.n, layer.rows), products))
 
     def test_earlier_kv_nodes_keep_their_values(self, deep_token_model):
-        # each step's K/V nodes view the same buffers, which later steps
-        # append to and, past the first capacity, copy into larger ones
+        # each step's layer-input rows, the keys and values of every head,
+        # view the same buffer, which later steps append to and, past the
+        # first capacity, copy into larger ones
         cfg, params = deep_token_model
         z = Rng(3).generator.normal(size=(5, cfg.d_model))
         tape = ad.Tape()
@@ -456,11 +510,11 @@ class TestCachedDecode:
             p = tf.as_nodes(params, tape, trainable=False)
             for t in range(2 * ad.RowBuffer.FIRST_ROWS + 1):
                 tf.decoder(p, Rng(t).generator.normal(size=(1, cfg.d_model)), z, cfg, cache)
-                nodes = [b.node for l in range(cfg.n_layers) for b in cache[f"dec{l}.w"]]
+                nodes = [layer.rows.node for layer in cache["layers"]]
                 kept.append([(node, node.value.copy()) for node in nodes])
         for t, step in enumerate(kept):
             for node, value in step:
-                assert node.value.shape[0] == t + 1
+                assert node.value.shape == (t + 1, cfg.d_model)
                 assert np.array_equal(node.value, value)
             if t:  # step t's rows extend step t - 1's
                 for (node, _), (earlier, _) in zip(step, kept[t - 1]):
